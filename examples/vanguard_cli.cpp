@@ -14,9 +14,6 @@
  *                          parallel experiment engine (mean/best)
  *     --jobs N             engine worker threads (default: the
  *                          VANGUARD_JOBS env var, then all cores)
- *     --batch-lanes N      REF-seed lanes per batched simulation in
- *                          sweeps and the selfbench batched stream
- *                          (1..64; 1 disables batching; default 8)
  *     --no-threaded-dispatch  use the portable switch dispatcher even
  *                          in builds carrying the computed-goto fast
  *                          path (bit-identical results, machine code
@@ -98,7 +95,7 @@
  *     --selfbench          benchmark the simulator itself: run the
  *                          pinned workload x width x predictor matrix
  *                          through every execution path (switch /
- *                          threaded / batched / reference) and print
+ *                          threaded / reference) and print
  *                          the vanguard-selfbench v2 JSON report
  *     --selfbench-out F    write the report to F (atomic) instead of
  *                          stdout (the committed trajectory is
@@ -188,7 +185,7 @@ printUsage(std::FILE *to)
     std::fprintf(to,
         "usage: vanguard_cli [--benchmark NAME] [--list] "
         "[--width N] [--predictor NAME] [--iterations N] "
-        "[--seed N] [--all-refs] [--jobs N] [--batch-lanes N] "
+        "[--seed N] [--all-refs] [--jobs N] "
         "[--no-threaded-dispatch] "
         "[--no-decompose] [--no-superblock] "
         "[--no-shadow-commit] [--dbb N] [--threshold P] "
@@ -207,11 +204,6 @@ printUsage(std::FILE *to)
         "[--selfbench-iters N] [--help]\n"
         "\n"
         "execution paths:\n"
-        "  --batch-lanes N     REF-seed lanes per batched simulation "
-        "(1..64;\n"
-        "                      1 disables batching; default 8); also "
-        "sets the\n"
-        "                      selfbench batched stream's lane count\n"
         "  --no-threaded-dispatch  portable switch dispatcher even "
         "when the\n"
         "                      build carries the computed-goto fast "
@@ -451,7 +443,6 @@ runCli(int argc, char **argv)
     bool selfbench = false;
     std::string selfbench_out;
     SelfBenchOptions sb_opts;
-    unsigned batch_lanes = 0; ///< 0 = keep the per-subsystem default
     bool isolate_jobs = false;
     unsigned worker_heartbeat_ms = 0; ///< 0 = runner default
     unsigned worker_rlimit_mb = 0;
@@ -513,9 +504,6 @@ runCli(int argc, char **argv)
             all_refs = true;
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(atoi(next()));
-        } else if (arg == "--batch-lanes") {
-            batch_lanes =
-                parseUnsignedOrDie("--batch-lanes", next(), 1, 64);
         } else if (arg == "--no-threaded-dispatch") {
             opts.noThreadedDispatch = true;
         } else if (arg == "--no-decompose") {
@@ -721,8 +709,6 @@ runCli(int argc, char **argv)
     if (selfbench) {
         // Simulator self-benchmark: measures the host, so it runs
         // before (and instead of) any deterministic sweep plumbing.
-        if (batch_lanes != 0)
-            sb_opts.batchLanes = batch_lanes;
         SelfBenchReport report = runSelfBench(sb_opts, stderr);
         std::string json = selfBenchToJson(report);
         if (selfbench_out.empty()) {
@@ -738,16 +724,11 @@ runCli(int argc, char **argv)
                      report.geomeanFastIps() / 1e6,
                      report.geomeanRefIps() / 1e6,
                      report.geomeanSpeedup());
-        if (report.geomeanBatchedIps() > 0) {
-            std::fprintf(stderr,
-                         "selfbench geomean: %.1f M-insts/s batched "
-                         "(%.2fx vs solo fast), %.1f switch, "
-                         "%.1f threaded\n",
-                         report.geomeanBatchedIps() / 1e6,
-                         report.geomeanBatchedSpeedup(),
-                         report.geomeanSwitchIps() / 1e6,
-                         report.geomeanThreadedIps() / 1e6);
-        }
+        std::fprintf(stderr,
+                     "selfbench geomean: %.1f M-insts/s switch, "
+                     "%.1f threaded\n",
+                     report.geomeanSwitchIps() / 1e6,
+                     report.geomeanThreadedIps() / 1e6);
         return 0;
     }
 
@@ -762,8 +743,6 @@ runCli(int argc, char **argv)
         // aborting the sweep.
         RunnerOptions ropts;
         ropts.jobs = jobs;
-        if (batch_lanes != 0)
-            ropts.batchLanes = batch_lanes;
         ropts.replayDir = replay_dir;
         ropts.checkpointDir = checkpoint_dir;
         ropts.resume = resume;

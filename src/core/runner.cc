@@ -775,15 +775,11 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         return report;
     }
 
-    // Phase 3: one job per (benchmark, width, config, seed). Slot
+    // Phase 3: one job per (benchmark, width, config, seed), each its
+    // own pool work item so a shutdown drain stops between seeds. Slot
     // layout: ((b*W + w)*S + s)*2 + cfg with cfg 0 = baseline
     // (collecting per-branch stalls, as the serial path does) and
-    // cfg 1 = experimental. Work items are (benchmark, width, config)
-    // *groups*: the S seed jobs of a group run inside one item, so an
-    // eligible group shares one batched dispatch loop
-    // (simulateConfigBatch) while every seed keeps its own journal
-    // record, metric snapshot, counters, trace span, and failure slot
-    // — bit-identical to solo execution either way.
+    // cfg 1 = experimental.
     std::vector<SimStats> sims(B * W * S * 2);
     std::vector<std::optional<JobFailure>> sim_fail(sims.size());
     auto simScope = [&](size_t b, size_t w, size_t cfg, size_t s) {
@@ -806,251 +802,127 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // Reads are racy-but-monotonic counter loads; display only.
     progress.observeRtt(&job_rtt);
     progress.observeSimCycles(&sim_cycles);
-
-    // Sweep-wide batching eligibility: modes that need per-job
-    // isolation of process-global state (fault-injection draw
-    // sequences, the lockstep checker) or that will not run the fast
-    // path anyway (VANGUARD_FORCE_REFERENCE) keep solo seed jobs
-    // inside the same group items — same slots, same records.
-    // Process isolation forces solo seed jobs: PR 6 proved batched
-    // and solo stats byte-identical, and solo jobs are the natural
-    // redelivery/quarantine unit.
-    const bool batch_eligible =
-        ropts.batchLanes > 1 && !base.lockstep &&
-        !ropts.faultInjection && !faultinject::armed() &&
-        !referenceForcedByEnv() && !remote_bodies;
-
     {
         TraceSpan phase_span(tracer, "phase.simulate");
-        pool.parallelFor(B * W * 2, [&](size_t g) {
-            size_t bw = g / 2;
-            size_t cfg = g % 2;
+        pool.parallelFor(sims.size(), [&](size_t i) {
+            size_t cfg = i % 2;
+            size_t s = (i / 2) % S;
+            size_t bw = i / (2 * S);
             size_t b = bw / W;
             size_t w = bw % W;
             if (train_fail[b].has_value() ||
                 compile_fail[bw].has_value()) {
-                for (size_t s = 0; s < S; ++s) {
-                    jobs_skipped.add();
-                    progress.jobDone(); // skipped; the sweep advanced
-                }
+                jobs_skipped.add();
+                progress.jobDone(); // skipped; the sweep advanced
                 return;
             }
             ScopedCurrentTracer ambient(tracer);
-            const BenchmarkArtifacts &art = arts[bw];
             const BenchmarkSpec &spec = suite[b];
             const VanguardOptions &opts = wopts[w];
             const CompiledConfig &config =
-                cfg == 0 ? art.base : art.exp;
+                cfg == 0 ? arts[bw].base : arts[bw].exp;
+            JobIdentity id;
+            id.phase = "simulate";
+            id.benchmark = spec.name;
+            id.width = widths[w];
+            id.config = static_cast<int>(cfg);
+            id.seed = kRefSeeds[s];
+            id.index = i;
+            faultinject::Scope job_scope(jobScopeKey(id, 0));
 
-            auto slotOf = [&](size_t s) {
-                return (bw * S + s) * 2 + cfg;
-            };
-            auto identity = [&](size_t s) {
-                JobIdentity id;
-                id.phase = "simulate";
-                id.benchmark = spec.name;
-                id.width = widths[w];
-                id.config = static_cast<int>(cfg);
-                id.seed = kRefSeeds[s];
-                id.index = slotOf(s);
-                return id;
-            };
-            auto spanArgs = [&](size_t s) {
-                return tracer == nullptr
-                    ? std::string()
-                    : Tracer::args(
-                          {{"benchmark", spec.name},
-                           {"width", std::to_string(widths[w])},
-                           {"config", cfg == 0 ? "base" : "exp"},
-                           {"seed", hexU64(kRefSeeds[s])},
-                           {"index",
-                            std::to_string(slotOf(s))}});
-            };
-            auto journalSeed = [&](size_t s) {
-                if (ckpt == nullptr)
+            // Journal replay satisfies the seed without re-executing
+            // (or re-journaling) it.
+            if (ckpt != nullptr) {
+                auto it = ckpt->prior.sim.find(i);
+                if (it != ckpt->prior.sim.end()) {
+                    ckpt->countReplay();
+                    jobs_replayed.add();
+                    if (!it->second.ok) {
+                        sim_fail[i] = failureFromRecord(id, it->second);
+                        jobs_failed.add();
+                        sim_failed.add();
+                        progress.jobFailedReplayed();
+                        return;
+                    }
+                    sims[i] = it->second.stats;
+                    jobs_completed.add();
+                    sim_done.add();
+                    mergeSim(i, b, w, cfg, s);
+                    if (tracer != nullptr) {
+                        tracer->instant(
+                            "job.replayed",
+                            Tracer::args({{"job", id.describe()}}));
+                    }
+                    progress.jobReplayed();
                     return;
-                size_t i = slotOf(s);
-                if (sim_fail[i].has_value()) {
-                    ckpt->append(
-                        recordFromFailure('S', i, *sim_fail[i]));
-                } else {
-                    JournalRecord rec;
-                    rec.phase = 'S';
-                    rec.index = i;
-                    rec.ok = true;
-                    rec.stats = sims[i];
-                    ckpt->append(rec);
                 }
-            };
-            auto seedDone = [&](size_t s) {
-                jobs_completed.add();
-                sim_done.add();
-                mergeSim(slotOf(s), b, w, cfg, s);
-                progress.jobDone();
-            };
-            auto seedFailed = [&](size_t s) {
-                writeBundle(*sim_fail[slotOf(s)], spec, opts, ropts);
+            }
+
+            try {
+                TraceSpan span(
+                    tracer, "simulate",
+                    tracer == nullptr
+                        ? std::string()
+                        : Tracer::args(
+                              {{"benchmark", spec.name},
+                               {"width", std::to_string(widths[w])},
+                               {"config", cfg == 0 ? "base" : "exp"},
+                               {"seed", hexU64(kRefSeeds[s])},
+                               {"index", std::to_string(i)}}));
+                sim_fail[i] = runGuarded(
+                    id, ropts, tracer, jobs_retries,
+                    [&](unsigned attempt) {
+                        if (!remote_bodies) {
+                            sims[i] = simulateConfig(
+                                spec, config, opts, kRefSeeds[s],
+                                /*collect_branch_stalls=*/cfg == 0);
+                            return;
+                        }
+                        WorkerJob wj;
+                        wj.phase = "simulate";
+                        wj.slot = i;
+                        wj.scopeKey = jobScopeKey(id, attempt);
+                        wj.scopeStartDraw =
+                            faultinject::currentDrawCount();
+                        wj.spec = spec;
+                        wj.specName = spec.name;
+                        wj.bindSpecName();
+                        wj.options = opts;
+                        wj.config = static_cast<int>(cfg);
+                        wj.seed = kRefSeeds[s];
+                        wj.collectStalls = cfg == 0;
+                        wj.profileText = profile_text[b];
+                        sims[i] = executeRemote(std::move(wj)).stats;
+                    });
+            } catch (const JobDiscarded &) {
+                // Drained before lease: record nothing (journal,
+                // failure table, progress totals all untouched —
+                // identical to a queued job the in-process drain
+                // never dequeued).
+                return;
+            }
+            if (sim_fail[i].has_value()) {
+                writeBundle(*sim_fail[i], spec, opts, ropts);
                 jobs_failed.add();
                 sim_failed.add();
                 progress.jobFailed();
-            };
-
-            // Journal replay satisfies seeds without re-executing
-            // (or re-journaling) them; the rest stay pending.
-            std::vector<size_t> pending;
-            pending.reserve(S);
-            for (size_t s = 0; s < S; ++s) {
-                size_t i = slotOf(s);
-                if (ckpt != nullptr) {
-                    auto it = ckpt->prior.sim.find(i);
-                    if (it != ckpt->prior.sim.end()) {
-                        ckpt->countReplay();
-                        jobs_replayed.add();
-                        if (!it->second.ok) {
-                            sim_fail[i] = failureFromRecord(
-                                identity(s), it->second);
-                            jobs_failed.add();
-                            sim_failed.add();
-                            progress.jobFailedReplayed();
-                        } else {
-                            sims[i] = it->second.stats;
-                            jobs_completed.add();
-                            sim_done.add();
-                            mergeSim(i, b, w, cfg, s);
-                            if (tracer != nullptr) {
-                                tracer->instant(
-                                    "job.replayed",
-                                    Tracer::args(
-                                        {{"job",
-                                          identity(s)
-                                              .describe()}}));
-                            }
-                            progress.jobReplayed();
-                        }
-                        continue;
-                    }
-                }
-                pending.push_back(s);
-            }
-
-            // Batched attempt over the pending seeds, at most
-            // batchLanes lanes per call. A lane that fails — or a
-            // batch that throws outright — falls back to the solo
-            // path below, which reproduces the outcome under
-            // runGuarded's retry/bundle semantics (jobs are pure,
-            // so the re-run is bit-identical).
-            std::vector<size_t> solo;
-            if (batch_eligible && pending.size() > 1) {
-                for (size_t off = 0; off < pending.size();
-                     off += ropts.batchLanes) {
-                    size_t end = std::min(
-                        pending.size(),
-                        off + static_cast<size_t>(ropts.batchLanes));
-                    std::vector<size_t> chunk(pending.begin() + off,
-                                              pending.begin() + end);
-                    if (chunk.size() == 1) {
-                        solo.push_back(chunk[0]);
-                        continue;
-                    }
-                    std::vector<uint64_t> seeds;
-                    seeds.reserve(chunk.size());
-                    for (size_t s : chunk)
-                        seeds.push_back(kRefSeeds[s]);
-                    std::vector<BatchLaneResult> lanes;
-                    try {
-                        TraceSpan span(
-                            tracer, "simulate.batch",
-                            tracer == nullptr
-                                ? std::string()
-                                : Tracer::args(
-                                      {{"benchmark", spec.name},
-                                       {"width",
-                                        std::to_string(widths[w])},
-                                       {"config",
-                                        cfg == 0 ? "base" : "exp"},
-                                       {"lanes",
-                                        std::to_string(
-                                            chunk.size())}}));
-                        lanes = simulateConfigBatch(
-                            spec, config, opts, seeds, cfg == 0);
-                    } catch (...) {
-                        lanes.clear();
-                    }
-                    if (lanes.size() != chunk.size()) {
-                        solo.insert(solo.end(), chunk.begin(),
-                                    chunk.end());
-                        continue;
-                    }
-                    for (size_t k = 0; k < chunk.size(); ++k) {
-                        size_t s = chunk[k];
-                        if (lanes[k].failed) {
-                            solo.push_back(s);
-                            continue;
-                        }
-                        // Bookkeeping span: the trace carries
-                        // exactly one "simulate" span per seed job
-                        // whichever path ran it.
-                        TraceSpan span(tracer, "simulate",
-                                       spanArgs(s));
-                        sims[slotOf(s)] = std::move(lanes[k].stats);
-                        seedDone(s);
-                        journalSeed(s);
-                    }
-                }
             } else {
-                solo = std::move(pending);
+                jobs_completed.add();
+                sim_done.add();
+                mergeSim(i, b, w, cfg, s);
+                progress.jobDone();
             }
-
-            for (size_t s : solo) {
-                size_t i = slotOf(s);
-                JobIdentity id = identity(s);
-                faultinject::Scope job_scope(jobScopeKey(id, 0));
-                try {
-                    TraceSpan span(tracer, "simulate", spanArgs(s));
-                    sim_fail[i] = runGuarded(
-                        id, ropts, tracer, jobs_retries,
-                        [&](unsigned attempt) {
-                            if (!remote_bodies) {
-                                sims[i] = cfg == 0
-                                    ? simulateConfig(
-                                          spec, config, opts,
-                                          kRefSeeds[s],
-                                          /*collect_branch_stalls=*/
-                                          true)
-                                    : simulateConfig(spec, config,
-                                                     opts,
-                                                     kRefSeeds[s]);
-                                return;
-                            }
-                            WorkerJob wj;
-                            wj.phase = "simulate";
-                            wj.slot = i;
-                            wj.scopeKey = jobScopeKey(id, attempt);
-                            wj.scopeStartDraw =
-                                faultinject::currentDrawCount();
-                            wj.spec = spec;
-                            wj.specName = spec.name;
-                            wj.bindSpecName();
-                            wj.options = opts;
-                            wj.config = static_cast<int>(cfg);
-                            wj.seed = kRefSeeds[s];
-                            wj.collectStalls = cfg == 0;
-                            wj.profileText = profile_text[b];
-                            sims[i] =
-                                executeRemote(std::move(wj)).stats;
-                        });
-                } catch (const JobDiscarded &) {
-                    // Drained before lease: record nothing for this
-                    // seed (journal, failure table, progress totals
-                    // all untouched — identical to a queued job the
-                    // in-process drain never dequeued).
-                    continue;
-                }
-                if (sim_fail[i].has_value())
-                    seedFailed(s);
-                else
-                    seedDone(s);
-                journalSeed(s);
+            if (ckpt == nullptr)
+                return;
+            if (sim_fail[i].has_value()) {
+                ckpt->append(recordFromFailure('S', i, *sim_fail[i]));
+            } else {
+                JournalRecord rec;
+                rec.phase = 'S';
+                rec.index = i;
+                rec.ok = true;
+                rec.stats = sims[i];
+                ckpt->append(rec);
             }
         });
     }

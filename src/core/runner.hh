@@ -7,12 +7,9 @@
  * Phases (each a pool-wide barrier):
  *   1. train   — one job per benchmark (training is width-independent),
  *   2. compile — one job per (benchmark, width): both configurations,
- *   3. simulate — one job per (benchmark, width, config, seed),
- *      grouped into one work item per (benchmark, width, config) so
- *      eligible groups share a batched fast-path dispatch loop
- *      (RunnerOptions::batchLanes); each seed builds its own Memory
- *      and predictor and reads the phase-2 CompiledConfig strictly
- *      read-only,
+ *   3. simulate — one job per (benchmark, width, config, seed); each
+ *      builds its own Memory and predictor and reads the phase-2
+ *      CompiledConfig strictly read-only,
  *   4. assemble — single-threaded, in index order.
  *
  * Fault isolation: every job runs under a try/catch that converts a
@@ -137,25 +134,9 @@ struct RunnerOptions
      * bookkeeping (journal, metrics, result slots, retries) stays
      * local, so output is byte-identical to the in-process and
      * --isolate-jobs paths. Mutually exclusive with
-     * JobIsolation::process; disables simulate batching (remote bodies
-     * are solo, like process mode). Not owned.
+     * JobIsolation::process. Not owned.
      */
     Coordinator *coordinator = nullptr;
-
-    /**
-     * Maximum REF-seed lanes per batched simulation (1 disables
-     * batching). The simulate phase groups the seed jobs of each
-     * (benchmark, width, config) and drives eligible groups through
-     * one shared fast-path dispatch loop (simulateConfigBatch); each
-     * seed keeps its own journal record, metric snapshot, counters,
-     * and failure slot, bit-identical to a solo run. Lockstep sweeps,
-     * fault-injecting sweeps (RunnerOptions::faultInjection or an
-     * armed process injector), and VANGUARD_FORCE_REFERENCE runs fall
-     * back to solo jobs automatically; a lane that fails inside a
-     * batch re-runs solo so failure records (retries, attempts,
-     * replay bundles) match solo execution exactly.
-     */
-    unsigned batchLanes = 8;
 
     /** Per-benchmark mean/best summary lines on stderr. */
     bool verbose = false;

@@ -89,75 +89,6 @@ timePath(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
     return best;
 }
 
-/**
- * Time the batched stream: `lanes_n` seed lanes (kRefSeeds[0] + i)
- * through one simulateBatch call. Lane construction sits outside the
- * timed region, as train/compile do for the solo streams. Returns the
- * best wall time and the per-run committed-instruction total across
- * lanes; asserts every lane succeeds and that lane 0 — which re-runs
- * the solo streams' input — bit-matches their insts/cycles.
- */
-double
-timeBatched(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
-            const VanguardOptions &vopts, unsigned repeats,
-            unsigned lanes_n, uint64_t solo_insts, uint64_t solo_cycles,
-            uint64_t *insts_out)
-{
-    double best = 0.0;
-    uint64_t total_insts = 0;
-    for (unsigned rep = 0; rep < repeats; ++rep) {
-        std::vector<BuiltKernel> refs;
-        refs.reserve(lanes_n);
-        std::vector<std::unique_ptr<DirectionPredictor>> preds;
-        preds.reserve(lanes_n);
-        std::vector<BatchLaneInput> lanes(lanes_n);
-        for (unsigned i = 0; i < lanes_n; ++i) {
-            refs.push_back(buildKernel(spec, kRefSeeds[0] + i));
-            preds.push_back(
-                makePredictor(vopts.predictor, kRefSeeds[0] + i));
-            lanes[i].mem = refs[i].mem.get();
-            lanes[i].predictor = preds[i].get();
-        }
-        SimOptions sopts;
-        sopts.maxInsts = vopts.simMaxInsts;
-        sopts.cycleBudget = vopts.simCycleBudget;
-        sopts.progressWindow = vopts.simProgressWindow;
-        if (!art.exp.hoistedMask.empty())
-            sopts.hoistedMask = &art.exp.hoistedMask;
-
-        Clock::time_point t0 = Clock::now();
-        std::vector<BatchLaneResult> results = simulateBatch(
-            art.exp.prog, *art.exp.decoded, lanes, vopts.machine(),
-            sopts);
-        double dt =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-
-        uint64_t total = 0;
-        for (const BatchLaneResult &r : results) {
-            vg_assert(!r.failed, "selfbench: batched lane failed for "
-                      "%s: %s", spec.name, r.errorMessage.c_str());
-            total += r.stats.dynamicInsts;
-        }
-        vg_assert(results[0].stats.dynamicInsts == solo_insts &&
-                      results[0].stats.cycles == solo_cycles,
-                  "selfbench: batched lane 0 diverges from solo for "
-                  "%s (insts %llu vs %llu, cycles %llu vs %llu)",
-                  spec.name,
-                  (unsigned long long)results[0].stats.dynamicInsts,
-                  (unsigned long long)solo_insts,
-                  (unsigned long long)results[0].stats.cycles,
-                  (unsigned long long)solo_cycles);
-        vg_assert(rep == 0 || total == total_insts,
-                  "selfbench: nondeterministic batched run for %s",
-                  spec.name);
-        total_insts = total;
-        if (rep == 0 || dt < best)
-            best = dt;
-    }
-    *insts_out = total_insts;
-    return best;
-}
-
 void
 appendNumber(std::ostringstream &os, double v)
 {
@@ -249,29 +180,11 @@ SelfBenchReport::geomeanThreadedIps() const
 }
 
 double
-SelfBenchReport::geomeanBatchedIps() const
-{
-    std::vector<double> xs;
-    for (const SelfBenchCell &c : cells)
-        xs.push_back(c.batchedIps());
-    return geomean(xs);
-}
-
-double
 SelfBenchReport::geomeanThreadedSpeedup() const
 {
     std::vector<double> xs;
     for (const SelfBenchCell &c : cells)
         xs.push_back(c.threadedSpeedup());
-    return geomean(xs);
-}
-
-double
-SelfBenchReport::geomeanBatchedSpeedup() const
-{
-    std::vector<double> xs;
-    for (const SelfBenchCell &c : cells)
-        xs.push_back(c.batchedSpeedup());
     return geomean(xs);
 }
 
@@ -334,12 +247,6 @@ runSelfBench(const SelfBenchOptions &opts, std::FILE *progress)
         // v1 "fast" stream: whatever a default build runs in a sweep.
         out.fastSec =
             out.threadedSec > 0 ? out.threadedSec : out.switchSec;
-        if (opts.batchLanes > 0) {
-            out.batchedLanes = opts.batchLanes;
-            out.batchedSec = timeBatched(
-                spec, art, vopts, opts.repeats, opts.batchLanes,
-                out.dynamicInsts, out.cycles, &out.batchedInsts);
-        }
         if (opts.timeReference) {
             uint64_t ref_insts = 0;
             uint64_t ref_cycles = 0;
@@ -359,11 +266,6 @@ runSelfBench(const SelfBenchOptions &opts, std::FILE *progress)
         report.cells.push_back(out);
 
         if (progress != nullptr) {
-            char batched[48] = "";
-            if (out.batchedSec > 0) {
-                std::snprintf(batched, sizeof(batched),
-                              "  %8.1f batched", out.batchedIps() / 1e6);
-            }
             char suffix[48] = "";
             if (opts.timeReference) {
                 std::snprintf(suffix, sizeof(suffix),
@@ -371,10 +273,10 @@ runSelfBench(const SelfBenchOptions &opts, std::FILE *progress)
             }
             std::fprintf(progress,
                          "selfbench %-13s w%u %-8s %8.1f M-insts/s "
-                         "fast%s%s\n",
+                         "fast%s\n",
                          cell.workload.c_str(), cell.width,
                          cell.predictor.c_str(), out.fastIps() / 1e6,
-                         batched, suffix);
+                         suffix);
         }
     }
     return report;
@@ -411,12 +313,6 @@ selfBenchToJson(const SelfBenchReport &report)
         appendNumber(os, c.threadedSec);
         os << ", \"threaded_ips\": ";
         appendNumber(os, c.threadedIps());
-        os << ",\n     \"batched_sec\": ";
-        appendNumber(os, c.batchedSec);
-        os << ", \"batched_ips\": ";
-        appendNumber(os, c.batchedIps());
-        os << ", \"batched_lanes\": " << c.batchedLanes
-           << ", \"batched_insts\": " << c.batchedInsts;
         os << ",\n     \"ref_sec\": ";
         appendNumber(os, c.refSec);
         os << ", \"ref_ips\": ";
@@ -438,12 +334,8 @@ selfBenchToJson(const SelfBenchReport &report)
     appendNumber(os, report.geomeanSwitchIps());
     os << ",\n  \"geomean_threaded_ips\": ";
     appendNumber(os, report.geomeanThreadedIps());
-    os << ",\n  \"geomean_batched_ips\": ";
-    appendNumber(os, report.geomeanBatchedIps());
     os << ",\n  \"geomean_threaded_speedup\": ";
     appendNumber(os, report.geomeanThreadedSpeedup());
-    os << ",\n  \"geomean_batched_speedup\": ";
-    appendNumber(os, report.geomeanBatchedSpeedup());
     os << "\n}";
     return os.str();
 }
@@ -460,7 +352,6 @@ selfBenchExportTo(const SelfBenchReport &report, MetricsRegistry &registry)
         registry.gauge(prefix + "fast_cps").set(c.fastCps());
         registry.gauge(prefix + "switch_ips").set(c.switchIps());
         registry.gauge(prefix + "threaded_ips").set(c.threadedIps());
-        registry.gauge(prefix + "batched_ips").set(c.batchedIps());
         registry.gauge(prefix + "ref_ips").set(c.refIps());
         registry.gauge(prefix + "speedup").set(c.speedup());
     }
@@ -472,8 +363,6 @@ selfBenchExportTo(const SelfBenchReport &report, MetricsRegistry &registry)
         .set(report.geomeanSwitchIps());
     registry.gauge("selfbench.geomean_threaded_ips")
         .set(report.geomeanThreadedIps());
-    registry.gauge("selfbench.geomean_batched_ips")
-        .set(report.geomeanBatchedIps());
 }
 
 SelfBenchBaseline
@@ -514,8 +403,6 @@ loadSelfBenchBaseline(const std::string &path)
     scanJsonNumber(text, "geomean_switch_ips", &base.geomeanSwitchIps);
     scanJsonNumber(text, "geomean_threaded_ips",
                    &base.geomeanThreadedIps);
-    scanJsonNumber(text, "geomean_batched_ips",
-                   &base.geomeanBatchedIps);
     base.ok = true;
     return base;
 }

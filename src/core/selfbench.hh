@@ -6,13 +6,11 @@
  * execution path, timing only the cycle loop — train and compile
  * happen once per cell, outside the timed region — and reports
  * simulated instructions per second and simulated cycles per second.
- * Four streams per cell since v2:
+ * Three streams per cell since v2:
  *
  *   - switch:   fast path, portable switch dispatcher,
  *   - threaded: fast path, computed-goto dispatcher (absent — zeroed —
  *               in builds without VANGUARD_THREADED),
- *   - batched:  simulateBatch over batchLanes seed lanes through one
- *               shared dispatch loop; its IPS counts all lanes' insts,
  *   - ref:      the retained reference model (the v1 denominator).
  *
  * The v1 "fast" stream is kept and aliases threaded when available,
@@ -61,14 +59,9 @@ struct SelfBenchCell
     double refSec = 0.0;        ///< best-of-repeats wall time, reference
 
     // v2 streams. threadedSec stays 0 in builds without the
-    // computed-goto dispatcher (fastSec then equals switchSec);
-    // batchedSec times batchedLanes lanes through one loop, so its
-    // IPS denominator is batchedInsts (all lanes), not dynamicInsts.
+    // computed-goto dispatcher (fastSec then equals switchSec).
     double switchSec = 0.0;     ///< fast path, switch dispatcher
     double threadedSec = 0.0;   ///< fast path, computed-goto dispatcher
-    double batchedSec = 0.0;    ///< simulateBatch over batchedLanes
-    unsigned batchedLanes = 0;
-    uint64_t batchedInsts = 0;  ///< committed insts across all lanes
 
     double fastIps() const { return fastSec > 0 ? dynamicInsts / fastSec : 0; }
     double refIps() const { return refSec > 0 ? dynamicInsts / refSec : 0; }
@@ -76,14 +69,11 @@ struct SelfBenchCell
     double refCps() const { return refSec > 0 ? cycles / refSec : 0; }
     double switchIps() const { return switchSec > 0 ? dynamicInsts / switchSec : 0; }
     double threadedIps() const { return threadedSec > 0 ? dynamicInsts / threadedSec : 0; }
-    double batchedIps() const { return batchedSec > 0 ? batchedInsts / batchedSec : 0; }
     /** Fast-path speedup over the reference path, same build. */
     double speedup() const { return fastSec > 0 ? refSec / fastSec : 0; }
     /** Computed-goto speedup over the switch dispatcher (0 when the
      *  build has no threaded dispatcher). */
     double threadedSpeedup() const { return threadedSec > 0 ? switchSec / threadedSec : 0; }
-    /** Batched throughput gain over the solo fast path. */
-    double batchedSpeedup() const { return fastIps() > 0 ? batchedIps() / fastIps() : 0; }
 };
 
 struct SelfBenchReport
@@ -96,13 +86,11 @@ struct SelfBenchReport
     double geomeanRefIps() const;
     double geomeanSpeedup() const;
 
-    // v2 stream geomeans; the threaded and batched ones are 0 when
-    // their stream was not measured (portable build / lanes = 0).
+    // v2 stream geomeans; the threaded ones are 0 when the build has
+    // no computed-goto dispatcher.
     double geomeanSwitchIps() const;
     double geomeanThreadedIps() const;
-    double geomeanBatchedIps() const;
     double geomeanThreadedSpeedup() const;
-    double geomeanBatchedSpeedup() const;
 };
 
 struct SelfBenchOptions
@@ -118,11 +106,6 @@ struct SelfBenchOptions
     /** Also time the reference path (needed for speedup; off makes a
      *  quick fast-only lap, e.g. the tier2_perf smoke gate). */
     bool timeReference = true;
-
-    /** Seed lanes for the batched stream (0 skips it). Lane i runs
-     *  REF seed kRefSeeds[0] + i, so lane 0 re-runs exactly the solo
-     *  streams' input — a free per-cell identity check. */
-    unsigned batchLanes = 8;
 
     /** Matrix override; empty selects the pinned default matrix. */
     std::vector<SelfBenchCase> matrix;
@@ -165,7 +148,6 @@ struct SelfBenchBaseline
     double geomeanSpeedup = 0.0;
     double geomeanSwitchIps = 0.0;
     double geomeanThreadedIps = 0.0;
-    double geomeanBatchedIps = 0.0;
 };
 
 SelfBenchBaseline loadSelfBenchBaseline(const std::string &path);

@@ -176,61 +176,6 @@ simulateConfig(const BenchmarkSpec &spec, const CompiledConfig &config,
                     sopts);
 }
 
-std::vector<BatchLaneResult>
-simulateConfigBatch(const BenchmarkSpec &spec,
-                    const CompiledConfig &config,
-                    const VanguardOptions &opts,
-                    const std::vector<uint64_t> &ref_seeds,
-                    bool collect_branch_stalls)
-{
-    vg_assert(!opts.lockstep,
-              "lockstep runs hold per-run golden state and cannot "
-              "share a batched loop; run them solo");
-    vg_assert(config.decoded != nullptr,
-              "batched simulation needs the pre-decoded program");
-
-    // Per-lane state mirrors simulateConfig's per-seed setup exactly:
-    // the REF memory image, a seed-specific predictor, and (for oracle
-    // predictors on decomposed code) the pre-recorded PREDICT outcome
-    // stream. The kernels/predictors/outcomes own the storage the
-    // lane pointers reference for the duration of the batch.
-    const size_t n = ref_seeds.size();
-    bool needs_oracle = opts.predictor.rfind("ideal:", 0) == 0;
-    std::vector<BuiltKernel> refs;
-    refs.reserve(n);
-    std::vector<std::unique_ptr<DirectionPredictor>> predictors;
-    predictors.reserve(n);
-    std::vector<std::vector<bool>> outcomes(n);
-    std::vector<BatchLaneInput> lanes(n);
-    for (size_t i = 0; i < n; ++i) {
-        refs.push_back(buildKernel(spec, ref_seeds[i]));
-        predictors.push_back(
-            makePredictor(opts.predictor, ref_seeds[i]));
-        lanes[i].mem = refs[i].mem.get();
-        lanes[i].predictor = predictors[i].get();
-        if (needs_oracle && config.decomposed) {
-            TraceSpan span(currentTracer(), "sim.prerecord");
-            outcomes[i] = prerecordPredictOutcomes(
-                config.prog, *refs[i].mem, opts.simMaxInsts * 2);
-            lanes[i].predictOutcomes = &outcomes[i];
-        }
-    }
-
-    SimOptions sopts;
-    sopts.maxInsts = opts.simMaxInsts;
-    sopts.cycleBudget = opts.simCycleBudget;
-    sopts.progressWindow = opts.simProgressWindow;
-    sopts.collectBranchStalls = collect_branch_stalls;
-    sopts.noThreadedDispatch = opts.noThreadedDispatch;
-    if (!config.hoistedMask.empty())
-        sopts.hoistedMask = &config.hoistedMask;
-
-    TraceSpan span(currentTracer(), "sim.batch",
-                   Tracer::args({{"lanes", std::to_string(n)}}));
-    return simulateBatch(config.prog, *config.decoded, lanes,
-                         opts.machine(), sopts);
-}
-
 namespace {
 
 /** Static loads per hot basic block of the untransformed kernel. */

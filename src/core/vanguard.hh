@@ -224,24 +224,6 @@ SimStats simulateConfig(const BenchmarkSpec &spec,
                         const VanguardOptions &opts, uint64_t ref_seed,
                         bool collect_branch_stalls = false);
 
-/**
- * Simulate a compiled configuration on several REF inputs through one
- * batched fast-path loop (uarch simulateBatch): each seed becomes a
- * lane with its own memory image, predictor, and (for oracle
- * predictors on decomposed code) pre-recorded PREDICT outcomes —
- * exactly the per-seed state simulateConfig builds. Per-lane results
- * are bit-identical to solo simulateConfig calls, and a lane that
- * raises SimError fails in its own slot without disturbing the others.
- * Lockstep runs cannot batch (the checker holds per-run golden state);
- * callers gate on !opts.lockstep, asserted here.
- */
-std::vector<BatchLaneResult>
-simulateConfigBatch(const BenchmarkSpec &spec,
-                    const CompiledConfig &config,
-                    const VanguardOptions &opts,
-                    const std::vector<uint64_t> &ref_seeds,
-                    bool collect_branch_stalls = false);
-
 } // namespace vanguard
 
 #endif // VANGUARD_CORE_VANGUARD_HH

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 /*
  * Compile-time availability of the computed-goto (threaded-code)
@@ -786,56 +785,25 @@ class FastModel : public TimingCommon
         }
     }
 
-    /**
-     * Advance up to max_steps more committed instructions (also
-     * bounded by opts.maxInsts). The chunk bound merges into the
-     * loop's existing `dynamicInsts < limit` condition and all
-     * loop-carried state lives in members, so N resume() calls retire
-     * exactly the instruction sequence one run() would — chunked
-     * stepping is bit-identical by construction, which is what lets
-     * simulateBatch() interleave lanes.
-     */
-    void
-    resume(uint64_t max_steps)
+    SimStats
+    run()
     {
-        if (done_)
-            return;
-        uint64_t limit = opts_.maxInsts;
-        uint64_t remaining = limit - stats_.dynamicInsts;
-        if (max_steps < remaining)
-            limit = stats_.dynamicInsts + max_steps;
 #if VANGUARD_THREADED_DISPATCH
         if (use_threaded_)
-            stepThreaded(limit);
+            runThreaded();
         else
-            stepSwitch(limit);
+            runSwitch();
 #else
-        stepSwitch(limit);
+        runSwitch();
 #endif
-        done_ = stats_.halted || stats_.dynamicInsts >= opts_.maxInsts;
-    }
-
-    bool finished() const { return done_; }
-
-    /** Densify and export final stats; call once, after finished(). */
-    SimStats
-    takeStats()
-    {
         finalizeStats();
         return stats_;
     }
 
-    SimStats
-    run()
-    {
-        resume(~uint64_t{0});
-        return takeStats();
-    }
-
   private:
-    void stepSwitch(uint64_t limit);
+    void runSwitch();
 #if VANGUARD_THREADED_DISPATCH
-    void stepThreaded(uint64_t limit);
+    void runThreaded();
 #endif
 
     [[noreturn]] void
@@ -918,16 +886,10 @@ class FastModel : public TimingCommon
     std::vector<uint8_t> hoisted_;  ///< by instruction index
     const bool use_line_tags_;
     const bool use_threaded_;
-
-    // Loop-carried state, saved across resume() chunk boundaries.
-    size_t idx_ = 0;
-    uint64_t inst_seq_ = 0;
-    uint64_t last_commit_cycle_ = 0;
-    bool done_ = false;
 };
 
 void
-FastModel::stepSwitch(uint64_t limit)
+FastModel::runSwitch()
 {
 #define VG_THREADED 0
 #include "uarch/fast_loop.inc"
@@ -936,7 +898,7 @@ FastModel::stepSwitch(uint64_t limit)
 
 #if VANGUARD_THREADED_DISPATCH
 void
-FastModel::stepThreaded(uint64_t limit)
+FastModel::runThreaded()
 {
 #define VG_THREADED 1
 #include "uarch/fast_loop.inc"
@@ -944,6 +906,18 @@ FastModel::stepThreaded(uint64_t limit)
 }
 #endif
 
+
+/**
+ * True when VANGUARD_FORCE_REFERENCE is set (non-empty, not "0") in
+ * the environment — the process-wide kill switch that routes every
+ * simulation through the retained reference path.
+ */
+bool
+referenceForcedByEnv()
+{
+    const char *env = std::getenv("VANGUARD_FORCE_REFERENCE");
+    return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
 
 /** True when this run may take the fused fast path. */
 bool
@@ -955,14 +929,6 @@ fastEligible(const SimOptions &opts)
     }
     return !referenceForcedByEnv();
 }
-
-/**
- * Default committed-instruction quantum per lane turn in
- * simulateBatch(): large enough that the resume() bookkeeping is
- * noise (one virtual-free call per ~16k instructions), small enough
- * that all lanes' hot state keeps cycling through the host caches.
- */
-constexpr uint64_t kDefaultBatchQuantum = 131072;
 
 } // namespace
 
@@ -998,84 +964,6 @@ bool
 threadedDispatchAvailable()
 {
     return VANGUARD_THREADED_DISPATCH != 0;
-}
-
-bool
-referenceForcedByEnv()
-{
-    const char *env = std::getenv("VANGUARD_FORCE_REFERENCE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::vector<BatchLaneResult>
-simulateBatch(const Program &prog, const DecodedProgram &decoded,
-              const std::vector<BatchLaneInput> &lanes,
-              const MachineConfig &cfg, const SimOptions &opts)
-{
-    std::vector<BatchLaneResult> results(lanes.size());
-
-    if (!fastEligible(opts)) {
-        // Kill switches (forceReference, VANGUARD_FORCE_REFERENCE)
-        // route every lane through the reference path, back to back;
-        // per-lane results and failure isolation are preserved.
-        for (size_t i = 0; i < lanes.size(); ++i) {
-            SimOptions lane_opts = opts;
-            lane_opts.predictOutcomes = lanes[i].predictOutcomes;
-            try {
-                ReferenceModel model(prog, *lanes[i].mem,
-                                     *lanes[i].predictor, cfg,
-                                     lane_opts);
-                results[i].stats = model.run();
-            } catch (const SimError &e) {
-                results[i].failed = true;
-                results[i].errorKind = e.kind();
-                results[i].errorMessage = e.what();
-            }
-        }
-        return results;
-    }
-
-    const uint64_t quantum = opts.batchQuantum != 0
-        ? opts.batchQuantum
-        : kDefaultBatchQuantum;
-
-    // Per-lane options must outlive the models (each model keeps a
-    // reference); sized once up front so the addresses are stable.
-    std::vector<SimOptions> lane_opts(lanes.size(), opts);
-    std::vector<std::unique_ptr<FastModel>> models(lanes.size());
-    for (size_t i = 0; i < lanes.size(); ++i) {
-        lane_opts[i].predictOutcomes = lanes[i].predictOutcomes;
-        models[i] = std::make_unique<FastModel>(decoded, *lanes[i].mem,
-                                                *lanes[i].predictor,
-                                                cfg, lane_opts[i]);
-    }
-
-    // Round-robin quanta: each turn is exactly a chunk of that lane's
-    // solo run, so interleaving cannot change any lane's results. A
-    // lane that halts (or errors) drains out of the rotation and the
-    // survivors keep going.
-    size_t active = models.size();
-    while (active > 0) {
-        for (size_t i = 0; i < models.size(); ++i) {
-            if (models[i] == nullptr)
-                continue;
-            try {
-                models[i]->resume(quantum);
-                if (models[i]->finished()) {
-                    results[i].stats = models[i]->takeStats();
-                    models[i].reset();
-                    --active;
-                }
-            } catch (const SimError &e) {
-                results[i].failed = true;
-                results[i].errorKind = e.kind();
-                results[i].errorMessage = e.what();
-                models[i].reset();
-                --active;
-            }
-        }
-    }
-    return results;
 }
 
 MetricSnapshot

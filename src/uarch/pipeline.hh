@@ -122,15 +122,6 @@ struct SimOptions
      * process-wide, mirroring VANGUARD_FORCE_REFERENCE.
      */
     bool noThreadedDispatch = false;
-
-    /**
-     * Instructions each batched lane advances per round-robin turn in
-     * simulateBatch() (0 = the built-in default). A lane's chunked
-     * stepping is observationally identical to one uninterrupted run,
-     * so this tunes interleave granularity only; exposed so tests can
-     * prove quantum-independence at extreme values.
-     */
-    uint64_t batchQuantum = 0;
 };
 
 struct SimStats
@@ -233,60 +224,6 @@ SimStats simulateWithDecoded(const Program &prog,
  * use this to skip gracefully rather than measure the switch twice.
  */
 bool threadedDispatchAvailable();
-
-/**
- * True when VANGUARD_FORCE_REFERENCE is set (non-empty, not "0") in
- * the environment — the process-wide kill switch that routes every
- * simulation through the retained reference path. Exported so batching
- * layers can skip grouping work the fast path will not run anyway.
- */
-bool referenceForcedByEnv();
-
-/**
- * One lane of a multi-seed batched simulation: same DecodedProgram,
- * per-lane data memory, predictor, and (for oracle predictors)
- * pre-recorded PREDICT outcomes. The pointed-to objects are mutated
- * exactly as a solo simulate() call would mutate them.
- */
-struct BatchLaneInput
-{
-    Memory *mem = nullptr;
-    DirectionPredictor *predictor = nullptr;
-    const std::vector<bool> *predictOutcomes = nullptr;
-};
-
-/** Per-lane outcome of simulateBatch(): stats, or an isolated error. */
-struct BatchLaneResult
-{
-    SimStats stats;
-    bool failed = false;
-    SimError::Kind errorKind = SimError::Kind::Internal;
-    std::string errorMessage;
-};
-
-/**
- * Run the same pre-decoded program over N seed lanes, interleaving
- * fixed-size instruction quanta round-robin across the lanes so one
- * hot dispatch loop (and its warm I-cache/BTB footprint) drives all of
- * them; lanes that halt early drain out and the rest keep going.
- *
- * Bit-identity holds per lane by construction: each lane is a complete
- * fast-path model of its own, merely paused and resumed at quantum
- * boundaries, so its SimStats, metric snapshot, and per-branch stall
- * map equal a solo simulateWithDecoded() of the same (seed, predictor)
- * — the property tests/test_batched.cc enforces. A lane that raises
- * SimError is reported failed in its own slot without disturbing the
- * other lanes. When the fast path is ineligible (forceReference or the
- * VANGUARD_FORCE_REFERENCE kill switch), lanes run back to back on the
- * reference path instead, preserving the same per-lane results and
- * isolation. Fault-injection draw sequences are not virtualized per
- * lane, so callers arming the injector should prefer solo runs (the
- * experiment engine does).
- */
-std::vector<BatchLaneResult>
-simulateBatch(const Program &prog, const DecodedProgram &decoded,
-              const std::vector<BatchLaneInput> &lanes,
-              const MachineConfig &cfg, const SimOptions &opts = {});
 
 /**
  * Flatten one run's SimStats into dotted metric paths

@@ -447,6 +447,48 @@ TEST(CheckpointResume, InterruptedSweepResumesBitIdentical)
     expectIdenticalResults(ref, again);
 }
 
+/**
+ * A drain stops between seed jobs: each (benchmark, width, config,
+ * seed) is its own pool work item, so once the first simulation
+ * requests shutdown only the items already in flight — at most one per
+ * worker — finish and checkpoint. The bound is deterministic: no
+ * simulation can complete before the drain flag is set. With two
+ * workers it is also tighter than one (benchmark, width, config)
+ * group's kNumRefSeeds seeds, so a drain that waits for a whole group
+ * fails it every time.
+ */
+TEST(CheckpointResume, DrainStopsBetweenSeedJobs)
+{
+    std::vector<BenchmarkSpec> suite = {quick("h264ref-like", 1200),
+                                        quick("bzip2-like", 1200)};
+    VanguardOptions opts;
+    for (unsigned jobs : {2u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        std::string dir = freshDir("ckpt-drain-granularity");
+        clearShutdownRequest();
+        std::atomic<int> sims_started{0};
+        RunnerOptions ropts;
+        ropts.jobs = jobs;
+        ropts.checkpointDir = dir;
+        ropts.faultInjection = [&sims_started](const JobIdentity &id) {
+            if (std::string(id.phase) == "simulate" &&
+                sims_started.fetch_add(1) == 0)
+                requestShutdown(SIGTERM);
+        };
+        SuiteReport cut = runSuiteWidthsReport(suite, {4}, opts, ropts);
+        EXPECT_TRUE(cut.interrupted);
+
+        // 2 benchmarks x 1 width x 2 configs x 3 seeds = 12 seed jobs.
+        JournalContents j = loadJournalFile(dir + "/journal.vgj");
+        ASSERT_TRUE(j.ok) << j.error;
+        EXPECT_GT(j.sim.size(), 0u);
+        EXPECT_LE(j.sim.size(), size_t{jobs});
+        EXPECT_LT(j.records(), cut.totalJobs);
+        EXPECT_EQ(j.duplicates, 0u);
+    }
+    clearShutdownRequest();
+}
+
 TEST(CheckpointResume, ResumeValidatesJournalAndSpec)
 {
     std::vector<BenchmarkSpec> suite = {quick("h264ref-like", 900)};

@@ -3,7 +3,8 @@
  * The fast-path identity contract (PR 5): the pre-decoded fused cycle
  * loop must be bit-identical — every SimStats field, every exported
  * metric — to the retained reference path, for every predictor, every
- * machine width, and any experiment-engine worker count. Plus the
+ * machine width, every REF seed, and any experiment-engine worker
+ * count. Plus the
  * DecodedProgram round-trip property: decode is a pure re-encoding of
  * the laid-out program, never a transformation.
  */
@@ -35,12 +36,12 @@ smallSpec(const char *name = "h264ref-like", unsigned iterations = 800)
 }
 
 SimStats
-runOnce(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
-        const CompiledConfig &config, const VanguardOptions &vopts,
+runOnce(const BenchmarkSpec &spec, const CompiledConfig &config,
+        const VanguardOptions &vopts, uint64_t seed,
         bool force_reference, bool no_threaded = false)
 {
-    BuiltKernel ref = buildKernel(spec, kRefSeeds[0]);
-    auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+    BuiltKernel ref = buildKernel(spec, seed);
+    auto pred = makePredictor(vopts.predictor, seed);
     SimOptions sopts;
     sopts.maxInsts = vopts.simMaxInsts;
     sopts.cycleBudget = vopts.simCycleBudget;
@@ -50,7 +51,6 @@ runOnce(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
     sopts.noThreadedDispatch = no_threaded;
     if (!config.hoistedMask.empty())
         sopts.hoistedMask = &config.hoistedMask;
-    (void)art;
     return simulateWithDecoded(config.prog, *config.decoded, *ref.mem,
                                *pred, vopts.machine(), sopts);
 }
@@ -73,26 +73,32 @@ expectSnapshotsIdentical(const SimStats &fast, const SimStats &ref,
     }
 }
 
+/** Fast vs reference on both compiled configs, for each given seed. */
 void
 expectBitIdentical(const BenchmarkSpec &spec, const VanguardOptions &vopts,
-                   const std::string &what)
+                   const std::string &what,
+                   const std::vector<uint64_t> &seeds = {kRefSeeds[0]})
 {
     BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
     for (const CompiledConfig *config : {&art.base, &art.exp}) {
-        SimStats fast = runOnce(spec, art, *config, vopts, false);
-        SimStats ref = runOnce(spec, art, *config, vopts, true);
-        std::string tag =
-            what + (config->decomposed ? " [exp]" : " [base]");
-        // The scalar core first (clearer failure messages)...
-        EXPECT_EQ(fast.cycles, ref.cycles) << tag;
-        EXPECT_EQ(fast.dynamicInsts, ref.dynamicInsts) << tag;
-        EXPECT_EQ(fast.brMispredicts, ref.brMispredicts) << tag;
-        EXPECT_EQ(fast.branchStallCycles, ref.branchStallCycles) << tag;
-        // ...then the full export, which covers every counter
-        // including the per-predictor bpred.* set.
-        expectSnapshotsIdentical(fast, ref, tag);
-        // Per-branch stall attribution is not part of the snapshot.
-        EXPECT_TRUE(fast.branchStalls == ref.branchStalls) << tag;
+        for (uint64_t seed : seeds) {
+            SimStats fast = runOnce(spec, *config, vopts, seed, false);
+            SimStats ref = runOnce(spec, *config, vopts, seed, true);
+            std::string tag = what +
+                (config->decomposed ? " [exp]" : " [base]") + " seed " +
+                std::to_string(seed);
+            // The scalar core first (clearer failure messages)...
+            EXPECT_EQ(fast.cycles, ref.cycles) << tag;
+            EXPECT_EQ(fast.dynamicInsts, ref.dynamicInsts) << tag;
+            EXPECT_EQ(fast.brMispredicts, ref.brMispredicts) << tag;
+            EXPECT_EQ(fast.branchStallCycles, ref.branchStallCycles)
+                << tag;
+            // ...then the full export, which covers every counter
+            // including the per-predictor bpred.* set.
+            expectSnapshotsIdentical(fast, ref, tag);
+            // Per-branch stall attribution is not part of the snapshot.
+            EXPECT_TRUE(fast.branchStalls == ref.branchStalls) << tag;
+        }
     }
 }
 
@@ -120,7 +126,8 @@ TEST(FastPath, BitIdenticalAcrossWidths)
             vopts.predictor = pred;
             expectBitIdentical(smallSpec("mcf-like", 600), vopts,
                                "width " + std::to_string(width) + " " +
-                                   pred);
+                                   pred,
+                               {kRefSeeds, kRefSeeds + kNumRefSeeds});
         }
     }
 }
@@ -145,9 +152,9 @@ TEST(FastPath, ThreadedAndSwitchDispatchersBitIdentical)
             std::string tag = std::string("dispatcher ") + pred +
                 (config->decomposed ? " [exp]" : " [base]");
             SimStats threaded =
-                runOnce(spec, art, *config, vopts, false, false);
+                runOnce(spec, *config, vopts, kRefSeeds[0], false, false);
             SimStats sw =
-                runOnce(spec, art, *config, vopts, false, true);
+                runOnce(spec, *config, vopts, kRefSeeds[0], false, true);
             EXPECT_EQ(threaded.cycles, sw.cycles) << tag;
             expectSnapshotsIdentical(threaded, sw, tag);
             EXPECT_TRUE(threaded.branchStalls == sw.branchStalls) << tag;
@@ -155,7 +162,7 @@ TEST(FastPath, ThreadedAndSwitchDispatchersBitIdentical)
             // The env kill switch must behave exactly like the flag.
             ASSERT_EQ(setenv("VANGUARD_THREADED", "0", 1), 0);
             SimStats env_sw =
-                runOnce(spec, art, *config, vopts, false, false);
+                runOnce(spec, *config, vopts, kRefSeeds[0], false, false);
             unsetenv("VANGUARD_THREADED");
             expectSnapshotsIdentical(env_sw, sw, tag + " env");
         }
@@ -169,9 +176,9 @@ TEST(FastPath, ForceReferenceEnvIsHonored)
     BenchmarkSpec spec = smallSpec("bzip2-like", 500);
     VanguardOptions vopts;
     BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
-    SimStats fast = runOnce(spec, art, art.exp, vopts, false);
+    SimStats fast = runOnce(spec, art.exp, vopts, kRefSeeds[0], false);
     ASSERT_EQ(setenv("VANGUARD_FORCE_REFERENCE", "1", 1), 0);
-    SimStats forced = runOnce(spec, art, art.exp, vopts, false);
+    SimStats forced = runOnce(spec, art.exp, vopts, kRefSeeds[0], false);
     unsetenv("VANGUARD_FORCE_REFERENCE");
     expectSnapshotsIdentical(fast, forced, "env kill switch");
 }

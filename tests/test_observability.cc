@@ -90,6 +90,26 @@ TEST(Observability, PerJobCountersBitMatchDirectSimulation)
     }
 }
 
+/** Total wall time per span name, pairing each thread's B/E events. */
+std::map<std::string, uint64_t>
+spanMicrosByName(const Tracer &tracer)
+{
+    std::map<std::string, uint64_t> total;
+    for (const auto &thread : tracer.snapshotByThread()) {
+        std::vector<const TraceEvent *> open;
+        for (const auto &e : thread) {
+            if (e.phase == 'B') {
+                open.push_back(&e);
+            } else if (e.phase == 'E' && !open.empty()) {
+                total[open.back()->name] +=
+                    e.tsMicros - open.back()->tsMicros;
+                open.pop_back();
+            }
+        }
+    }
+    return total;
+}
+
 TEST(Observability, OneSpanPerJobInTheTrace)
 {
     std::vector<BenchmarkSpec> suite = {quick("bzip2-like", 600)};
@@ -127,6 +147,22 @@ TEST(Observability, OneSpanPerJobInTheTrace)
     }
     // B/E balance over the whole trace.
     EXPECT_EQ(begins, ends);
+    // Simulation work is never hidden in a multi-seed span.
+    EXPECT_EQ(begins.count("simulate.batch"), 0u);
+    EXPECT_EQ(begins.count("sim.batch"), 0u);
+
+    // The per-seed spans carry the simulate phase's time: run serially
+    // so span time cannot overlap, they account for most of it.
+    Tracer serial;
+    ropts.jobs = 1;
+    ropts.tracer = &serial;
+    ASSERT_TRUE(
+        runSuiteWidthsReport(suite, widths, opts, ropts).failures.empty());
+    std::map<std::string, uint64_t> micros = spanMicrosByName(serial);
+    ASSERT_GT(micros["phase.simulate"], 0u);
+    EXPECT_GE(2 * micros["simulate"], micros["phase.simulate"])
+        << "simulate spans " << micros["simulate"]
+        << " us of phase.simulate " << micros["phase.simulate"] << " us";
 }
 
 TEST(Observability, RerunIntoSameRegistryIsIdempotent)

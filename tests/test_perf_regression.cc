@@ -15,11 +15,6 @@
  *    ratio-cancels-host reasoning. Guards against the threaded path
  *    silently degenerating (e.g. a compiler change re-merging the
  *    per-opcode indirect jumps).
- *  - Batched (v2 baselines): batched multi-seed throughput relative to
- *    the solo fast path. On a single-core host batching trades a
- *    little per-lane cache locality for sweep-level amortization, so
- *    this ratio sits near (not above) 1.0; the gate catches it
- *    collapsing, which would mean the round-robin loop got expensive.
  *  - Absolute (opt-in via VANGUARD_PERF_ABSOLUTE=1): geomean simulated
  *    instructions per second against the committed numbers. Only
  *    comparable on hardware like the one that produced the baseline,
@@ -69,7 +64,6 @@ TEST(PerfRegression, FastPathHoldsTheCommittedTrajectory)
     ASSERT_GT(base.geomeanFastIps, 0.0);
 
     SelfBenchOptions opts = sliceOptions();
-    opts.batchLanes = 0; // this gate measures the solo streams only
 
     const bool absolute =
         std::getenv("VANGUARD_PERF_ABSOLUTE") != nullptr;
@@ -118,7 +112,6 @@ TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
 
     SelfBenchOptions opts = sliceOptions();
     opts.timeReference = false;
-    opts.batchLanes = 0;
 
     double best = 0.0;
     for (int attempt = 0; attempt < kAttempts; ++attempt) {
@@ -131,34 +124,6 @@ TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
         << "threaded dispatcher lost its edge over the switch: "
         << "measured " << best << "x, committed " << committed_ratio
         << "x — did the computed-goto jumps get re-merged?";
-}
-
-TEST(PerfRegression, BatchedThroughputStaysNearSoloFast)
-{
-    SelfBenchBaseline base = loadSelfBenchBaseline(VANGUARD_BENCH_BASELINE);
-    if (!base.ok)
-        GTEST_SKIP() << "no committed baseline: " << base.error;
-    if (base.geomeanBatchedIps <= 0.0 || base.geomeanFastIps <= 0.0)
-        GTEST_SKIP() << "baseline predates the v2 batched stream";
-
-    const double committed_ratio =
-        base.geomeanBatchedIps / base.geomeanFastIps;
-    const double need = committed_ratio * (1.0 - kAllowedRegression);
-
-    SelfBenchOptions opts = sliceOptions();
-    opts.timeReference = false;
-
-    double best = 0.0;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        SelfBenchReport report = runSelfBench(opts);
-        best = std::max(best, report.geomeanBatchedSpeedup());
-        if (best >= need)
-            break;
-    }
-    EXPECT_GE(best, need)
-        << "batched multi-seed throughput collapsed vs solo fast: "
-        << "measured " << best << "x of solo, committed "
-        << committed_ratio << "x — round-robin overhead regression?";
 }
 
 } // namespace
