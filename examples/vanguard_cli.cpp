@@ -54,8 +54,8 @@
  *                          bodies in supervised worker processes
  *                          (crash/hang/OOM isolation; byte-identical
  *                          output to the in-process pool)
- *     --worker-heartbeat MS  worker heartbeat deadline (default
- *                          10000; silent workers are killed and the
+ *     --worker-heartbeat MS  worker lease (default 10000; a worker
+ *                          that stops renewing is killed and the
  *                          job fails with SimError(Hang))
  *     --worker-rlimit-mb MB  RLIMIT_AS cap per worker process
  *     --worker FD          internal: run as a pool worker speaking
@@ -238,9 +238,9 @@ printUsage(std::FILE *to)
         "                      cannot kill the sweep; output is byte-"
         "identical\n"
         "                      to the in-process pool)\n"
-        "  --worker-heartbeat MS  heartbeat deadline before a silent "
-        "worker\n"
-        "                      is killed (default 10000)\n"
+        "  --worker-heartbeat MS  lease a worker must renew before it "
+        "is\n"
+        "                      killed as hung (default 10000)\n"
         "  --worker-rlimit-mb MB  RLIMIT_AS cap per worker process\n"
         "\n"
         "distributed sweeps (with --all-refs):\n"
@@ -382,9 +382,9 @@ int
 main(int argc, char **argv)
 {
     // Worker mode is dispatched before anything else: the process is
-    // a supervised child speaking the frame protocol on an inherited
-    // fd, and all of its configuration (fault plan, heartbeat
-    // interval) arrives over that channel, not from argv or env.
+    // a supervised child speaking the lease protocol on an inherited
+    // fd, and all of its configuration (fault plan, lease length)
+    // arrives over that channel, not from argv or env.
     if (argc >= 2 && std::strcmp(argv[1], "--worker") == 0) {
         if (argc != 3) {
             std::fprintf(stderr,

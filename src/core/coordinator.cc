@@ -1,21 +1,29 @@
 /**
  * @file
- * Sweep-fabric implementation: lease bookkeeping, the coordinator
- * service thread, and the remote-worker client loop. See
- * coordinator.hh for the protocol and state machine.
+ * Fabric implementation: lease bookkeeping and the one supervision
+ * policy, the coordinator service thread, and the worker lease loop
+ * (remote and spawned). See coordinator.hh for the protocol and state
+ * machine.
  */
 
 #include "core/coordinator.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <condition_variable>
+#include <cstdlib>
+#include <deque>
+#include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "support/fault_inject.hh"
 #include "support/flight_recorder.hh"
+#include "support/ipc.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/telemetry.hh"
@@ -23,6 +31,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define VANGUARD_FABRIC_POSIX 1
+#include <poll.h>
 #include <unistd.h>
 #endif
 
@@ -30,66 +39,81 @@ namespace vanguard {
 
 namespace {
 
-constexpr unsigned kRemoteHelloVersion = 1;
-constexpr unsigned kLeaseVersion = 1;
-constexpr unsigned kClaimVersion = 1;
-constexpr unsigned kRenewVersion = 1;
-constexpr unsigned kRemoteResultVersion = 1;
-constexpr unsigned kAckVersion = 1;
-constexpr unsigned kDrainVersion = 1;
-constexpr unsigned kWorkerConfigVersion = 1; // shared with worker_pool
+/** Every lease-protocol body ("vanguard-<kind> v1") is version 1. */
+constexpr unsigned kFabricVersion = 1;
+
+// The supervision policy, one copy for spawned and remote peers.
+constexpr unsigned kQuarantineLosses = 3; ///< lost leases in a row = poison
+constexpr unsigned kStormLosses = 10;     ///< losses with no completion
+constexpr unsigned kHelloTimeoutMs = 10000; ///< spawned peers' startup
+constexpr int kTickMs = 10; ///< service-loop cap: expiry, idle heartbeats
+constexpr BackoffPolicy kBackoff{};
 
 using Clock = std::chrono::steady_clock;
 
+/** A lease-protocol frame body: "key value" lines, then blobs. */
 std::string
-claimBody()
+fabricBody(const char *kind,
+           std::initializer_list<std::pair<const char *, uint64_t>> kv)
 {
-    return detail::csprintf("vanguard-claim v%u\n", kClaimVersion);
+    std::string out =
+        detail::csprintf("vanguard-%s v%u\n", kind, kFabricVersion);
+    for (const auto &f : kv)
+        out += detail::csprintf("%s %llu\n", f.first,
+                                static_cast<unsigned long long>(f.second));
+    return out;
 }
 
-std::string
-renewBody(uint64_t lease)
+/** A parsed lease-protocol body — the one parser for every fabric
+ *  frame, on both ends of the connection. */
+struct FabricBody
 {
-    return detail::csprintf("vanguard-renew v%u\nlease %llu\n",
-                            kRenewVersion,
-                            static_cast<unsigned long long>(lease));
-}
+    std::map<std::string, std::string> fields; ///< key -> rest of line
+    std::map<std::string, std::string> blobs;
 
-std::string
-ackBody(uint64_t lease)
-{
-    return detail::csprintf("vanguard-ack v%u\nlease %llu\n",
-                            kAckVersion,
-                            static_cast<unsigned long long>(lease));
-}
+    uint64_t
+    num(const char *key) const
+    {
+        auto it = fields.find(key);
+        return it == fields.end()
+                   ? 0
+                   : std::strtoull(it->second.c_str(), nullptr, 10);
+    }
+};
 
-std::string
-drainBody(bool final_drain)
+/** False on a wrong header ("vanguard-<kind> v1") or a torn blob. */
+bool
+parseFabricBody(const std::string &body, const char *kind,
+                FabricBody *out)
 {
-    return detail::csprintf("vanguard-drain v%u\nfinal %d\n",
-                            kDrainVersion, final_drain ? 1 : 0);
-}
-
-/** Parse "lease <id>" out of a renew/result/ack body (after the
- *  versioned header line). Returns 0 on a malformed body (lease ids
- *  start at 1). */
-uint64_t
-parseLeaseField(ipc::BodyCursor *cur)
-{
+    ipc::BodyCursor cur{body};
     std::string line;
-    while (cur->line(&line)) {
+    if (!cur.line(&line) ||
+        !parseVersionedHeader(line, std::string("vanguard-") + kind,
+                              kFabricVersion, nullptr))
+        return false;
+    while (cur.line(&line)) {
         std::istringstream ls(line);
         std::string key;
         ls >> key;
-        if (key == "lease") {
-            unsigned long long v = 0;
-            ls >> v;
-            return v;
+        if (key != "blob") {
+            std::getline(ls >> std::ws, out->fields[key]);
+            continue;
         }
-        if (key == "blob")
-            break; // lease line must precede blobs
+        std::string name;
+        size_t len = 0;
+        ls >> name >> len;
+        if (!cur.raw(len, &out->blobs[name]))
+            return false;
     }
-    return 0;
+    return true;
+}
+
+/** The backoff key of owned slot `s`: it outlives each child. */
+std::string
+slotKey(unsigned s)
+{
+    return "slot" + std::to_string(s);
 }
 
 /** splitmix64 finalizer, local copy for connection-backoff jitter. */
@@ -116,8 +140,11 @@ struct Coordinator::Impl
     {
         int fd = -1;
         ipc::FrameChannel chan;
-        std::string addr;       ///< ip:port of the connection
-        std::string identity;   ///< "pid@ip" from the hello frame
+        std::string addr;       ///< ip:port of a TCP connection
+        /** "pid@ip" (TCP, from the hello) or "slotN:pidM" (owned). */
+        std::string identity;
+        int pid = 0;            ///< owned peers: the spawned child
+        unsigned slot = 0;      ///< owned peers: the spawner slot
         bool helloed = false;
         bool claimPending = false;
         bool dead = false;
@@ -126,6 +153,23 @@ struct Coordinator::Impl
         uint64_t drawCursor = 0;
         Clock::time_point notBefore;  ///< backoff gate for grants
         Clock::time_point lastTx;     ///< for idle heartbeats
+
+        bool owned() const { return pid > 0; }
+
+        /** Backoff key: what survives a respawn or a reconnect. */
+        std::string
+        lossKey() const
+        {
+            return owned() ? slotKey(slot) : identity;
+        }
+    };
+
+    /** An owned worker slot. */
+    struct Slot
+    {
+        bool live = false;
+        bool everSpawned = false;
+        Clock::time_point vacatedAt;
     };
 
     struct Offer
@@ -139,23 +183,28 @@ struct Coordinator::Impl
         uint64_t leaseId = 0;   ///< current lease (Leased only)
         std::string leasedTo;   ///< identity of the leaseholder
         Clock::time_point leaseExpiry;
+        Clock::time_point grantedAt; ///< owned peers' job_rtt start
         bool discarded = false; ///< drained before any lease
         std::string resultBytes; ///< recorded result (Done)
-        bool failSynthesized = false; ///< poison-quarantine failure
+        WorkerResult result;    ///< resultBytes, parsed
+        bool failed = false;    ///< Done without a result: poison/hang
+        SimError::Kind failKind = SimError::Kind::Internal;
         std::string failMessage;
     };
 
-    explicit Impl(const Options &opts) : opts_(opts)
+    Impl(const Options &opts, Spawner *spawner)
+        : opts_(opts), spawner_(spawner)
     {
         if (opts_.leaseMs == 0)
             opts_.leaseMs = 1;
-        if (opts_.faultPlanSpec.empty() && faultinject::armed())
-            opts_.faultPlanSpec =
-                faultPlanSpec(faultinject::currentPlan());
+        if (faultinject::armed())
+            planSpec_ = faultPlanSpec(faultinject::currentPlan());
         if (faultinject::netArmed())
             netPlanSpec_ = faultPlanSpec(faultinject::currentNetPlan());
-        listenFd_ = ipc::listenTcp(opts_.port);
-        port_ = ipc::listenPort(listenFd_);
+        if (spawner_ == nullptr) {
+            listenFd_ = ipc::listenTcp(opts_.port);
+            port_ = ipc::listenPort(listenFd_);
+        }
         if (opts_.telemetry != nullptr) {
             // The /progress lease table reads the offer map under
             // mutex_; shutdown() clears the provider before this Impl
@@ -182,7 +231,22 @@ struct Coordinator::Impl
                 return out;
             });
         }
+        if (spawner_ != nullptr) {
+            slots_.resize(spawner_->slots());
+            for (unsigned s = 0; s < slots_.size(); ++s)
+                spawnSlot(s);
+        }
         service_ = std::thread([this] { serviceLoop(); });
+        if (spawner_ != nullptr) {
+            // Like a blocking handshake: a pool is ready once every
+            // child said hello (or the loss policy gave up on them).
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait_for(lock, std::chrono::milliseconds(kHelloTimeoutMs),
+                         [&] {
+                             return broken_ ||
+                                    ownedHellos_ >= slots_.size();
+                         });
+        }
     }
 
     ~Impl()
@@ -191,10 +255,10 @@ struct Coordinator::Impl
     }
 
     void
-    bumpCounter(const char *name, uint64_t delta = 1)
+    bumpCounter(const char *name)
     {
         if (opts_.metrics != nullptr)
-            opts_.metrics->counter(name).add(delta);
+            opts_.metrics->counter(name).add(1);
     }
 
     // ---- execute() side (runner pool threads) ----
@@ -219,6 +283,15 @@ struct Coordinator::Impl
             o.key = key;
             queue_.push_back(id);
         }
+        lock.unlock();
+        {
+            // Grant on this thread: a claimed idle peer gets its LEASE
+            // now, not after a hop through the service thread. With no
+            // such peer, the service thread grants when a CLAIM lands.
+            std::lock_guard<std::mutex> turn(turn_);
+            grantLeases();
+        }
+        lock.lock();
         cv_.wait(lock, [&] {
             const Offer &o = offers_[id];
             return broken_ || o.state == Offer::Done || o.discarded;
@@ -227,18 +300,10 @@ struct Coordinator::Impl
         Offer &o = offers_[id];
         if (o.discarded)
             throw JobDiscarded();
-        if (o.failSynthesized)
-            throw SimError(SimError::Kind::Internal, o.failMessage);
+        if (o.failed)
+            throw SimError(o.failKind, o.failMessage);
 
-        WorkerResult res;
-        std::string err;
-        if (!parseWorkerResult(o.resultBytes, &res, &err)) {
-            // The bytes were CRC-clean on the wire and parse-checked
-            // at receive time; failing here is a coordinator bug.
-            throw SimError(SimError::Kind::Internal,
-                           "recorded result for " + o.key +
-                               " unreadable: " + err);
-        }
+        WorkerResult res = std::move(o.result);
         lock.unlock();
         for (size_t k = 0; k < FaultPlan::kNumKinds; ++k)
             faultinject::recordRemoteInjections(
@@ -256,10 +321,10 @@ struct Coordinator::Impl
             throw SimError(brokenKind_, brokenReason_);
     }
 
+    /** Caller holds mutex_. */
     void
-    markBroken(SimError::Kind kind, std::string reason)
+    breakLocked(SimError::Kind kind, std::string reason)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         if (!broken_) {
             broken_ = true;
             brokenKind_ = kind;
@@ -269,7 +334,102 @@ struct Coordinator::Impl
         cv_.notify_all();
     }
 
+    // ---- the supervision policy (caller holds mutex_) ----
+
+    /** When `key` may next get work, counting from `from`. */
+    Clock::time_point
+    backoffUntilLocked(const std::string &key, Clock::time_point from)
+    {
+        return from +
+               std::chrono::milliseconds(kBackoff.delayMs(losses_[key]));
+    }
+
+    /** A worker identity lost work; too many in a row anywhere, with
+     *  no completion in between, break the fabric. */
+    void
+    noteLossLocked(const std::string &key)
+    {
+        losses_[key]++;
+        if (++consecutiveLosses_ > kStormLosses)
+            breakLocked(SimError::Kind::Internal,
+                        detail::csprintf(
+                            "loss storm: %u consecutive worker losses "
+                            "with no completed job; breaking the fabric",
+                            consecutiveLosses_));
+    }
+
+    /** `o` lost its lease on `holder`. Requeue it, or fail it as
+     *  poison after kQuarantineLosses in a row. */
+    void
+    loseLeaseLocked(Offer &o, Peer &holder, const std::string &why)
+    {
+        const bool owned = holder.owned();
+        noteLossLocked(holder.lossKey());
+        holder.leaseId = 0;
+        holder.notBefore =
+            backoffUntilLocked(holder.lossKey(), Clock::now());
+        const std::string who = o.leasedTo;
+        o.state = Offer::Queued;
+        o.leaseId = 0;
+        o.leasedTo.clear();
+
+        unsigned losses = ++consecutiveDeaths_[o.key];
+        flightRecord("event", owned ? "worker.lost" : "fabric.lease_lost",
+                     detail::csprintf("%s lost %s: %s (loss %u)",
+                                      who.c_str(), o.key.c_str(),
+                                      why.c_str(), losses));
+        if (losses < kQuarantineLosses) {
+            queue_.push_back(o.id);
+            vg_warn("worker %s lost %s (%s); redelivering (loss %u of "
+                    "%u)",
+                    who.c_str(), o.key.c_str(), why.c_str(), losses,
+                    kQuarantineLosses);
+            return;
+        }
+        consecutiveDeaths_.erase(o.key);
+        o.state = Offer::Done;
+        o.failed = true;
+        o.failKind = SimError::Kind::Internal;
+        o.failMessage = detail::csprintf(
+            "poison job quarantined: %s lost %u consecutive leases "
+            "(last: %s)",
+            o.key.c_str(), losses, why.c_str());
+        stats_.quarantinedJobs++;
+        if (owned)
+            bumpCounter("engine.worker.quarantined_jobs");
+        flightRecord("error",
+                     owned ? "worker.quarantine" : "fabric.quarantine",
+                     o.failMessage);
+        cv_.notify_all();
+    }
+
+    /** The offer `p` currently holds, if any. */
+    Offer *
+    heldOfferLocked(const Peer &p)
+    {
+        auto it = leaseHistory_.find(p.leaseId);
+        if (p.leaseId == 0 || it == leaseHistory_.end())
+            return nullptr;
+        Offer &o = offers_[it->second];
+        return o.state == Offer::Leased && o.leaseId == p.leaseId ? &o
+                                                                  : nullptr;
+    }
+
     // ---- service thread ----
+
+    /**
+     * Rule (b): a TCP peer counts every frame in engine.net.frames; an
+     * owned peer counts only the frames that carry a job (LEASE out,
+     * RESULT in) in engine.worker.frames.
+     */
+    void
+    countFrame(const Peer &p, char type)
+    {
+        if (!p.owned())
+            bumpCounter("engine.net.frames");
+        else if (type == ipc::kFrameLease || type == ipc::kFrameResult)
+            bumpCounter("engine.worker.frames");
+    }
 
     ipc::SendStatus
     sendToPeer(Peer &p, char type, const std::string &body)
@@ -278,35 +438,44 @@ struct Coordinator::Impl
             ipc::sendFrameNet(p.fd, type, body, p.connScope,
                               &p.drawCursor);
         p.lastTx = Clock::now();
-        if (st == ipc::SendStatus::Ok) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stats_.frames++;
-        }
         if (st == ipc::SendStatus::Ok)
-            bumpCounter("engine.net.frames");
-        if (st == ipc::SendStatus::Disconnected)
-            p.dead = true;
+            countFrame(p, type);
         return st;
+    }
+
+    /** Sleep until a peer or the listener has traffic — at most
+     *  `timeout_ms`. Runs outside the turn: execute() never adds or
+     *  removes peers. */
+    void
+    waitForTraffic(int timeout_ms)
+    {
+        std::vector<pollfd> fds;
+        if (listenFd_ >= 0)
+            fds.push_back({listenFd_, POLLIN, 0});
+        for (const auto &p : peers_)
+            fds.push_back({p->fd, POLLIN, 0});
+        ::poll(fds.data(), fds.size(), timeout_ms);
     }
 
     void
     serviceLoop()
     {
         while (!stop_.load(std::memory_order_acquire)) {
-            if (shutdownRequested())
-                discardQueued();
-            acceptPeers();
-            pumpPeers();
             {
-                std::lock_guard<std::mutex> lock(mutex_);
+                std::lock_guard<std::mutex> turn(turn_);
+                if (shutdownRequested())
+                    discardQueued();
+                acceptPeers();
+                respawnOwned();
+                pumpPeers();
                 expireLeases();
+                grantLeases();
+                heartbeatIdlePeers();
+                reapDeadPeers();
             }
-            grantLeases();
-            heartbeatIdlePeers();
-            reapDeadPeers();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
+            waitForTraffic(kTickMs);
         }
+        std::lock_guard<std::mutex> turn(turn_);
         // Final drain: every connected peer gets its goodbye, sent
         // injection-free — shutdown is a control path, not a chaos
         // subject (an injected drop here would strand a worker
@@ -318,12 +487,8 @@ struct Coordinator::Impl
                 return;
             try {
                 ipc::writeFrame(p.fd, ipc::kFrameDrain,
-                                drainBody(true));
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    stats_.frames++;
-                }
-                bumpCounter("engine.net.frames");
+                                fabricBody("drain", {{"final", 1}}));
+                countFrame(p, ipc::kFrameDrain);
                 if (!p.identity.empty())
                     drained.insert(p.identity);
             } catch (const SimError &) {
@@ -336,15 +501,16 @@ struct Coordinator::Impl
             drainPeer(*p);
         reapDeadPeers();
 
-        // Lame duck: a worker knocked off right at sweep end (an
-        // injected disconnect, plain bad timing) reconnects with
-        // sub-second backoff and must find a goodbye, not a dead
-        // port. Keep accepting for a bounded window, answering every
-        // HELLO with an immediate final DRAIN, until each identity
-        // this sweep ever saw has one (an identity that never returns
-        // — a SIGKILLed worker, say — just costs the full window).
-        // Window > the worker's worst-case reconnect gap (backoff cap
-        // 1000ms + jitter up to half that, plus connect/hello time).
+        // Lame duck, for identities that came in over TCP: a worker
+        // knocked off right at sweep end (an injected disconnect,
+        // plain bad timing) reconnects with sub-second backoff and
+        // must find a goodbye, not a dead port. Keep accepting for a
+        // bounded window, answering every HELLO with an immediate
+        // final DRAIN, until each identity this sweep ever saw has
+        // one (an identity that never returns — a SIGKILLed worker,
+        // say — just costs the full window). Window > the worker's
+        // worst-case reconnect gap (backoff cap 1000ms + jitter up to
+        // half that, plus connect/hello time).
         auto lame_duck_end =
             Clock::now() + std::chrono::milliseconds(2500);
         while (Clock::now() < lame_duck_end) {
@@ -382,8 +548,7 @@ struct Coordinator::Impl
                 }
             }
             reapDeadPeers();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
+            waitForTraffic(kTickMs);
         }
         for (auto &p : peers_)
             ::close(p->fd);
@@ -411,9 +576,24 @@ struct Coordinator::Impl
             cv_.notify_all();
     }
 
+    Peer &
+    adopt(int fd)
+    {
+        auto p = std::make_unique<Peer>();
+        p->fd = fd;
+        p->chan.reset(fd);
+        p->connScope = ipc::netConnScope(acceptOrdinal_++, 0);
+        p->notBefore = Clock::now();
+        p->lastTx = Clock::now();
+        peers_.push_back(std::move(p));
+        return *peers_.back();
+    }
+
     void
     acceptPeers()
     {
+        if (listenFd_ < 0)
+            return;
         for (;;) {
             std::string addr;
             int fd;
@@ -425,23 +605,77 @@ struct Coordinator::Impl
             }
             if (fd < 0)
                 return;
-            uint64_t ord = acceptOrdinal_++;
-            uint64_t scope = ipc::netConnScope(ord, 0);
-            if (faultinject::netSiteFires("net.accept",
-                                          SimError::Kind::Io, scope,
-                                          0)) {
+            if (faultinject::netSiteFires(
+                    "net.accept", SimError::Kind::Io,
+                    ipc::netConnScope(acceptOrdinal_, 0), 0)) {
+                acceptOrdinal_++;
                 ::close(fd);
                 continue;
             }
-            auto p = std::make_unique<Peer>();
-            p->fd = fd;
-            p->chan.reset(fd);
-            p->addr = addr;
-            p->connScope = scope;
-            p->notBefore = Clock::now();
-            p->lastTx = Clock::now();
-            peers_.push_back(std::move(p));
+            adopt(fd).addr = addr;
         }
+    }
+
+    /** Start owned slot `s`: from the constructor, then from the
+     *  service thread whenever the slot is vacant and its backoff
+     *  has passed. */
+    void
+    spawnSlot(unsigned s)
+    {
+        Slot &slot = slots_[s];
+        int fd = -1;
+        int pid;
+        try {
+            pid = spawner_->spawn(s, &fd);
+        } catch (const SimError &e) {
+            vg_warn("worker %u failed to start: %s", s,
+                    e.detail().c_str());
+            slot.vacatedAt = Clock::now();
+            std::lock_guard<std::mutex> lock(mutex_);
+            noteLossLocked(slotKey(s));
+            return;
+        }
+        if (slot.everSpawned)
+            bumpCounter("engine.worker.restarts");
+        slot.everSpawned = true;
+        slot.live = true;
+        Peer &p = adopt(fd);
+        p.pid = pid;
+        p.slot = s;
+        p.identity = detail::csprintf("slot%u:pid%d", s, pid);
+    }
+
+    void
+    respawnOwned()
+    {
+        if (shutdownRequested())
+            return;
+        Clock::time_point now = Clock::now();
+        for (unsigned s = 0; s < slots_.size(); ++s) {
+            if (slots_[s].live)
+                continue;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (broken_ || draining_ ||
+                    backoffUntilLocked(slotKey(s), slots_[s].vacatedAt) >
+                        now)
+                    continue;
+            }
+            spawnSlot(s);
+        }
+    }
+
+    /** Mark `p` dead; an owned peer's child is reaped (SIGKILLed first
+     *  when `kill`) and its fate returned. */
+    std::string
+    vacate(Peer &p, bool kill)
+    {
+        p.dead = true;
+        if (!p.owned())
+            return "";
+        slots_[p.slot].live = false;
+        slots_[p.slot].vacatedAt = Clock::now();
+        return spawner_->retire(p.pid, kill);
     }
 
     void
@@ -457,21 +691,17 @@ struct Coordinator::Impl
                 try {
                     st = p.chan.read(&f, 0); // non-blocking drain
                 } catch (const SimError &e) {
-                    losePeer(p, "protocol desync (" + e.detail() +
-                                    ")");
+                    losePeer(p, "protocol desync (" + e.detail() + ")",
+                             /*kill=*/true);
                     break;
                 }
                 if (st == ipc::ReadStatus::Timeout)
                     break;
                 if (st == ipc::ReadStatus::Eof) {
-                    losePeer(p, "disconnected");
+                    losePeer(p, "disconnected", /*kill=*/false);
                     break;
                 }
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    stats_.frames++;
-                }
-                bumpCounter("engine.net.frames");
+                countFrame(p, f.type);
                 if (!handleFrame(p, f))
                     break;
             }
@@ -489,13 +719,10 @@ struct Coordinator::Impl
                 p.claimPending = true;
             return true;
         case ipc::kFrameRenew: {
-            ipc::BodyCursor cur{f.body};
-            std::string line;
-            if (!cur.line(&line) ||
-                !parseVersionedHeader(line, "vanguard-renew",
-                                      kRenewVersion, nullptr))
+            FabricBody renew;
+            if (!parseFabricBody(f.body, "renew", &renew))
                 return true; // tolerate malformed renew: lease expires
-            uint64_t lease = parseLeaseField(&cur);
+            uint64_t lease = renew.num("lease");
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = leaseHistory_.find(lease);
             if (it != leaseHistory_.end()) {
@@ -513,9 +740,9 @@ struct Coordinator::Impl
             return true;
         case ipc::kFrameStats: {
             // Advisory live stats for the telemetry hub. Identity is
-            // receiver-assigned (the HELLO-derived pid@ip), and a
-            // malformed body is dropped, never a desync — telemetry
-            // cannot cost a peer its connection.
+            // receiver-assigned, and a malformed body is dropped,
+            // never a desync — telemetry cannot cost a peer its
+            // connection.
             PeerStats ps;
             if (opts_.telemetry != nullptr && p.helloed &&
                 parsePeerStats(f.body, &ps)) {
@@ -525,34 +752,27 @@ struct Coordinator::Impl
             return true;
         }
         default:
-            losePeer(p, detail::csprintf(
-                            "protocol desync (frame '%c')", f.type));
+            losePeer(p,
+                     detail::csprintf("protocol desync (frame '%c')",
+                                      f.type),
+                     /*kill=*/true);
             return false;
         }
     }
 
-    /** Parse a HELLO body into p.identity ("pid@ip") and p.helloed;
-     *  no reply. False (peer untouched) on a malformed header. */
+    /** Validate a HELLO and mark `p` helloed; a TCP peer's identity
+     *  becomes "pid@ip". No reply. False (peer untouched) on a
+     *  malformed header. */
     bool
     parseHello(Peer &p, const std::string &body)
     {
-        ipc::BodyCursor cur{body};
-        std::string line;
-        if (!cur.line(&line) ||
-            !parseVersionedHeader(line, "vanguard-remote",
-                                  kRemoteHelloVersion, nullptr)) {
+        FabricBody hello;
+        if (!parseFabricBody(body, "remote", &hello))
             return false;
+        if (!p.owned()) {
+            std::string ip = p.addr.substr(0, p.addr.rfind(':'));
+            p.identity = std::to_string(hello.num("pid")) + "@" + ip;
         }
-        long long pid = 0;
-        while (cur.line(&line)) {
-            std::istringstream ls(line);
-            std::string key;
-            ls >> key;
-            if (key == "pid")
-                ls >> pid;
-        }
-        std::string ip = p.addr.substr(0, p.addr.rfind(':'));
-        p.identity = std::to_string(pid) + "@" + ip;
         p.helloed = true;
         return true;
     }
@@ -561,36 +781,32 @@ struct Coordinator::Impl
     handleHello(Peer &p, const std::string &body)
     {
         if (!parseHello(p, body)) {
-            losePeer(p, "hello carries no vanguard-remote header");
+            losePeer(p, "hello carries no vanguard-remote header",
+                     /*kill=*/true);
             return false;
         }
-        bool reconnect;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            // Same identity back again = a reconnect (source ports
-            // change per connection, so the hello pid is the anchor).
-            reconnect = !seenIdentities_.insert(p.identity).second;
-            if (reconnect) {
-                stats_.reconnects++;
-                p.notBefore =
-                    Clock::now() +
-                    std::chrono::milliseconds(
-                        opts_.backoff.delayMs(losses_[p.identity]));
+            if (p.owned()) {
+                ownedHellos_++;
+                cv_.notify_all();
+            } else if (!seenIdentities_.insert(p.identity).second) {
+                // Same identity back again = a reconnect (source
+                // ports change per connection, so the hello pid is
+                // the anchor).
+                bumpCounter("engine.net.reconnects");
+                p.notBefore = backoffUntilLocked(p.identity,
+                                                 Clock::now());
             }
         }
-        if (reconnect)
-            bumpCounter("engine.net.reconnects");
 
-        std::ostringstream cfg;
-        cfg << "vanguard-workerconfig v" << kWorkerConfigVersion
-            << "\n";
-        cfg << "heartbeat-ms " << opts_.leaseMs << "\n";
-        std::string cfg_body = cfg.str();
-        ipc::appendBlob(&cfg_body, "fault-plan", opts_.faultPlanSpec);
+        std::string cfg_body =
+            fabricBody("workerconfig", {{"heartbeat-ms", opts_.leaseMs}});
+        ipc::appendBlob(&cfg_body, "fault-plan", planSpec_);
         ipc::appendBlob(&cfg_body, "net-fault-plan", netPlanSpec_);
         if (sendToPeer(p, ipc::kFrameConfig, cfg_body) ==
             ipc::SendStatus::Disconnected) {
-            losePeer(p, "lost during config");
+            losePeer(p, "lost during config", /*kill=*/true);
             return false;
         }
         return true;
@@ -599,61 +815,23 @@ struct Coordinator::Impl
     bool
     handleResult(Peer &p, const std::string &body)
     {
-        ipc::BodyCursor cur{body};
-        std::string line;
-        if (!cur.line(&line) ||
-            !parseVersionedHeader(line, "vanguard-remoteresult",
-                                  kRemoteResultVersion, nullptr)) {
-            losePeer(p, "result carries no vanguard-remoteresult "
-                        "header");
-            return false;
-        }
-        uint64_t lease = 0;
-        std::string result_bytes;
-        bool have_result = false;
-        while (cur.line(&line)) {
-            std::istringstream ls(line);
-            std::string key;
-            ls >> key;
-            if (key == "lease") {
-                unsigned long long v = 0;
-                ls >> v;
-                lease = v;
-            } else if (key == "blob") {
-                std::string name;
-                size_t len = 0;
-                ls >> name >> len;
-                std::string data;
-                if (!cur.raw(len, &data)) {
-                    losePeer(p, "truncated result blob");
-                    return false;
-                }
-                if (name == "result") {
-                    result_bytes = std::move(data);
-                    have_result = true;
-                }
-            }
-        }
-        if (lease == 0 || !have_result) {
-            losePeer(p, "malformed result frame");
-            return false;
-        }
         // Validate the payload before recording it as the truth
         // duplicates get compared against.
-        {
-            WorkerResult parsed;
-            std::string err;
-            if (!parseWorkerResult(result_bytes, &parsed, &err)) {
-                losePeer(p, "unreadable worker result (" + err + ")");
-                return false;
-            }
+        FabricBody frame;
+        WorkerResult parsed;
+        std::string err = "malformed result frame";
+        if (!parseFabricBody(body, "remoteresult", &frame) ||
+            frame.num("lease") == 0 ||
+            !parseWorkerResult(frame.blobs["result"], &parsed, &err)) {
+            losePeer(p, "unreadable worker result (" + err + ")",
+                     /*kill=*/true);
+            return false;
         }
+        const uint64_t lease = frame.num("lease");
+        std::string &result_bytes = frame.blobs["result"];
         if (p.leaseId == lease)
             p.leaseId = 0;
 
-        bool duplicate = false;
-        bool divergence = false;
-        std::string divergence_msg;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = leaseHistory_.find(lease);
@@ -662,51 +840,57 @@ struct Coordinator::Impl
                         "%s; acknowledged and ignored",
                         static_cast<unsigned long long>(lease),
                         p.identity.c_str());
-            } else {
-                Offer &o = offers_[it->second];
-                if (o.state == Offer::Done) {
-                    stats_.duplicateResults++;
-                    duplicate = true;
-                    // The exactly-once proof: a duplicate completion
-                    // must be bit-identical to the recorded one. (A
-                    // quarantined offer has no recorded bytes; its
-                    // late result is just dropped.)
-                    if (!o.resultBytes.empty() &&
-                        o.resultBytes != result_bytes) {
-                        divergence = true;
-                        divergence_msg = detail::csprintf(
+            } else if (Offer &o = offers_[it->second];
+                       o.state == Offer::Done) {
+                if (!p.owned())
+                    bumpCounter("engine.net.duplicate_results");
+                // The exactly-once proof: a duplicate completion must
+                // be bit-identical to the recorded one. (A failed
+                // offer has no recorded bytes; its late result is
+                // just dropped.)
+                if (!o.resultBytes.empty() &&
+                    o.resultBytes != result_bytes) {
+                    breakLocked(
+                        SimError::Kind::Divergence,
+                        detail::csprintf(
                             "duplicate completion of %s diverges from "
-                            "the recorded result (%zu vs %zu bytes); "
-                            "a worker is computing different bits for "
+                            "the recorded result (%zu vs %zu bytes); a "
+                            "worker is computing different bits for "
                             "the same job",
                             o.key.c_str(), result_bytes.size(),
-                            o.resultBytes.size());
-                    }
-                } else {
-                    // First completion wins — whether it came from the
-                    // current leaseholder or a presumed-dead worker
-                    // whose lease already expired and was requeued.
-                    if (o.state == Offer::Queued)
-                        removeFromQueue(o.id);
-                    o.state = Offer::Done;
-                    o.leaseId = 0;
-                    o.resultBytes = std::move(result_bytes);
-                    consecutiveDeaths_.erase(o.key);
-                    losses_[p.identity] = 0;
-                    consecutiveLosses_ = 0;
-                    cv_.notify_all();
+                            o.resultBytes.size()));
+                    return true;
                 }
+            } else {
+                // First completion wins — whether it came from the
+                // current leaseholder or a presumed-dead worker whose
+                // lease already expired and was requeued.
+                if (o.state == Offer::Queued)
+                    removeFromQueue(o.id);
+                if (p.owned() && opts_.metrics != nullptr &&
+                    o.state == Offer::Leased) {
+                    auto rtt = std::chrono::duration_cast<
+                                   std::chrono::milliseconds>(
+                                   Clock::now() - o.grantedAt)
+                                   .count();
+                    opts_.metrics
+                        ->histogram("engine.worker.job_rtt",
+                                    workerRttBoundsMs())
+                        .observe(static_cast<uint64_t>(rtt));
+                }
+                o.state = Offer::Done;
+                o.leaseId = 0;
+                o.resultBytes = std::move(result_bytes);
+                o.result = std::move(parsed);
+                consecutiveDeaths_.erase(o.key);
+                losses_[p.lossKey()] = 0;
+                consecutiveLosses_ = 0;
+                cv_.notify_all();
             }
         }
-        if (duplicate)
-            bumpCounter("engine.net.duplicate_results");
-        if (divergence) {
-            markBroken(SimError::Kind::Divergence, divergence_msg);
-            return true;
-        }
-        if (sendToPeer(p, ipc::kFrameResultAck, ackBody(lease)) ==
+        if (sendToPeer(p, ipc::kFrameResultAck, fabricBody("ack", {{"lease", lease}})) ==
             ipc::SendStatus::Disconnected) {
-            losePeer(p, "lost during result ack");
+            losePeer(p, "lost during result ack", /*kill=*/true);
             return false;
         }
         return true;
@@ -723,183 +907,138 @@ struct Coordinator::Impl
         }
     }
 
-    /** A lease-holding peer vanished or a lease expired: requeue the
-     *  offer and run the loss policy. Caller holds mutex_. */
+    /** `p` is gone (EOF, desync, failed send). Its lease, if any, is
+     *  lost; an owned peer's death is a loss even when idle, so a
+     *  worker binary that cannot start trips the storm breaker. */
     void
-    loseLeaseLocked(Offer &o, const std::string &why)
-    {
-        const uint64_t lost_lease = o.leaseId;
-        o.state = Offer::Queued;
-        o.leaseId = 0;
-        const std::string identity = o.leasedTo;
-        o.leasedTo.clear();
-
-        unsigned deaths = ++consecutiveDeaths_[o.key];
-        losses_[identity]++;
-        flightRecord("event", "fabric.lease_lost",
-                     o.key + " held by " + identity + ": " + why);
-        for (auto &pp : peers_) {
-            // A still-connected holder of the lost lease becomes
-            // grantable again (its eventual result reconciles through
-            // leaseHistory_), after the backoff delay.
-            if (pp->leaseId == lost_lease)
-                pp->leaseId = 0;
-            if (pp->identity == identity && !pp->dead)
-                pp->notBefore =
-                    Clock::now() +
-                    std::chrono::milliseconds(
-                        opts_.backoff.delayMs(losses_[identity]));
-        }
-        if (++consecutiveLosses_ > opts_.restartStormLimit &&
-            !broken_) {
-            broken_ = true;
-            brokenKind_ = SimError::Kind::Internal;
-            brokenReason_ = detail::csprintf(
-                "lease-loss storm: %u consecutive lost leases with no "
-                "completed job; breaking the fabric",
-                consecutiveLosses_);
-            cv_.notify_all();
-        }
-        if (deaths >= opts_.quarantineDeaths) {
-            consecutiveDeaths_.erase(o.key);
-            o.state = Offer::Done;
-            o.failSynthesized = true;
-            o.failMessage = detail::csprintf(
-                "poison job quarantined: %s lost %u consecutive "
-                "leases (last: %s)",
-                o.key.c_str(), deaths, why.c_str());
-            flightRecord("error", "fabric.quarantine", o.failMessage);
-            cv_.notify_all();
-        } else {
-            queue_.push_back(o.id);
-            vg_warn("fabric: %s lease on %s %s; requeued "
-                    "(loss %u of %u)",
-                    identity.c_str(), o.key.c_str(), why.c_str(),
-                    deaths, opts_.quarantineDeaths);
-        }
-    }
-
-    void
-    losePeer(Peer &p, const std::string &why)
+    losePeer(Peer &p, std::string why, bool kill)
     {
         if (p.dead)
             return;
-        p.dead = true;
-        if (p.helloed) {
-            vg_warn("fabric: worker %s %s", p.identity.c_str(),
-                    why.c_str());
+        std::string fate = vacate(p, kill);
+        if (p.owned() && !kill)
+            why = fate;
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (Offer *o = heldOfferLocked(p)) {
+            loseLeaseLocked(*o, p, why);
+            return;
+        }
+        p.leaseId = 0;
+        if (p.owned())
+            noteLossLocked(p.lossKey());
+        if (p.owned() || p.helloed)
+            vg_warn("worker %s %s", p.identity.c_str(), why.c_str());
+        if (!p.owned() && p.helloed)
             flightRecord("event", "fabric.peer_lost",
                          p.identity + ": " + why);
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (p.leaseId != 0) {
-            auto it = leaseHistory_.find(p.leaseId);
-            if (it != leaseHistory_.end()) {
-                Offer &o = offers_[it->second];
-                if (o.state == Offer::Leased &&
-                    o.leaseId == p.leaseId)
-                    loseLeaseLocked(o, "holder " + why);
-            }
-            p.leaseId = 0;
-        }
     }
 
-    /** Caller holds mutex_. */
+    /** Every live lease has exactly one holder peer (a lost peer's
+     *  lease is requeued with it), so expiry walks the peers. */
     void
     expireLeases()
     {
-        Clock::time_point now = Clock::now();
-        for (auto &kv : offers_) {
-            Offer &o = kv.second;
-            if (o.state != Offer::Leased || o.leaseExpiry > now)
-                continue;
-            stats_.leasesExpired++;
-            expiredToBump_++;
-            loseLeaseLocked(o, "expired");
+        std::vector<Peer *> hung;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            Clock::time_point now = Clock::now();
+            for (auto &pp : peers_) {
+                Peer &p = *pp;
+                Offer *o = p.dead ? nullptr : heldOfferLocked(p);
+                if (o == nullptr || o->leaseExpiry > now)
+                    continue;
+                if (!p.owned()) {
+                    bumpCounter("engine.net.leases_expired");
+                    loseLeaseLocked(*o, p, "lease expired");
+                    continue;
+                }
+                // Rule (a): a socketpair cannot partition, so a silent
+                // owned peer is hung. A hang is a determination about
+                // the job, not a supervision failure: non-transient,
+                // no quarantine or storm bookkeeping.
+                o->state = Offer::Done;
+                o->failed = true;
+                o->failKind = SimError::Kind::Hang;
+                o->failMessage = detail::csprintf(
+                    "worker heartbeat deadline (%u ms) missed; killed "
+                    "worker pid %d during %s job %zu",
+                    opts_.leaseMs, p.pid, o->job.phase.c_str(),
+                    o->job.slot);
+                stats_.heartbeatMisses++;
+                bumpCounter("engine.worker.heartbeat_misses");
+                flightRecord("error", "worker.heartbeat_miss",
+                             o->failMessage);
+                consecutiveDeaths_.erase(o->key);
+                consecutiveLosses_ = 0;
+                p.leaseId = 0;
+                hung.push_back(&p);
+                cv_.notify_all();
+            }
         }
+        for (Peer *p : hung)
+            vacate(*p, /*kill=*/true);
     }
 
     void
     grantLeases()
     {
-        // Counter bumps deferred out of the lock.
-        uint64_t granted = 0, regranted = 0, expired = 0;
         struct Grant
         {
             Peer *peer;
-            uint64_t lease;
             std::string body;
         };
         std::vector<Grant> grants;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            expired = expiredToBump_;
-            expiredToBump_ = 0;
+            if (broken_ || draining_ || shutdownRequested())
+                return;
             Clock::time_point now = Clock::now();
-            bool stop_granting =
-                broken_ || draining_ || shutdownRequested();
-            if (!stop_granting) {
-                for (auto &pp : peers_) {
-                    Peer &p = *pp;
-                    if (p.dead || !p.helloed || !p.claimPending ||
-                        p.leaseId != 0 || p.notBefore > now)
-                        continue;
-                    uint64_t id = 0;
-                    bool found = false;
-                    while (!queue_.empty()) {
-                        id = queue_.front();
-                        queue_.pop_front();
-                        Offer &cand = offers_[id];
-                        if (cand.state == Offer::Queued &&
-                            !cand.discarded) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    if (!found)
-                        break; // queue empty: idle heartbeats cover it
-                    Offer &o = offers_[id];
-                    o.job.delivery = deliveries_[o.key]++;
-                    o.state = Offer::Leased;
-                    o.leaseId = nextLeaseId_++;
-                    o.leasedTo = p.identity;
-                    o.leaseExpiry =
-                        now + std::chrono::milliseconds(opts_.leaseMs);
-                    leaseHistory_[o.leaseId] = o.id;
-                    o.grants++;
-                    stats_.leasesGranted++;
-                    granted++;
-                    if (o.grants > 1) {
-                        stats_.leasesRegranted++;
-                        regranted++;
-                    }
-                    std::ostringstream os;
-                    os << "vanguard-lease v" << kLeaseVersion << "\n";
-                    os << "lease " << o.leaseId << "\n";
-                    os << "lease-ms " << opts_.leaseMs << "\n";
-                    std::string body = os.str();
-                    ipc::appendBlob(&body, "job",
-                                    serializeWorkerJob(o.job));
-                    p.claimPending = false;
-                    grants.push_back({&p, o.leaseId, std::move(body)});
+            for (auto &pp : peers_) {
+                Peer &p = *pp;
+                if (p.dead || !p.helloed || !p.claimPending ||
+                    p.leaseId != 0 || p.notBefore > now)
+                    continue;
+                Offer *next = nullptr;
+                while (next == nullptr && !queue_.empty()) {
+                    Offer &cand = offers_[queue_.front()];
+                    queue_.pop_front();
+                    if (cand.state == Offer::Queued && !cand.discarded)
+                        next = &cand;
                 }
+                if (next == nullptr)
+                    break; // queue empty: idle heartbeats cover it
+                Offer &o = *next;
+                o.job.delivery = deliveries_[o.key]++;
+                o.state = Offer::Leased;
+                o.leaseId = nextLeaseId_++;
+                o.leasedTo = p.identity;
+                o.leaseExpiry =
+                    now + std::chrono::milliseconds(opts_.leaseMs);
+                o.grantedAt = now;
+                leaseHistory_[o.leaseId] = o.id;
+                if (!p.owned()) {
+                    bumpCounter("engine.net.leases_granted");
+                    if (o.grants > 0)
+                        bumpCounter("engine.net.leases_regranted");
+                }
+                o.grants++;
+                std::string body = fabricBody(
+                    "lease",
+                    {{"lease", o.leaseId}, {"lease-ms", opts_.leaseMs}});
+                ipc::appendBlob(&body, "job", serializeWorkerJob(o.job));
+                p.claimPending = false;
+                // Held from here on, even if the send is dropped (the
+                // worker never sees it; the lease expiry requeues —
+                // the injected-duplicate/requeue drill path).
+                p.leaseId = o.leaseId;
+                grants.push_back({&p, std::move(body)});
             }
         }
-        bumpCounter("engine.net.leases_granted", granted);
-        bumpCounter("engine.net.leases_regranted", regranted);
-        bumpCounter("engine.net.leases_expired", expired);
         for (Grant &g : grants) {
-            ipc::SendStatus st =
-                sendToPeer(*g.peer, ipc::kFrameLease, g.body);
-            if (st == ipc::SendStatus::Disconnected) {
-                losePeer(*g.peer, "lost during lease grant");
-            } else if (st == ipc::SendStatus::Ok ||
-                       st == ipc::SendStatus::Dropped) {
-                // Dropped: the worker never saw the lease; its claim
-                // times out and the lease expiry requeues the job —
-                // the injected-duplicate/requeue drill path.
-                g.peer->leaseId = g.lease;
-            }
+            if (sendToPeer(*g.peer, ipc::kFrameLease, g.body) ==
+                ipc::SendStatus::Disconnected)
+                losePeer(*g.peer, "lost during lease grant",
+                         /*kill=*/true);
         }
     }
 
@@ -918,7 +1057,7 @@ struct Coordinator::Impl
                 // for a dead coordinator.
                 if (sendToPeer(p, ipc::kFrameHeartbeat, "") ==
                     ipc::SendStatus::Disconnected)
-                    losePeer(p, "lost during heartbeat");
+                    losePeer(p, "lost during heartbeat", /*kill=*/true);
             }
         }
     }
@@ -953,20 +1092,26 @@ struct Coordinator::Impl
         stop_.store(true, std::memory_order_release);
         if (service_.joinable())
             service_.join();
-        // Wake any straggling execute() callers (their offers were
-        // discarded by the service thread's final drain pass).
-        cv_.notify_all();
+        // An offer queued after the service thread's final drain pass
+        // would otherwise wait forever.
+        discardQueued();
     }
 
     Options opts_;
+    Spawner *spawner_;          ///< null: TCP listener instead
     int listenFd_ = -1;
     uint16_t port_ = 0;
+    std::string planSpec_;
     std::string netPlanSpec_;
     std::thread service_;
     std::atomic<bool> stop_{false};
 
-    // Service-thread-private:
+    /** The turn: whoever holds it owns peers_ and slots_ — the
+     *  service thread, or an execute() caller granting a lease.
+     *  Taken before mutex_, never while holding it. */
+    std::mutex turn_;
     std::vector<std::unique_ptr<Peer>> peers_;
+    std::vector<Slot> slots_;
     uint64_t acceptOrdinal_ = 0;
 
     // Shared (guarded by mutex_):
@@ -978,59 +1123,21 @@ struct Coordinator::Impl
     std::map<std::string, uint64_t> deliveries_;
     std::map<std::string, unsigned> consecutiveDeaths_;
     std::map<std::string, unsigned> losses_;
-    std::set<std::string> seenIdentities_;
+    std::set<std::string> seenIdentities_; ///< TCP identities only
+    size_t ownedHellos_ = 0;
     uint64_t nextOfferId_ = 1;
     uint64_t nextLeaseId_ = 1;
-    uint64_t expiredToBump_ = 0;
     unsigned consecutiveLosses_ = 0;
     bool broken_ = false;
     SimError::Kind brokenKind_ = SimError::Kind::Internal;
     std::string brokenReason_;
     bool draining_ = false;
     bool shutdownDone_ = false;
-    Stats stats_;
+    WorkerPool::Stats stats_;
 };
 
-bool
-Coordinator::supported()
-{
-    return ipc::ipcSupported();
-}
-
-Coordinator::Coordinator(const Options &opts)
-    : impl_(new Impl(opts))
-{
-}
-
-Coordinator::~Coordinator() = default;
-
-uint16_t
-Coordinator::port() const
-{
-    return impl_->port_;
-}
-
-WorkerResult
-Coordinator::execute(WorkerJob job)
-{
-    return impl_->execute(std::move(job));
-}
-
-void
-Coordinator::shutdown()
-{
-    impl_->shutdown();
-}
-
-Coordinator::Stats
-Coordinator::stats() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex_);
-    return impl_->stats_;
-}
-
 // ---------------------------------------------------------------------
-// Remote worker
+// Worker lease loop (remote and spawned)
 // ---------------------------------------------------------------------
 
 namespace {
@@ -1054,13 +1161,17 @@ interruptibleSleep(unsigned ms)
 enum class ConnOutcome
 {
     Drained,    ///< coordinator sent a final DRAIN: exit cleanly
-    Lost,       ///< connection lost: reconnect with backoff
+    Lost,       ///< connection lost: reconnect (remote) or exit
     Shutdown,   ///< local SIGINT/SIGTERM latch: exit cleanly
     Acked,      ///< (serveLease only) result recorded: claim again
 };
 
-struct RemoteConn
+struct WorkerConn
 {
+    WorkerConn(int fd, uint64_t scope) : fd(fd), chan(fd), connScope(scope)
+    {
+    }
+
     int fd;
     ipc::FrameChannel chan;
     uint64_t connScope;
@@ -1109,7 +1220,8 @@ struct RemoteConn
     /**
      * Read one frame in shutdown-aware slices. `silence_ms` bounds
      * how long we tolerate a totally quiet coordinator before
-     * declaring it partitioned (Timeout).
+     * declaring it partitioned (Timeout). A desynced stream reads as
+     * Eof: either way the connection is gone.
      */
     ipc::ReadStatus
     readSliced(ipc::Frame *f, unsigned silence_ms)
@@ -1125,8 +1237,12 @@ struct RemoteConn
                     .count());
             if (left <= 0)
                 return ipc::ReadStatus::Timeout;
-            int slice = left < 200 ? left : 200;
-            ipc::ReadStatus st = chan.read(f, slice);
+            ipc::ReadStatus st;
+            try {
+                st = chan.read(f, left < 200 ? left : 200);
+            } catch (const SimError &) {
+                return ipc::ReadStatus::Eof;
+            }
             if (st != ipc::ReadStatus::Timeout)
                 return st;
         }
@@ -1136,93 +1252,142 @@ struct RemoteConn
 /** Handle the coordinator's CONFIG frame: lease duration and the two
  *  forwarded fault plans. */
 bool
-applyRemoteConfig(RemoteConn &conn, const std::string &body)
+applyConfig(WorkerConn &conn, const std::string &body)
 {
-    ipc::BodyCursor cur{body};
-    std::string line;
-    if (!cur.line(&line) ||
-        !parseVersionedHeader(line, "vanguard-workerconfig",
-                              kWorkerConfigVersion, nullptr))
+    FabricBody cfg;
+    if (!parseFabricBody(body, "workerconfig", &cfg))
         return false;
-    std::string plan_spec, net_plan_spec;
-    while (cur.line(&line)) {
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "heartbeat-ms") {
-            ls >> conn.leaseMs;
-            if (conn.leaseMs == 0)
-                conn.leaseMs = 1;
-        } else if (key == "blob") {
-            std::string name;
-            size_t len = 0;
-            ls >> name >> len;
-            std::string data;
-            if (!cur.raw(len, &data))
-                return false;
-            if (name == "fault-plan")
-                plan_spec = std::move(data);
-            else if (name == "net-fault-plan")
-                net_plan_spec = std::move(data);
-        }
-    }
+    conn.leaseMs = std::max<unsigned>(
+        1, static_cast<unsigned>(cfg.num("heartbeat-ms")));
     try {
-        if (plan_spec.empty())
+        const std::string &plan = cfg.blobs["fault-plan"];
+        const std::string &net_plan = cfg.blobs["net-fault-plan"];
+        if (plan.empty())
             faultinject::disarm();
         else
-            faultinject::arm(parseFaultPlan(plan_spec));
-        if (net_plan_spec.empty())
+            faultinject::arm(parseFaultPlan(plan));
+        if (net_plan.empty())
             faultinject::disarmNet();
         else
-            faultinject::armNet(parseFaultPlan(net_plan_spec));
+            faultinject::armNet(parseFaultPlan(net_plan));
     } catch (const SimError &) {
         return false;
     }
     return true;
 }
 
-/** Execute one leased job: renew from a side thread while the body
- *  runs, then deliver the result until acknowledged. */
-ConnOutcome
-serveLease(RemoteConn &conn, JobBodyRunner &runner, uint64_t lease,
-           const WorkerJob &job)
+/**
+ * Renews the lease a connection is working on, every lease/4 from a
+ * side thread, each renew followed by an advisory STATS. One per
+ * connection rather than per job, so no thread start or join sits on
+ * a job's critical path.
+ */
+class Renewer
 {
-    std::atomic<bool> done{false};
-    std::atomic<bool> conn_lost{false};
-    std::thread renew([&] {
-        unsigned interval = heartbeatIntervalMs(conn.leaseMs);
-        while (!done.load(std::memory_order_acquire)) {
-            unsigned slept = 0;
-            while (slept < interval &&
-                   !done.load(std::memory_order_acquire)) {
-                unsigned step =
-                    interval - slept < 25 ? interval - slept : 25;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(step));
-                slept += step;
-            }
-            if (done.load(std::memory_order_acquire))
-                break;
-            if (conn.send(ipc::kFrameRenew, renewBody(lease)) ==
-                ipc::SendStatus::Disconnected)
-                conn_lost.store(true, std::memory_order_release);
-            else
-                conn.sendStatsAdvisory(runner, job.phase.c_str(),
-                                       lease);
+  public:
+    Renewer(WorkerConn &conn, JobBodyRunner &runner)
+        : conn_(conn), runner_(runner), thread_([this] { loop(); })
+    {
+    }
+
+    ~Renewer()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
         }
-    });
+        cv_.notify_one();
+        thread_.join();
+    }
 
+    Renewer(const Renewer &) = delete;
+    Renewer &operator=(const Renewer &) = delete;
+
+    /** Renew `lease` (0: none) of a `phase` job every interval_ms,
+     *  the first time one interval from now. */
+    void
+    track(uint64_t lease, std::string phase, unsigned interval_ms)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            lease_ = lease;
+            phase_ = std::move(phase);
+            intervalMs_ = interval_ms;
+            ++generation_;
+        }
+        if (lease != 0)
+            cv_.notify_one();
+    }
+
+    /** A renew found the connection gone. */
+    bool
+    lost() const
+    {
+        return lost_.load(std::memory_order_acquire);
+    }
+
+  private:
+    void
+    loop()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!stop_) {
+            // A track() restarts the wait instead of renewing early.
+            const uint64_t seen = generation_;
+            if (cv_.wait_for(lock, std::chrono::milliseconds(intervalMs_),
+                             [&] { return stop_ || generation_ != seen; }) ||
+                lease_ == 0)
+                continue;
+            const uint64_t lease = lease_;
+            const std::string phase = phase_;
+            lock.unlock();
+            if (conn_.send(ipc::kFrameRenew,
+                           fabricBody("renew", {{"lease", lease}})) ==
+                ipc::SendStatus::Disconnected)
+                lost_.store(true, std::memory_order_release);
+            else
+                conn_.sendStatsAdvisory(runner_, phase.c_str(), lease);
+            lock.lock();
+        }
+    }
+
+    WorkerConn &conn_;
+    JobBodyRunner &runner_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    uint64_t lease_ = 0;
+    std::string phase_;
+    unsigned intervalMs_ = 1000;
+    uint64_t generation_ = 0; ///< bumped by every track()
+    std::atomic<bool> lost_{false};
+    std::thread thread_; ///< last: starts once the rest is built
+};
+
+/** Execute one leased job while `renewer` keeps its lease alive, then
+ *  deliver the result until acknowledged. */
+ConnOutcome
+serveLease(WorkerConn &conn, JobBodyRunner &runner, Renewer &renewer,
+           uint64_t lease, const WorkerJob &job)
+{
+    // The worker.heartbeat site: one draw per job (see
+    // workerHeartbeatScope) either silences all of its renewals — the
+    // lease then expires — or none. siteFires never counts, so the
+    // injected gauges keep their cross-mode identity.
+    bool suppressed;
+    {
+        faultinject::Scope scope(workerHeartbeatScope(job.scopeKey));
+        suppressed = faultinject::siteFires("worker.heartbeat",
+                                            SimError::Kind::Hang);
+    }
+    renewer.track(suppressed ? 0 : lease, job.phase,
+                  heartbeatIntervalMs(conn.leaseMs));
     WorkerResult res = runner.run(job);
-
-    done.store(true, std::memory_order_release);
-    renew.join();
-    if (conn_lost.load(std::memory_order_acquire))
+    renewer.track(0, "", heartbeatIntervalMs(conn.leaseMs));
+    if (renewer.lost())
         return ConnOutcome::Lost;
 
-    std::ostringstream os;
-    os << "vanguard-remoteresult v" << kRemoteResultVersion << "\n";
-    os << "lease " << lease << "\n";
-    std::string body = os.str();
+    std::string body = fabricBody("remoteresult", {{"lease", lease}});
     ipc::appendBlob(&body, "result", serializeWorkerResult(res));
 
     // At-least-once delivery: retransmit until the coordinator ACKs.
@@ -1239,29 +1404,21 @@ serveLease(RemoteConn &conn, JobBodyRunner &runner, uint64_t lease,
             Clock::now() + std::chrono::milliseconds(conn.leaseMs);
         while (Clock::now() < deadline) {
             ipc::Frame f;
-            ipc::ReadStatus rst;
-            try {
-                rst = conn.readSliced(
-                    &f, static_cast<unsigned>(
-                            std::chrono::duration_cast<
-                                std::chrono::milliseconds>(
-                                deadline - Clock::now())
-                                .count() +
-                            1));
-            } catch (const SimError &) {
-                return ConnOutcome::Lost;
-            }
+            ipc::ReadStatus rst = conn.readSliced(
+                &f, static_cast<unsigned>(
+                        std::chrono::duration_cast<
+                            std::chrono::milliseconds>(deadline -
+                                                       Clock::now())
+                            .count() +
+                        1));
             if (rst == ipc::ReadStatus::Eof)
                 return ConnOutcome::Lost;
             if (rst == ipc::ReadStatus::Timeout)
                 break; // retransmit
+            FabricBody ack;
             if (f.type == ipc::kFrameResultAck) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                if (cur.line(&line) &&
-                    parseVersionedHeader(line, "vanguard-ack",
-                                         kAckVersion, nullptr) &&
-                    parseLeaseField(&cur) == lease)
+                if (parseFabricBody(f.body, "ack", &ack) &&
+                    ack.num("lease") == lease)
                     return ConnOutcome::Acked;
                 continue; // stale ack for an older lease
             }
@@ -1280,30 +1437,23 @@ serveLease(RemoteConn &conn, JobBodyRunner &runner, uint64_t lease,
 }
 
 ConnOutcome
-serveConnection(RemoteConn &conn, JobBodyRunner &runner)
+serveConnection(WorkerConn &conn, JobBodyRunner &runner)
 {
-    std::ostringstream hello;
-    hello << "vanguard-remote v" << kRemoteHelloVersion << "\n";
-    hello << "pid " << ::getpid() << "\n";
-    if (conn.send(ipc::kFrameHello, hello.str()) !=
+    if (conn.send(ipc::kFrameHello,
+                  fabricBody("remote", {{"pid", ::getpid()}})) !=
         ipc::SendStatus::Ok)
         return ConnOutcome::Lost;
 
     // Config must arrive before any claim.
     for (;;) {
         ipc::Frame f;
-        ipc::ReadStatus st;
-        try {
-            st = conn.readSliced(&f, 10000);
-        } catch (const SimError &) {
-            return ConnOutcome::Lost;
-        }
+        ipc::ReadStatus st = conn.readSliced(&f, 10000);
         if (shutdownRequested())
             return ConnOutcome::Shutdown;
         if (st != ipc::ReadStatus::Ok)
             return ConnOutcome::Lost;
         if (f.type == ipc::kFrameConfig) {
-            if (!applyRemoteConfig(conn, f.body))
+            if (!applyConfig(conn, f.body))
                 return ConnOutcome::Lost;
             break;
         }
@@ -1312,10 +1462,11 @@ serveConnection(RemoteConn &conn, JobBodyRunner &runner)
     }
 
     // Claim/execute/report until drained.
+    Renewer renewer(conn, runner);
     for (;;) {
         if (shutdownRequested())
             return ConnOutcome::Shutdown;
-        if (conn.send(ipc::kFrameClaim, claimBody()) ==
+        if (conn.send(ipc::kFrameClaim, fabricBody("claim", {})) ==
             ipc::SendStatus::Disconnected)
             return ConnOutcome::Lost;
         conn.sendStatsAdvisory(runner, "claim", 0);
@@ -1329,70 +1480,27 @@ serveConnection(RemoteConn &conn, JobBodyRunner &runner)
         WorkerJob job;
         while (!leased) {
             ipc::Frame f;
-            ipc::ReadStatus st;
-            try {
-                st = conn.readSliced(&f, 2 * conn.leaseMs);
-            } catch (const SimError &) {
-                return ConnOutcome::Lost;
-            }
+            ipc::ReadStatus st = conn.readSliced(&f, 2 * conn.leaseMs);
             if (shutdownRequested())
                 return ConnOutcome::Shutdown;
-            if (st == ipc::ReadStatus::Eof)
-                return ConnOutcome::Lost;
-            if (st == ipc::ReadStatus::Timeout)
-                return ConnOutcome::Lost; // total silence: reconnect
+            if (st != ipc::ReadStatus::Ok)
+                return ConnOutcome::Lost; // EOF or total silence
+            FabricBody body;
             if (f.type == ipc::kFrameDrain) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                cur.line(&line);
-                bool final_drain = false;
-                while (cur.line(&line)) {
-                    std::istringstream ls(line);
-                    std::string key;
-                    int v = 0;
-                    ls >> key >> v;
-                    if (key == "final")
-                        final_drain = v != 0;
-                }
-                if (final_drain)
+                if (parseFabricBody(f.body, "drain", &body) &&
+                    body.num("final") != 0)
                     return ConnOutcome::Drained;
                 continue; // soft drain: stay connected, stop claiming
             }
             if (f.type == ipc::kFrameLease) {
-                ipc::BodyCursor cur{f.body};
-                std::string line;
-                if (!cur.line(&line) ||
-                    !parseVersionedHeader(line, "vanguard-lease",
-                                          kLeaseVersion, nullptr))
-                    return ConnOutcome::Lost;
-                std::string job_bytes;
-                while (cur.line(&line)) {
-                    std::istringstream ls(line);
-                    std::string key;
-                    ls >> key;
-                    if (key == "lease") {
-                        unsigned long long v = 0;
-                        ls >> v;
-                        lease = v;
-                    } else if (key == "lease-ms") {
-                        ls >> conn.leaseMs;
-                        if (conn.leaseMs == 0)
-                            conn.leaseMs = 1;
-                    } else if (key == "blob") {
-                        std::string name;
-                        size_t len = 0;
-                        ls >> name >> len;
-                        std::string data;
-                        if (!cur.raw(len, &data))
-                            return ConnOutcome::Lost;
-                        if (name == "job")
-                            job_bytes = std::move(data);
-                    }
-                }
                 std::string err;
-                if (lease == 0 ||
-                    !parseWorkerJob(job_bytes, &job, &err))
+                if (!parseFabricBody(f.body, "lease", &body) ||
+                    body.num("lease") == 0 ||
+                    !parseWorkerJob(body.blobs["job"], &job, &err))
                     return ConnOutcome::Lost;
+                lease = body.num("lease");
+                conn.leaseMs = std::max<unsigned>(
+                    1, static_cast<unsigned>(body.num("lease-ms")));
                 leased = true;
                 continue;
             }
@@ -1401,7 +1509,7 @@ serveConnection(RemoteConn &conn, JobBodyRunner &runner)
             // CLAIM may have been dropped on the wire).
             if (Clock::now() - claim_sent >
                 std::chrono::milliseconds(conn.leaseMs)) {
-                if (conn.send(ipc::kFrameClaim, claimBody()) ==
+                if (conn.send(ipc::kFrameClaim, fabricBody("claim", {})) ==
                     ipc::SendStatus::Disconnected)
                     return ConnOutcome::Lost;
                 conn.sendStatsAdvisory(runner, "claim", 0);
@@ -1409,7 +1517,7 @@ serveConnection(RemoteConn &conn, JobBodyRunner &runner)
             }
         }
 
-        ConnOutcome out = serveLease(conn, runner, lease, job);
+        ConnOutcome out = serveLease(conn, runner, renewer, lease, job);
         if (out != ConnOutcome::Acked)
             return out;
         // Result acknowledged: claim the next job.
@@ -1430,13 +1538,12 @@ runRemoteWorker(const std::string &host, uint16_t port)
     const uint64_t pid = static_cast<uint64_t>(::getpid());
     uint64_t attempt = 0;
     unsigned consecutive_failures = 0;
-    BackoffPolicy backoff;
     bool warned = false;
 
     for (;;) {
         if (shutdownRequested())
             return 0;
-        unsigned delay = backoff.delayMs(consecutive_failures);
+        unsigned delay = kBackoff.delayMs(consecutive_failures);
         if (delay != 0) {
             // Jitter: a fleet of workers restarted together must not
             // hammer a recovering coordinator in lockstep.
@@ -1460,8 +1567,7 @@ runRemoteWorker(const std::string &host, uint16_t port)
             continue;
         }
 
-        RemoteConn conn{fd, ipc::FrameChannel(fd),
-                        ipc::netConnScope(pid, attempt)};
+        WorkerConn conn(fd, ipc::netConnScope(pid, attempt));
         ConnOutcome out;
         try {
             out = serveConnection(conn, runner);
@@ -1482,46 +1588,45 @@ runRemoteWorker(const std::string &host, uint16_t port)
     }
 }
 
+int
+runWorkerProcess(int fd)
+{
+    // A process-group SIGINT/SIGTERM latches the drain flag; the
+    // in-flight job finishes and the loop exits cleanly. The
+    // supervisor owns actual kill policy.
+    installShutdownHandlers();
+    JobBodyRunner runner;
+    WorkerConn conn(fd, ipc::netConnScope(
+                            static_cast<uint64_t>(::getpid()), 0));
+    ConnOutcome out;
+    try {
+        out = serveConnection(conn, runner);
+    } catch (const SimError &) {
+        out = ConnOutcome::Lost;
+    }
+    // No reconnect: the socketpair is the only way back, so EOF (a
+    // dead supervisor) means exit, like a final DRAIN.
+    return out == ConnOutcome::Lost ? 1 : 0;
+}
+
 #else // !VANGUARD_FABRIC_POSIX
 
+/** No sockets or poll() here: constructing a fabric is a structured
+ *  refusal. */
 struct Coordinator::Impl
 {
+    Impl(const Options &, Spawner *)
+    {
+        vg_throw(Config,
+                 "the sweep fabric is not supported on this platform");
+    }
+    WorkerResult execute(WorkerJob) { return {}; }
+    void shutdown() {}
+
+    uint16_t port_ = 0;
+    mutable std::mutex mutex_;
+    WorkerPool::Stats stats_;
 };
-
-bool
-Coordinator::supported()
-{
-    return false;
-}
-
-Coordinator::Coordinator(const Options &)
-{
-    vg_throw(Config,
-             "the sweep fabric is not supported on this platform");
-}
-
-Coordinator::~Coordinator() = default;
-
-uint16_t
-Coordinator::port() const
-{
-    return 0;
-}
-
-WorkerResult
-Coordinator::execute(WorkerJob)
-{
-    vg_throw(Config,
-             "the sweep fabric is not supported on this platform");
-}
-
-void Coordinator::shutdown() {}
-
-Coordinator::Stats
-Coordinator::stats() const
-{
-    return {};
-}
 
 int
 runRemoteWorker(const std::string &, uint16_t)
@@ -1529,6 +1634,55 @@ runRemoteWorker(const std::string &, uint16_t)
     return 2;
 }
 
+int
+runWorkerProcess(int)
+{
+    return 2;
+}
+
 #endif // VANGUARD_FABRIC_POSIX
+
+bool
+Coordinator::supported()
+{
+    return ipc::ipcSupported();
+}
+
+Coordinator::Coordinator(const Options &opts)
+    : impl_(new Impl(opts, nullptr))
+{
+}
+
+Coordinator::Coordinator(const Options &opts, Spawner &spawner)
+    : impl_(new Impl(opts, &spawner))
+{
+}
+
+Coordinator::~Coordinator() = default;
+
+uint16_t
+Coordinator::port() const
+{
+    return impl_->port_;
+}
+
+WorkerResult
+Coordinator::execute(WorkerJob job)
+{
+    return impl_->execute(std::move(job));
+}
+
+void
+Coordinator::shutdown()
+{
+    impl_->shutdown();
+}
+
+WorkerPool::Stats
+Coordinator::stats() const
+{
+    std::lock_guard<std::mutex> lock(impl_->mutex_);
+    return impl_->stats_;
+}
 
 } // namespace vanguard

@@ -1,18 +1,22 @@
 /**
  * @file
- * Distributed sweep fabric: a TCP coordinator that leases job indices
- * to remote workers, plus the remote-worker client loop.
+ * The job-execution fabric: a coordinator that leases self-contained
+ * job bodies to worker peers, plus the worker-side claim/lease loop.
  *
- * This is the networked half of the worker architecture PR 7 started:
- * the same self-contained job bodies (core/worker_pool.hh WorkerJob /
- * WorkerResult, codecs and all) now cross a TCP socket instead of a
- * socketpair, speaking the same CRC-framed protocol
- * (support/ipc.hh). Every piece of sweep bookkeeping — journal,
- * metric merges, result slots, retry policy, artifact reuse — stays
- * in the coordinator process, which is exactly why a distributed run
- * is byte-identical to an in-process one: the runner consumes the
- * same slot-indexed results either way; only *where* a body computed
- * differs.
+ * Every remote job body — `--isolate-jobs` and `--serve-sweep` alike —
+ * runs through this one lease table. The bodies are the WorkerJob /
+ * WorkerResult codecs of core/worker_pool.hh, carried in the CRC-framed
+ * protocol of support/ipc.hh. All sweep bookkeeping (journal, metric
+ * merges, result slots, retry policy) stays in the coordinator's
+ * process, which is why every mode is byte-identical to an in-process
+ * run: the runner consumes the same slot-indexed results either way.
+ *
+ * Peers come from one of two sources:
+ *   - a TCP listener (`--serve-sweep`): `--remote-worker` processes
+ *     connect, reconnect and come and go at will;
+ *   - a Spawner (`--isolate-jobs`, core/worker_pool.hh): N children
+ *     forked over socketpairs and handed over already connected. The
+ *     coordinator *owns* such a peer's pid.
  *
  * Lease protocol (all frame bodies versioned; see ipc.hh for types):
  *
@@ -39,39 +43,38 @@
  *     |   expiry/peer    |                 |  late/duplicate result:
  *     +---- loss --------+                 |  byte-compare against the
  *           (re-grant to a live peer;      |  recorded result; mismatch
- *            kQuarantine consecutive       |  is a loud
+ *            kQuarantineLosses consecutive |  is a loud
  *            losses fail the job)          +- SimError(Divergence)
  *
- * Delivery semantics: leases make delivery *at least once* — an
- * expired lease is re-granted even though the original worker may
- * still finish (a renew lost to the network looks identical to a dead
- * worker). Completions are reconciled idempotently: the first result
- * for an offer is recorded (and flows into the journal/metric merges,
- * which are keyed by slot and already idempotent from the resume
- * path); every later result must be bit-identical to the recorded
- * bytes or the sweep dies with SimError(Divergence) — at-least-once
- * delivery + idempotent ledger merge = exactly-once effect, and the
- * byte-compare is the proof it held.
+ * Delivery is at least once: an expired lease is re-granted even
+ * though the original worker may still finish. The first result for
+ * an offer is recorded; every later one must be bit-identical to it
+ * or the sweep dies with SimError(Divergence). At-least-once delivery
+ * plus an idempotent, slot-keyed ledger merge gives an exactly-once
+ * effect, and the byte-compare proves it held.
  *
- * Robustness policy (mirroring the PR 7 supervisor where it applies):
- * late-joining workers are admitted at any time; a worker identity
- * ("pid@ip") that loses leases is re-granted work only after the
- * shared BackoffPolicy delay; a job that loses quarantineDeaths
- * consecutive leases is failed as poison (SimError(Internal)) instead
- * of starving the queue; restartStormLimit consecutive lease losses
- * with no completion anywhere break the fabric loudly. SIGINT/SIGTERM
- * (the process-wide shutdown latch) discards queued-but-unleased
- * offers — their execute() calls raise JobDiscarded so the runner
- * records *nothing* for them, keeping resume byte-identity — while
- * leased offers run to completion and checkpoint.
+ * One supervision policy serves both peer sources: a peer identity
+ * that loses work is given new work only after the BackoffPolicy
+ * delay; a job that loses kQuarantineLosses consecutive leases fails
+ * as poison (SimError(Internal)); kStormLosses consecutive losses with
+ * no completion anywhere break the fabric. Exactly two rules key off
+ * an owned pid:
+ *   (a) a lease that expires on an owned peer is a hang (a socketpair
+ *       cannot partition): the child is SIGKILLed and the job fails
+ *       as SimError(Hang), where a TCP expiry re-grants;
+ *   (b) owned peers bump engine.worker.* and TCP peers bump
+ *       engine.net.*, so every mode dumps the same counter shapes.
+ * SIGINT/SIGTERM (the process-wide shutdown latch) discards
+ * queued-but-unleased offers — their execute() calls raise
+ * JobDiscarded so the runner records nothing for them — while leased
+ * offers run to completion and checkpoint.
  *
- * The remote worker (runRemoteWorker) wraps JobBodyRunner in a
- * claim/execute/report loop, renews its lease from a side thread
- * while the body runs, retransmits unacknowledged results, and
- * reconnects with jittered exponential backoff across coordinator
- * restarts and injected partitions (journal resume makes the
- * coordinator itself crash-safe; an unACKed result is simply
- * discarded on reconnect because re-execution is idempotent).
+ * The worker loop (runRemoteWorker, runWorkerProcess) wraps
+ * JobBodyRunner: it claims, renews its lease from a side thread while
+ * the body runs, and retransmits unacknowledged results. Only the
+ * remote worker reconnects (with jittered exponential backoff, across
+ * coordinator restarts and injected partitions); a spawned worker
+ * exits when its socketpair closes.
  *
  * POSIX-only, like the rest of the transport; Coordinator::supported()
  * gates it and the CLI maps unsupported platforms to exit 2.
@@ -80,16 +83,10 @@
 #ifndef VANGUARD_CORE_COORDINATOR_HH
 #define VANGUARD_CORE_COORDINATOR_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/worker_pool.hh"
 #include "support/metrics.hh"
@@ -119,13 +116,8 @@ class Coordinator
     {
         uint16_t port = 0;          ///< 0 = ephemeral (see port())
         unsigned leaseMs = 10000;   ///< lease duration / renew base
-        unsigned quarantineDeaths = 3;
-        unsigned restartStormLimit = 10;
-        BackoffPolicy backoff{};
-        /** Job fault plan forwarded to workers ("" = ambient armed
-         *  plan, as the worker pool does). */
-        std::string faultPlanSpec;
-        /** Registry for the engine.net.* counters (optional). */
+        /** Registry for the engine.net.* / engine.worker.* counters
+         *  (optional). */
         MetricsRegistry *metrics = nullptr;
         /** Live telemetry sink: peer STATS frames feed it, and the
          *  coordinator registers its lease table as the hub's
@@ -133,48 +125,66 @@ class Coordinator
         TelemetryHub *telemetry = nullptr;
     };
 
-    /** Does this build/platform carry the TCP fabric? */
+    /**
+     * The process side of owned peers (core/worker_pool.cc). Called
+     * from the coordinator's constructor and service thread only.
+     */
+    class Spawner
+    {
+      public:
+        virtual ~Spawner() = default;
+        /** How many worker slots to keep populated. */
+        virtual unsigned slots() const = 0;
+        /** Start slot `slot`'s worker: returns its pid and sets *fd to
+         *  the connected supervisor end. Throws SimError on failure. */
+        virtual int spawn(unsigned slot, int *fd) = 0;
+        /** Reap `pid` (SIGKILLing it first when `kill`) and describe
+         *  its fate ("died on signal 11 (Segmentation fault)"). */
+        virtual std::string retire(int pid, bool kill) = 0;
+    };
+
+    /** Does this build/platform carry the fabric? */
     static bool supported();
 
-    /** Binds the listener and starts the service thread. Throws
+    /** Binds the TCP listener and starts the service thread. Throws
      *  SimError(Io) if the port cannot be bound. */
     explicit Coordinator(const Options &opts);
+
+    /** No listener: every peer is one of `spawner`'s children. Spawns
+     *  them all and returns once each has said hello (bounded). */
+    Coordinator(const Options &opts, Spawner &spawner);
+
     ~Coordinator();
 
     Coordinator(const Coordinator &) = delete;
     Coordinator &operator=(const Coordinator &) = delete;
 
-    /** The bound port (resolves port 0 to the kernel's pick). */
+    /** The bound port (resolves port 0 to the kernel's pick; 0 when
+     *  there is no listener). */
     uint16_t port() const;
 
     /**
-     * Run one job body on some remote worker (blocking; thread-safe;
+     * Run one job body on some worker peer (blocking; thread-safe;
      * called from runner pool threads). Returns only an ok result.
      * Worker-reported failures rethrow as SimError(kind, message)
-     * verbatim; poison jobs throw SimError(Internal); a broken fabric
-     * (restart storm, divergent duplicate) throws its reason from
-     * every call; a shutdown drain throws JobDiscarded for offers no
-     * worker had leased.
+     * verbatim; poison jobs throw SimError(Internal); a hang on an
+     * owned peer throws SimError(Hang); a broken fabric (loss storm,
+     * divergent duplicate) throws its reason from every call; a
+     * shutdown drain throws JobDiscarded for offers no worker had
+     * leased.
      */
     WorkerResult execute(WorkerJob job);
 
     /**
      * Drain and stop: discards queued offers, sends every connected
      * peer a final DRAIN frame, closes all sockets, joins the service
-     * thread. Idempotent; the destructor calls it.
+     * thread. Owned children are left for their spawner to reap.
+     * Idempotent; the destructor calls it.
      */
     void shutdown();
 
-    struct Stats
-    {
-        uint64_t leasesGranted = 0;
-        uint64_t leasesExpired = 0;
-        uint64_t leasesRegranted = 0;
-        uint64_t reconnects = 0;
-        uint64_t duplicateResults = 0;
-        uint64_t frames = 0;        ///< sent + received
-    };
-    Stats stats() const;
+    /** Supervision tallies (heartbeat misses, quarantined jobs). */
+    WorkerPool::Stats stats() const;
 
   private:
     struct Impl;

@@ -437,46 +437,33 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         }
     };
 
-    // Process isolation: train and simulate bodies execute inside a
-    // supervised pool of worker processes; compile and all bookkeeping
-    // stay here. Declared before the thread pool so destruction joins
-    // the job threads first, then drains the workers (QUIT + one
-    // SIGTERM each, bounded reap — no zombies).
+    // Remote job bodies: train and simulate bodies are serialized into
+    // WorkerJobs and leased out by one coordinator — over TCP
+    // (--serve-sweep) or to this process's own spawned workers
+    // (--isolate-jobs); compile and all bookkeeping stay here. The
+    // pool is declared before the thread pool so destruction joins the
+    // job threads first, then drains the workers (DRAIN + one SIGTERM
+    // each, bounded reap — no zombies).
+    Coordinator *fabric = ropts.coordinator;
     std::unique_ptr<WorkerPool> wpool;
-    if (ropts.coordinator != nullptr &&
-        ropts.isolation == JobIsolation::process) {
-        vg_throw(Config,
-                 "--serve-sweep and --isolate-jobs are mutually "
-                 "exclusive: pick one remote-body transport");
-    }
     if (ropts.isolation == JobIsolation::process) {
-        if (!WorkerPool::supported()) {
+        if (fabric != nullptr)
+            vg_throw(Config,
+                     "--serve-sweep and --isolate-jobs are mutually "
+                     "exclusive: pick one remote-body transport");
+        if (!WorkerPool::supported())
             vg_throw(Config,
                      "process isolation (--isolate-jobs) is not "
                      "supported on this platform");
-        }
         WorkerPool::Options wo;
         wo.workers = ThreadPool::resolveWorkerCount(ropts.jobs);
-        wo.execPath = ropts.workerExecPath;
         wo.heartbeatTimeoutMs = ropts.workerHeartbeatMs;
         wo.rlimitMb = ropts.workerRlimitMb;
         wo.metrics = &reg;
         wo.telemetry = ropts.telemetry;
         wpool = std::make_unique<WorkerPool>(wo);
+        fabric = &wpool->coordinator();
     }
-
-    // Distributed mode and process mode share one dispatch shape:
-    // train/simulate bodies are serialized into WorkerJobs and
-    // executed elsewhere; only the transport differs (socketpair to a
-    // supervised child vs. TCP lease to a remote worker). Everything
-    // below that chooses "remote body or inline body" keys off this.
-    const bool remote_bodies =
-        wpool != nullptr || ropts.coordinator != nullptr;
-    auto executeRemote = [&](WorkerJob &&wj) -> WorkerResult {
-        if (wpool != nullptr)
-            return wpool->execute(std::move(wj));
-        return ropts.coordinator->execute(std::move(wj));
-    };
 
     // Graceful drain: once a shutdown is requested, queued jobs are
     // discarded (leaving no result and no journal record — exactly
@@ -569,7 +556,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                     train_fail[b] = runGuarded(
                         id, ropts, tracer, jobs_retries,
                         [&](unsigned attempt) {
-                            if (!remote_bodies) {
+                            if (fabric == nullptr) {
                                 trains[b] =
                                     trainBenchmark(suite[b], base);
                                 return;
@@ -589,7 +576,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                             wj.bindSpecName();
                             wj.options = base;
                             WorkerResult res =
-                                executeRemote(std::move(wj));
+                                fabric->execute(std::move(wj));
                             ProfileParseResult parsed =
                                 deserializeProfile(res.profileText);
                             if (!parsed.ok) {
@@ -658,7 +645,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // job its benchmark's serialized TRAIN profile (jobs must be
     // self-contained); serialize each one exactly once, up front.
     std::vector<std::string> profile_text(B);
-    if (remote_bodies) {
+    if (fabric != nullptr) {
         for (size_t b = 0; b < B; ++b) {
             if (!train_fail[b].has_value())
                 profile_text[b] = serializeProfile(trains[b].profile);
@@ -872,7 +859,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 sim_fail[i] = runGuarded(
                     id, ropts, tracer, jobs_retries,
                     [&](unsigned attempt) {
-                        if (!remote_bodies) {
+                        if (fabric == nullptr) {
                             sims[i] = simulateConfig(
                                 spec, config, opts, kRefSeeds[s],
                                 /*collect_branch_stalls=*/cfg == 0);
@@ -892,7 +879,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                         wj.seed = kRefSeeds[s];
                         wj.collectStalls = cfg == 0;
                         wj.profileText = profile_text[b];
-                        sims[i] = executeRemote(std::move(wj)).stats;
+                        sims[i] = fabric->execute(std::move(wj)).stats;
                     });
             } catch (const JobDiscarded &) {
                 // Drained before lease: record nothing (journal,

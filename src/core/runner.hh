@@ -116,16 +116,13 @@ struct RunnerOptions
      *  WorkerPool::supported() (SimError(Config) otherwise). */
     JobIsolation isolation = JobIsolation::inproc;
 
-    /** Process mode: worker heartbeat deadline in ms (a silent worker
-     *  past it is SIGKILLed and its job fails with SimError(Hang)). */
+    /** Process mode: worker lease in ms (a worker that stops renewing
+     *  for that long is SIGKILLed and its job fails with
+     *  SimError(Hang)). */
     unsigned workerHeartbeatMs = 10000;
 
     /** Process mode: RLIMIT_AS cap per worker in MiB (0 = none). */
     unsigned workerRlimitMb = 0;
-
-    /** Process mode: binary to exec for workers ("" = this
-     *  executable); must understand `--worker <fd>`. */
-    std::string workerExecPath;
 
     /**
      * Distributed mode: when set, train and simulate bodies are leased

@@ -1,20 +1,17 @@
 /**
  * @file
- * Process-isolated worker pool: supervised out-of-process execution
- * of experiment-job bodies.
+ * Process-isolated job execution: the job-body codecs, the per-process
+ * body runner, and the worker-process spawner behind `--isolate-jobs`.
  *
  * The in-process pool (support/thread_pool.hh) can only contain
  * failures that unwind as C++ exceptions; a SIGSEGV, OOM kill, or
  * runaway allocation in one (benchmark × width × config × seed) job
- * takes the whole sweep down. This pool moves job *bodies* into N
- * long-lived worker processes — re-execs of `vanguard_cli --worker
- * <fd>` speaking the `vanguard-worker v1` frame protocol of
- * support/ipc.hh — while every piece of sweep bookkeeping (journal,
+ * takes the whole sweep down. Process isolation moves job *bodies*
+ * into N long-lived worker processes — re-execs of `vanguard_cli
+ * --worker <fd>` — while every piece of sweep bookkeeping (journal,
  * metrics merges, result slots, retry policy, failure tables) stays in
  * the supervisor. That split is what makes sweep output byte-identical
- * between isolation modes: the supervisor runs the same code over the
- * same slot-indexed results either way; only where the body computed
- * is different.
+ * between isolation modes.
  *
  * Job bodies cross the boundary fully self-contained (complete
  * BenchmarkSpec, exact hexfloat-encoded options, and — for simulate
@@ -25,27 +22,17 @@
  * path); simulate jobs return SimStats through the journal's
  * CRC-guarded record codec, the same bytes a resumed sweep replays.
  *
- * Supervision policy (all owned here, not by the runner):
- *   - heartbeats: workers beat every deadline/4 while a job runs; a
- *     silent worker past the deadline is SIGKILLed and the in-flight
- *     job fails with SimError(Hang), mirroring the in-process
- *     watchdog taxonomy;
- *   - exit triage: signal death, nonzero exit, and protocol desync
- *     each map into the SimError taxonomy with the worker's fate in
- *     the message;
- *   - restart with exponential backoff (BackoffPolicy below), plus a
- *     restart-storm circuit breaker: too many consecutive worker
- *     losses with no completed job in between breaks the pool rather
- *     than melting the host;
- *   - poison-job quarantine: a job that kills kQuarantineDeaths
- *     consecutive workers is recorded as a non-transient root-cause
- *     failure (the runner's ordinary bundle path then writes its
- *     replay bundle) instead of being retried forever;
- *   - optional setrlimit() address-space / CPU caps applied between
- *     fork and exec;
- *   - graceful drain: shutdown() sends each live worker a QUIT frame
- *     and exactly one SIGTERM, reaps with a bounded deadline, and
- *     SIGKILLs stragglers — no zombie outlives the pool.
+ * WorkerPool is only a spawner. It fork/execs the children over
+ * socketpairs (with an optional RLIMIT_AS cap between fork and exec),
+ * reaps them and names their fate ("died on signal 11 (Segmentation
+ * fault)"), and drains them at shutdown: a final DRAIN frame, exactly
+ * one SIGTERM each, a bounded reap, SIGKILL for stragglers — no zombie
+ * outlives the pool. Everything else — leases, redelivery, poison
+ * quarantine, restart backoff, the loss-storm breaker, STATS intake —
+ * is the lease coordinator's (core/coordinator.hh), which takes each
+ * child as an already-connected peer it owns. A lease that expires on
+ * an owned peer is a hang: the child is SIGKILLed and the job fails as
+ * SimError(Hang), mirroring the in-process watchdog taxonomy.
  *
  * POSIX-only (fork/exec/waitpid); WorkerPool::supported() gates it and
  * the CLI turns unsupported platforms into exit 2.
@@ -55,18 +42,13 @@
 #define VANGUARD_CORE_WORKER_POOL_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/vanguard.hh"
 #include "support/fault_inject.hh"
-#include "support/ipc.hh"
 #include "support/metrics.hh"
 #include "uarch/pipeline.hh"
 #include "workloads/kernel.hh"
@@ -76,9 +58,11 @@ namespace vanguard {
 class TelemetryHub;
 
 /**
- * Exponential backoff schedule for worker restarts. Pure function of
- * the consecutive-failure count: delayMs(0) = 0 (first spawn is
- * free), then base, 2*base, 4*base, ... clamped to cap.
+ * Exponential backoff schedule for a worker identity that keeps losing
+ * work (respawn of an owned slot, re-grant to a remote peer, remote
+ * reconnect). Pure function of the consecutive-failure count:
+ * delayMs(0) = 0 (first try is free), then base, 2*base, 4*base, ...
+ * clamped to cap.
  */
 struct BackoffPolicy
 {
@@ -98,8 +82,8 @@ struct BackoffPolicy
     }
 };
 
-/** Workers beat at a quarter of the supervisor's deadline: four
- *  missed beats, not one scheduling hiccup, trip the watchdog. */
+/** Workers renew at a quarter of the lease: four missed renewals, not
+ *  one scheduling hiccup, let a lease expire. */
 inline unsigned
 heartbeatIntervalMs(unsigned deadline_ms)
 {
@@ -127,10 +111,10 @@ workerKillScope(uint64_t job_scope, uint64_t delivery)
     return h;
 }
 
-/** Per-job heartbeat-suppression scope (see worker.heartbeat site):
- *  every beat of a job draws under the same key at draw 0, so a plan
- *  either suppresses all of a job's beats (guaranteed watchdog trip)
- *  or none — a worker-count-independent pattern. */
+/** Per-job renew-suppression scope (see the worker.heartbeat site):
+ *  a job draws once under this key at draw 0, so a plan either
+ *  suppresses all of a job's renewals (guaranteed lease expiry) or
+ *  none — a worker-count-independent pattern. */
 inline uint64_t
 workerHeartbeatScope(uint64_t job_scope)
 {
@@ -150,7 +134,7 @@ struct WorkerJob
     /** Draws the supervisor already consumed under scopeKey before
      *  dispatch (the job.attempt probe); the worker resumes there. */
     uint64_t scopeStartDraw = 1;
-    uint64_t delivery = 0;          ///< stamped by the pool per send
+    uint64_t delivery = 0;          ///< stamped per lease grant
 
     BenchmarkSpec spec;
     std::string specName;           ///< owning storage for spec.name
@@ -198,9 +182,8 @@ bool parseWorkerResult(const std::string &body, WorkerResult *out,
                        std::string *error);
 
 /**
- * Per-process execution of one self-contained job body: the shared
- * core of the pool's `--worker` loop and the sweep fabric's remote
- * worker (core/coordinator.hh). Owns the (spec × options × config ×
+ * Per-process execution of one self-contained job body: the core of
+ * the worker lease loop (core/coordinator.cc), spawned or remote. Owns the (spec × options × config ×
  * profile) compile cache so every REF seed of a group reuses one
  * artifact, re-enters the job's fault scope past the draws the
  * supervisor consumed, honors the deliberate-crash chaos hooks, and
@@ -224,8 +207,7 @@ class JobBodyRunner
     /**
      * Advisory running totals across every run() so far — the payload
      * of the live STATS frames. Readable from another thread (the
-     * worker's heartbeat thread, the remote worker's renew thread)
-     * while a job runs; never part of any authoritative result.
+     * worker's renew thread) while a job runs; never part of any authoritative result.
      */
     struct BodyStats
     {
@@ -243,6 +225,8 @@ class JobBodyRunner
     std::atomic<uint64_t> instsRetired_{0};
 };
 
+class Coordinator;
+
 class WorkerPool
 {
   public:
@@ -252,17 +236,10 @@ class WorkerPool
         /** Binary to exec ("" = this executable, via /proc/self/exe);
          *  must understand `--worker <fd>`. */
         std::string execPath;
+        /** Lease duration: a worker that goes this long without
+         *  renewing is SIGKILLed and its job fails as a hang. */
         unsigned heartbeatTimeoutMs = 10000;
-        unsigned helloTimeoutMs = 10000;
         unsigned rlimitMb = 0;          ///< RLIMIT_AS cap (0 = none)
-        unsigned rlimitCpuSec = 0;      ///< RLIMIT_CPU cap (0 = none)
-        unsigned quarantineDeaths = 3;  ///< K consecutive deaths
-        unsigned restartStormLimit = 10;
-        unsigned reapTimeoutMs = 2000;  ///< graceful-drain deadline
-        BackoffPolicy backoff{};
-        /** Fault plan forwarded to workers ("" = the ambient armed
-         *  plan, if any). */
-        std::string faultPlanSpec;
         /** Registry for the engine.worker.* instruments (optional). */
         MetricsRegistry *metrics = nullptr;
         /** Live telemetry sink for worker STATS frames (optional;
@@ -273,25 +250,22 @@ class WorkerPool
     /** Does this build/platform carry fork/exec supervision? */
     static bool supported();
 
+    /** Spawns every worker and returns once each has said hello. */
     explicit WorkerPool(const Options &opts);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /**
-     * Run one job body out of process (blocking; thread-safe; called
-     * from pool worker threads). Returns only an ok result. Worker-
-     * reported failures rethrow as SimError(kind, message) with the
-     * worker's message verbatim; worker deaths retry internally on a
-     * fresh worker until the job completes or kills quarantineDeaths
-     * consecutive workers (then SimError(Internal) quarantine);
-     * heartbeat expiry SIGKILLs the worker and throws SimError(Hang).
-     */
+    /** The lease coordinator that owns this pool's workers. */
+    Coordinator &coordinator();
+
+    /** coordinator().execute(job): blocking, thread-safe, returns
+     *  only an ok result (see Coordinator::execute). */
     WorkerResult execute(WorkerJob job);
 
     /**
-     * Graceful drain: QUIT frame + exactly one SIGTERM per live
+     * Graceful drain: DRAIN frame + exactly one SIGTERM per live
      * worker, bounded reap, SIGKILL stragglers. Idempotent; the
      * destructor calls it. No child of this pool survives it.
      */
@@ -302,47 +276,25 @@ class WorkerPool
 
     struct Stats
     {
-        uint64_t spawns = 0;            ///< successful worker spawns
-        uint64_t restarts = 0;          ///< spawns after a loss
         uint64_t heartbeatMisses = 0;
         uint64_t quarantinedJobs = 0;
-        uint64_t dataFrames = 0;        ///< JOB + RESULT frames
     };
     Stats stats() const;
 
   private:
-    struct Slot;
-
-    size_t acquireSlot();
-    void releaseSlot(size_t idx);
-    void ensureAlive(Slot &slot);
-    void spawnWorker(Slot &slot);
-    void killWorker(Slot &slot, bool already_dead);
-    std::string reapWorker(Slot &slot);
-    void noteLoss(const std::string &job_key);
-    void noteCompletion();
-    void bumpCounter(const char *name, uint64_t delta = 1);
-
-    Options opts_;
-    mutable std::mutex mutex_;
-    std::condition_variable slotFree_;
-    std::vector<std::unique_ptr<Slot>> slots_;
-    std::map<std::string, unsigned> consecutiveDeaths_;
-    std::map<std::string, uint64_t> deliveries_;
-    uint64_t spawnAttempts_ = 0; ///< worker.spawn draw ordinal
-    unsigned consecutiveLosses_ = 0; ///< resets on any completed job
-    bool broken_ = false;
-    std::string brokenReason_;
-    bool shutdownDone_ = false;
-    Stats stats_;
+    struct Spawner;
+    std::unique_ptr<Spawner> spawner_;
+    std::unique_ptr<Coordinator> fabric_; ///< destroyed before spawner_
 };
 
 /**
  * Worker-process entry (the `--worker <fd>` mode of vanguard_cli and
- * of any test binary that embeds the pool): speak the protocol on fd
- * until QUIT/EOF. Returns the process exit code. Installs the
- * shutdown latch so a process-group SIGINT/SIGTERM finishes the
- * in-flight job before exiting (the supervisor owns drain policy).
+ * of any test binary that embeds the pool): the lease loop of
+ * runRemoteWorker (core/coordinator.hh) on an inherited socketpair,
+ * minus reconnect — a final DRAIN or EOF means exit. Returns the
+ * process exit code. Installs the shutdown latch so a process-group
+ * SIGINT/SIGTERM finishes the in-flight job before exiting (the
+ * supervisor owns drain policy).
  */
 int runWorkerProcess(int fd);
 

@@ -22,10 +22,10 @@ evaluate(const Instruction &inst, const int64_t *regs, const Memory &mem)
 
     switch (inst.op) {
       case Opcode::ADD:
-        r.value = s1() + readSrc2(inst, regs);
+        r.value = wrapAdd(s1(), readSrc2(inst, regs));
         break;
       case Opcode::SUB:
-        r.value = s1() - readSrc2(inst, regs);
+        r.value = wrapSub(s1(), readSrc2(inst, regs));
         break;
       case Opcode::AND:
         r.value = s1() & readSrc2(inst, regs);
@@ -75,7 +75,7 @@ evaluate(const Instruction &inst, const int64_t *regs, const Memory &mem)
         break;
       case Opcode::MUL:
       case Opcode::FMUL:
-        r.value = s1() * readSrc2(inst, regs);
+        r.value = wrapMul(s1(), readSrc2(inst, regs));
         break;
       case Opcode::DIV:
       case Opcode::FDIV: {
@@ -94,14 +94,14 @@ evaluate(const Instruction &inst, const int64_t *regs, const Memory &mem)
         break;
       }
       case Opcode::FADD:
-        r.value = s1() + readSrc2(inst, regs);
+        r.value = wrapAdd(s1(), readSrc2(inst, regs));
         break;
       case Opcode::FSUB:
-        r.value = s1() - readSrc2(inst, regs);
+        r.value = wrapSub(s1(), readSrc2(inst, regs));
         break;
       case Opcode::LD:
       case Opcode::LD_S: {
-        uint64_t addr = static_cast<uint64_t>(s1() + inst.imm);
+        uint64_t addr = static_cast<uint64_t>(wrapAdd(s1(), inst.imm));
         r.memAddr = addr;
         if (!mem.inBounds(addr)) {
             if (inst.op == Opcode::LD)
@@ -114,7 +114,7 @@ evaluate(const Instruction &inst, const int64_t *regs, const Memory &mem)
         break;
       }
       case Opcode::ST: {
-        uint64_t addr = static_cast<uint64_t>(s1() + inst.imm);
+        uint64_t addr = static_cast<uint64_t>(wrapAdd(s1(), inst.imm));
         r.memAddr = addr;
         r.isStore = true;
         r.storeValue = regs[inst.src2];

@@ -26,6 +26,31 @@ struct OpResult
     int64_t storeValue = 0;
 };
 
+/** Simulated integer arithmetic wraps in two's complement. Computing
+ *  through uint64_t gives exactly that, where signed overflow would be
+ *  undefined behavior. Shared with the fast path (uarch/fast_loop.inc)
+ *  so both execution paths wrap the same way. */
+inline int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+wrapSub(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+wrapMul(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                static_cast<uint64_t>(b));
+}
+
 /**
  * Evaluate an instruction against a register file and memory. Loads
  * read memory; stores compute (addr, value) but do NOT write — the

@@ -23,13 +23,12 @@
  *   interp.step        Hang   functional interpreter, every 4096 insts
  *   pipeline.cycle     Hang   timing model, every 4096 retired insts
  *   pipeline.commit    Fault  timing model, every 4096 retired insts
- *   worker.spawn       Io     supervisor, before each worker fork/exec
- *                             (transient: exercises backoff restart)
- *   worker.frame.write Io     supervisor, before each job-frame send
- *                             (transient: exercises desync recovery)
- *   worker.heartbeat   Hang   worker heartbeat thread, before each
- *                             beat (a fire suppresses the beat, so the
- *                             supervisor's deadline watchdog trips)
+ *   worker.spawn       Io     spawner, before each worker fork/exec
+ *                             (transient: exercises backoff respawn)
+ *   worker.heartbeat   Hang   worker lease loop, once per job (a fire
+ *                             suppresses all of the job's renews, so
+ *                             its lease expires: a hang on a spawned
+ *                             worker, a re-grant on a remote one)
  *   worker.kill        Internal  worker job preamble; the worker
  *                             converts a fire into raise(SIGKILL), so
  *                             an `internal:p` plan SIGKILLs workers

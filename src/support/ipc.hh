@@ -1,9 +1,8 @@
 /**
  * @file
- * Length-prefixed frame transport for the process-isolated worker
- * pool (core/worker_pool.hh) and the distributed sweep fabric
- * (core/coordinator.hh), which swaps the socketpair for a TCP socket
- * without touching the frame layer.
+ * Length-prefixed frame transport for the job-execution fabric
+ * (core/coordinator.hh), over socketpairs to spawned workers
+ * (core/worker_pool.hh) and TCP sockets to remote ones alike.
  *
  * Wire format (all integers little-endian):
  *
@@ -18,10 +17,9 @@
  * version-skewed worker binary is refused by name at handshake time.
  *
  * Reading is deadline-based: FrameChannel buffers partial reads
- * across calls and poll()s the descriptor, so the supervisor's
- * heartbeat watchdog is simply "readFrame with the heartbeat deadline
- * as the timeout". EOF (worker death) and timeout (worker hang) are
- * ordinary statuses, not exceptions — only malformed traffic throws.
+ * across calls and poll()s the descriptor. EOF (peer death) and
+ * timeout are ordinary statuses, not exceptions — only malformed
+ * traffic throws.
  *
  * The TCP half (listenTcp/acceptPeer/connectTcp) feeds the same
  * FrameChannel; sendFrameNet additionally consults the deterministic
@@ -47,24 +45,22 @@ namespace ipc {
 /** Frame types: the first payload byte. */
 enum : char
 {
-    kFrameHello = 'H',      ///< worker -> supervisor, once at startup
-    kFrameConfig = 'C',     ///< supervisor -> worker, once per spawn
-    kFrameJob = 'J',        ///< supervisor -> worker
-    kFrameResult = 'R',     ///< worker -> supervisor / coordinator
-    kFrameHeartbeat = 'B',  ///< liveness while a job runs or a claim waits
-    kFrameQuit = 'Q',       ///< supervisor -> worker: drain and exit
-
-    // Distributed sweep fabric (core/coordinator.hh):
-    kFrameClaim = 'M',      ///< remote worker -> coordinator: give me a job
+    // Lease protocol (core/coordinator.hh):
+    kFrameHello = 'H',      ///< worker -> coordinator, once per connection
+    kFrameConfig = 'C',     ///< coordinator -> worker, answers the hello
+    kFrameClaim = 'M',      ///< worker -> coordinator: give me a job
     kFrameLease = 'L',      ///< coordinator -> worker: leased job body
     kFrameRenew = 'N',      ///< worker -> coordinator: extend my lease
+    kFrameResult = 'R',     ///< worker -> coordinator
     kFrameResultAck = 'A',  ///< coordinator -> worker: result recorded
+    kFrameHeartbeat = 'B',  ///< coordinator -> idle worker: still here
     kFrameDrain = 'D',      ///< coordinator -> worker: stop claiming
+    kFrameJob = 'J',        ///< unused by the protocol; framing tests
 
     // Live telemetry plane (support/telemetry.hh):
-    kFrameStats = 'S',      ///< worker/remote -> supervisor/coordinator:
-                            ///< periodic partial stats ("vanguard-stats
-                            ///< v1"), advisory only — feeds the live
+    kFrameStats = 'S',      ///< worker -> coordinator: periodic
+                            ///< partial stats ("vanguard-stats v1"),
+                            ///< advisory only — feeds the live
                             ///< TelemetryHub view, never the
                             ///< authoritative end-of-job merge
 };

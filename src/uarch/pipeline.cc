@@ -23,6 +23,7 @@
 #include "bpred/btb.hh"
 #include "bpred/dispatch.hh"
 #include "exec/decoded_program.hh"
+#include "exec/semantics.hh"
 #include "support/fault_inject.hh"
 #include "support/logging.hh"
 #include "support/ring.hh"

@@ -14,6 +14,9 @@
  *     re-grants, and duplicate-completion reconciliation,
  *   - a SIGKILLed remote worker costs nothing: its leases expire and
  *     re-grant to a surviving worker, the sweep completes identically,
+ *   - a SIGSTOPped remote worker's lease expires and re-grants (a
+ *     remote expiry is a possible partition, never a Hang), leaving
+ *     every engine.worker.* counter at zero,
  *   - a SIGKILLed *coordinator* resumes from its journal on the same
  *     port; the waiting workers reconnect and finish the sweep with
  *     stdout identical to a clean run,
@@ -355,6 +358,98 @@ TEST(NetSweep, SigkilledWorkerIsAbsorbedByLeaseExpiry)
     ASSERT_TRUE(j.ok) << j.error;
     EXPECT_EQ(j.records(), j.totalJobs);
     EXPECT_EQ(j.duplicates, 0u);
+}
+
+TEST(NetSweep, StoppedWorkerLeaseExpiresAndRegrantsWithoutHang)
+{
+    // The remote half of the owned-peer expiry rule: a lease that
+    // expires on a *remote* peer is a possible partition, not a hang.
+    // SIGSTOP one of two workers mid-lease: its renewals stop, the
+    // lease expires, and the job re-grants to the survivor — the
+    // sweep completes byte-identically, with no Hang failure and no
+    // process-supervision counter moving.
+    std::string dir = ::testing::TempDir() + "net-worker-stop";
+    std::string ref_dir = dir + "-ref";
+    std::filesystem::remove_all(ref_dir);
+    std::filesystem::create_directories(ref_dir);
+    std::vector<std::string> ref_args = {
+        "--benchmark",  "gobmk-like", "--all-refs",
+        "--iterations", "60000",      "--jobs", "2",
+        "--checkpoint-dir", ref_dir,
+    };
+    ASSERT_EQ(runToCompletion(ref_args, ref_dir + "/stdout",
+                              ref_dir + "/stderr"),
+              0);
+
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::string metrics = dir + "/metrics.csv";
+    std::vector<std::string> args = {
+        "--benchmark",      "gobmk-like", "--all-refs",
+        "--iterations",     "60000",      "--jobs", "2",
+        "--checkpoint-dir", dir,          "--serve-sweep", "0",
+        "--lease-ms",       "500",        "--metrics-out", metrics,
+    };
+    pid_t coord = launch(args, dir + "/stdout", dir + "/stderr");
+    unsigned port = awaitServePort(dir + "/stderr", coord);
+    std::string host_port = "127.0.0.1:" + std::to_string(port);
+    pid_t victim = launch({"--remote-worker", host_port},
+                          dir + "/victim.out", dir + "/victim.err");
+    pid_t survivor = launch({"--remote-worker", host_port},
+                            dir + "/w2.out", dir + "/w2.err");
+
+    std::string journal = dir + "/journal.vgj";
+    bool saw_sim = false;
+    for (int spin = 0; spin < 600 && !saw_sim; ++spin) {
+        ::usleep(20'000);
+        saw_sim =
+            readFile(journal).find("\nS ") != std::string::npos;
+        int status = 0;
+        ASSERT_EQ(::waitpid(coord, &status, WNOHANG), 0)
+            << "sweep finished before the victim could be stopped; "
+               "raise --iterations";
+    }
+    ASSERT_TRUE(saw_sim) << "no simulate record within the window";
+    ::kill(victim, SIGSTOP);
+
+    int coord_rc = waitExit(coord);
+    // The stopped worker cannot read its DRAIN; once resumed it would
+    // retry the vanished coordinator forever, so kill it outright.
+    ::kill(victim, SIGKILL);
+    int status = 0;
+    ::waitpid(victim, &status, 0);
+    EXPECT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(waitExit(survivor), 0);
+
+    ASSERT_EQ(coord_rc, 0) << readFile(dir + "/stderr");
+    EXPECT_EQ(readFile(dir + "/stdout"), readFile(ref_dir + "/stdout"));
+    JournalContents j = loadJournalFile(journal);
+    ASSERT_TRUE(j.ok) << j.error;
+    EXPECT_EQ(j.records(), j.totalJobs);
+    EXPECT_EQ(j.duplicates, 0u);
+    EXPECT_EQ(readFile(dir + "/stderr").find("Hang"), std::string::npos)
+        << readFile(dir + "/stderr");
+
+    // Counters: the expiry happened on the engine.net.* side, and
+    // every engine.worker.* value (job_rtt included) stayed zero.
+    std::stringstream in(readFile(metrics));
+    std::string line;
+    size_t worker_keys = 0;
+    bool saw_expired = false;
+    while (std::getline(in, line)) {
+        std::string value = line.substr(line.rfind(',') + 1);
+        if (line.find(",engine.net.leases_expired,") !=
+            std::string::npos) {
+            saw_expired = true;
+            EXPECT_GE(std::stoull(value), 1u) << line;
+        }
+        if (line.find(",engine.worker.") != std::string::npos) {
+            ++worker_keys;
+            EXPECT_EQ(value, "0") << line;
+        }
+    }
+    EXPECT_TRUE(saw_expired) << "no engine.net.leases_expired in dump";
+    EXPECT_GT(worker_keys, 0u) << "engine.worker.* keys missing";
 }
 
 TEST(NetSweep, SigkilledCoordinatorResumesOnTheSamePort)
