@@ -53,7 +53,7 @@ BM_Simulate(benchmark::State &state, const std::string &workload,
     uint64_t insts = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        BuiltKernel ref = buildKernel(spec, kRefSeeds[0]);
+        Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
         auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
         SimOptions sopts;
         sopts.maxInsts = vopts.simMaxInsts;
@@ -65,7 +65,7 @@ BM_Simulate(benchmark::State &state, const std::string &workload,
         state.ResumeTiming();
 
         SimStats s = simulateWithDecoded(art.exp.prog, *art.exp.decoded,
-                                         *ref.mem, *pred,
+                                         mem, *pred,
                                          vopts.machine(), sopts);
         benchmark::DoNotOptimize(s.cycles);
         insts += s.dynamicInsts;

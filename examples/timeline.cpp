@@ -37,9 +37,9 @@ showTimeline(const char *label, const BenchmarkSpec &spec,
     PipelineTrace trace(30000);
     SimOptions sopts;
     sopts.trace = &trace;
-    BuiltKernel ref = buildKernel(spec, kRefSeeds[0]);
+    Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
     auto pred = makePredictor(opts.predictor);
-    simulate(cc.prog, *ref.mem, *pred, opts.machine(), sopts);
+    simulate(cc.prog, mem, *pred, opts.machine(), sopts);
 
     // Print a slice from inside the trace, aligned to a block start.
     PipelineTrace window(40);

@@ -998,7 +998,7 @@ runCli(int argc, char **argv)
         } else {
             // Tracing needs a hand-built SimOptions (simulateConfig
             // has no trace hook); watchdogs still apply.
-            BuiltKernel ref = buildKernel(spec, seed);
+            Memory mem = buildKernelMemory(spec, seed);
             auto pred = makePredictor(opts.predictor, seed);
             SimOptions sopts;
             sopts.maxInsts = opts.simMaxInsts;
@@ -1009,12 +1009,12 @@ runCli(int argc, char **argv)
             if (opts.predictor.rfind("ideal:", 0) == 0 &&
                 exp.decomposed) {
                 outcomes = prerecordPredictOutcomes(
-                    exp.prog, *ref.mem, opts.simMaxInsts * 2);
+                    exp.prog, mem, opts.simMaxInsts * 2);
                 sopts.predictOutcomes = &outcomes;
             }
             if (!exp.hoistedMask.empty())
                 sopts.hoistedMask = &exp.hoistedMask;
-            se = simulate(exp.prog, *ref.mem, *pred, opts.machine(),
+            se = simulate(exp.prog, mem, *pred, opts.machine(),
                           sopts);
         }
     }

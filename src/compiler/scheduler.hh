@@ -12,7 +12,9 @@
  *
  * Dependences honored: register RAW/WAR/WAW; loads may reorder with
  * loads but never with stores; stores never reorder with each other.
- * Resources honored: issue width and per-class FU ports per cycle.
+ * Resources are not modelled: the order is critical-path-first
+ * (latency-weighted height, ties to program order), independent of
+ * the target's issue width and FU ports.
  */
 
 #ifndef VANGUARD_COMPILER_SCHEDULER_HH
@@ -22,6 +24,8 @@
 
 namespace vanguard {
 
+/** Target description. The critical-path order does not read it;
+ *  the fields remain for existing callers. */
 struct ScheduleOptions
 {
     unsigned width = 4;     ///< target issue width

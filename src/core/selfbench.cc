@@ -53,7 +53,7 @@ timePath(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
     uint64_t insts = 0;
     uint64_t cycles = 0;
     for (unsigned rep = 0; rep < repeats; ++rep) {
-        BuiltKernel ref = buildKernel(spec, kRefSeeds[0]);
+        Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
         auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
         SimOptions sopts;
         sopts.maxInsts = vopts.simMaxInsts;
@@ -66,7 +66,7 @@ timePath(const BenchmarkSpec &spec, const BenchmarkArtifacts &art,
 
         Clock::time_point t0 = Clock::now();
         SimStats s = simulateWithDecoded(art.exp.prog, *art.exp.decoded,
-                                         *ref.mem, *pred, vopts.machine(),
+                                         mem, *pred, vopts.machine(),
                                          sopts);
         double dt =
             std::chrono::duration<double>(Clock::now() - t0).count();

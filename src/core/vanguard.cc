@@ -53,9 +53,8 @@ trainFromProfile(const BenchmarkSpec &spec, BranchProfile profile,
 {
     TrainArtifacts out;
     out.profile = std::move(profile);
-    BuiltKernel shape = buildKernel(spec, kTrainSeed);
-    out.selected =
-        selectBranches(shape.fn, out.profile, opts.selection);
+    out.selected = selectBranches(buildKernelCode(spec).fn, out.profile,
+                                  opts.selection);
     return out;
 }
 
@@ -70,11 +69,10 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
     CompiledConfig out;
     out.decomposed = decomposed;
 
-    // Any seed yields the same code structure; kTrainSeed by
-    // convention (the REF inputs differ only in the memory image and
-    // one PRNG-seed immediate, which does not affect timing shape).
-    BuiltKernel built = buildKernel(spec, kTrainSeed);
-    Function &fn = built.fn;
+    // The code is the same for every input; only the memory image
+    // differs between TRAIN and the REF seeds.
+    KernelCode code = buildKernelCode(spec);
+    Function &fn = code.fn;
 
     if (opts.applySuperblock)
         hoistAboveBiasedBranches(fn, train.profile, opts.superblock);
@@ -93,13 +91,8 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
     if (dstats_out != nullptr)
         *dstats_out = dstats;
 
-    ScheduleOptions sched;
-    sched.width = opts.width;
-    MachineConfig mc = opts.machine();
-    sched.memPorts = mc.memPorts;
-    sched.intPorts = mc.intPorts;
-    sched.fpPorts = mc.fpPorts;
-    scheduleFunction(fn, sched);
+    // The critical-path order does not depend on the target.
+    scheduleFunction(fn, {});
 
     out.prog = linearize(fn);
     out.staticInsts = out.prog.size();
@@ -115,12 +108,10 @@ simulateConfig(const BenchmarkSpec &spec, const CompiledConfig &config,
                const VanguardOptions &opts, uint64_t ref_seed,
                bool collect_branch_stalls)
 {
-    BuiltKernel ref = buildKernel(spec, ref_seed);
-    // Note: code immediates were generated with kTrainSeed; only the
-    // memory image (patterns/data) comes from the REF build, which is
-    // exactly the SPEC train-vs-ref divergence we want. To keep the
-    // in-register noise realization seed-specific too, we re-lay the
-    // REF-built function only if it differs in size (it never does).
+    // The compiled code is input-independent; the REF input is the
+    // memory image (patterns, data, and the noise PRNG seed), which is
+    // exactly the SPEC train-vs-ref divergence we want.
+    Memory mem = buildKernelMemory(spec, ref_seed);
     auto predictor = makePredictor(opts.predictor, ref_seed);
 
     SimOptions sopts;
@@ -139,8 +130,9 @@ simulateConfig(const BenchmarkSpec &spec, const CompiledConfig &config,
     std::unique_ptr<LockstepChecker> checker;
     if (opts.lockstep) {
         TraceSpan span(currentTracer(), "sim.golden");
-        Memory golden_mem = *ref.mem; // timing run mutates *ref.mem
-        FastInterpreter oracle(ref.fn, golden_mem);
+        KernelCode original = buildKernelCode(spec);
+        Memory golden_mem = mem; // the timing run mutates mem
+        FastInterpreter oracle(original.fn, golden_mem);
         oracle.recordStores(true);
         RunResult gr = oracle.run(opts.simMaxInsts * 2);
         if (gr.status == RunStatus::Fault) {
@@ -161,19 +153,17 @@ simulateConfig(const BenchmarkSpec &spec, const CompiledConfig &config,
     bool needs_oracle = opts.predictor.rfind("ideal:", 0) == 0;
     if (needs_oracle && config.decomposed) {
         TraceSpan span(currentTracer(), "sim.prerecord");
-        outcomes = prerecordPredictOutcomes(config.prog, *ref.mem,
+        outcomes = prerecordPredictOutcomes(config.prog, mem,
                                             opts.simMaxInsts * 2);
         sopts.predictOutcomes = &outcomes;
     }
 
     TraceSpan span(currentTracer(), "sim.timing");
     if (config.decoded != nullptr) {
-        return simulateWithDecoded(config.prog, *config.decoded,
-                                   *ref.mem, *predictor, opts.machine(),
-                                   sopts);
+        return simulateWithDecoded(config.prog, *config.decoded, mem,
+                                   *predictor, opts.machine(), sopts);
     }
-    return simulate(config.prog, *ref.mem, *predictor, opts.machine(),
-                    sopts);
+    return simulate(config.prog, mem, *predictor, opts.machine(), sopts);
 }
 
 namespace {
@@ -231,7 +221,7 @@ compileBenchmark(const BenchmarkSpec &spec, TrainArtifacts train,
         compileConfig(spec, train, opts.applyDecomposition, opts);
 
     // Static-shape metrics from the untransformed kernel.
-    BuiltKernel pristine = buildKernel(spec, kTrainSeed);
+    KernelCode pristine = buildKernelCode(spec);
     art.alpbb = avgLoadsPerBlock(pristine.fn, pristine.firstColdBlock);
     art.phi = avgHoistableFraction(pristine.fn, train.selected);
 

@@ -53,6 +53,29 @@ roundUpPow2(uint64_t v)
     return p;
 }
 
+/** Data-memory layout; the code bakes these addresses in. */
+struct KernelLayout
+{
+    uint64_t wsBytes = 0;
+    uint64_t stateBase = 0;
+    uint64_t dataBase = 0;
+    uint64_t total = 0;
+};
+
+KernelLayout
+kernelLayout(const BenchmarkSpec &spec)
+{
+    unsigned num_hammocks = spec.totalHammocks();
+    vg_assert(num_hammocks >= 1 && num_hammocks <= kMaxHammocks,
+              "benchmark '%s': 1..8 hammocks supported", spec.name);
+    KernelLayout l;
+    l.wsBytes = roundUpPow2(uint64_t{spec.workingSetKB} * 1024);
+    l.stateBase = kOutBytes;
+    l.dataBase = l.stateBase + kStateBytes;
+    l.total = l.dataBase + l.wsBytes + kDataPad;
+    return l;
+}
+
 /** Emit the successor-block body for one hammock side. */
 void
 emitSuccessorBody(IRBuilder &b, const BenchmarkSpec &spec,
@@ -140,30 +163,17 @@ emitSuccessorBody(IRBuilder &b, const BenchmarkSpec &spec,
 
 } // namespace
 
-BuiltKernel
-buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
+Memory
+buildKernelMemory(const BenchmarkSpec &spec, uint64_t input_seed)
 {
+    KernelLayout layout = kernelLayout(spec);
     unsigned num_hammocks = spec.totalHammocks();
-    vg_assert(num_hammocks >= 1 && num_hammocks <= kMaxHammocks,
-              "benchmark '%s': 1..8 hammocks supported", spec.name);
-
     Rng rng(input_seed ^ 0x9e3779b9u);
-    uint64_t ws_bytes =
-        roundUpPow2(uint64_t{spec.workingSetKB} * 1024);
-
-    // ---- memory layout -----------------------------------------------
-    uint64_t state_base = kOutBytes;
-    uint64_t data_base = state_base + kStateBytes;
-    uint64_t total = data_base + ws_bytes + kDataPad;
-
-    BuiltKernel out{Function(spec.name),
-                    std::make_unique<Memory>(total)};
-    Memory &mem = *out.mem;
+    Memory mem(layout.total);
 
     // ---- per-hammock stream parameters --------------------------------
-    std::vector<HammockParams> hams(num_hammocks);
     for (unsigned h = 0; h < num_hammocks; ++h) {
-        HammockParams &hp = hams[h];
+        HammockParams hp;
         double jitter = (rng.uniform() - 0.5) * 0.10; // input variation
         if (h < spec.hammocksPU) {
             hp.stream.takenFraction = spec.takenPU + jitter;
@@ -185,32 +195,39 @@ buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
         // Everything input-dependent lives in DATA memory (the code,
         // like a real binary, is identical across inputs): the initial
         // run state and the per-hammock flip thresholds.
-        uint64_t cell = state_base + uint64_t{h} * 64;
+        uint64_t cell = layout.stateBase + uint64_t{h} * 64;
         mem.write64(cell, rng.chance(hp.stream.takenFraction) ? 1 : 0);
         mem.write64(cell + 8, hp.thresholds.whenTaken);
         mem.write64(cell + 16, hp.thresholds.whenNotTaken);
     }
     // PRNG seed for the in-register noise source (input-dependent).
-    mem.write64(state_base + 2040,
+    mem.write64(layout.stateBase + 2040,
                 static_cast<int64_t>(rng.next() | 1));
 
     // Data array contents: small pseudo-random values.
-    for (uint64_t a = data_base; a + 8 <= total; a += 8)
+    for (uint64_t a = layout.dataBase; a + 8 <= layout.total; a += 8)
         mem.write64(a, static_cast<int64_t>(rng.below(256)));
+    return mem;
+}
 
-    // ---- code ----------------------------------------------------------
+KernelCode
+buildKernelCode(const BenchmarkSpec &spec)
+{
+    KernelLayout layout = kernelLayout(spec);
+    unsigned num_hammocks = spec.totalHammocks();
+    KernelCode out{Function(spec.name)};
     Function &fn = out.fn;
     IRBuilder b(fn);
 
     b.startBlock("entry");
     b.movi(kRegI, 0);
     b.movi(kRegN, static_cast<int64_t>(spec.iterations));
-    b.movi(kRegStateBase, static_cast<int64_t>(state_base));
+    b.movi(kRegStateBase, static_cast<int64_t>(layout.stateBase));
     b.load(kRegLfsr, kRegStateBase, 2040); // input-seeded xorshift
     b.movi(kRegAccI, 0);
     b.movi(kRegAccF, 1);
     b.movi(kRegOutBase, 0);
-    b.movi(kRegDataBase, static_cast<int64_t>(data_base));
+    b.movi(kRegDataBase, static_cast<int64_t>(layout.dataBase));
     // Patched below once the first hammock block id is known.
     b.jmp(0);
 
@@ -254,7 +271,7 @@ buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
         b.op2i(Opcode::MUL, kScrIx, kRegI,
                static_cast<int64_t>(spec.strideLines) * 64);
         b.add(kScrIx, kScrIx, kRegAccI);
-        b.andi(kScrIx, kScrIx, static_cast<int64_t>(ws_bytes - 1));
+        b.andi(kScrIx, kScrIx, static_cast<int64_t>(layout.wsBytes - 1));
         b.add(kScrAd, kRegDataBase, kScrIx);
         b.load(kScrV0, kScrAd, static_cast<int64_t>(h * 136 + 4096));
         // Serial work between the load and the compare (index
@@ -283,11 +300,11 @@ buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
         BlockId join = h + 1 < num_hammocks ? a_blocks[h + 1] : latch;
 
         b.setInsertPoint(t_blocks[h]);
-        emitSuccessorBody(b, spec, h, true, ws_bytes);
+        emitSuccessorBody(b, spec, h, true, layout.wsBytes);
         b.jmp(join);
 
         b.setInsertPoint(f_blocks[h]);
-        emitSuccessorBody(b, spec, h, false, ws_bytes);
+        emitSuccessorBody(b, spec, h, false, layout.wsBytes);
         b.jmp(join);
     }
 
@@ -364,6 +381,15 @@ buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
     vg_assert(err.empty(), "kernel '%s' invalid: %s", spec.name,
               err.c_str());
     return out;
+}
+
+BuiltKernel
+buildKernel(const BenchmarkSpec &spec, uint64_t input_seed)
+{
+    KernelCode code = buildKernelCode(spec);
+    return {std::move(code.fn),
+            std::make_unique<Memory>(buildKernelMemory(spec, input_seed)),
+            code.firstColdBlock};
 }
 
 } // namespace vanguard

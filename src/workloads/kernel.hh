@@ -84,6 +84,16 @@ struct BenchmarkSpec
     }
 };
 
+/** A kernel's code. Like a real binary it is identical across
+ *  inputs: everything input-dependent lives in data memory. */
+struct KernelCode
+{
+    Function fn;
+
+    /** Blocks with id >= firstColdBlock are the semi-cold region. */
+    BlockId firstColdBlock = kNoBlock;
+};
+
 /** A constructed kernel: IR + initialized data memory. */
 struct BuiltKernel
 {
@@ -94,13 +104,19 @@ struct BuiltKernel
     BlockId firstColdBlock = kNoBlock;
 };
 
+/** Build the benchmark's code (no input needed). */
+KernelCode buildKernelCode(const BenchmarkSpec &spec);
+
 /**
- * Build the kernel for one (benchmark, input) pair. Different
- * input_seed values model different SPEC TRAIN/REF inputs: they change
- * the baked patterns, data contents, noise realization, and jitter the
- * pattern densities a few percent (the paper notes bias varies across
- * reference inputs).
+ * Build the initialized data memory for one (benchmark, input) pair.
+ * Different input_seed values model different SPEC TRAIN/REF inputs:
+ * they change the baked patterns, data contents, noise realization,
+ * and jitter the pattern densities a few percent (the paper notes bias
+ * varies across reference inputs).
  */
+Memory buildKernelMemory(const BenchmarkSpec &spec, uint64_t input_seed);
+
+/** buildKernelCode + buildKernelMemory for one (benchmark, input) pair. */
 BuiltKernel buildKernel(const BenchmarkSpec &spec, uint64_t input_seed);
 
 /** Conventional seeds mirroring the SPEC input-set methodology. */

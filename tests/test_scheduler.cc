@@ -1,19 +1,158 @@
 /**
  * @file
  * Unit tests for the critical-path-first list scheduler: dependence
- * preservation, long-chain front-loading, memory-ordering rules, and
- * semantic equivalence on random blocks.
+ * preservation, long-chain front-loading, memory-ordering rules,
+ * semantic equivalence on random blocks, and order identity with an
+ * all-pairs reference scheduler on random blocks and on every block
+ * of every suite kernel.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "compiler/decompose.hh"
 #include "compiler/scheduler.hh"
+#include "compiler/superblock.hh"
+#include "core/vanguard.hh"
 #include "exec/interpreter.hh"
+#include "ir/analysis.hh"
 #include "ir/builder.hh"
 #include "support/rng.hh"
+#include "workloads/suites.hh"
 
 namespace vanguard {
 namespace {
+
+/**
+ * The reference scheduler: the same critical-path-first policy over a
+ * DAG with an edge for *every* conflicting pair and a linear scan of
+ * the ready list. O(n^2), but each rule is read off directly.
+ * Returns the emitted body order (indices into bb.insts).
+ */
+std::vector<size_t>
+referenceOrder(const BasicBlock &bb)
+{
+    size_t n = bb.bodySize();
+    std::vector<std::vector<size_t>> succs(n);
+    std::vector<unsigned> preds_left(n, 0);
+    std::vector<unsigned> height(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+        const Instruction &a = bb.insts[i];
+        RegSet a_defs = instDefs(a);
+        RegSet a_uses = instUses(a);
+        for (size_t j = i + 1; j < n; ++j) {
+            const Instruction &b = bb.insts[j];
+            bool dep = (a_defs & instUses(b)).any() ||   // RAW
+                       (a_uses & instDefs(b)).any() ||   // WAR
+                       (a_defs & instDefs(b)).any();     // WAW
+            if (!dep && a.isMemRef() && b.isMemRef() &&
+                (a.isStore() || b.isStore())) {
+                dep = true;
+            }
+            if (dep) {
+                succs[i].push_back(j);
+                ++preds_left[j];
+            }
+        }
+    }
+    for (size_t k = n; k > 0; --k) {
+        size_t i = k - 1;
+        unsigned best = 0;
+        for (size_t s : succs[i])
+            best = std::max(best, height[s]);
+        height[i] = best + bb.insts[i].latency();
+    }
+
+    std::vector<size_t> ready;
+    for (size_t i = 0; i < n; ++i)
+        if (preds_left[i] == 0)
+            ready.push_back(i);
+    std::vector<size_t> order;
+    while (!ready.empty()) {
+        size_t best_pos = 0;
+        for (size_t p = 1; p < ready.size(); ++p) {
+            size_t i = ready[p];
+            size_t b = ready[best_pos];
+            if (height[i] > height[b] ||
+                (height[i] == height[b] && i < b)) {
+                best_pos = p;
+            }
+        }
+        size_t i = ready[best_pos];
+        ready.erase(ready.begin() +
+                    static_cast<std::ptrdiff_t>(best_pos));
+        order.push_back(i);
+        for (size_t s : succs[i])
+            if (--preds_left[s] == 0)
+                ready.push_back(s);
+    }
+    return order;
+}
+
+/** scheduleBlock emits exactly the reference order for bb. */
+::testing::AssertionResult
+matchesReference(const BasicBlock &bb)
+{
+    std::vector<InstId> want;
+    for (size_t i : referenceOrder(bb))
+        want.push_back(bb.insts[i].id);
+    if (bb.hasTerminator())
+        want.push_back(bb.terminator().id);
+
+    BasicBlock got = bb;
+    bool changed = scheduleBlock(got, {});
+    std::vector<InstId> got_ids;
+    for (const Instruction &inst : got.insts)
+        got_ids.push_back(inst.id);
+    if (got_ids != want)
+        return ::testing::AssertionFailure()
+               << "order differs in block " << bb.name;
+    bool reordered = false;
+    for (size_t i = 0; i < bb.insts.size(); ++i)
+        reordered |= bb.insts[i].id != want[i];
+    if (changed != reordered)
+        return ::testing::AssertionFailure()
+               << "wrong 'reordered' result for block " << bb.name;
+    return ::testing::AssertionSuccess();
+}
+
+/** A random straight-line block over r1..r8 with r0 as base pointer. */
+Function
+randomBlock(Rng &rng, int length)
+{
+    Function fn("rnd");
+    IRBuilder b(fn);
+    b.startBlock("entry");
+    b.movi(0, 256); // base pointer
+    for (int i = 0; i < length; ++i) {
+        RegId dst = static_cast<RegId>(1 + rng.below(8));
+        RegId s1 = static_cast<RegId>(1 + rng.below(8));
+        RegId s2 = static_cast<RegId>(1 + rng.below(8));
+        switch (rng.below(6)) {
+          case 0:
+            b.add(dst, s1, s2);
+            break;
+          case 1:
+            b.mul(dst, s1, s2);
+            break;
+          case 2:
+            b.movi(dst, static_cast<int64_t>(rng.below(100)));
+            break;
+          case 3:
+            b.load(dst, 0, static_cast<int64_t>(rng.below(16)) * 8);
+            break;
+          case 4:
+            b.store(0, static_cast<int64_t>(rng.below(16)) * 8, s1);
+            break;
+          default:
+            b.xorOp(dst, s1, s2);
+            break;
+        }
+    }
+    b.halt();
+    return fn;
+}
 
 size_t
 positionOf(const BasicBlock &bb, InstId id)
@@ -163,38 +302,7 @@ TEST(Scheduler, RandomBlocksPreserveSemantics)
     // final register state and memory.
     Rng rng(123);
     for (int trial = 0; trial < 50; ++trial) {
-        Function fn("rnd");
-        IRBuilder b(fn);
-        b.startBlock("entry");
-        b.movi(0, 256); // base pointer
-        for (int i = 0; i < 24; ++i) {
-            RegId dst = static_cast<RegId>(1 + rng.below(8));
-            RegId s1 = static_cast<RegId>(1 + rng.below(8));
-            RegId s2 = static_cast<RegId>(1 + rng.below(8));
-            switch (rng.below(6)) {
-              case 0:
-                b.add(dst, s1, s2);
-                break;
-              case 1:
-                b.mul(dst, s1, s2);
-                break;
-              case 2:
-                b.movi(dst, static_cast<int64_t>(rng.below(100)));
-                break;
-              case 3:
-                b.load(dst, 0, static_cast<int64_t>(rng.below(16)) * 8);
-                break;
-              case 4:
-                b.store(0, static_cast<int64_t>(rng.below(16)) * 8,
-                        s1);
-                break;
-              default:
-                b.xorOp(dst, s1, s2);
-                break;
-            }
-        }
-        b.halt();
-
+        Function fn = randomBlock(rng, 24);
         Function scheduled = fn;
         scheduleFunction(scheduled, {});
         ASSERT_EQ(scheduled.verify(), "");
@@ -209,6 +317,54 @@ TEST(Scheduler, RandomBlocksPreserveSemantics)
                 << "trial " << trial << " r" << r;
         ASSERT_TRUE(ma == mb) << "trial " << trial;
     }
+}
+
+TEST(Scheduler, RandomBlocksMatchAllPairsReference)
+{
+    // The same random blocks as above, plus longer ones: the
+    // nearest-conflict DAG must emit the all-pairs DAG's order.
+    Rng rng(123);
+    for (int trial = 0; trial < 50; ++trial)
+        ASSERT_TRUE(matchesReference(randomBlock(rng, 24).block(0)))
+            << "trial " << trial;
+    Rng long_rng(7);
+    for (int trial = 0; trial < 20; ++trial)
+        ASSERT_TRUE(
+            matchesReference(randomBlock(long_rng, 200).block(0)))
+            << "long trial " << trial;
+}
+
+TEST(Scheduler, SuiteKernelsMatchAllPairsReference)
+{
+    // Every block the compile pipeline hands the scheduler — baseline
+    // and decomposed IR, superblock pass applied — for all 53 suite
+    // kernels.
+    VanguardOptions opts;
+    size_t blocks = 0;
+    unsigned converted = 0;
+    for (const auto &suite : {specInt2006(), specFp2006(),
+                              specInt2000(), specFp2000()}) {
+        for (BenchmarkSpec spec : suite) {
+            spec.iterations = 1000;
+            TrainArtifacts train = trainBenchmark(spec, opts);
+            for (bool decomposed : {false, true}) {
+                Function fn = buildKernelCode(spec).fn;
+                hoistAboveBiasedBranches(fn, train.profile,
+                                         opts.superblock);
+                if (decomposed)
+                    converted += decomposeBranches(fn, train.selected,
+                                                   opts.decompose)
+                                     .converted;
+                for (const BasicBlock &bb : fn.blocks()) {
+                    ASSERT_TRUE(matchesReference(bb))
+                        << spec.name << (decomposed ? " exp" : " base");
+                    ++blocks;
+                }
+            }
+        }
+    }
+    EXPECT_GT(blocks, 53u * 2 * 40);
+    EXPECT_GT(converted, 53u); // the decomposed IR is really exercised
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "bpred/factory.hh"
 #include "exec/interpreter.hh"
 #include "profile/profiler.hh"
@@ -75,6 +77,31 @@ TEST(Workloads, CodeIsInputIndependent)
     BuiltKernel ref = buildKernel(spec, kRefSeeds[0]);
     EXPECT_EQ(train.fn.toString(), ref.fn.toString());
     EXPECT_FALSE(*train.mem == *ref.mem);
+}
+
+TEST(Workloads, SplitBuildersMatchBuildKernel)
+{
+    // Compile steps build only the code and simulate steps only the
+    // memory image; together they must be exactly buildKernel, for
+    // every benchmark and every TRAIN/REF input.
+    std::vector<uint64_t> seeds = {kTrainSeed};
+    seeds.insert(seeds.end(), std::begin(kRefSeeds), std::end(kRefSeeds));
+    for (const auto &suite : {specInt2006(), specFp2006(),
+                              specInt2000(), specFp2000()}) {
+        for (const BenchmarkSpec &spec : suite) {
+            KernelCode code = buildKernelCode(spec);
+            std::string text = code.fn.toString();
+            for (uint64_t seed : seeds) {
+                BuiltKernel full = buildKernel(spec, seed);
+                EXPECT_EQ(text, full.fn.toString())
+                    << spec.name << " seed " << seed;
+                EXPECT_EQ(code.firstColdBlock, full.firstColdBlock)
+                    << spec.name << " seed " << seed;
+                EXPECT_TRUE(buildKernelMemory(spec, seed) == *full.mem)
+                    << spec.name << " seed " << seed;
+            }
+        }
+    }
 }
 
 TEST(Workloads, DifferentSeedsDifferentDynamics)
