@@ -5,7 +5,8 @@
  *   vanguard_cli [options]
  *     --benchmark NAME     suite benchmark (default h264ref-like)
  *     --list               list all suite benchmarks and exit
- *     --width N            2, 4, or 8 (default 4)
+ *     --width N            issue width, 1..1024 (the paper's are 2, 4
+ *                          and 8; default 4)
  *     --predictor NAME     bimodal|local|gshare|gshare3|gshare3-big|
  *                          perceptron|tage|isltage|ideal:<p>
  *     --iterations N       loop trip count (default 15000)
@@ -21,7 +22,7 @@
  *     --no-decompose       measure the baseline configuration only
  *     --no-superblock      disable the biased-branch pass
  *     --no-shadow-commit   commit MOVs consume issue slots
- *     --dbb N              Decomposed Branch Buffer entries
+ *     --dbb N              Decomposed Branch Buffer entries (1..65536)
  *     --threshold P        selection threshold (default 0.05)
  *     --save-profile FILE  write the TRAIN profile (PGO artifact)
  *     --load-profile FILE  reuse a saved profile instead of training
@@ -125,6 +126,7 @@
 #include "compiler/layout.hh"
 #include "compiler/select.hh"
 #include "core/coordinator.hh"
+#include "core/journal.hh"
 #include "core/replay.hh"
 #include "core/runner.hh"
 #include "core/selfbench.hh"
@@ -493,7 +495,8 @@ runCli(int argc, char **argv)
             }
             return 0;
         } else if (arg == "--width") {
-            opts.width = static_cast<unsigned>(atoi(next()));
+            opts.width =
+                parseUnsignedOrDie("--width", next(), 1, kMaxWidthValue);
         } else if (arg == "--predictor") {
             opts.predictor = next();
         } else if (arg == "--iterations") {
@@ -513,7 +516,8 @@ runCli(int argc, char **argv)
         } else if (arg == "--no-shadow-commit") {
             opts.shadowCommit = false;
         } else if (arg == "--dbb") {
-            opts.dbbEntries = static_cast<unsigned>(atoi(next()));
+            opts.dbbEntries =
+                parseUnsignedOrDie("--dbb", next(), 1, 65536);
         } else if (arg == "--threshold") {
             opts.selection.minExposed = atof(next());
         } else if (arg == "--save-profile") {

@@ -16,16 +16,13 @@
 #include "support/atomic_file.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
+#include "support/logging.hh"
 #include "support/versioned_format.hh"
 
 namespace vanguard {
 
 namespace {
 
-// v2 adds an optional trailing " bpred <n> <key>:<val>..." section to
-// 'S' records (predictor-internal counters); v1 records parse as
-// having none.
-constexpr unsigned kJournalVersion = 2;
 constexpr const char *kJournalMagic = "vanguard-journal";
 
 /**
@@ -123,11 +120,24 @@ appendStats(std::ostringstream &os, const SimStats &stats)
            << ':' << ce.second;
     }
 
-    if (!stats.bpredCounters.empty()) {
-        os << " bpred " << stats.bpredCounters.size();
-        for (const auto &[key, val] : stats.bpredCounters)
-            os << ' ' << key << ':' << val;
-    }
+    os << " bpred " << stats.bpredCounters.size();
+    for (const auto &[key, val] : stats.bpredCounters)
+        os << ' ' << key << ':' << val;
+}
+
+/**
+ * A count prefix read from untrusted bytes: each counted item takes
+ * at least two bytes of the line, so a count beyond half the bytes
+ * left is a lie — refuse it before reserving anything.
+ */
+bool
+readCount(std::istringstream &is, size_t *n)
+{
+    if (!(is >> *n))
+        return false;
+    std::streamoff left = static_cast<std::streamoff>(is.str().size()) -
+                          static_cast<std::streamoff>(is.tellg());
+    return left >= 0 && *n <= static_cast<size_t>(left) / 2;
 }
 
 bool
@@ -141,8 +151,8 @@ parseStats(std::istringstream &is, SimStats *out)
     int halted = 0, faulted = 0;
     std::string marker;
     size_t n = 0;
-    if (!ok || !(is >> halted >> faulted >> marker >> n) ||
-        marker != "stalls")
+    if (!ok || !(is >> halted >> faulted >> marker) ||
+        marker != "stalls" || !readCount(is, &n))
         return false;
     out->halted = halted != 0;
     out->faulted = faulted != 0;
@@ -158,12 +168,8 @@ parseStats(std::istringstream &is, SimStats *out)
         out->branchStalls[static_cast<InstId>(id)] = {cyc, ev};
     }
 
-    // Optional v2 predictor-counter section; absent in v1 records.
-    std::string marker2;
-    if (!(is >> marker2))
-        return true;
     size_t nb = 0;
-    if (marker2 != "bpred" || !(is >> nb))
+    if (!(is >> marker) || marker != "bpred" || !readCount(is, &nb))
         return false;
     out->bpredCounters.reserve(nb);
     for (size_t i = 0; i < nb; ++i) {
@@ -179,6 +185,29 @@ parseStats(std::istringstream &is, SimStats *out)
         if (errno != 0 || end == nullptr || *end != '\0')
             return false;
         out->bpredCounters.emplace_back(tok.substr(0, colon), val);
+    }
+    return true;
+}
+
+/** The width list and its stats blocks, exactly one per width. */
+bool
+parseLanes(std::istringstream &is, JournalRecord *rec)
+{
+    std::string marker;
+    size_t n = 0;
+    if (!(is >> marker >> n) || marker != "widths" || n == 0 ||
+        n > kMaxSweepWidths)
+        return false;
+    rec->widths.resize(n);
+    for (unsigned &w : rec->widths) {
+        if (!(is >> w) || w == 0 || w > kMaxWidthValue)
+            return false;
+    }
+    rec->lanes.resize(n);
+    for (SimStats &lane : rec->lanes) {
+        if (!(is >> marker) || marker != "lane" ||
+            !parseStats(is, &lane))
+            return false;
     }
     return true;
 }
@@ -204,7 +233,16 @@ serializeJournalRecord(const JournalRecord &rec)
            << rec.attempts << ' ' << encodeToken(rec.bundlePath)
            << ' ' << encodeToken(rec.message);
     } else if (rec.phase == 'S') {
-        appendStats(os, rec.stats);
+        vg_assert(rec.widths.size() == rec.lanes.size(),
+                  "journal record: %zu widths but %zu stat lanes",
+                  rec.widths.size(), rec.lanes.size());
+        os << " widths " << rec.widths.size();
+        for (unsigned w : rec.widths)
+            os << ' ' << w;
+        for (const SimStats &lane : rec.lanes) {
+            os << " lane";
+            appendStats(os, lane);
+        }
     }
     return withCrc(os.str());
 }
@@ -234,7 +272,7 @@ parseJournalRecord(const std::string &line, JournalRecord *out)
     rec.index = index;
     if (status == "ok") {
         rec.ok = true;
-        if (p == 'S' && !parseStats(is, &rec.stats))
+        if (p == 'S' && !parseLanes(is, &rec))
             return false;
     } else if (status == "fail") {
         rec.ok = false;

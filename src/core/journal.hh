@@ -1,19 +1,19 @@
 /**
  * @file
- * Crash-safe sweep journal: the `vanguard-journal v2` format.
+ * Crash-safe sweep journal: the `vanguard-journal v3` format.
  *
  * A journal is an append-only, per-record-checksummed ledger of
  * completed experiment jobs, written next to a sweep so that an
  * OOM-kill, Ctrl-C, disk-full, or reboot at job 4700/4800 loses at
  * most the jobs that were literally in flight. Layout:
  *
- *   vanguard-journal v2
+ *   vanguard-journal v3
  *   spec 4f2a9c01d3e8b7a6      # FNV-1a of the canonical sweep spec
- *   jobs 4800                  # total jobs in the sweep
+ *   jobs 488                   # total jobs in the sweep
  *   T 0 ok @1a2b3c4d
  *   C 3 ok @...
- *   S 17 ok <counters...> stalls <n> <id:cyc:ev>...
- *       bpred <n> <key>:<val>... @...    # (one line; v2 section)
+ *   S 17 ok widths 3 2 4 8 lane <counters...> stalls <n>
+ *       <id:cyc:ev>... bpred <n> <key>:<val>... lane ... @...
  *   S 18 fail Hang 1 <bundle> <message> @...
  *
  * One line per record: phase letter (T=train, C=compile, S=simulate),
@@ -25,20 +25,26 @@
  * rename) and every appended record is fsync'd, so the ledger is
  * exactly as durable as the filesystem allows.
  *
- * `ok` simulate records carry the full SimStats counter set
- * (including the per-branch stall map backing ASPCB and, since v2,
- * the predictor-internal `bpred.*` counters), so a resumed
- * sweep replays them bit-identically without re-simulating. `ok`
- * train records pair with a checkpointed TRAIN profile file
- * (`train-<benchmark>.vgp`, the profile_io v1 format); compile
- * records are completion markers — compiled programs are cheap, pure
- * recomputations and are rebuilt on resume. `fail` records replay as
- * the original JobFailure (kind, attempts, message, bundle path).
+ * Train and compile records are indexed by benchmark. A simulate job
+ * is one (benchmark, config, REF seed) triple timed at every width of
+ * the sweep in one fused pass, so its `ok` record carries the width
+ * list (at most kMaxSweepWidths entries, each 1..kMaxWidthValue) and
+ * exactly one full SimStats block per width — counters, the
+ * per-branch stall map backing ASPCB, and the predictor-internal
+ * `bpred.*` counters — so a resumed sweep replays them bit-identically
+ * without re-simulating. `ok` train records pair with a checkpointed
+ * TRAIN profile file (`train-<benchmark>.vgp`, the profile_io v1
+ * format); compile records are completion markers — compiled programs
+ * are cheap, pure recomputations and are rebuilt on resume. `fail`
+ * records replay as the original JobFailure (kind, attempts, message,
+ * bundle path).
  *
  * Resume validation: the `spec` line must match the resuming sweep's
  * canonical (benchmark list, widths, seeds, options) fingerprint;
  * a mismatch refuses with SimError(Config). Unknown future journal
- * versions refuse with SimError(Io) via parseVersionedHeader.
+ * versions refuse with SimError(Io) via parseVersionedHeader; a
+ * journal of an older version parses (JournalContents::version says
+ * which) but the runner refuses to resume from it.
  */
 
 #ifndef VANGUARD_CORE_JOURNAL_HH
@@ -55,6 +61,20 @@
 
 namespace vanguard {
 
+/**
+ * The journal format version written. v3: one 'S' record per fused
+ * (benchmark, config, seed) job, carrying its width list and one stats
+ * block per width; 'C' records are indexed by benchmark. Older
+ * journals index per width and are refused on resume.
+ */
+inline constexpr unsigned kJournalVersion = 3;
+
+/** Most widths one sweep (and so one simulate record) may carry. */
+inline constexpr size_t kMaxSweepWidths = 16;
+
+/** Largest machine width a journal or job frame accepts. */
+inline constexpr unsigned kMaxWidthValue = 1024;
+
 /** One journaled job completion (success or failure). */
 struct JournalRecord
 {
@@ -68,8 +88,9 @@ struct JournalRecord
     std::string message;
     std::string bundlePath;
 
-    // ok simulate payload
-    SimStats stats;
+    // ok simulate payload: one SimStats per width, in sweep order
+    std::vector<unsigned> widths;
+    std::vector<SimStats> lanes;
 };
 
 /** Serialize one record to its journal line (CRC included). */

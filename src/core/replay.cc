@@ -55,6 +55,75 @@ serializeOptionsLines(const VanguardOptions &o)
     return os.str();
 }
 
+bool
+parseOptLine(std::istringstream &ls, VanguardOptions *o)
+{
+    // Doubles go through strtod, which reads both the bundle's decimal
+    // spelling and the job frames' exact hexfloat one.
+    auto real = [&ls](double *v) {
+        std::string tok;
+        ls >> tok;
+        *v = std::strtod(tok.c_str(), nullptr);
+    };
+    auto flag = [&ls](bool *v) {
+        int i = 0;
+        ls >> i;
+        *v = i != 0;
+    };
+    std::string name;
+    ls >> name;
+    if (name == "predictor") {
+        ls >> o->predictor;
+    } else if (name == "width") {
+        ls >> o->width;
+    } else if (name == "superblock") {
+        flag(&o->applySuperblock);
+    } else if (name == "decompose") {
+        flag(&o->applyDecomposition);
+    } else if (name == "shadow-commit") {
+        flag(&o->shadowCommit);
+    } else if (name == "dbb-entries") {
+        ls >> o->dbbEntries;
+    } else if (name == "l1i-size-kb") {
+        ls >> o->l1iSizeKB;
+    } else if (name == "icache-prefetch") {
+        flag(&o->icachePrefetch);
+    } else if (name == "lockstep") {
+        flag(&o->lockstep);
+    } else if (name == "no-threaded-dispatch") {
+        flag(&o->noThreadedDispatch);
+    } else if (name == "sel-min-exposed") {
+        real(&o->selection.minExposed);
+    } else if (name == "sel-min-execs") {
+        ls >> o->selection.minExecs;
+    } else if (name == "sel-min-predictability") {
+        real(&o->selection.minPredictability);
+    } else if (name == "sel-forward-only") {
+        flag(&o->selection.forwardOnly);
+    } else if (name == "dec-max-hoist") {
+        ls >> o->decompose.maxHoistPerPath;
+    } else if (name == "dec-max-slice") {
+        ls >> o->decompose.maxSliceDepth;
+    } else if (name == "sb-bias-threshold") {
+        real(&o->superblock.biasThreshold);
+    } else if (name == "sb-min-execs") {
+        ls >> o->superblock.minExecs;
+    } else if (name == "sb-max-hoist") {
+        ls >> o->superblock.maxHoist;
+    } else if (name == "profile-max-insts") {
+        ls >> o->profileMaxInsts;
+    } else if (name == "sim-max-insts") {
+        ls >> o->simMaxInsts;
+    } else if (name == "cycle-budget") {
+        ls >> o->simCycleBudget;
+    } else if (name == "progress-window") {
+        ls >> o->simProgressWindow;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 std::string
 serializeReplayBundle(const ReplayBundle &b)
 {
@@ -125,50 +194,8 @@ parseReplayBundle(const std::string &text)
         } else if (key == "iterations") {
             ls >> b.iterations;
         } else if (key == "opt") {
-            std::string name;
-            ls >> name;
-            if (name == "predictor") {
-                ls >> o.predictor;
-            } else if (name == "superblock") {
-                int v; ls >> v; o.applySuperblock = v != 0;
-            } else if (name == "decompose") {
-                int v; ls >> v; o.applyDecomposition = v != 0;
-            } else if (name == "shadow-commit") {
-                int v; ls >> v; o.shadowCommit = v != 0;
-            } else if (name == "dbb-entries") {
-                ls >> o.dbbEntries;
-            } else if (name == "l1i-size-kb") {
-                ls >> o.l1iSizeKB;
-            } else if (name == "icache-prefetch") {
-                int v; ls >> v; o.icachePrefetch = v != 0;
-            } else if (name == "sel-min-exposed") {
-                ls >> o.selection.minExposed;
-            } else if (name == "sel-min-execs") {
-                ls >> o.selection.minExecs;
-            } else if (name == "sel-min-predictability") {
-                ls >> o.selection.minPredictability;
-            } else if (name == "sel-forward-only") {
-                int v; ls >> v; o.selection.forwardOnly = v != 0;
-            } else if (name == "dec-max-hoist") {
-                ls >> o.decompose.maxHoistPerPath;
-            } else if (name == "dec-max-slice") {
-                ls >> o.decompose.maxSliceDepth;
-            } else if (name == "sb-bias-threshold") {
-                ls >> o.superblock.biasThreshold;
-            } else if (name == "sb-min-execs") {
-                ls >> o.superblock.minExecs;
-            } else if (name == "sb-max-hoist") {
-                ls >> o.superblock.maxHoist;
-            } else if (name == "profile-max-insts") {
-                ls >> o.profileMaxInsts;
-            } else if (name == "sim-max-insts") {
-                ls >> o.simMaxInsts;
-            } else if (name == "cycle-budget") {
-                ls >> o.simCycleBudget;
-            } else if (name == "progress-window") {
-                ls >> o.simProgressWindow;
-            }
             // Unknown opts are skipped: forward compatibility.
+            parseOptLine(ls, &o);
         } else if (key == "error-kind") {
             ls >> out.bundle.errorKind;
         } else if (key == "error-msg") {

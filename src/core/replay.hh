@@ -30,6 +30,7 @@
 #ifndef VANGUARD_CORE_REPLAY_HH
 #define VANGUARD_CORE_REPLAY_HH
 
+#include <sstream>
 #include <string>
 
 #include "core/vanguard.hh"
@@ -60,6 +61,16 @@ std::string serializeReplayBundle(const ReplayBundle &bundle);
  * full VanguardOptions vector is spelled out as text.
  */
 std::string serializeOptionsLines(const VanguardOptions &opts);
+
+/**
+ * Parse the rest of one `opt <name> <value>` line (the stream is
+ * positioned after `opt`) into `o` — the one options text parser,
+ * shared by replay bundles and worker job frames. Doubles accept both
+ * the bundle's decimal and the job frame's hexfloat spelling. Returns
+ * false for an unknown name (callers skip it, for forward
+ * compatibility) and leaves `o` untouched in that case.
+ */
+bool parseOptLine(std::istringstream &ls, VanguardOptions *o);
 
 struct ReplayParseResult
 {

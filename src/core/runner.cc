@@ -302,6 +302,13 @@ openCheckpoint(const RunnerOptions &ropts,
             vg_throw(Config, "cannot resume from %s: %s",
                      path.c_str(), prior.error.c_str());
         }
+        if (prior.version != kJournalVersion) {
+            vg_throw(Config,
+                     "cannot resume from %s: it is a v%u journal, whose "
+                     "job layout this v%u engine does not replay; "
+                     "re-run the sweep without --resume",
+                     path.c_str(), prior.version, kJournalVersion);
+        }
         if (prior.specHash != hash) {
             vg_throw(Config,
                      "journal %s was written by a different sweep "
@@ -351,16 +358,21 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     const size_t W = widths.size();
     const size_t S = kNumRefSeeds;
 
-    std::vector<VanguardOptions> wopts;
-    wopts.reserve(W);
+    if (W == 0 || W > kMaxSweepWidths)
+        vg_throw(Config, "a sweep takes 1..%zu widths, got %zu",
+                 kMaxSweepWidths, W);
     for (unsigned w : widths) {
-        VanguardOptions o = base;
-        o.width = w;
-        wopts.push_back(o);
+        if (w == 0 || w > kMaxWidthValue)
+            vg_throw(Config, "width %u is outside 1..%u", w,
+                     kMaxWidthValue);
     }
+    // Compile and simulate jobs run at every width at once; options
+    // carry the first so a width-free failure still names a machine.
+    VanguardOptions lead = base;
+    lead.width = widths[0];
 
     SuiteReport report;
-    report.totalJobs = B + B * W + B * W * S * 2;
+    report.totalJobs = B + B + B * S * 2;
 
     // Metrics + tracing sinks. A null RunnerOptions::metrics still
     // runs against a private registry so the merge-time bit-identity
@@ -652,33 +664,29 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         }
     }
 
-    // Phase 2: compile each (benchmark, width) pair once. Compiles of
-    // a failed train are skipped: the root cause is already recorded.
+    // Phase 2: compile each benchmark once — compile output does not
+    // depend on the width, so every width shares it. Compiles of a
+    // failed train are skipped: the root cause is already recorded.
     // Journal records here are completion markers — artifacts must
     // exist in memory anyway, so a marked slot recompiles (pure and
     // cheap) without re-recording.
-    std::vector<BenchmarkArtifacts> arts(B * W);
-    std::vector<std::optional<JobFailure>> compile_fail(B * W);
-    auto mergeCompile = [&](size_t i, size_t b, size_t w) {
+    std::vector<BenchmarkArtifacts> arts(B);
+    std::vector<std::optional<JobFailure>> compile_fail(B);
+    auto mergeCompile = [&](size_t b) {
         MetricSnapshot snap;
-        snap.add("compiler.staticInsts.base",
-                 arts[i].base.staticInsts);
-        snap.add("compiler.staticInsts.exp", arts[i].exp.staticInsts);
+        snap.add("compiler.staticInsts.base", arts[b].base.staticInsts);
+        snap.add("compiler.staticInsts.exp", arts[b].exp.staticInsts);
         snap.add("compiler.selectedBranches",
-                 arts[i].train.selected.size());
-        reg.mergeJobSnapshot("compile." +
-                                 std::string(suite[b].name) + ".w" +
-                                 std::to_string(widths[w]),
+                 arts[b].train.selected.size());
+        reg.mergeJobSnapshot("compile." + std::string(suite[b].name),
                              snap);
     };
-    ProgressReporter compile_progress(ropts.tag, "compile", B * W);
+    ProgressReporter compile_progress(ropts.tag, "compile", B);
     compile_progress.observeFailures(&compile_failed);
     compile_progress.observeRetries(&jobs_retries);
     {
         TraceSpan phase_span(tracer, "phase.compile");
-        pool.parallelFor(B * W, [&](size_t i) {
-            size_t b = i / W;
-            size_t w = i % W;
+        pool.parallelFor(B, [&](size_t b) {
             if (train_fail[b].has_value()) {
                 jobs_skipped.add();
                 compile_progress.jobDone();
@@ -688,15 +696,14 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
             JobIdentity id;
             id.phase = "compile";
             id.benchmark = suite[b].name;
-            id.width = widths[w];
-            id.index = i;
+            id.index = b;
             faultinject::Scope job_scope(jobScopeKey(id, 0));
             bool journaled = false;
             if (ckpt != nullptr) {
-                auto it = ckpt->prior.compile.find(i);
+                auto it = ckpt->prior.compile.find(b);
                 if (it != ckpt->prior.compile.end()) {
                     if (!it->second.ok) {
-                        compile_fail[i] =
+                        compile_fail[b] =
                             failureFromRecord(id, it->second);
                         ckpt->countReplay();
                         jobs_replayed.add();
@@ -717,38 +724,35 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                         ? std::string()
                         : Tracer::args(
                               {{"benchmark", suite[b].name},
-                               {"width",
-                                std::to_string(widths[w])},
-                               {"index", std::to_string(i)}}));
+                               {"index", std::to_string(b)}}));
                 // Compile stays supervisor-local in both isolation
                 // modes: artifacts must live in this process anyway.
-                compile_fail[i] = runGuarded(
+                compile_fail[b] = runGuarded(
                     id, ropts, tracer, jobs_retries, [&](unsigned) {
-                        arts[i] = compileBenchmark(
-                            suite[b], trains[b], wopts[w]);
+                        arts[b] =
+                            compileBenchmark(suite[b], trains[b], lead);
                     });
             }
-            if (compile_fail[i].has_value()) {
-                writeBundle(*compile_fail[i], suite[b], wopts[w],
-                            ropts);
+            if (compile_fail[b].has_value()) {
+                writeBundle(*compile_fail[b], suite[b], lead, ropts);
                 jobs_failed.add();
                 compile_failed.add();
                 compile_progress.jobFailed();
             } else {
                 jobs_completed.add();
                 compile_done.add();
-                mergeCompile(i, b, w);
+                mergeCompile(b);
                 compile_progress.jobDone();
             }
             if (ckpt == nullptr || journaled)
                 return;
-            if (compile_fail[i].has_value()) {
+            if (compile_fail[b].has_value()) {
                 ckpt->append(
-                    recordFromFailure('C', i, *compile_fail[i]));
+                    recordFromFailure('C', b, *compile_fail[b]));
             } else {
                 JournalRecord rec;
                 rec.phase = 'C';
-                rec.index = i;
+                rec.index = b;
                 rec.ok = true;
                 ckpt->append(rec);
             }
@@ -762,26 +766,53 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         return report;
     }
 
-    // Phase 3: one job per (benchmark, width, config, seed), each its
-    // own pool work item so a shutdown drain stops between seeds. Slot
-    // layout: ((b*W + w)*S + s)*2 + cfg with cfg 0 = baseline
-    // (collecting per-branch stalls, as the serial path does) and
-    // cfg 1 = experimental.
+    // Phase 3: one job per (benchmark, config, seed), each its own
+    // pool work item so a shutdown drain stops between seeds. A job
+    // times every width in one fused pass (simulateConfigWidths) and
+    // fills one result slot per width. Job index: (b*S + s)*2 + cfg
+    // with cfg 0 = baseline (collecting per-branch stalls, as the
+    // serial path does) and cfg 1 = experimental; result slot of width
+    // w: ((b*W + w)*S + s)*2 + cfg.
+    const size_t num_sim_jobs = B * S * 2;
     std::vector<SimStats> sims(B * W * S * 2);
-    std::vector<std::optional<JobFailure>> sim_fail(sims.size());
-    auto simScope = [&](size_t b, size_t w, size_t cfg, size_t s) {
-        return "sim." + std::string(suite[b].name) + ".w" +
-               std::to_string(widths[w]) +
-               (cfg == 0 ? ".base" : ".exp") + ".s" +
-               std::to_string(s);
+    std::vector<std::optional<JobFailure>> sim_fail(num_sim_jobs);
+    auto simSlot = [&](size_t b, size_t w, size_t s, size_t cfg) {
+        return ((b * W + w) * S + s) * 2 + cfg;
     };
-    auto mergeSim = [&](size_t i, size_t b, size_t w, size_t cfg,
-                        size_t s) {
-        reg.mergeJobSnapshot(simScope(b, w, cfg, s),
-                             simStatsSnapshot(sims[i]));
-        sim_cycles.observe(sims[i].cycles);
+    auto mergeSim = [&](size_t b, size_t cfg, size_t s) {
+        for (size_t w = 0; w < W; ++w) {
+            const SimStats &st = sims[simSlot(b, w, s, cfg)];
+            reg.mergeJobSnapshot(
+                "sim." + std::string(suite[b].name) + ".w" +
+                    std::to_string(widths[w]) +
+                    (cfg == 0 ? ".base" : ".exp") + ".s" +
+                    std::to_string(s),
+                simStatsSnapshot(st));
+            sim_cycles.observe(st.cycles);
+        }
     };
-    ProgressReporter progress(ropts.tag, "simulate", sims.size());
+    auto storeLanes = [&](size_t b, size_t cfg, size_t s,
+                          std::vector<SimStats> lanes) {
+        if (lanes.size() != W)
+            vg_throw(Io, "simulate job returned %zu stat lanes for %zu "
+                         "widths", lanes.size(), W);
+        for (size_t w = 0; w < W; ++w)
+            sims[simSlot(b, w, s, cfg)] = std::move(lanes[w]);
+    };
+    // A fused job that fails in one lane names that lane's width (the
+    // watchdog messages start "width N: "), so the failure table and
+    // the replay bundle point at the machine that actually hung.
+    auto nameFailedLane = [&](JobFailure &f) {
+        unsigned w = 0;
+        if (std::sscanf(f.message.c_str(), "width %u:", &w) == 1 &&
+            std::find(widths.begin(), widths.end(), w) != widths.end())
+            f.id.width = w;
+    };
+    std::string width_list;
+    for (unsigned w : widths)
+        width_list += (width_list.empty() ? "" : ",") +
+                      std::to_string(w);
+    ProgressReporter progress(ropts.tag, "simulate", num_sim_jobs);
     progress.observeFailures(&sim_failed);
     progress.observeRetries(&jobs_retries);
     // Surface job-latency and work-size percentiles on the simulate
@@ -791,50 +822,49 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     progress.observeSimCycles(&sim_cycles);
     {
         TraceSpan phase_span(tracer, "phase.simulate");
-        pool.parallelFor(sims.size(), [&](size_t i) {
+        pool.parallelFor(num_sim_jobs, [&](size_t i) {
             size_t cfg = i % 2;
             size_t s = (i / 2) % S;
-            size_t bw = i / (2 * S);
-            size_t b = bw / W;
-            size_t w = bw % W;
+            size_t b = i / (2 * S);
             if (train_fail[b].has_value() ||
-                compile_fail[bw].has_value()) {
+                compile_fail[b].has_value()) {
                 jobs_skipped.add();
                 progress.jobDone(); // skipped; the sweep advanced
                 return;
             }
             ScopedCurrentTracer ambient(tracer);
             const BenchmarkSpec &spec = suite[b];
-            const VanguardOptions &opts = wopts[w];
             const CompiledConfig &config =
-                cfg == 0 ? arts[bw].base : arts[bw].exp;
+                cfg == 0 ? arts[b].base : arts[b].exp;
             JobIdentity id;
             id.phase = "simulate";
             id.benchmark = spec.name;
-            id.width = widths[w];
+            id.width = W == 1 ? widths[0] : 0;
             id.config = static_cast<int>(cfg);
             id.seed = kRefSeeds[s];
             id.index = i;
             faultinject::Scope job_scope(jobScopeKey(id, 0));
 
-            // Journal replay satisfies the seed without re-executing
+            // Journal replay satisfies the job without re-executing
             // (or re-journaling) it.
             if (ckpt != nullptr) {
                 auto it = ckpt->prior.sim.find(i);
-                if (it != ckpt->prior.sim.end()) {
+                if (it != ckpt->prior.sim.end() &&
+                    (!it->second.ok || it->second.widths == widths)) {
                     ckpt->countReplay();
                     jobs_replayed.add();
                     if (!it->second.ok) {
                         sim_fail[i] = failureFromRecord(id, it->second);
+                        nameFailedLane(*sim_fail[i]);
                         jobs_failed.add();
                         sim_failed.add();
                         progress.jobFailedReplayed();
                         return;
                     }
-                    sims[i] = it->second.stats;
+                    storeLanes(b, cfg, s, it->second.lanes);
                     jobs_completed.add();
                     sim_done.add();
-                    mergeSim(i, b, w, cfg, s);
+                    mergeSim(b, cfg, s);
                     if (tracer != nullptr) {
                         tracer->instant(
                             "job.replayed",
@@ -852,7 +882,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                         ? std::string()
                         : Tracer::args(
                               {{"benchmark", spec.name},
-                               {"width", std::to_string(widths[w])},
+                               {"widths", width_list},
                                {"config", cfg == 0 ? "base" : "exp"},
                                {"seed", hexU64(kRefSeeds[s])},
                                {"index", std::to_string(i)}}));
@@ -860,9 +890,12 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                     id, ropts, tracer, jobs_retries,
                     [&](unsigned attempt) {
                         if (fabric == nullptr) {
-                            sims[i] = simulateConfig(
-                                spec, config, opts, kRefSeeds[s],
-                                /*collect_branch_stalls=*/cfg == 0);
+                            storeLanes(b, cfg, s,
+                                       simulateConfigWidths(
+                                           spec, config, lead, widths,
+                                           kRefSeeds[s],
+                                           /*collect_branch_stalls=*/
+                                           cfg == 0));
                             return;
                         }
                         WorkerJob wj;
@@ -874,12 +907,14 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                         wj.spec = spec;
                         wj.specName = spec.name;
                         wj.bindSpecName();
-                        wj.options = opts;
+                        wj.options = lead;
                         wj.config = static_cast<int>(cfg);
+                        wj.widths = widths;
                         wj.seed = kRefSeeds[s];
                         wj.collectStalls = cfg == 0;
                         wj.profileText = profile_text[b];
-                        sims[i] = fabric->execute(std::move(wj)).stats;
+                        storeLanes(b, cfg, s,
+                                   fabric->execute(std::move(wj)).lanes);
                     });
             } catch (const JobDiscarded &) {
                 // Drained before lease: record nothing (journal,
@@ -889,14 +924,15 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 return;
             }
             if (sim_fail[i].has_value()) {
-                writeBundle(*sim_fail[i], spec, opts, ropts);
+                nameFailedLane(*sim_fail[i]);
+                writeBundle(*sim_fail[i], spec, lead, ropts);
                 jobs_failed.add();
                 sim_failed.add();
                 progress.jobFailed();
             } else {
                 jobs_completed.add();
                 sim_done.add();
-                mergeSim(i, b, w, cfg, s);
+                mergeSim(b, cfg, s);
                 progress.jobDone();
             }
             if (ckpt == nullptr)
@@ -908,7 +944,9 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 rec.phase = 'S';
                 rec.index = i;
                 rec.ok = true;
-                rec.stats = sims[i];
+                rec.widths = widths;
+                for (size_t w = 0; w < W; ++w)
+                    rec.lanes.push_back(sims[simSlot(b, w, s, cfg)]);
                 ckpt->append(rec);
             }
         });
@@ -934,9 +972,8 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         for (size_t b = 0; b < B; ++b) {
             SeedSummary summary;
             summary.name = suite[b].name;
-            size_t bw = b * W + w;
             if (train_fail[b].has_value() ||
-                compile_fail[bw].has_value()) {
+                compile_fail[b].has_value()) {
                 summary.failedSeeds = static_cast<unsigned>(S);
                 if (ropts.verbose) {
                     std::fprintf(stderr, "  %-18s FAILED (%s)\n",
@@ -950,14 +987,15 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
             std::vector<double> ratios;
             double best = -1e9;
             for (size_t s = 0; s < S; ++s) {
-                size_t i = (bw * S + s) * 2;
-                if (sim_fail[i].has_value() ||
-                    sim_fail[i + 1].has_value()) {
+                size_t job = (b * S + s) * 2;
+                if (sim_fail[job].has_value() ||
+                    sim_fail[job + 1].has_value()) {
                     ++summary.failedSeeds;
                     continue;
                 }
+                size_t i = simSlot(b, w, s, 0);
                 BenchmarkOutcome outcome = assembleOutcome(
-                    suite[b], arts[bw], std::move(sims[i]),
+                    suite[b], arts[b], std::move(sims[i]),
                     std::move(sims[i + 1]));
                 ratios.push_back(1.0 + outcome.speedupPct / 100.0);
                 best = std::max(best, outcome.speedupPct);

@@ -1,16 +1,23 @@
 /**
  * @file
  * Parallel experiment engine: flattens a (benchmark x width x config
- * x REF-seed) sweep into independent simulation jobs on a shared
- * thread pool, with per-job fault isolation.
+ * x REF-seed) sweep into independent jobs on a shared thread pool,
+ * with per-job fault isolation.
  *
  * Phases (each a pool-wide barrier):
  *   1. train   — one job per benchmark (training is width-independent),
- *   2. compile — one job per (benchmark, width): both configurations,
- *   3. simulate — one job per (benchmark, width, config, seed); each
- *      builds its own Memory and predictor and reads the phase-2
- *      CompiledConfig strictly read-only,
+ *   2. compile — one job per benchmark: both configurations (compile
+ *      output is width-independent too, so every width shares it),
+ *   3. simulate — one job per (benchmark, config, seed), timing every
+ *      width of the sweep in one fused pass (simulateConfigWidths:
+ *      the functional, predictor and cache work runs once, the
+ *      per-width timing once per width). Each job builds its own
+ *      Memory and predictor, reads the phase-2 CompiledConfig
+ *      strictly read-only, and fills one result slot per width,
  *   4. assemble — single-threaded, in index order.
+ *
+ * A sweep over B benchmarks therefore runs B + B + 6B jobs (3 REF
+ * seeds x 2 configs), whatever its number of widths.
  *
  * Fault isolation: every job runs under a try/catch that converts a
  * SimError (or any exception) into a JobFailure slot instead of
@@ -38,11 +45,16 @@
  * stderr through a mutex-guarded, rate-limited reporter and are the
  * only nondeterministic output.
  *
+ * A fused job fails as a whole: one lane's watchdog Hang fails every
+ * width of that (benchmark, config, seed). The failure then names the
+ * lane's width (JobIdentity::width and the replay bundle), so the
+ * bundle replays solo on the machine that hung.
+ *
  * Crash safety: with RunnerOptions::checkpointDir set, every
  * completed job appends a checksummed record to a `vanguard-journal
- * v1` ledger (core/journal.hh) — simulate records carry the full
- * SimStats, train records pair with an atomically-written profile
- * checkpoint, failures record their JobFailure. A later run with
+ * v3` ledger (core/journal.hh) — simulate records carry one full
+ * SimStats per width, train records pair with an atomically-written
+ * profile checkpoint, failures record their JobFailure. A later run with
  * `resume = true` validates the journal against the sweep spec and
  * replays completed slots without re-executing them, re-running only
  * missing/corrupt entries; because jobs are pure, the resumed report
@@ -74,7 +86,10 @@ struct JobIdentity
 {
     const char *phase = "";     ///< "train" | "compile" | "simulate"
     std::string benchmark;
-    unsigned width = 0;         ///< 0 for width-independent phases
+    /** 0 for jobs that span every width (train, compile, and fused
+     *  simulate jobs of a multi-width sweep) — unless the job failed
+     *  in one lane, which it then names. */
+    unsigned width = 0;
     int config = -1;            ///< 0 baseline, 1 experimental, -1 n/a
     uint64_t seed = 0;          ///< 0 when not seed-specific
     size_t index = 0;           ///< job index within its phase
@@ -175,8 +190,9 @@ struct RunnerOptions
     /**
      * Metrics sink: the engine registers/updates `engine.*` counters
      * and folds every job's snapshot in (per-job scopes named
-     * `train.<bench>`, `compile.<bench>.w<w>`,
-     * `sim.<bench>.w<w>.<base|exp>.s<i>`). Null runs the sweep
+     * `train.<bench>`, `compile.<bench>`, and one
+     * `sim.<bench>.w<w>.<base|exp>.s<i>` per width of each fused
+     * simulate job). Null runs the sweep
      * against a private throwaway registry — the merge-time
      * bit-identity assertion still fires either way.
      */
@@ -184,8 +200,11 @@ struct RunnerOptions
 
     /**
      * Event-trace sink: train/compile/simulate spans per job (with
-     * benchmark/width/config/seed/attempt args), retry/failure/
-     * checkpoint instants, and coarse per-phase spans. Null disables
+     * benchmark/widths/config/seed/attempt args), retry/failure/
+     * checkpoint instants, coarse per-phase spans, and — through the
+     * ambient tracer — the compile passes (`compile.superblock`,
+     * `.decompose`, `.schedule`, `.linearize`, `.decode`) and each
+     * simulate job's `sim.memory` / `sim.timing` split. Null disables
      * tracing entirely (no overhead beyond a branch).
      */
     Tracer *tracer = nullptr;
@@ -229,7 +248,9 @@ struct SuiteReport
 
 /**
  * Evaluate a suite at every requested width through one pool,
- * surviving and recording individual job failures.
+ * surviving and recording individual job failures. `widths` must hold
+ * 1..kMaxSweepWidths values, each 1..kMaxWidthValue (core/journal.hh);
+ * SimError(Config) otherwise.
  */
 SuiteReport runSuiteWidthsReport(
     const std::vector<BenchmarkSpec> &suite,

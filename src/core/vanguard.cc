@@ -63,7 +63,8 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
               bool decomposed, const VanguardOptions &opts,
               DecomposeStats *dstats_out)
 {
-    TraceSpan span(currentTracer(), "compile.config",
+    Tracer *tracer = currentTracer();
+    TraceSpan span(tracer, "compile.config",
                    Tracer::args({{"decomposed",
                                   decomposed ? "1" : "0"}}));
     CompiledConfig out;
@@ -74,11 +75,14 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
     KernelCode code = buildKernelCode(spec);
     Function &fn = code.fn;
 
-    if (opts.applySuperblock)
+    if (opts.applySuperblock) {
+        TraceSpan pass(tracer, "compile.superblock");
         hoistAboveBiasedBranches(fn, train.profile, opts.superblock);
+    }
 
     DecomposeStats dstats;
     if (decomposed) {
+        TraceSpan pass(tracer, "compile.decompose");
         dstats = decomposeBranches(fn, train.selected, opts.decompose);
         if (!dstats.hoistedIds.empty()) {
             InstId max_id = *std::max_element(
@@ -92,14 +96,120 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
         *dstats_out = dstats;
 
     // The critical-path order does not depend on the target.
-    scheduleFunction(fn, {});
-
-    out.prog = linearize(fn);
+    {
+        TraceSpan pass(tracer, "compile.schedule");
+        scheduleFunction(fn, {});
+    }
+    {
+        TraceSpan pass(tracer, "compile.linearize");
+        out.prog = linearize(fn);
+    }
     out.staticInsts = out.prog.size();
     // Decode once per compile artifact; every REF-seed run of this
-    // configuration shares the flat form read-only.
+    // configuration, at every width, shares the flat form read-only.
+    TraceSpan pass(tracer, "compile.decode");
     out.decoded = std::make_shared<const DecodedProgram>(
         DecodedProgram::decode(out.prog, opts.machine().l1i.lineBytes));
+    return out;
+}
+
+std::vector<SimStats>
+simulateConfigWidths(const BenchmarkSpec &spec,
+                     const CompiledConfig &config,
+                     const VanguardOptions &opts,
+                     const std::vector<unsigned> &widths,
+                     uint64_t ref_seed, bool collect_branch_stalls)
+{
+    SimOptions common;
+    common.maxInsts = opts.simMaxInsts;
+    common.cycleBudget = opts.simCycleBudget;
+    common.progressWindow = opts.simProgressWindow;
+    common.collectBranchStalls = collect_branch_stalls;
+    common.noThreadedDispatch = opts.noThreadedDispatch;
+    if (!config.hoistedMask.empty())
+        common.hoistedMask = &config.hoistedMask;
+
+    std::vector<MachineConfig> machines;
+    machines.reserve(widths.size());
+    for (unsigned w : widths) {
+        VanguardOptions o = opts;
+        o.width = w;
+        machines.push_back(o.machine());
+    }
+    std::shared_ptr<const DecodedProgram> decoded = config.decoded;
+    if (decoded == nullptr && !machines.empty()) {
+        decoded = std::make_shared<const DecodedProgram>(
+            DecodedProgram::decode(config.prog,
+                                   machines[0].l1i.lineBytes));
+    }
+
+    // One fused pass per group of widths; each group replays the REF
+    // input from scratch (fresh memory image and predictor), exactly
+    // as a solo run at each width would. The lockstep oracle checks
+    // one timing run at a time, so it is single-lane.
+    Tracer *tracer = currentTracer();
+    size_t group = opts.lockstep ? 1 : maxFusedLanes(common);
+    std::vector<SimStats> out;
+    out.reserve(widths.size());
+    for (size_t first = 0; first < machines.size(); first += group) {
+        std::vector<MachineConfig> lanes(
+            machines.begin() + static_cast<ptrdiff_t>(first),
+            machines.begin() + static_cast<ptrdiff_t>(
+                                   std::min(first + group,
+                                            machines.size())));
+
+        // The compiled code is input-independent; the REF input is the
+        // memory image (patterns, data, and the noise PRNG seed),
+        // which is exactly the SPEC train-vs-ref divergence we want.
+        Memory mem = [&] {
+            TraceSpan span(tracer, "sim.memory");
+            return buildKernelMemory(spec, ref_seed);
+        }();
+        auto predictor = makePredictor(opts.predictor, ref_seed);
+        SimOptions sopts = common;
+
+        // Lockstep oracle: a golden functional run of the *original*
+        // kernel (the transformation contract: any compiled
+        // configuration retires the same store stream and final arch
+        // registers). The timing run below is then checked against it
+        // online.
+        std::unique_ptr<LockstepChecker> checker;
+        if (opts.lockstep) {
+            TraceSpan span(tracer, "sim.golden");
+            KernelCode original = buildKernelCode(spec);
+            Memory golden_mem = mem; // the timing run mutates mem
+            FastInterpreter oracle(original.fn, golden_mem);
+            oracle.recordStores(true);
+            RunResult gr = oracle.run(opts.simMaxInsts * 2);
+            if (gr.status == RunStatus::Fault) {
+                vg_throw(Fault,
+                         "lockstep golden run faulted at inst %u",
+                         gr.faultingInst);
+            }
+            LockstepOracle golden;
+            golden.stores = oracle.storeLog();
+            golden.halted = gr.status == RunStatus::Halted;
+            for (unsigned r = 0; r < kNumArchRegs; ++r)
+                golden.archRegs[r] = oracle.reg(static_cast<RegId>(r));
+            checker =
+                std::make_unique<LockstepChecker>(std::move(golden));
+            sopts.lockstep = checker.get();
+        }
+
+        std::vector<bool> outcomes;
+        bool needs_oracle = opts.predictor.rfind("ideal:", 0) == 0;
+        if (needs_oracle && config.decomposed) {
+            TraceSpan span(tracer, "sim.prerecord");
+            outcomes = prerecordPredictOutcomes(config.prog, mem,
+                                                opts.simMaxInsts * 2);
+            sopts.predictOutcomes = &outcomes;
+        }
+
+        TraceSpan span(tracer, "sim.timing");
+        for (SimStats &s : simulateWidths(config.prog, *decoded, mem,
+                                          *predictor, lanes, sopts))
+            out.push_back(std::move(s));
+    }
     return out;
 }
 
@@ -108,62 +218,9 @@ simulateConfig(const BenchmarkSpec &spec, const CompiledConfig &config,
                const VanguardOptions &opts, uint64_t ref_seed,
                bool collect_branch_stalls)
 {
-    // The compiled code is input-independent; the REF input is the
-    // memory image (patterns, data, and the noise PRNG seed), which is
-    // exactly the SPEC train-vs-ref divergence we want.
-    Memory mem = buildKernelMemory(spec, ref_seed);
-    auto predictor = makePredictor(opts.predictor, ref_seed);
-
-    SimOptions sopts;
-    sopts.maxInsts = opts.simMaxInsts;
-    sopts.cycleBudget = opts.simCycleBudget;
-    sopts.progressWindow = opts.simProgressWindow;
-    sopts.collectBranchStalls = collect_branch_stalls;
-    sopts.noThreadedDispatch = opts.noThreadedDispatch;
-    if (!config.hoistedMask.empty())
-        sopts.hoistedMask = &config.hoistedMask;
-
-    // Lockstep oracle: a golden functional run of the *original*
-    // kernel (the transformation contract: any compiled configuration
-    // retires the same store stream and final arch registers). The
-    // timing run below is then checked against it online.
-    std::unique_ptr<LockstepChecker> checker;
-    if (opts.lockstep) {
-        TraceSpan span(currentTracer(), "sim.golden");
-        KernelCode original = buildKernelCode(spec);
-        Memory golden_mem = mem; // the timing run mutates mem
-        FastInterpreter oracle(original.fn, golden_mem);
-        oracle.recordStores(true);
-        RunResult gr = oracle.run(opts.simMaxInsts * 2);
-        if (gr.status == RunStatus::Fault) {
-            vg_throw(Fault,
-                     "lockstep golden run faulted at inst %u",
-                     gr.faultingInst);
-        }
-        LockstepOracle golden;
-        golden.stores = oracle.storeLog();
-        golden.halted = gr.status == RunStatus::Halted;
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            golden.archRegs[r] = oracle.reg(static_cast<RegId>(r));
-        checker = std::make_unique<LockstepChecker>(std::move(golden));
-        sopts.lockstep = checker.get();
-    }
-
-    std::vector<bool> outcomes;
-    bool needs_oracle = opts.predictor.rfind("ideal:", 0) == 0;
-    if (needs_oracle && config.decomposed) {
-        TraceSpan span(currentTracer(), "sim.prerecord");
-        outcomes = prerecordPredictOutcomes(config.prog, mem,
-                                            opts.simMaxInsts * 2);
-        sopts.predictOutcomes = &outcomes;
-    }
-
-    TraceSpan span(currentTracer(), "sim.timing");
-    if (config.decoded != nullptr) {
-        return simulateWithDecoded(config.prog, *config.decoded, mem,
-                                   *predictor, opts.machine(), sopts);
-    }
-    return simulate(config.prog, mem, *predictor, opts.machine(), sopts);
+    return std::move(simulateConfigWidths(spec, config, opts,
+                                          {opts.width}, ref_seed,
+                                          collect_branch_stalls)[0]);
 }
 
 namespace {

@@ -139,11 +139,13 @@ TrainArtifacts trainFromProfile(const BenchmarkSpec &spec,
                                 const VanguardOptions &opts);
 
 /**
- * Everything that is computed once per (benchmark, width) and shared
- * read-only across all REF-seed simulations: the TRAIN profile and
- * selection, both compiled configurations, and the static-shape
- * metrics (ALPBB/PHI) of the untransformed kernel. Seed-independent
- * by construction — see CompiledConfig.
+ * Everything that is computed once per benchmark and shared read-only
+ * across all REF-seed simulations at every width: the TRAIN profile
+ * and selection, both compiled configurations, and the static-shape
+ * metrics (ALPBB/PHI) of the untransformed kernel. Seed- and
+ * width-independent by construction — see CompiledConfig (the
+ * scheduler ignores the machine and decode reads only the I-line
+ * size, which no width variant changes).
  */
 struct BenchmarkArtifacts
 {
@@ -156,8 +158,8 @@ struct BenchmarkArtifacts
 
 /**
  * Compile both configurations (and the static-shape metrics) from an
- * existing TRAIN pass. Training is width-independent, so one
- * TrainArtifacts may feed compileBenchmark at several widths.
+ * existing TRAIN pass. Neither step depends on the width, so one
+ * result serves every width of a sweep.
  */
 BenchmarkArtifacts compileBenchmark(const BenchmarkSpec &spec,
                                     TrainArtifacts train,
@@ -218,11 +220,28 @@ struct SeedSummary
 SeedSummary evaluateBenchmarkAllRefs(const BenchmarkSpec &spec,
                                      const VanguardOptions &opts);
 
-/** Simulate a compiled configuration on one REF input. */
+/** Simulate a compiled configuration on one REF input at
+ *  opts.width (simulateConfigWidths with one width). */
 SimStats simulateConfig(const BenchmarkSpec &spec,
                         const CompiledConfig &config,
                         const VanguardOptions &opts, uint64_t ref_seed,
                         bool collect_branch_stalls = false);
+
+/**
+ * Simulate a compiled configuration on one REF input at every width
+ * in `widths` (opts.width is ignored), returning one SimStats per
+ * width, in order. Widths are timed in fused groups of up to
+ * kMaxFusedLanes (uarch/pipeline.hh) that share one functional,
+ * predictor and cache pass; each result is bit-identical to
+ * simulateConfig at that width.
+ */
+std::vector<SimStats>
+simulateConfigWidths(const BenchmarkSpec &spec,
+                     const CompiledConfig &config,
+                     const VanguardOptions &opts,
+                     const std::vector<unsigned> &widths,
+                     uint64_t ref_seed,
+                     bool collect_branch_stalls = false);
 
 } // namespace vanguard
 

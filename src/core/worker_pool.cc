@@ -17,6 +17,7 @@
 
 #include "core/coordinator.hh"
 #include "core/journal.hh"
+#include "core/replay.hh"
 #include "profile/profile_io.hh"
 #include "support/checksum.hh"
 #include "support/ipc.hh"
@@ -36,8 +37,10 @@ namespace vanguard {
 
 namespace {
 
-constexpr unsigned kWorkerJobVersion = 1;
-constexpr unsigned kWorkerResultVersion = 1;
+// v2: simulate jobs carry a width list and results one stats lane per
+// width (one fused job per (benchmark, config, seed)).
+constexpr unsigned kWorkerJobVersion = 2;
+constexpr unsigned kWorkerResultVersion = 2;
 
 std::string
 hexU64(uint64_t v)
@@ -116,63 +119,6 @@ serializeOptionsExact(const VanguardOptions &o)
     return os.str();
 }
 
-bool
-parseOptLine(std::istringstream &ls, VanguardOptions *o)
-{
-    std::string name, tok;
-    ls >> name;
-    if (name == "predictor") {
-        ls >> o->predictor;
-    } else if (name == "width") {
-        ls >> o->width;
-    } else if (name == "superblock") {
-        int v; ls >> v; o->applySuperblock = v != 0;
-    } else if (name == "decompose") {
-        int v; ls >> v; o->applyDecomposition = v != 0;
-    } else if (name == "shadow-commit") {
-        int v; ls >> v; o->shadowCommit = v != 0;
-    } else if (name == "dbb-entries") {
-        ls >> o->dbbEntries;
-    } else if (name == "l1i-size-kb") {
-        ls >> o->l1iSizeKB;
-    } else if (name == "icache-prefetch") {
-        int v; ls >> v; o->icachePrefetch = v != 0;
-    } else if (name == "lockstep") {
-        int v; ls >> v; o->lockstep = v != 0;
-    } else if (name == "no-threaded-dispatch") {
-        int v; ls >> v; o->noThreadedDispatch = v != 0;
-    } else if (name == "sel-min-exposed") {
-        ls >> tok; o->selection.minExposed = parseHexDouble(tok);
-    } else if (name == "sel-min-execs") {
-        ls >> o->selection.minExecs;
-    } else if (name == "sel-min-predictability") {
-        ls >> tok; o->selection.minPredictability = parseHexDouble(tok);
-    } else if (name == "sel-forward-only") {
-        int v; ls >> v; o->selection.forwardOnly = v != 0;
-    } else if (name == "dec-max-hoist") {
-        ls >> o->decompose.maxHoistPerPath;
-    } else if (name == "dec-max-slice") {
-        ls >> o->decompose.maxSliceDepth;
-    } else if (name == "sb-bias-threshold") {
-        ls >> tok; o->superblock.biasThreshold = parseHexDouble(tok);
-    } else if (name == "sb-min-execs") {
-        ls >> o->superblock.minExecs;
-    } else if (name == "sb-max-hoist") {
-        ls >> o->superblock.maxHoist;
-    } else if (name == "profile-max-insts") {
-        ls >> o->profileMaxInsts;
-    } else if (name == "sim-max-insts") {
-        ls >> o->simMaxInsts;
-    } else if (name == "cycle-budget") {
-        ls >> o->simCycleBudget;
-    } else if (name == "progress-window") {
-        ls >> o->simProgressWindow;
-    } else {
-        return false; // unknown opts tolerated by the caller
-    }
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -188,6 +134,12 @@ serializeWorkerJob(const WorkerJob &job)
     os << "config " << (job.config == 0 ? "base" : "exp") << "\n";
     os << "seed " << hexU64(job.seed) << "\n";
     os << "collect-stalls " << (job.collectStalls ? 1 : 0) << "\n";
+    if (!job.widths.empty()) {
+        os << "widths " << job.widths.size();
+        for (unsigned w : job.widths)
+            os << ' ' << w;
+        os << "\n";
+    }
 
     const BenchmarkSpec &sp = job.spec;
     os << "spec name " << (sp.name != nullptr ? sp.name : "kernel")
@@ -254,6 +206,19 @@ parseWorkerJob(const std::string &body, WorkerJob *out,
             out->seed = parseU64(tok);
         } else if (key == "collect-stalls") {
             int v; ls >> v; out->collectStalls = v != 0;
+        } else if (key == "widths") {
+            size_t n = 0;
+            if (!(ls >> n) || n == 0 || n > kMaxSweepWidths) {
+                *error = "bad width-list length";
+                return false;
+            }
+            out->widths.assign(n, 0);
+            for (unsigned &w : out->widths) {
+                if (!(ls >> w) || w == 0 || w > kMaxWidthValue) {
+                    *error = "bad width in width list";
+                    return false;
+                }
+            }
         } else if (key == "spec") {
             std::string name, tok;
             ls >> name;
@@ -314,6 +279,10 @@ parseWorkerJob(const std::string &body, WorkerJob *out,
         *error = "bad job phase '" + out->phase + "'";
         return false;
     }
+    if (out->phase == "simulate" && out->widths.empty()) {
+        *error = "simulate job names no widths";
+        return false;
+    }
     out->bindSpecName();
     return true;
 }
@@ -338,7 +307,8 @@ serializeWorkerResult(const WorkerResult &res)
             rec.phase = 'S';
             rec.index = res.slot;
             rec.ok = true;
-            rec.stats = res.stats;
+            rec.widths = res.widths;
+            rec.lanes = res.lanes;
             appendBlob(&out, "record", serializeJournalRecord(rec));
         }
     } else {
@@ -399,7 +369,8 @@ parseWorkerResult(const std::string &body, WorkerResult *out,
                     *error = "corrupt stats record in result";
                     return false;
                 }
-                out->stats = rec.stats;
+                out->widths = std::move(rec.widths);
+                out->lanes = std::move(rec.lanes);
                 saw_record = true;
             }
         } else {
@@ -458,9 +429,10 @@ maybeDeliberateCrash(const WorkerJob &job)
 } // namespace
 
 /**
- * Per-(spec, width, config, profile, options) compile cache: a worker
- * simulates every REF seed of a group against one compiled artifact,
- * exactly as the in-process runner shares artifacts across seed jobs.
+ * Per-(spec, config, profile, options) compile cache: a worker
+ * simulates every REF seed of a benchmark against one compiled
+ * artifact, exactly as the in-process runner shares artifacts across
+ * seed jobs.
  */
 struct JobBodyRunner::Cache
 {
@@ -549,9 +521,11 @@ JobBodyRunner::run(const WorkerJob &job)
             res.profileText = serializeProfile(train.profile);
         } else {
             CompiledConfig &config = cache_->get(job);
-            res.stats = simulateConfig(job.spec, config, job.options,
-                                       job.seed, job.collectStalls);
-            instsRetired_.fetch_add(res.stats.dynamicInsts,
+            res.widths = job.widths;
+            res.lanes = simulateConfigWidths(job.spec, config,
+                                             job.options, job.widths,
+                                             job.seed, job.collectStalls);
+            instsRetired_.fetch_add(res.lanes[0].dynamicInsts,
                                     std::memory_order_relaxed);
         }
         res.ok = true;

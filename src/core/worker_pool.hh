@@ -138,9 +138,13 @@ struct WorkerJob
 
     BenchmarkSpec spec;
     std::string specName;           ///< owning storage for spec.name
-    VanguardOptions options;        ///< width already applied
+    VanguardOptions options;
 
     int config = 1;                 ///< 0 base, 1 exp (simulate)
+    /** Simulate: every width to time in one fused pass (at most
+     *  kMaxSweepWidths, each 1..kMaxWidthValue; options.width is
+     *  ignored). */
+    std::vector<unsigned> widths;
     uint64_t seed = 0;              ///< REF seed (simulate)
     bool collectStalls = false;     ///< simulate: base-config stalls
     std::string profileText;        ///< simulate: serialized TRAIN profile
@@ -156,7 +160,8 @@ struct WorkerResult
 
     // ok payloads
     std::string profileText;        ///< train
-    SimStats stats;                 ///< simulate
+    std::vector<unsigned> widths;   ///< simulate: the job's widths
+    std::vector<SimStats> lanes;    ///< simulate: one per width
 
     // fail payload: rethrown by the supervisor verbatim, so journal
     // and failure-table bytes match the in-process pool.

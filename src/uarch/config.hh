@@ -26,6 +26,8 @@ struct CacheConfig
     unsigned ways = 8;
     unsigned lineBytes = 64;
     unsigned latency = 4;   ///< total load-to-use latency on hit here
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 struct MachineConfig
@@ -83,6 +85,8 @@ struct MachineConfig
 
     /** Render as a Table-1-like description. */
     std::string toString() const;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 } // namespace vanguard

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 /*
  * Compile-time availability of the computed-goto (threaded-code)
@@ -70,104 +71,148 @@ stallKeyBound(const Program &prog)
 }
 
 /**
- * Cycle-accounting machinery shared by both execution paths: machine
- * state (caches, BTB, DBB), fetch/issue bookkeeping, and the
- * allocation-free queues of the cycle loop. The two subclasses differ
- * only in how the committed instruction stream is produced —
- * ReferenceModel interprets Instruction records through a
- * ProgramExecutor with std::function hooks (the retained pre-decode
- * baseline), FastModel runs a fused decode/execute/time loop over a
- * DecodedProgram — so every cycle-level decision lives here exactly
- * once and bit-identity between the paths holds by construction.
+ * Reject machine shapes the timing model cannot make progress on: a
+ * zero issue width or port count spins computeIssue forever, and a
+ * zero-entry fetch buffer, DBB or miss buffer breaks the queue bounds
+ * below.
+ */
+void
+validateLaneConfig(const MachineConfig &cfg)
+{
+    struct Field
+    {
+        const char *name;
+        unsigned value;
+    };
+    for (const Field &f :
+         {Field{"width", cfg.width}, Field{"memPorts", cfg.memPorts},
+          Field{"intPorts", cfg.intPorts}, Field{"fpPorts", cfg.fpPorts},
+          Field{"fetchBufferEntries", cfg.fetchBufferEntries},
+          Field{"dbbEntries", cfg.dbbEntries},
+          Field{"mshrEntries", cfg.mshrEntries}}) {
+        if (f.value == 0)
+            vg_throw(Config, "machine config: %s must be at least 1",
+                     f.name);
+    }
+}
+
+/**
+ * Lanes share one functional, predictor and cache pass, so their
+ * machines may differ only in what that pass never reads: the issue
+ * width and the execution-port counts.
+ */
+const MachineConfig &
+validateLanes(std::span<const MachineConfig> cfgs)
+{
+    if (cfgs.empty() || cfgs.size() > kMaxFusedLanes)
+        vg_throw(Config, "fused simulation takes 1..%u lanes, got %zu",
+                 kMaxFusedLanes, cfgs.size());
+    for (const MachineConfig &cfg : cfgs) {
+        validateLaneConfig(cfg);
+        MachineConfig same = cfg;
+        same.width = cfgs[0].width;
+        same.memPorts = cfgs[0].memPorts;
+        same.intPorts = cfgs[0].intPorts;
+        same.fpPorts = cfgs[0].fpPorts;
+        if (!(same == cfgs[0]))
+            vg_throw(Config,
+                     "fused lanes may differ only in width and ports "
+                     "(width %u lane differs from width %u lane)",
+                     cfg.width, cfgs[0].width);
+    }
+    return cfgs[0];
+}
+
+/**
+ * The per-width half of the timing model: everything a cycle decision
+ * reads or writes that depends on the issue width — fetch bandwidth
+ * and the fetch-buffer ring, issue slots and ports, the scoreboard,
+ * the miss buffer, the DBB free-cycle FIFO, the lane's stall counters
+ * and its watchdog state. One lane per simulated width; the shared
+ * functional/predictor/cache work in TimingCommon drives them all in
+ * lockstep.
  *
  * Queue bounds (all derived from MachineConfig, so the cycle loop
  * never touches the heap):
- *  - dbb_free_cycles_ <= 2*dbbEntries - 1: a PREDICT drains it below
+ *  - dbb_free_cycles <= 2*dbbEntries - 1: a PREDICT drains it below
  *    dbbEntries before inserting, and at most dbbEntries RESOLVEs (the
  *    DBB's own capacity, asserted by its CircularBuffer) can push
  *    before the next PREDICT;
- *  - outstanding_misses_ <= mshrEntries: the MSHR loop pops below
+ *  - outstanding_misses <= mshrEntries: the MSHR loop pops below
  *    capacity before any insert. Only the minimum completion cycle is
  *    ever observed, so a flat min-heap is element-for-element
  *    equivalent to the std::multiset it replaces.
  */
-class TimingCommon
+struct TimingLane
 {
-  protected:
-    TimingCommon(DirectionPredictor &predictor, const MachineConfig &cfg,
-                 const SimOptions &opts, InstId stall_key_bound)
-        : predictor_(predictor), cfg_(cfg), opts_(opts), hier_(cfg),
-          btb_(cfg.btbIndexBits), dbb_(cfg.dbbEntries),
-          fetch_ring_(cfg.fetchBufferEntries, 0),
-          outstanding_misses_(cfg.mshrEntries),
-          dbb_free_cycles_(2 * size_t{cfg.dbbEntries}),
-          line_mask_(~uint64_t{cfg.l1i.lineBytes - 1}),
-          fetch_slot_mask_(
-              (cfg.fetchBufferEntries &
-               (cfg.fetchBufferEntries - 1)) == 0
+    TimingLane(const MachineConfig &cfg, InstId stall_key_bound,
+               bool collect_stalls)
+        : fetch_ring(cfg.fetchBufferEntries, 0),
+          outstanding_misses(cfg.mshrEntries),
+          dbb_free_cycles(2 * size_t{cfg.dbbEntries}),
+          fetch_slot_mask(
+              (cfg.fetchBufferEntries & (cfg.fetchBufferEntries - 1)) ==
+                      0
                   ? cfg.fetchBufferEntries - 1
                   : 0),
-          width_(cfg.width), frontend_stages_(cfg.frontendStages),
-          fetch_buffer_entries_(cfg.fetchBufferEntries),
-          dbb_entries_(cfg.dbbEntries), mshr_entries_(cfg.mshrEntries),
-          mem_ports_(cfg.memPorts), int_ports_(cfg.intPorts),
-          fp_ports_(cfg.fpPorts), shadow_commit_(cfg.shadowCommit)
+          width(cfg.width), frontend_stages(cfg.frontendStages),
+          fetch_buffer_entries(cfg.fetchBufferEntries),
+          dbb_entries(cfg.dbbEntries), mshr_entries(cfg.mshrEntries)
     {
-        // Dense per-branch stall accumulators, sized once up front so
-        // the hot loop never touches the hash map (and does nothing at
-        // all when collection is off). Sized by the largest id a
-        // BR/RESOLVE can report, not by program length.
-        if (opts_.collectBranchStalls && stall_key_bound != kNoInst) {
-            stall_cycles_by_id_.assign(stall_key_bound + 1, 0);
-            stall_events_by_id_.assign(stall_key_bound + 1, 0);
-        }
+        port_cap[static_cast<unsigned>(FuClass::IntAlu)] = cfg.intPorts;
+        port_cap[static_cast<unsigned>(FuClass::Mem)] = cfg.memPorts;
+        port_cap[static_cast<unsigned>(FuClass::Fp)] = cfg.fpPorts;
+        port_cap[static_cast<unsigned>(FuClass::None)] = cfg.width;
+        // Dense per-branch stall-cycle accumulator, sized once up front
+        // so the hot loop never touches the hash map (and does nothing
+        // at all when collection is off).
+        if (collect_stalls && stall_key_bound != kNoInst)
+            stall_cycles_by_id.assign(stall_key_bound + 1, 0);
     }
 
-    // --- fetch-side helpers -------------------------------------------
-
-    /** Fetch one instruction; returns its fetch cycle. `line` is the
-     *  instruction's I-cache line tag (pc masked with line_mask_). */
+    /**
+     * Fetch one instruction; returns its fetch cycle. `icache_extra`
+     * is the shared I-cache miss penalty of this instruction's line
+     * (0 on a hit or when the line did not change).
+     */
     uint64_t
-    fetchInst(uint64_t line, uint64_t inst_seq)
+    fetch(unsigned icache_extra, uint64_t inst_seq)
     {
-        uint64_t f = next_fetch_cycle_;
+        uint64_t f = next_fetch_cycle;
 
         // Fetch buffer back-pressure: slot of inst (seq - N) must have
         // drained.
-        size_t n = fetch_buffer_entries_;
-        if (inst_seq >= n) {
-            uint64_t freed = fetch_ring_[fetchSlot(inst_seq)];
+        if (inst_seq >= fetch_buffer_entries) {
+            uint64_t freed = fetch_ring[fetchSlot(inst_seq)];
             if (freed > f) {
                 f = freed;
-                ++stats_.fetchBufferStalls;
+                ++fetch_buffer_stalls;
             }
         }
-
-        // I-cache: access on each new line.
-        if (line != cur_fetch_line_) {
-            ++stats_.icacheLineAccesses;
-            unsigned extra = hier_.instAccess(line);
-            if (extra > 0) {
-                ++stats_.icacheMisses;
-                f += extra;
-            }
-            cur_fetch_line_ = line;
-        }
+        f += icache_extra;
 
         // Bandwidth: width insts per cycle.
-        if (f > cur_fetch_cycle_) {
-            cur_fetch_cycle_ = f;
-            fetched_in_cycle_ = 0;
+        if (f > cur_fetch_cycle) {
+            cur_fetch_cycle = f;
+            fetched_in_cycle = 0;
         }
-        if (fetched_in_cycle_ >= width_) {
-            ++cur_fetch_cycle_;
-            fetched_in_cycle_ = 0;
+        if (fetched_in_cycle >= width) {
+            ++cur_fetch_cycle;
+            fetched_in_cycle = 0;
         }
-        f = cur_fetch_cycle_;
-        ++fetched_in_cycle_;
-        ++stats_.fetched;
-        next_fetch_cycle_ = cur_fetch_cycle_;
+        f = cur_fetch_cycle;
+        ++fetched_in_cycle;
+        next_fetch_cycle = cur_fetch_cycle;
         return f;
+    }
+
+    /** The cycle a fetched instruction reaches the issue stage. */
+    VG_HOT_INLINE uint64_t
+    enterIssue(uint64_t fetch_cycle)
+    {
+        uint64_t e = fetch_cycle + frontend_stages - 1;
+        max_done = std::max(max_done, e);
+        return e;
     }
 
     /** Fetch-ring slot of inst_seq; mask when the buffer is a power of
@@ -175,80 +220,56 @@ class TimingCommon
     VG_HOT_INLINE size_t
     fetchSlot(uint64_t inst_seq) const
     {
-        return fetch_slot_mask_ != 0
-            ? (inst_seq & fetch_slot_mask_)
-            : (inst_seq % fetch_buffer_entries_);
+        return fetch_slot_mask != 0 ? (inst_seq & fetch_slot_mask)
+                                    : (inst_seq % fetch_buffer_entries);
     }
 
     /** Record when an instruction leaves the fetch buffer. */
     VG_HOT_INLINE void
     recordDrain(uint64_t inst_seq, uint64_t leave_cycle)
     {
-        fetch_ring_[fetchSlot(inst_seq)] = leave_cycle;
+        fetch_ring[fetchSlot(inst_seq)] = leave_cycle;
     }
 
-    /** Steer fetch for a taken (correctly-predicted) control transfer. */
-    void
-    takenRedirect(uint64_t pc, uint64_t target, uint64_t fetch_cycle,
+    /** Steer fetch for a taken (correctly-predicted) control transfer;
+     *  `btb_hit` comes from the shared BTB probe. */
+    VG_HOT_INLINE void
+    takenRedirect(bool btb_hit, uint64_t fetch_cycle,
                   uint64_t decode_cycle)
     {
-        uint64_t btb_target = 0;
-        bool hit = btb_.lookup(pc, btb_target) && btb_target == target;
-        next_fetch_cycle_ =
-            std::max(next_fetch_cycle_,
-                     hit ? fetch_cycle + 1 : decode_cycle + 1);
-        btb_.insert(pc, target);
-        cur_fetch_line_ = ~uint64_t{0};
+        next_fetch_cycle =
+            std::max(next_fetch_cycle,
+                     btb_hit ? fetch_cycle + 1 : decode_cycle + 1);
     }
 
     /** Squash-and-redirect after a mispredict resolves at `done`. */
-    void
+    VG_HOT_INLINE void
     mispredictRedirect(uint64_t done)
     {
-        next_fetch_cycle_ = std::max(next_fetch_cycle_, done);
-        cur_fetch_line_ = ~uint64_t{0};
+        next_fetch_cycle = std::max(next_fetch_cycle, done);
     }
 
     /**
-     * DBB insert at decode; stalls the front end while the buffer is
-     * full. Returns the (possibly delayed) decode cycle at which the
+     * DBB admission at decode; stalls the front end while the buffer
+     * is full. Returns the (possibly delayed) decode cycle at which the
      * PREDICT actually drains.
      */
     uint64_t
     dbbAdmit(uint64_t decode)
     {
-        while (!dbb_free_cycles_.empty() &&
-               dbb_free_cycles_.front() <= decode) {
-            dbb_free_cycles_.pop_front();
+        while (!dbb_free_cycles.empty() &&
+               dbb_free_cycles.front() <= decode) {
+            dbb_free_cycles.pop_front();
         }
-        while (dbb_free_cycles_.size() >= dbb_entries_) {
-            ++stats_.dbbFullStalls;
-            decode = std::max(decode, dbb_free_cycles_.front() + 1);
-            dbb_free_cycles_.pop_front();
-            next_fetch_cycle_ = std::max(next_fetch_cycle_, decode - 1);
+        while (dbb_free_cycles.size() >= dbb_entries) {
+            ++dbb_full_stalls;
+            decode = std::max(decode, dbb_free_cycles.front() + 1);
+            dbb_free_cycles.pop_front();
+            next_fetch_cycle = std::max(next_fetch_cycle, decode - 1);
         }
-        stats_.dbbMaxOccupancy =
-            std::max<uint64_t>(stats_.dbbMaxOccupancy,
-                               dbb_free_cycles_.size() + 1);
+        dbb_max_occupancy = std::max<uint64_t>(
+            dbb_max_occupancy, dbb_free_cycles.size() + 1);
         return decode;
-    }
-
-    // --- issue-side helpers -------------------------------------------
-
-    VG_HOT_INLINE unsigned
-    portCap(FuClass cls) const
-    {
-        switch (cls) {
-          case FuClass::Mem:
-            return mem_ports_;
-          case FuClass::IntAlu:
-            return int_ports_;
-          case FuClass::Fp:
-            return fp_ports_;
-          case FuClass::None:
-            return width_;
-        }
-        return width_;
     }
 
     /** In-order issue: find the first cycle >= earliest with a free
@@ -256,19 +277,19 @@ class TimingCommon
     uint64_t
     computeIssue(uint64_t earliest, FuClass cls)
     {
-        uint64_t c = std::max(earliest, prev_issue_cycle_);
+        uint64_t c = std::max(earliest, prev_issue_cycle);
+        unsigned cls_idx = static_cast<unsigned>(cls);
         for (;;) {
-            if (c > cur_issue_cycle_) {
-                cur_issue_cycle_ = c;
-                slots_used_ = 0;
-                std::memset(ports_used_, 0, sizeof(ports_used_));
+            if (c > cur_issue_cycle) {
+                cur_issue_cycle = c;
+                slots_used = 0;
+                std::memset(ports_used, 0, sizeof(ports_used));
             }
-            unsigned cls_idx = static_cast<unsigned>(cls);
-            if (slots_used_ < width_ &&
-                ports_used_[cls_idx] < portCap(cls)) {
-                ++slots_used_;
-                ++ports_used_[cls_idx];
-                prev_issue_cycle_ = c;
+            if (slots_used < width &&
+                ports_used[cls_idx] < port_cap[cls_idx]) {
+                ++slots_used;
+                ++ports_used[cls_idx];
+                prev_issue_cycle = c;
                 return c;
             }
             ++c;
@@ -280,11 +301,11 @@ class TimingCommon
     {
         uint64_t ready = 0;
         if (src1 != kNoReg)
-            ready = reg_ready_[src1];
-        if (src2 != kNoReg && reg_ready_[src2] > ready)
-            ready = reg_ready_[src2];
-        if (src3 != kNoReg && reg_ready_[src3] > ready)
-            ready = reg_ready_[src3];
+            ready = reg_ready[src1];
+        if (src2 != kNoReg && reg_ready[src2] > ready)
+            ready = reg_ready[src2];
+        if (src3 != kNoReg && reg_ready[src3] > ready)
+            ready = reg_ready[src3];
         return ready;
     }
 
@@ -293,35 +314,156 @@ class TimingCommon
      * between the branch reaching the issue stage and actually
      * issuing — queueing behind older in-flight work plus waiting for
      * its own condition operands. `key` is the branch's accumulator
-     * index (BR -> id, RESOLVE -> origBranch).
+     * index (BR -> id, RESOLVE -> origBranch); the event count is
+     * width-invariant and kept once, in TimingCommon.
      */
-    void
+    VG_HOT_INLINE void
     noteBranchStall(InstId key, uint64_t issue, uint64_t enter_issue)
     {
         uint64_t stall = issue - enter_issue;
-        stats_.branchStallCycles += stall;
-        ++stats_.branchStallEvents;
-        if (opts_.collectBranchStalls &&
-            key < stall_cycles_by_id_.size()) {
-            stall_cycles_by_id_[key] += stall;
-            ++stall_events_by_id_[key];
-        }
+        branch_stall_cycles += stall;
+        if (key < stall_cycles_by_id.size())
+            stall_cycles_by_id[key] += stall;
     }
 
     /** MSHR occupancy gating for a load entering issue. */
     uint64_t
     mshrAdmit(uint64_t earliest)
     {
-        while (!outstanding_misses_.empty() &&
-               outstanding_misses_.min() <= earliest) {
-            outstanding_misses_.pop_min();
+        while (!outstanding_misses.empty() &&
+               outstanding_misses.min() <= earliest) {
+            outstanding_misses.pop_min();
         }
-        while (outstanding_misses_.size() >= mshr_entries_) {
-            ++stats_.mshrStalls;
-            earliest = std::max(earliest, outstanding_misses_.min());
-            outstanding_misses_.pop_min();
+        while (outstanding_misses.size() >= mshr_entries) {
+            ++mshr_stalls;
+            earliest = std::max(earliest, outstanding_misses.min());
+            outstanding_misses.pop_min();
         }
         return earliest;
+    }
+
+    // fetch state
+    uint64_t next_fetch_cycle = 0;
+    uint64_t cur_fetch_cycle = 0;
+    unsigned fetched_in_cycle = 0;
+    std::vector<uint64_t> fetch_ring;
+
+    // issue state
+    uint64_t prev_issue_cycle = 0;
+    uint64_t cur_issue_cycle = 0;
+    unsigned slots_used = 0;
+    unsigned ports_used[4] = {};
+    unsigned port_cap[4] = {};  ///< by FuClass; None -> width
+    uint64_t reg_ready[kNumRegs] = {};
+
+    // memory-system state: completion cycles of in-flight misses.
+    BoundedMinHeap outstanding_misses;
+
+    // DBB timing state: free cycles of inserted entries, FIFO order.
+    RingFifo<uint64_t> dbb_free_cycles;
+
+    // Per-branch stall cycles (only sized when collecting).
+    std::vector<uint64_t> stall_cycles_by_id;
+
+    // Width-dependent counters; folded into this lane's SimStats.
+    uint64_t fetch_buffer_stalls = 0;
+    uint64_t branch_stall_cycles = 0;
+    uint64_t dbb_full_stalls = 0;
+    uint64_t dbb_max_occupancy = 0;
+    uint64_t mshr_stalls = 0;
+
+    // Watchdog state.
+    uint64_t max_done = 0;
+    uint64_t last_commit_cycle = 0;
+
+    /** fetchBufferEntries-1 when a power of two, else 0 (division
+     *  fallback in fetchSlot). */
+    const uint64_t fetch_slot_mask;
+
+    // Config fields copied by value so the cycle loop never reloads
+    // them through a reference the compiler must assume aliases.
+    const unsigned width;
+    const unsigned frontend_stages;
+    const unsigned fetch_buffer_entries;
+    const unsigned dbb_entries;
+    const unsigned mshr_entries;
+};
+
+/**
+ * Cycle-accounting machinery shared by both execution paths: the
+ * width-invariant machine state (caches, BTB, DBB entries, the current
+ * fetch line, the width-invariant counters) plus one TimingLane per
+ * simulated width. The two subclasses differ only in how the
+ * committed instruction stream is produced — ReferenceModel interprets
+ * Instruction records through a ProgramExecutor with std::function
+ * hooks (the retained pre-decode baseline, always one lane),
+ * FastModel runs a fused decode/execute/time loop over a
+ * DecodedProgram for a compile-time lane count — so every cycle-level
+ * decision lives here or in TimingLane exactly once and bit-identity
+ * between the paths holds by construction.
+ *
+ * Why lanes can share one pass: the committed stream, the predictor's
+ * inputs (predict/update order and outcomes), and the cache and BTB
+ * access sequences are all functions of program order alone, never of
+ * cycle numbers, so every width sees the same ones.
+ */
+class TimingCommon
+{
+  protected:
+    TimingCommon(DirectionPredictor &predictor,
+                 std::span<const MachineConfig> cfgs,
+                 const SimOptions &opts, InstId stall_key_bound)
+        : predictor_(predictor), cfg_(validateLanes(cfgs)), opts_(opts),
+          hier_(cfg_), btb_(cfg_.btbIndexBits), dbb_(cfg_.dbbEntries),
+          line_mask_(~uint64_t{cfg_.l1i.lineBytes - 1}),
+          shadow_commit_(cfg_.shadowCommit)
+    {
+        lanes_.reserve(cfgs.size());
+        for (const MachineConfig &cfg : cfgs)
+            lanes_.emplace_back(cfg, stall_key_bound,
+                                opts_.collectBranchStalls);
+        if (opts_.collectBranchStalls && stall_key_bound != kNoInst)
+            stall_events_by_id_.assign(stall_key_bound + 1, 0);
+    }
+
+    // --- shared halves of the per-instruction helpers ------------------
+
+    /** Fetch-side work common to every lane: the fetched count and the
+     *  I-cache access on each new line. Returns the miss penalty every
+     *  lane adds to this instruction's fetch cycle. */
+    unsigned
+    fetchLine(uint64_t line)
+    {
+        ++stats_.fetched;
+        if (line == cur_fetch_line_)
+            return 0;
+        ++stats_.icacheLineAccesses;
+        unsigned extra = hier_.instAccess(line);
+        if (extra > 0)
+            ++stats_.icacheMisses;
+        cur_fetch_line_ = line;
+        return extra;
+    }
+
+    /** BTB probe + fill for a taken control transfer; the line
+     *  changes. Returns whether the BTB held the right target. */
+    bool
+    btbRedirect(uint64_t pc, uint64_t target)
+    {
+        uint64_t btb_target = 0;
+        bool hit = btb_.lookup(pc, btb_target) && btb_target == target;
+        btb_.insert(pc, target);
+        cur_fetch_line_ = ~uint64_t{0};
+        return hit;
+    }
+
+    /** Per-branch stall event count (width-invariant). */
+    VG_HOT_INLINE void
+    noteBranchStallEvent(InstId key)
+    {
+        ++stats_.branchStallEvents;
+        if (key < stall_events_by_id_.size())
+            ++stall_events_by_id_[key];
     }
 
     /** Charge one data-side hierarchy access and count per-level. */
@@ -351,29 +493,59 @@ class TimingCommon
         }
     }
 
+    // --- forward-progress watchdogs -----------------------------------
+
+    /**
+     * Cycle-budget and progress-window checks for one lane after a
+     * commit: a runaway program (cycle budget) or a timing-model bug
+     * that stops retiring work (progress window) surfaces as a
+     * structured Hang naming the lane's width, instead of wedging the
+     * experiment pool.
+     */
+    VG_HOT_INLINE void
+    checkWatchdogs(TimingLane &ln, uint64_t pc)
+    {
+        if (opts_.cycleBudget != 0 && ln.max_done > opts_.cycleBudget)
+            budgetThrow(ln, pc);
+        if (opts_.progressWindow != 0 &&
+            ln.max_done - ln.last_commit_cycle > opts_.progressWindow)
+            progressThrow(ln, pc);
+        ln.last_commit_cycle = ln.max_done;
+    }
+
+    [[noreturn]] void
+    budgetThrow(const TimingLane &ln, uint64_t pc)
+    {
+        vg_throw(Hang,
+                 "width %u: cycle budget exceeded: %llu cycles > budget "
+                 "%llu after %llu retired insts (pc 0x%llx)",
+                 ln.width, static_cast<unsigned long long>(ln.max_done),
+                 static_cast<unsigned long long>(opts_.cycleBudget),
+                 static_cast<unsigned long long>(stats_.dynamicInsts),
+                 static_cast<unsigned long long>(pc));
+    }
+
+    [[noreturn]] void
+    progressThrow(const TimingLane &ln, uint64_t pc)
+    {
+        vg_throw(Hang,
+                 "width %u: no retired-instruction progress: clock "
+                 "advanced %llu cycles across one commit (window %llu, "
+                 "pc 0x%llx)",
+                 ln.width,
+                 static_cast<unsigned long long>(ln.max_done -
+                                                 ln.last_commit_cycle),
+                 static_cast<unsigned long long>(opts_.progressWindow),
+                 static_cast<unsigned long long>(pc));
+    }
+
     // --- end-of-run reporting -----------------------------------------
 
-    void
+    /** One SimStats per lane: the shared counters plus that lane's
+     *  width-dependent ones. */
+    std::vector<SimStats>
     finalizeStats()
     {
-        stats_.cycles = max_done_ + 1;
-
-        // One pass builds the per-branch map callers expect; sized to
-        // the touched-entry count so it never rehashes.
-        if (opts_.collectBranchStalls) {
-            size_t touched = 0;
-            for (uint64_t events : stall_events_by_id_)
-                touched += events != 0;
-            stats_.branchStalls.reserve(touched);
-            for (InstId id = 0; id < stall_events_by_id_.size(); ++id) {
-                if (stall_events_by_id_[id] != 0) {
-                    stats_.branchStalls.emplace(
-                        id, std::make_pair(stall_cycles_by_id_[id],
-                                           stall_events_by_id_[id]));
-                }
-            }
-        }
-
         // Export the predictor's internal counters under a sanitized
         // "bpred.<name>." prefix so they ride along with the run's
         // stats (and survive journal round-trips like every other
@@ -384,6 +556,37 @@ class TimingCommon
         stats_.bpredCounters.reserve(snap.entries.size());
         for (const auto &e : snap.entries)
             stats_.bpredCounters.emplace_back(e.path, e.value);
+
+        size_t touched = 0;
+        for (uint64_t events : stall_events_by_id_)
+            touched += events != 0;
+
+        std::vector<SimStats> out;
+        out.reserve(lanes_.size());
+        for (const TimingLane &ln : lanes_) {
+            SimStats s = stats_;
+            s.cycles = ln.max_done + 1;
+            s.fetchBufferStalls = ln.fetch_buffer_stalls;
+            s.branchStallCycles = ln.branch_stall_cycles;
+            s.dbbFullStalls = ln.dbb_full_stalls;
+            s.dbbMaxOccupancy = ln.dbb_max_occupancy;
+            s.mshrStalls = ln.mshr_stalls;
+            // One pass builds the per-branch map callers expect;
+            // sized to the touched-entry count so it never rehashes.
+            if (opts_.collectBranchStalls) {
+                s.branchStalls.reserve(touched);
+                for (InstId id = 0; id < stall_events_by_id_.size();
+                     ++id) {
+                    if (stall_events_by_id_[id] != 0) {
+                        s.branchStalls.emplace(
+                            id, std::make_pair(ln.stall_cycles_by_id[id],
+                                               stall_events_by_id_[id]));
+                    }
+                }
+            }
+            out.push_back(std::move(s));
+        }
+        return out;
     }
 
     DirectionPredictor &predictor_;
@@ -393,58 +596,20 @@ class TimingCommon
     MemoryHierarchy hier_;
     BranchTargetBuffer btb_;
     DecomposedBranchBuffer dbb_;
-    SimStats stats_;
+    SimStats stats_;  ///< width-invariant counters (lane fields unused)
+    std::vector<TimingLane> lanes_;
 
-    // fetch state
-    uint64_t next_fetch_cycle_ = 0;
-    uint64_t cur_fetch_cycle_ = 0;
-    unsigned fetched_in_cycle_ = 0;
     uint64_t cur_fetch_line_ = ~uint64_t{0};
-    std::vector<uint64_t> fetch_ring_;
 
-    // issue state
-    uint64_t prev_issue_cycle_ = 0;
-    uint64_t cur_issue_cycle_ = 0;
-    unsigned slots_used_ = 0;
-    unsigned ports_used_[4] = {};
-    uint64_t reg_ready_[kNumRegs] = {};
-
-    // memory-system state: completion cycles of in-flight misses.
-    BoundedMinHeap outstanding_misses_;
-
-    // DBB timing state: free cycles of inserted entries, FIFO order.
-    RingFifo<uint64_t> dbb_free_cycles_;
-
-    // Per-branch stall accumulators (only sized when
-    // opts.collectBranchStalls); densified into stats_.branchStalls
-    // once at the end of run().
-    std::vector<uint64_t> stall_cycles_by_id_;
+    // Per-branch stall events (only sized when collecting).
     std::vector<uint64_t> stall_events_by_id_;
 
     /** Config-derived I-line mask, computed once (not per fetch). */
     const uint64_t line_mask_;
-
-    /** fetchBufferEntries-1 when a power of two, else 0 (division
-     *  fallback in fetchSlot). */
-    const uint64_t fetch_slot_mask_;
-
-    // Hot MachineConfig fields copied by value: reads through the
-    // cfg_ reference cannot be hoisted by the compiler past the
-    // model's own stores (potential aliasing), so the cycle loop would
-    // reload them every instruction.
-    const unsigned width_;
-    const unsigned frontend_stages_;
-    const unsigned fetch_buffer_entries_;
-    const unsigned dbb_entries_;
-    const unsigned mshr_entries_;
-    const unsigned mem_ports_;
-    const unsigned int_ports_;
-    const unsigned fp_ports_;
     const bool shadow_commit_;
 
     uint64_t predict_seq_ = 0;
     DbbEntry pending_predict_;
-    uint64_t max_done_ = 0;
 };
 
 /**
@@ -462,7 +627,8 @@ class ReferenceModel : public TimingCommon
     ReferenceModel(const Program &prog, Memory &mem,
                    DirectionPredictor &predictor,
                    const MachineConfig &cfg, const SimOptions &opts)
-        : TimingCommon(predictor, cfg, opts, stallKeyBound(prog)),
+        : TimingCommon(predictor, std::span(&cfg, 1), opts,
+                       stallKeyBound(prog)),
           prog_(prog), exec_(prog, mem)
     {
         exec_.setPredictHook([this](const LaidInst &li) {
@@ -511,34 +677,34 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
 {
     const LaidInst &li = *info.inst;
     const Instruction &inst = li.inst;
+    TimingLane &ln = lanes_[0];
 
-    uint64_t f = fetchInst(li.pc & line_mask_, inst_seq);
+    uint64_t f = ln.fetch(fetchLine(li.pc & line_mask_), inst_seq);
     uint64_t decode = f + 1;
-    uint64_t enter_issue = f + frontend_stages_ - 1;
-    max_done_ = std::max(max_done_, enter_issue);
+    uint64_t enter_issue = ln.enterIssue(f);
 
     switch (inst.op) {
       case Opcode::HALT:
-        recordDrain(inst_seq, decode);
+        ln.recordDrain(inst_seq, decode);
         traceRecord(li.pc, inst.op, f, decode, decode, false, false);
         stats_.halted = true;
         return;
 
       case Opcode::JMP:
         // Direct jumps are handled in the front end; no issue slot.
-        recordDrain(inst_seq, decode);
-        takenRedirect(li.pc, li.takenPc, f, decode);
+        ln.recordDrain(inst_seq, decode);
+        ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
         traceRecord(li.pc, inst.op, f, decode, decode, false, false);
         return;
 
       case Opcode::PREDICT: {
         ++stats_.predictsExecuted;
-        decode = dbbAdmit(decode);
+        decode = ln.dbbAdmit(decode);
         dbb_.insert(pending_predict_.predictPc, pending_predict_.meta,
                     pending_predict_.predictedTaken);
-        recordDrain(inst_seq, decode); // dropped after decode
+        ln.recordDrain(inst_seq, decode); // dropped after decode
         if (info.taken)
-            takenRedirect(li.pc, li.takenPc, f, decode);
+            ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
         traceRecord(li.pc, inst.op, f, decode, decode, false, false);
         return;
       }
@@ -553,22 +719,24 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
 
         uint64_t earliest =
             std::max(enter_issue,
-                     srcReady(inst.src1, inst.src2, inst.src3));
-        uint64_t issue = computeIssue(earliest, FuClass::IntAlu);
+                     ln.srcReady(inst.src1, inst.src2, inst.src3));
+        uint64_t issue = ln.computeIssue(earliest, FuClass::IntAlu);
         uint64_t done = issue + 1;
-        max_done_ = std::max(max_done_, done);
+        ln.max_done = std::max(ln.max_done, done);
         ++stats_.issued;
-        recordDrain(inst_seq, issue);
-        noteBranchStall(inst.id, issue, enter_issue);
+        ln.recordDrain(inst_seq, issue);
+        ln.noteBranchStall(inst.id, issue, enter_issue);
+        noteBranchStallEvent(inst.id);
 
         bool mispredicted = pred != info.taken;
         if (mispredicted) {
             ++stats_.brMispredicts;
-            mispredictRedirect(done);
+            ln.mispredictRedirect(done);
+            cur_fetch_line_ = ~uint64_t{0};
             if (info.taken)
                 btb_.insert(li.pc, li.takenPc);
         } else if (info.taken) {
-            takenRedirect(li.pc, li.takenPc, f, decode);
+            ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
         }
         traceRecord(li.pc, inst.op, f, issue, done, true, mispredicted);
         return;
@@ -588,19 +756,21 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
 
         uint64_t earliest =
             std::max(enter_issue,
-                     srcReady(inst.src1, inst.src2, inst.src3));
-        uint64_t issue = computeIssue(earliest, FuClass::IntAlu);
+                     ln.srcReady(inst.src1, inst.src2, inst.src3));
+        uint64_t issue = ln.computeIssue(earliest, FuClass::IntAlu);
         uint64_t done = issue + 1;
-        max_done_ = std::max(max_done_, done);
+        ln.max_done = std::max(ln.max_done, done);
         ++stats_.issued;
-        recordDrain(inst_seq, issue);
-        noteBranchStall(inst.origBranch, issue, enter_issue);
-        dbb_free_cycles_.push_back(done);
+        ln.recordDrain(inst_seq, issue);
+        ln.noteBranchStall(inst.origBranch, issue, enter_issue);
+        noteBranchStallEvent(inst.origBranch);
+        ln.dbb_free_cycles.push_back(done);
 
         if (info.taken) {
             // The PREDICT was wrong: redirect to correction code.
             ++stats_.resolveRedirects;
-            mispredictRedirect(done);
+            ln.mispredictRedirect(done);
+            cur_fetch_line_ = ~uint64_t{0};
         }
         traceRecord(li.pc, inst.op, f, issue, done, true, info.taken);
         return;
@@ -613,9 +783,9 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
     // Shadow-commit folding: temp->arch MOVs become rename updates.
     if (shadow_commit_ && inst.op == Opcode::MOV &&
         isTempReg(inst.src1) && isArchReg(inst.dst)) {
-        reg_ready_[inst.dst] = reg_ready_[inst.src1];
+        ln.reg_ready[inst.dst] = ln.reg_ready[inst.src1];
         ++stats_.foldedCommitMovs;
-        recordDrain(inst_seq, decode);
+        ln.recordDrain(inst_seq, decode);
         traceRecord(li.pc, inst.op, f, decode, decode, false, false);
         return;
     }
@@ -628,43 +798,43 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
 
     uint64_t earliest =
         std::max(enter_issue,
-                 srcReady(inst.src1, inst.src2, inst.src3));
+                 ln.srcReady(inst.src1, inst.src2, inst.src3));
     FuClass cls = inst.fuClass();
     uint64_t done;
 
     if (inst.isLoad()) {
-        earliest = mshrAdmit(earliest);
-        uint64_t issue = computeIssue(earliest, cls);
+        earliest = ln.mshrAdmit(earliest);
+        uint64_t issue = ln.computeIssue(earliest, cls);
         MemAccessResult res = dataAccess(info.memAddr);
         done = issue + res.latency;
         if (res.level >= 2)
-            outstanding_misses_.push(done);
-        reg_ready_[inst.dst] = done;
-        recordDrain(inst_seq, issue);
+            ln.outstanding_misses.push(done);
+        ln.reg_ready[inst.dst] = done;
+        ln.recordDrain(inst_seq, issue);
     } else if (inst.isStore()) {
-        uint64_t issue = computeIssue(earliest, cls);
+        uint64_t issue = ln.computeIssue(earliest, cls);
         dataAccess(info.memAddr);
         // Stores retire through the store buffer; 1 cycle to the
         // pipeline.
         done = issue + 1;
-        recordDrain(inst_seq, issue);
+        ln.recordDrain(inst_seq, issue);
     } else {
-        uint64_t issue = computeIssue(earliest, cls);
+        uint64_t issue = ln.computeIssue(earliest, cls);
         done = issue + inst.latency();
         if (inst.writesDst())
-            reg_ready_[inst.dst] = done;
-        recordDrain(inst_seq, issue);
+            ln.reg_ready[inst.dst] = done;
+        ln.recordDrain(inst_seq, issue);
     }
     ++stats_.issued;
-    max_done_ = std::max(max_done_, done);
-    traceRecord(li.pc, inst.op, f, prev_issue_cycle_, done, true, false);
+    ln.max_done = std::max(ln.max_done, done);
+    traceRecord(li.pc, inst.op, f, ln.prev_issue_cycle, done, true,
+                false);
 }
 
 SimStats
 ReferenceModel::run()
 {
     uint64_t inst_seq = 0;
-    uint64_t last_commit_cycle = 0;
     while (!exec_.halted() && stats_.dynamicInsts < opts_.maxInsts) {
         auto info = exec_.step();
         if (info.inst == nullptr)
@@ -693,41 +863,14 @@ ReferenceModel::run()
                               SimError::Kind::Fault);
         }
 
-        // Forward-progress watchdogs: a runaway program (cycle budget)
-        // or a timing-model bug that stops retiring work (progress
-        // window) surfaces as a structured Hang instead of wedging the
-        // experiment pool.
-        if (opts_.cycleBudget != 0 && max_done_ > opts_.cycleBudget) {
-            vg_throw(Hang,
-                     "cycle budget exceeded: %llu cycles > budget %llu "
-                     "after %llu retired insts (pc 0x%llx)",
-                     static_cast<unsigned long long>(max_done_),
-                     static_cast<unsigned long long>(opts_.cycleBudget),
-                     static_cast<unsigned long long>(
-                         stats_.dynamicInsts),
-                     static_cast<unsigned long long>(info.inst->pc));
-        }
-        if (opts_.progressWindow != 0 &&
-            max_done_ - last_commit_cycle > opts_.progressWindow) {
-            vg_throw(Hang,
-                     "no retired-instruction progress: clock advanced "
-                     "%llu cycles across one commit (window %llu, pc "
-                     "0x%llx)",
-                     static_cast<unsigned long long>(
-                         max_done_ - last_commit_cycle),
-                     static_cast<unsigned long long>(
-                         opts_.progressWindow),
-                     static_cast<unsigned long long>(info.inst->pc));
-        }
-        last_commit_cycle = max_done_;
+        checkWatchdogs(lanes_[0], info.inst->pc);
 
         if (stats_.halted)
             break;
     }
     if (opts_.lockstep != nullptr && stats_.halted)
         opts_.lockstep->onHalt(exec_.regs());
-    finalizeStats();
-    return stats_;
+    return std::move(finalizeStats()[0]);
 }
 
 /**
@@ -747,30 +890,35 @@ threadedDisabledByEnv()
 
 /**
  * The fast path: a fused decode/execute/time loop over a
- * DecodedProgram. Architectural state (registers, memory) is advanced
- * inline by a single switch that replicates exec/semantics.cc exactly
- * — including the DIV wrap/fault, LD_S zero-fill, and shift-mask edge
- * cases — and every cycle-accounting decision goes through the same
- * TimingCommon helpers as the reference path. Predictor calls go
- * through the sealed PredictorDispatch (direct, inlineable calls for
- * every factory predictor) in the same per-instruction order the
- * reference path makes them, so predictions, history, and telemetry
- * counters are bit-identical.
+ * DecodedProgram for N timing lanes (N a compile-time count, so the
+ * per-lane loops unroll). Architectural state (registers, memory) is
+ * advanced inline by a single switch that replicates
+ * exec/semantics.cc exactly — including the DIV wrap/fault, LD_S
+ * zero-fill, and shift-mask edge cases — and every cycle-accounting
+ * decision goes through the same TimingCommon/TimingLane helpers as
+ * the reference path. Each instruction's semantic, predictor and
+ * cache work runs once; only its timing tail runs per lane. Predictor
+ * calls go through the sealed PredictorDispatch (direct, inlineable
+ * calls for every factory predictor) in the same per-instruction
+ * order the reference path makes them, so predictions, history, and
+ * telemetry counters are bit-identical.
  */
+template <unsigned N>
 class FastModel : public TimingCommon
 {
   public:
     FastModel(const DecodedProgram &decoded, Memory &mem,
-              DirectionPredictor &predictor, const MachineConfig &cfg,
-              const SimOptions &opts)
-        : TimingCommon(predictor, cfg, opts, decoded.maxStallKey()),
+              DirectionPredictor &predictor,
+              std::span<const MachineConfig> cfgs, const SimOptions &opts)
+        : TimingCommon(predictor, cfgs, opts, decoded.maxStallKey()),
           code_(decoded.insts()), code_size_(decoded.size()),
           mem_(mem), pdx_(predictor),
-          use_line_tags_(decoded.lineBytes() == cfg.l1i.lineBytes),
+          use_line_tags_(decoded.lineBytes() == cfg_.l1i.lineBytes),
           use_threaded_(VANGUARD_THREADED_DISPATCH != 0 &&
                         !opts.noThreadedDispatch &&
                         !threadedDisabledByEnv())
     {
+        vg_assert(cfgs.size() == N, "lane count mismatch");
         // Expand the per-InstId hoisted mask to a per-instruction-index
         // byte array: the id -> bit lookup is static, so hoisting it
         // out of the cycle loop cannot change what is counted. Always
@@ -786,7 +934,7 @@ class FastModel : public TimingCommon
         }
     }
 
-    SimStats
+    std::vector<SimStats>
     run()
     {
 #if VANGUARD_THREADED_DISPATCH
@@ -797,8 +945,7 @@ class FastModel : public TimingCommon
 #else
         runSwitch();
 #endif
-        finalizeStats();
-        return stats_;
+        return finalizeStats();
     }
 
   private:
@@ -806,30 +953,6 @@ class FastModel : public TimingCommon
 #if VANGUARD_THREADED_DISPATCH
     void runThreaded();
 #endif
-
-    [[noreturn]] void
-    budgetThrow(uint64_t pc)
-    {
-        vg_throw(Hang,
-                 "cycle budget exceeded: %llu cycles > budget %llu "
-                 "after %llu retired insts (pc 0x%llx)",
-                 static_cast<unsigned long long>(max_done_),
-                 static_cast<unsigned long long>(opts_.cycleBudget),
-                 static_cast<unsigned long long>(stats_.dynamicInsts),
-                 static_cast<unsigned long long>(pc));
-    }
-
-    [[noreturn]] void
-    progressThrow(uint64_t pc, uint64_t last_commit)
-    {
-        vg_throw(Hang,
-                 "no retired-instruction progress: clock advanced "
-                 "%llu cycles across one commit (window %llu, pc "
-                 "0x%llx)",
-                 static_cast<unsigned long long>(max_done_ - last_commit),
-                 static_cast<unsigned long long>(opts_.progressWindow),
-                 static_cast<unsigned long long>(pc));
-    }
 
     [[noreturn]] void
     badOpcodeThrow(Opcode op, uint64_t pc, size_t idx)
@@ -889,8 +1012,9 @@ class FastModel : public TimingCommon
     const bool use_threaded_;
 };
 
+template <unsigned N>
 void
-FastModel::runSwitch()
+FastModel<N>::runSwitch()
 {
 #define VG_THREADED 0
 #include "uarch/fast_loop.inc"
@@ -898,8 +1022,9 @@ FastModel::runSwitch()
 }
 
 #if VANGUARD_THREADED_DISPATCH
+template <unsigned N>
 void
-FastModel::runThreaded()
+FastModel<N>::runThreaded()
 {
 #define VG_THREADED 1
 #include "uarch/fast_loop.inc"
@@ -907,6 +1032,36 @@ FastModel::runThreaded()
 }
 #endif
 
+template <unsigned N>
+std::vector<SimStats>
+runFast(const DecodedProgram &decoded, Memory &mem,
+        DirectionPredictor &predictor, std::span<const MachineConfig> cfgs,
+        const SimOptions &opts)
+{
+    FastModel<N> model(decoded, mem, predictor, cfgs, opts);
+    return model.run();
+}
+
+/** Dispatch a runtime lane count to its compile-time FastModel. */
+std::vector<SimStats>
+runFastLanes(const DecodedProgram &decoded, Memory &mem,
+             DirectionPredictor &predictor,
+             std::span<const MachineConfig> cfgs, const SimOptions &opts)
+{
+    static_assert(kMaxFusedLanes == 4, "instantiate every lane count");
+    switch (cfgs.size()) {
+      case 1:
+        return runFast<1>(decoded, mem, predictor, cfgs, opts);
+      case 2:
+        return runFast<2>(decoded, mem, predictor, cfgs, opts);
+      case 3:
+        return runFast<3>(decoded, mem, predictor, cfgs, opts);
+      case 4:
+        return runFast<4>(decoded, mem, predictor, cfgs, opts);
+      default:
+        vg_throw(Invariant, "no FastModel for %zu lanes", cfgs.size());
+    }
+}
 
 /**
  * True when VANGUARD_FORCE_REFERENCE is set (non-empty, not "0") in
@@ -941,8 +1096,8 @@ simulate(const Program &prog, Memory &mem,
     if (fastEligible(opts)) {
         DecodedProgram decoded =
             DecodedProgram::decode(prog, cfg.l1i.lineBytes);
-        FastModel model(decoded, mem, predictor, cfg, opts);
-        return model.run();
+        return std::move(runFastLanes(decoded, mem, predictor,
+                                      std::span(&cfg, 1), opts)[0]);
     }
     ReferenceModel model(prog, mem, predictor, cfg, opts);
     return model.run();
@@ -953,12 +1108,33 @@ simulateWithDecoded(const Program &prog, const DecodedProgram &decoded,
                     Memory &mem, DirectionPredictor &predictor,
                     const MachineConfig &cfg, const SimOptions &opts)
 {
-    if (fastEligible(opts)) {
-        FastModel model(decoded, mem, predictor, cfg, opts);
-        return model.run();
+    return std::move(
+        simulateWidths(prog, decoded, mem, predictor, {cfg}, opts)[0]);
+}
+
+std::vector<SimStats>
+simulateWidths(const Program &prog, const DecodedProgram &decoded,
+               Memory &mem, DirectionPredictor &predictor,
+               const std::vector<MachineConfig> &cfgs,
+               const SimOptions &opts)
+{
+    validateLanes(cfgs);
+    if (cfgs.size() > maxFusedLanes(opts)) {
+        vg_throw(Config,
+                 "%zu lanes requested but this run fuses at most %zu "
+                 "(the reference path is single-lane)",
+                 cfgs.size(), maxFusedLanes(opts));
     }
-    ReferenceModel model(prog, mem, predictor, cfg, opts);
-    return model.run();
+    if (fastEligible(opts))
+        return runFastLanes(decoded, mem, predictor, cfgs, opts);
+    ReferenceModel model(prog, mem, predictor, cfgs.at(0), opts);
+    return {model.run()};
+}
+
+size_t
+maxFusedLanes(const SimOptions &opts)
+{
+    return fastEligible(opts) ? kMaxFusedLanes : 1;
 }
 
 bool

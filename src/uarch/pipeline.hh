@@ -25,6 +25,11 @@
  * Wrong-path instructions are not fetched/issued (their cycle cost is
  * charged as redirect delay); see DESIGN.md for the fidelity
  * discussion.
+ *
+ * One run can time several machine widths at once (simulateWidths):
+ * the committed stream, predictor traffic and cache/BTB/DBB access
+ * sequences do not depend on the width, so they are computed once and
+ * drive one timing lane per width (DESIGN.md §10).
  */
 
 #ifndef VANGUARD_UARCH_PIPELINE_HH
@@ -194,6 +199,8 @@ struct SimStats
  * @param prog      laid-out program.
  * @param mem       initialized data memory (mutated).
  * @param predictor direction predictor (trained during the run).
+ * @throws SimError(Config) when cfg has a zero width, port count,
+ *         fetch-buffer, DBB or MSHR size.
  */
 SimStats simulate(const Program &prog, Memory &mem,
                   DirectionPredictor &predictor,
@@ -214,6 +221,31 @@ SimStats simulateWithDecoded(const Program &prog,
                              DirectionPredictor &predictor,
                              const MachineConfig &cfg,
                              const SimOptions &opts = {});
+
+/** Most widths one fused simulateWidths() pass times at once. */
+inline constexpr unsigned kMaxFusedLanes = 4;
+
+/**
+ * Run prog once and time it on every machine in `cfgs` (one timing
+ * lane each), returning one SimStats per entry, in order. Each lane's
+ * result is bit-identical to simulateWithDecoded() with that config on
+ * a fresh copy of `mem` and a fresh predictor: the functional,
+ * predictor, BTB, DBB and cache work is width-invariant and runs once,
+ * only the per-width timing runs per lane. The configs may differ only
+ * in width and port counts, and every count must be at least 1
+ * (SimError(Config) otherwise). At most maxFusedLanes(opts) lanes per
+ * call; runs that take the reference path (lockstep, pipeline trace,
+ * forceReference) are single-lane.
+ */
+std::vector<SimStats> simulateWidths(const Program &prog,
+                                     const DecodedProgram &decoded,
+                                     Memory &mem,
+                                     DirectionPredictor &predictor,
+                                     const std::vector<MachineConfig> &cfgs,
+                                     const SimOptions &opts = {});
+
+/** kMaxFusedLanes when `opts` takes the fast path, else 1. */
+size_t maxFusedLanes(const SimOptions &opts);
 
 /**
  * True when this build carries the computed-goto threaded-code

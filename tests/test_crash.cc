@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "core/worker_pool.hh"
 #include "profile/profile_io.hh"
 #include "support/atomic_file.hh"
+#include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
@@ -100,12 +102,14 @@ TEST(Journal, SimRecordRoundTripsWithFullStats)
     rec.phase = 'S';
     rec.index = 17;
     rec.ok = true;
-    rec.stats.cycles = 973952;
-    rec.stats.dynamicInsts = 647643;
-    rec.stats.brMispredicts = 1931;
-    rec.stats.halted = true;
-    rec.stats.branchStalls[28] = {76630, 2000};
-    rec.stats.branchStalls[466] = {73809, 2000};
+    rec.widths = {4};
+    rec.lanes.resize(1);
+    rec.lanes[0].cycles = 973952;
+    rec.lanes[0].dynamicInsts = 647643;
+    rec.lanes[0].brMispredicts = 1931;
+    rec.lanes[0].halted = true;
+    rec.lanes[0].branchStalls[28] = {76630, 2000};
+    rec.lanes[0].branchStalls[466] = {73809, 2000};
 
     std::string line = serializeJournalRecord(rec);
     JournalRecord back;
@@ -113,11 +117,11 @@ TEST(Journal, SimRecordRoundTripsWithFullStats)
     EXPECT_EQ(back.phase, 'S');
     EXPECT_EQ(back.index, 17u);
     EXPECT_TRUE(back.ok);
-    EXPECT_EQ(back.stats.cycles, 973952u);
-    EXPECT_EQ(back.stats.dynamicInsts, 647643u);
-    EXPECT_EQ(back.stats.brMispredicts, 1931u);
-    EXPECT_TRUE(back.stats.halted);
-    EXPECT_EQ(back.stats.branchStalls, rec.stats.branchStalls);
+    EXPECT_EQ(back.lanes.at(0).cycles, 973952u);
+    EXPECT_EQ(back.lanes.at(0).dynamicInsts, 647643u);
+    EXPECT_EQ(back.lanes.at(0).brMispredicts, 1931u);
+    EXPECT_TRUE(back.lanes.at(0).halted);
+    EXPECT_EQ(back.lanes.at(0).branchStalls, rec.lanes[0].branchStalls);
 }
 
 TEST(Journal, FailRecordRoundTripsMessageAndBundle)
@@ -154,7 +158,9 @@ TEST(Journal, CorruptLinesAreRejectedNotTrusted)
     JournalRecord rec;
     rec.phase = 'S';
     rec.index = 5;
-    rec.stats.cycles = 42;
+    rec.widths = {4};
+    rec.lanes.resize(1);
+    rec.lanes[0].cycles = 42;
     std::string line = serializeJournalRecord(rec);
 
     JournalRecord out;
@@ -177,9 +183,11 @@ TEST(Journal, ParseToleratesCrashDebrisAndCountsDuplicates)
     JournalRecord s1;
     s1.phase = 'S';
     s1.index = 1;
-    s1.stats.cycles = 10;
+    s1.widths = {4};
+    s1.lanes.resize(1);
+    s1.lanes[0].cycles = 10;
     JournalRecord s1b = s1;
-    s1b.stats.cycles = 20;
+    s1b.lanes[0].cycles = 20;
 
     std::string text = "vanguard-journal v1\n"
                        "spec 0123456789abcdef\n"
@@ -197,7 +205,7 @@ TEST(Journal, ParseToleratesCrashDebrisAndCountsDuplicates)
     EXPECT_EQ(j.totalJobs, 9u);
     EXPECT_EQ(j.train.size(), 1u);
     EXPECT_EQ(j.sim.size(), 1u);
-    EXPECT_EQ(j.sim.at(1).stats.cycles, 20u);
+    EXPECT_EQ(j.sim.at(1).lanes.at(0).cycles, 20u);
     EXPECT_EQ(j.corruptLines, 1u);
     EXPECT_EQ(j.duplicates, 1u);
 
@@ -219,6 +227,93 @@ TEST(Journal, ParseToleratesCrashDebrisAndCountsDuplicates)
         EXPECT_EQ(e.kind(), SimError::Kind::Io);
         EXPECT_NE(e.detail().find("v9"), std::string::npos);
     }
+}
+
+/** Seal a hand-written record body with its CRC, as the writer does. */
+std::string
+sealed(const std::string &body)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), " @%08x", crc32(body));
+    return body + buf;
+}
+
+TEST(Journal, SimRecordCarriesOneStatsLanePerWidth)
+{
+    JournalRecord rec;
+    rec.phase = 'S';
+    rec.index = 3;
+    rec.widths = {2, 4, 8};
+    rec.lanes.resize(3);
+    for (size_t l = 0; l < 3; ++l) {
+        rec.lanes[l].cycles = 1000 * (l + 1);
+        rec.lanes[l].bpredCounters = {{"bpred.gshare3.lookups", 7}};
+    }
+    rec.lanes[2].branchStalls[5] = {9, 3};
+    JournalRecord back;
+    ASSERT_TRUE(parseJournalRecord(serializeJournalRecord(rec), &back));
+    EXPECT_EQ(back.widths, rec.widths);
+    ASSERT_EQ(back.lanes.size(), 3u);
+    for (size_t l = 0; l < 3; ++l) {
+        EXPECT_EQ(back.lanes[l].cycles, rec.lanes[l].cycles);
+        EXPECT_EQ(back.lanes[l].bpredCounters, rec.lanes[l].bpredCounters);
+        EXPECT_EQ(back.lanes[l].branchStalls, rec.lanes[l].branchStalls);
+    }
+}
+
+TEST(Journal, HostileSimRecordsAreRejected)
+{
+    // One well-formed lane, to splice into hand-built records that
+    // carry a valid CRC (so only the payload checks can refuse them).
+    JournalRecord one;
+    one.phase = 'S';
+    one.index = 1;
+    one.widths = {4};
+    one.lanes.resize(1);
+    std::string line = serializeJournalRecord(one);
+    std::string lane = line.substr(line.find(" lane"));
+    lane = lane.substr(0, lane.rfind(" @"));
+
+    JournalRecord out;
+    ASSERT_TRUE(parseJournalRecord(sealed("S 1 ok widths 1 4" + lane),
+                                   &out));
+    // Width-list length: zero, over the cap, or a huge lie.
+    EXPECT_FALSE(parseJournalRecord(sealed("S 1 ok widths 0" + lane),
+                                    &out));
+    std::string many = "S 1 ok widths " +
+                       std::to_string(kMaxSweepWidths + 1);
+    for (size_t i = 0; i <= kMaxSweepWidths; ++i) {
+        many += " 4";
+    }
+    for (size_t i = 0; i <= kMaxSweepWidths; ++i)
+        many += lane;
+    EXPECT_FALSE(parseJournalRecord(sealed(many), &out));
+    EXPECT_FALSE(parseJournalRecord(
+        sealed("S 1 ok widths 18446744073709551615 4" + lane), &out));
+    // Width values: zero or beyond the cap.
+    EXPECT_FALSE(parseJournalRecord(sealed("S 1 ok widths 1 0" + lane),
+                                    &out));
+    EXPECT_FALSE(parseJournalRecord(
+        sealed("S 1 ok widths 1 " + std::to_string(kMaxWidthValue + 1) +
+               lane),
+        &out));
+    // Truncated stat lists: fewer lanes than widths, a lane cut short,
+    // a missing predictor section, an inflated element count.
+    EXPECT_FALSE(parseJournalRecord(sealed("S 1 ok widths 2 4 8" + lane),
+                                    &out));
+    EXPECT_FALSE(parseJournalRecord(
+        sealed("S 1 ok widths 1 4" + lane.substr(0, lane.size() / 2)),
+        &out));
+    EXPECT_FALSE(parseJournalRecord(
+        sealed("S 1 ok widths 1 4" + lane.substr(0, lane.find(" bpred"))),
+        &out));
+    std::string inflated = lane;
+    inflated.replace(inflated.find("stalls 0"), 8, "stalls 999999999999");
+    EXPECT_FALSE(parseJournalRecord(sealed("S 1 ok widths 1 4" + inflated),
+                                    &out));
+    // A stray lane beyond the width list is not silently dropped.
+    EXPECT_FALSE(parseJournalRecord(
+        sealed("S 1 ok widths 1 4" + lane + lane), &out));
 }
 
 TEST(Journal, SpecHashPinsTheSweepDefinition)
@@ -475,14 +570,20 @@ TEST(CheckpointResume, DrainStopsBetweenSeedJobs)
                 sims_started.fetch_add(1) == 0)
                 requestShutdown(SIGTERM);
         };
-        SuiteReport cut = runSuiteWidthsReport(suite, {4}, opts, ropts);
+        SuiteReport cut =
+            runSuiteWidthsReport(suite, {2, 4, 8}, opts, ropts);
         EXPECT_TRUE(cut.interrupted);
 
-        // 2 benchmarks x 1 width x 2 configs x 3 seeds = 12 seed jobs.
+        // 2 benchmarks x 2 configs x 3 seeds = 12 fused seed jobs,
+        // each timing all three widths in one pass.
         JournalContents j = loadJournalFile(dir + "/journal.vgj");
         ASSERT_TRUE(j.ok) << j.error;
         EXPECT_GT(j.sim.size(), 0u);
         EXPECT_LE(j.sim.size(), size_t{jobs});
+        for (const auto &[index, rec] : j.sim) {
+            EXPECT_EQ(rec.widths, (std::vector<unsigned>{2, 4, 8}));
+            EXPECT_EQ(rec.lanes.size(), 3u);
+        }
         EXPECT_LT(j.records(), cut.totalJobs);
         EXPECT_EQ(j.duplicates, 0u);
     }
@@ -524,6 +625,40 @@ TEST(CheckpointResume, ResumeValidatesJournalAndSpec)
         EXPECT_EQ(e.kind(), SimError::Kind::Config);
         EXPECT_NE(e.detail().find("refusing"), std::string::npos);
     }
+}
+
+TEST(CheckpointResume, OlderJournalVersionIsRefusedNotReplayed)
+{
+    // A v2 journal indexes simulate records per (benchmark, width,
+    // config, seed); replaying it into the fused layout would put
+    // stats in the wrong slots. Even with this sweep's own spec hash,
+    // resume must refuse it — and leave it untouched.
+    std::vector<BenchmarkSpec> suite = {quick("h264ref-like", 900)};
+    std::vector<unsigned> widths = {2, 4};
+    VanguardOptions opts;
+    std::string dir = freshDir("ckpt-v2");
+    std::string v2 = "vanguard-journal v2\nspec " +
+                     sweepSpecHash(suite, widths, opts) + "\njobs 27\n" +
+                     sealed("T 0 ok") + "\n" +
+                     sealed("S 0 ok 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 "
+                            "17 18 19 20 21 22 23 1 0 stalls 0") +
+                     "\n";
+    std::filesystem::create_directories(dir);
+    writeFileAtomic(dir + "/journal.vgj", v2);
+
+    RunnerOptions ropts;
+    ropts.jobs = 2;
+    ropts.checkpointDir = dir;
+    ropts.resume = true;
+    try {
+        runSuiteWidthsReport(suite, widths, opts, ropts);
+        FAIL() << "resumed from a v2 journal";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Config);
+        EXPECT_NE(e.detail().find("v2 journal"), std::string::npos)
+            << e.detail();
+    }
+    EXPECT_EQ(readFile(dir + "/journal.vgj"), v2);
 }
 
 TEST(CheckpointResume, RottedProfileCheckpointFallsBackToRetrain)

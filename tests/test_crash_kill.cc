@@ -169,5 +169,43 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
     EXPECT_EQ(runToCompletion(resume, dir + "/resume.out"), 0);
 }
 
+/**
+ * A machine the model cannot run is refused up front with the usage
+ * exit code (2) — never a hang or an internal assert: a zero width
+ * spins the issue stage, a zero-entry DBB breaks its ring, and a
+ * non-numeric value must not be read as zero.
+ */
+TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
+{
+    std::string out = ::testing::TempDir() + "bad-flag.out";
+    for (std::vector<std::string> flags :
+         {std::vector<std::string>{"--width", "0"},
+          std::vector<std::string>{"--width", "x"},
+          std::vector<std::string>{"--width", "4x"},
+          std::vector<std::string>{"--dbb", "0"},
+          std::vector<std::string>{"--dbb", "-3"}}) {
+        std::vector<std::string> args = {"--benchmark", "mcf-like",
+                                         "--iterations", "500"};
+        args.insert(args.end(), flags.begin(), flags.end());
+        pid_t pid = launch(args, out);
+        int status = 0;
+        pid_t got = 0;
+        for (int waited_ms = 0; waited_ms < 30'000; waited_ms += 10) {
+            got = ::waitpid(pid, &status, WNOHANG);
+            if (got != 0)
+                break;
+            ::usleep(10'000);
+        }
+        if (got == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            ADD_FAILURE() << flags[0] << ' ' << flags[1] << " hung";
+            continue;
+        }
+        ASSERT_TRUE(WIFEXITED(status)) << flags[0] << ' ' << flags[1];
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags[0] << ' ' << flags[1];
+    }
+}
+
 } // namespace
 } // namespace vanguard

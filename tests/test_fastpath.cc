@@ -4,14 +4,18 @@
  * loop must be bit-identical — every SimStats field, every exported
  * metric — to the retained reference path, for every predictor, every
  * machine width, every REF seed, and any experiment-engine worker
- * count. Plus the
- * DecodedProgram round-trip property: decode is a pure re-encoding of
- * the laid-out program, never a transformation.
+ * count. The width-fused contract: each lane of one fused
+ * simulateWidths() pass is bit-identical to the reference path run
+ * solo at that lane's width, and compile output does not depend on
+ * the width at all. Plus the DecodedProgram round-trip property:
+ * decode is a pure re-encoding of the laid-out program, never a
+ * transformation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -214,6 +218,311 @@ TEST(FastPath, SweepDumpIdenticalAcrossJobsAndPaths)
     }
     for (size_t i = 1; i < dumps.size(); ++i)
         EXPECT_EQ(dumps[0], dumps[i]) << "dump " << i;
+}
+
+std::vector<BenchmarkSpec>
+allKernels(unsigned iterations)
+{
+    std::vector<BenchmarkSpec> out;
+    for (auto suite : {specInt2006, specFp2006, specInt2000, specFp2000}) {
+        for (BenchmarkSpec spec : suite()) {
+            spec.iterations = iterations;
+            out.push_back(spec);
+        }
+    }
+    return out;
+}
+
+/** One fused pass over `widths` on a fresh REF input and predictor. */
+std::vector<SimStats>
+runFused(const BenchmarkSpec &spec, const CompiledConfig &config,
+         const VanguardOptions &vopts, uint64_t seed,
+         const std::vector<unsigned> &widths)
+{
+    Memory mem = buildKernelMemory(spec, seed);
+    auto pred = makePredictor(vopts.predictor, seed);
+    SimOptions sopts;
+    sopts.maxInsts = vopts.simMaxInsts;
+    sopts.cycleBudget = vopts.simCycleBudget;
+    sopts.progressWindow = vopts.simProgressWindow;
+    sopts.collectBranchStalls = true;
+    if (!config.hoistedMask.empty())
+        sopts.hoistedMask = &config.hoistedMask;
+    std::vector<MachineConfig> cfgs;
+    for (unsigned w : widths) {
+        VanguardOptions o = vopts;
+        o.width = w;
+        cfgs.push_back(o.machine());
+    }
+    return simulateWidths(config.prog, *config.decoded, mem, *pred, cfgs,
+                          sopts);
+}
+
+void
+expectSameStats(const SimStats &got, const SimStats &want,
+                const std::string &tag)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << tag;
+    expectSnapshotsIdentical(got, want, tag);
+    EXPECT_EQ(got.halted, want.halted) << tag;
+    EXPECT_EQ(got.faulted, want.faulted) << tag;
+    EXPECT_TRUE(got.branchStalls == want.branchStalls) << tag;
+    EXPECT_TRUE(got.bpredCounters == want.bpredCounters) << tag;
+}
+
+/**
+ * Every lane of a fused pass equals the reference path run solo at its
+ * width — over every kernel of the four suites, both configs, every
+ * REF seed, for one, two and three lanes and a lane list that repeats
+ * a width.
+ */
+TEST(FusedLanes, EveryKernelMatchesPerWidthReference)
+{
+    const std::vector<std::vector<unsigned>> lane_sets = {
+        {4}, {8, 2}, {2, 4, 8}, {4, 2, 4}};
+    VanguardOptions vopts;
+    // 100 trips: enough branch executions for selection (minExecs 64),
+    // so the experimental configs carry PREDICT/RESOLVE pairs.
+    uint64_t resolve_redirects = 0;
+    for (const BenchmarkSpec &spec : allKernels(100)) {
+        BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+        for (const CompiledConfig *config : {&art.base, &art.exp}) {
+            for (uint64_t seed : kRefSeeds) {
+                std::map<unsigned, SimStats> solo;
+                for (unsigned w : {2u, 4u, 8u}) {
+                    VanguardOptions o = vopts;
+                    o.width = w;
+                    solo[w] = runOnce(spec, *config, o, seed, true);
+                }
+                resolve_redirects += solo[4].resolveRedirects;
+                for (const auto &widths : lane_sets) {
+                    std::vector<SimStats> lanes =
+                        runFused(spec, *config, vopts, seed, widths);
+                    ASSERT_EQ(lanes.size(), widths.size());
+                    for (size_t l = 0; l < widths.size(); ++l) {
+                        expectSameStats(
+                            lanes[l], solo[widths[l]],
+                            std::string(spec.name) +
+                                (config->decomposed ? " [exp]"
+                                                    : " [base]") +
+                                " seed " + std::to_string(seed) +
+                                " lanes " + std::to_string(widths.size()) +
+                                " lane w" + std::to_string(widths[l]));
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(resolve_redirects, 0u) << "no decomposed branch ran";
+}
+
+/**
+ * The same identity on non-default machines, through the engine's
+ * simulateConfigWidths (which also owns the ideal predictor's
+ * prerecorded outcomes): each width's fused result equals
+ * simulateConfig at that width on the forced reference path.
+ */
+TEST(FusedLanes, NonDefaultMachinesMatchPerWidthReference)
+{
+    struct Machine
+    {
+        const char *what;
+        void (*apply)(VanguardOptions &);
+    };
+    const Machine machines[] = {
+        {"shadow commit off",
+         [](VanguardOptions &o) { o.shadowCommit = false; }},
+        {"dbb 4", [](VanguardOptions &o) { o.dbbEntries = 4; }},
+        {"next-line I$ prefetch",
+         [](VanguardOptions &o) { o.icachePrefetch = true; }},
+        {"24KB I$", [](VanguardOptions &o) { o.l1iSizeKB = 24; }},
+        {"tage", [](VanguardOptions &o) { o.predictor = "tage"; }},
+        {"ideal:0.9", [](VanguardOptions &o) { o.predictor = "ideal:0.9"; }},
+    };
+    const std::vector<unsigned> widths = {2, 4, 8};
+    for (const Machine &m : machines) {
+        VanguardOptions vopts;
+        m.apply(vopts);
+        for (const char *name : {"h264ref-like", "mcf-like", "gcc-like"}) {
+            BenchmarkSpec spec = smallSpec(name, 200);
+            BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+            for (const CompiledConfig *config : {&art.base, &art.exp}) {
+                for (uint64_t seed : kRefSeeds) {
+                    std::vector<SimStats> fused = simulateConfigWidths(
+                        spec, *config, vopts, widths, seed, true);
+                    ASSERT_EQ(fused.size(), widths.size());
+                    ASSERT_EQ(setenv("VANGUARD_FORCE_REFERENCE", "1", 1),
+                              0);
+                    for (size_t l = 0; l < widths.size(); ++l) {
+                        VanguardOptions o = vopts;
+                        o.width = widths[l];
+                        SimStats ref =
+                            simulateConfig(spec, *config, o, seed, true);
+                        expectSameStats(
+                            fused[l], ref,
+                            std::string(m.what) + " " + name +
+                                (config->decomposed ? " [exp]"
+                                                    : " [base]") +
+                                " seed " + std::to_string(seed) + " w" +
+                                std::to_string(widths[l]));
+                    }
+                    unsetenv("VANGUARD_FORCE_REFERENCE");
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Saturated per-lane queues: a 2-entry miss buffer with a 24-entry
+ * fetch buffer (not a power of two: the modulo slot path), and
+ * separately a 1-entry DBB, make every lane stall on its own
+ * structures, which the default machine rarely does.
+ */
+TEST(FusedLanes, TinyQueuesMatchPerWidthReference)
+{
+    struct Shape
+    {
+        unsigned mshr, fetchBuffer, dbb;
+    };
+    uint64_t mshr_stalls = 0;
+    uint64_t dbb_stalls = 0;
+    for (Shape shape : {Shape{2, 24, 16}, Shape{64, 32, 1}}) {
+        auto machine = [shape](unsigned width) {
+            MachineConfig cfg = MachineConfig::widthVariant(width);
+            cfg.mshrEntries = shape.mshr;
+            cfg.fetchBufferEntries = shape.fetchBuffer;
+            cfg.dbbEntries = shape.dbb;
+            return cfg;
+        };
+        VanguardOptions vopts;
+        for (const char *name : {"mcf-like", "bzip2-like", "milc-like"}) {
+            BenchmarkSpec spec = smallSpec(name, 300);
+            BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+            for (const CompiledConfig *config : {&art.base, &art.exp}) {
+                SimOptions sopts;
+                sopts.collectBranchStalls = true;
+                if (!config->hoistedMask.empty())
+                    sopts.hoistedMask = &config->hoistedMask;
+                Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
+                auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+                std::vector<SimStats> lanes = simulateWidths(
+                    config->prog, *config->decoded, mem, *pred,
+                    {machine(2), machine(8), machine(4)}, sopts);
+                sopts.forceReference = true;
+                size_t l = 0;
+                for (unsigned w : {2u, 8u, 4u}) {
+                    Memory solo_mem = buildKernelMemory(spec, kRefSeeds[0]);
+                    auto solo_pred =
+                        makePredictor(vopts.predictor, kRefSeeds[0]);
+                    SimStats ref = simulate(config->prog, solo_mem,
+                                            *solo_pred, machine(w), sopts);
+                    expectSameStats(
+                        lanes[l++], ref,
+                        std::string(name) +
+                            (config->decomposed ? " [exp]" : " [base]") +
+                            " w" + std::to_string(w) + " mshr " +
+                            std::to_string(shape.mshr) + " dbb " +
+                            std::to_string(shape.dbb));
+                    mshr_stalls += ref.mshrStalls;
+                    dbb_stalls += ref.dbbFullStalls;
+                }
+            }
+        }
+    }
+    EXPECT_GT(mshr_stalls, 0u);
+    EXPECT_GT(dbb_stalls, 0u);
+}
+
+TEST(FusedLanes, LanesMayDifferOnlyInWidthAndPorts)
+{
+    BenchmarkSpec spec = smallSpec("bzip2-like", 50);
+    VanguardOptions vopts;
+    BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+    auto fusedWith = [&](void (*tweak)(MachineConfig &)) {
+        std::vector<MachineConfig> cfgs = {MachineConfig::widthVariant(2),
+                                           MachineConfig::widthVariant(8)};
+        tweak(cfgs[1]);
+        Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
+        auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+        return simulateWidths(art.exp.prog, *art.exp.decoded, mem, *pred,
+                              cfgs);
+    };
+    // Width and ports are what lanes exist for.
+    EXPECT_EQ(fusedWith([](MachineConfig &c) { c.fpPorts = 1; }).size(),
+              2u);
+    // Anything the shared pass reads must agree.
+    for (void (*tweak)(MachineConfig &) : {
+             +[](MachineConfig &c) { c.dbbEntries = 8; },
+             +[](MachineConfig &c) { c.shadowCommit = false; },
+             +[](MachineConfig &c) { c.l1i.sizeKB = 24; },
+             +[](MachineConfig &c) { c.predictor = "tage"; },
+             +[](MachineConfig &c) { c.mshrEntries = 8; },
+             +[](MachineConfig &c) { c.icacheNextLinePrefetch = true; },
+         }) {
+        try {
+            fusedWith(tweak);
+            ADD_FAILURE() << "mismatched lanes were accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Config) << e.what();
+        }
+    }
+    // More lanes than one pass fuses is a config error too.
+    std::vector<MachineConfig> five(kMaxFusedLanes + 1,
+                                    MachineConfig::widthVariant(4));
+    Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
+    auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+    EXPECT_THROW(simulateWidths(art.exp.prog, *art.exp.decoded, mem,
+                                *pred, five),
+                 SimError);
+}
+
+/**
+ * Compiling once per benchmark is only sound because compile output
+ * does not depend on the width: every kernel's Program and
+ * DecodedProgram come out identical at widths 2, 4 and 8.
+ */
+TEST(FusedLanes, CompileOutputIsWidthIndependent)
+{
+    for (const BenchmarkSpec &spec : allKernels(100)) {
+        VanguardOptions vopts;
+        TrainArtifacts train = trainBenchmark(spec, vopts);
+        vopts.width = 2;
+        BenchmarkArtifacts w2 = compileBenchmark(spec, train, vopts);
+        for (unsigned w : {4u, 8u}) {
+            vopts.width = w;
+            BenchmarkArtifacts other = compileBenchmark(spec, train, vopts);
+            for (auto [a, b] : {std::pair{&w2.base, &other.base},
+                                std::pair{&w2.exp, &other.exp}}) {
+                std::string tag = std::string(spec.name) + " w" +
+                                  std::to_string(w) +
+                                  (a->decomposed ? " [exp]" : " [base]");
+                EXPECT_EQ(a->prog.toString(), b->prog.toString()) << tag;
+                EXPECT_EQ(a->hoistedMask, b->hoistedMask) << tag;
+                EXPECT_EQ(a->staticInsts, b->staticInsts) << tag;
+                const DecodedProgram &da = *a->decoded;
+                const DecodedProgram &db = *b->decoded;
+                ASSERT_EQ(da.size(), db.size()) << tag;
+                EXPECT_EQ(da.lineBytes(), db.lineBytes()) << tag;
+                EXPECT_EQ(da.maxStallKey(), db.maxStallKey()) << tag;
+                for (size_t i = 0; i < da.size(); ++i) {
+                    const DecodedInst &x = da.insts()[i];
+                    const DecodedInst &y = db.insts()[i];
+                    EXPECT_TRUE(x.pc == y.pc && x.takenPc == y.takenPc &&
+                                x.lineTag == y.lineTag && x.imm == y.imm &&
+                                x.takenIdx == y.takenIdx && x.id == y.id &&
+                                x.stallKey == y.stallKey && x.op == y.op &&
+                                x.dst == y.dst && x.src1 == y.src1 &&
+                                x.src2 == y.src2 && x.src3 == y.src3 &&
+                                x.fu == y.fu && x.latency == y.latency &&
+                                x.flags == y.flags)
+                        << tag << " inst " << i;
+                }
+            }
+            EXPECT_EQ(w2.alpbb, other.alpbb);
+            EXPECT_EQ(w2.phi, other.phi);
+        }
+    }
 }
 
 /**

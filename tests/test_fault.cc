@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <vector>
 
@@ -499,6 +501,66 @@ TEST(Replay, GenuineFailureWritesReproducibleBundle)
     EXPECT_TRUE(out.failed);
     EXPECT_TRUE(out.reproduced) << out.kind << ": " << out.message;
     EXPECT_EQ(out.kind, "Hang");
+}
+
+/**
+ * A fused simulate job times every width at once; when one lane's
+ * cycle budget runs out, the whole job fails, and the message, the
+ * failure identity and the replay bundle all name that lane's width —
+ * so the bundle replays solo on the machine that actually hung.
+ */
+TEST(Replay, HangInOneFusedLaneNamesItsWidth)
+{
+    BenchmarkSpec spec = quick("bzip2-like", 3000);
+    VanguardOptions opts;
+    BenchmarkArtifacts art = prepareBenchmark(spec, opts);
+    const std::vector<unsigned> widths = {2, 4, 8};
+
+    // A budget between the slowest wider lane and the fastest 2-wide
+    // run: only the 2-wide lane can exceed it, in every job.
+    uint64_t max_wide = 0;
+    uint64_t min_narrow = UINT64_MAX;
+    for (const CompiledConfig *config : {&art.base, &art.exp}) {
+        for (uint64_t seed : kRefSeeds) {
+            std::vector<SimStats> st =
+                simulateConfigWidths(spec, *config, opts, widths, seed);
+            min_narrow = std::min(min_narrow, st[0].cycles);
+            max_wide = std::max({max_wide, st[1].cycles, st[2].cycles});
+        }
+    }
+    ASSERT_LT(max_wide + 64, min_narrow);
+    opts.simCycleBudget = (max_wide + min_narrow) / 2;
+
+    try {
+        simulateConfigWidths(spec, art.exp, opts, widths, kRefSeeds[0]);
+        ADD_FAILURE() << "the 2-wide lane did not hang";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Hang);
+        EXPECT_EQ(e.detail().rfind("width 2: cycle budget exceeded", 0),
+                  0u)
+            << e.detail();
+    }
+
+    RunnerOptions ropts;
+    ropts.jobs = 2;
+    ropts.replayDir = ::testing::TempDir() + "/fused-lane-hang";
+    SuiteReport report = runSuiteWidthsReport({spec}, widths, opts, ropts);
+    ASSERT_EQ(report.failures.size(), kNumRefSeeds * 2);
+    for (const JobFailure &f : report.failures) {
+        EXPECT_EQ(f.kind, SimError::Kind::Hang);
+        EXPECT_EQ(f.id.width, 2u) << f.id.describe();
+        EXPECT_NE(f.id.describe().find(" w2 "), std::string::npos)
+            << f.id.describe();
+        ASSERT_FALSE(f.bundlePath.empty());
+        EXPECT_NE(f.bundlePath.find("-w2-"), std::string::npos)
+            << f.bundlePath;
+        ReplayParseResult parsed = loadReplayBundle(f.bundlePath);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        EXPECT_EQ(parsed.bundle.width, 2u);
+    }
+    ReplayOutcome out = replayBundle(
+        loadReplayBundle(report.failures[0].bundlePath).bundle);
+    EXPECT_TRUE(out.reproduced) << out.kind << ": " << out.message;
 }
 
 TEST(Replay, CleanBundleReportsNoReproduction)

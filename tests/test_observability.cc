@@ -135,10 +135,18 @@ TEST(Observability, OneSpanPerJobInTheTrace)
         }
     }
 
-    const size_t B = suite.size(), W = widths.size();
+    // One compile per benchmark and one fused simulate job per
+    // (benchmark, config, seed), whatever the number of widths.
+    const size_t B = suite.size();
     EXPECT_EQ(begins["train"], B);
-    EXPECT_EQ(begins["compile"], B * W);
-    EXPECT_EQ(begins["simulate"], B * W * kNumRefSeeds * 2);
+    EXPECT_EQ(begins["compile"], B);
+    EXPECT_EQ(begins["simulate"], B * kNumRefSeeds * 2);
+    // Every compile pass and every job's memory build is its own span.
+    for (const char *pass : {"compile.superblock", "compile.decompose",
+                             "compile.schedule", "compile.linearize",
+                             "compile.decode"})
+        EXPECT_GT(begins[pass], 0u) << pass;
+    EXPECT_EQ(begins["sim.memory"], B * kNumRefSeeds * 2);
     // Every phase group span, opened and closed exactly once.
     for (const char *phase : {"phase.train", "phase.compile",
                               "phase.simulate", "phase.assemble"}) {

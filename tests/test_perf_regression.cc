@@ -19,18 +19,26 @@
  *    instructions per second against the committed numbers. Only
  *    comparable on hardware like the one that produced the baseline,
  *    so it stays off in CI by default.
- * All gates allow a 20% regression margin, and each measurement gets
- * up to three attempts (best result wins) because short wall-clock
- * runs on a shared machine are noisy.
+ *  - Width fusion (no baseline needed): one 3-lane fused simulation
+ *    of a pinned INT06 kernel against three single-lane runs of the
+ *    same work, back to back. The fused pass shares the functional,
+ *    predictor and cache work, so it must take at most 0.8x the time.
+ * The trajectory gates allow a 20% regression margin, and each of
+ * their measurements gets up to three attempts (best result wins)
+ * because short wall-clock runs on a shared machine are noisy; the
+ * fusion gate compares medians of five.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 
 #include "core/selfbench.hh"
+#include "core/vanguard.hh"
 #include "uarch/pipeline.hh"
+#include "workloads/suites.hh"
 
 #ifndef VANGUARD_BENCH_BASELINE
 #define VANGUARD_BENCH_BASELINE "BENCH_PR6.json"
@@ -124,6 +132,66 @@ TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
         << "threaded dispatcher lost its edge over the switch: "
         << "measured " << best << "x, committed " << committed_ratio
         << "x — did the computed-goto jumps get re-merged?";
+}
+
+/** Wall seconds of one call of fn. */
+template <typename Fn>
+double
+secondsOf(Fn &&fn)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+TEST(PerfRegression, FusedWidthsBeatThreeSingleLaneRuns)
+{
+    constexpr double kMaxRatio = 0.8;
+    constexpr int kSamples = 5;
+    BenchmarkSpec spec = findBenchmark("h264ref-like");
+    spec.iterations = 4000;
+    VanguardOptions opts;
+    BenchmarkArtifacts art = prepareBenchmark(spec, opts);
+    const std::vector<unsigned> widths = {2, 4, 8};
+
+    std::vector<double> solo;
+    std::vector<double> fused;
+    uint64_t solo_cycles = 0;
+    uint64_t fused_cycles = 0;
+    for (int i = 0; i < kSamples; ++i) {
+        solo.push_back(secondsOf([&] {
+            solo_cycles = 0;
+            for (unsigned w : widths) {
+                VanguardOptions o = opts;
+                o.width = w;
+                solo_cycles +=
+                    simulateConfig(spec, art.exp, o, kRefSeeds[0]).cycles;
+            }
+        }));
+        fused.push_back(secondsOf([&] {
+            fused_cycles = 0;
+            for (const SimStats &st : simulateConfigWidths(
+                     spec, art.exp, opts, widths, kRefSeeds[0]))
+                fused_cycles += st.cycles;
+        }));
+    }
+    ASSERT_EQ(fused_cycles, solo_cycles);
+    double ratio = median(fused) / median(solo);
+    EXPECT_LE(ratio, kMaxRatio)
+        << "3-lane fused simulate took " << ratio
+        << "x the time of three single-lane runs (median of "
+        << kSamples << ": " << median(fused) << " s vs " << median(solo)
+        << " s)";
+    RecordProperty("fused_ratio", std::to_string(ratio));
 }
 
 } // namespace

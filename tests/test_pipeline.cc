@@ -391,5 +391,38 @@ TEST(Pipeline, MaxInstsBoundsRun)
     EXPECT_FALSE(s.halted);
 }
 
+/**
+ * A machine the timing model cannot make progress on is a config
+ * error at construction, on both paths — never a hang (a zero width
+ * or port count would spin computeIssue forever) or an internal
+ * assert (a zero-entry DBB).
+ */
+TEST(Pipeline, UnusableMachineIsAConfigError)
+{
+    Function fn = loop(100, [](IRBuilder &b) { b.addi(2, 0, 1); });
+    for (void (*zero)(MachineConfig &) : {
+             +[](MachineConfig &c) { c.width = 0; },
+             +[](MachineConfig &c) { c.memPorts = 0; },
+             +[](MachineConfig &c) { c.intPorts = 0; },
+             +[](MachineConfig &c) { c.fpPorts = 0; },
+             +[](MachineConfig &c) { c.fetchBufferEntries = 0; },
+             +[](MachineConfig &c) { c.dbbEntries = 0; },
+             +[](MachineConfig &c) { c.mshrEntries = 0; },
+         }) {
+        MachineConfig cfg;
+        zero(cfg);
+        for (bool reference : {false, true}) {
+            SimOptions opts;
+            opts.forceReference = reference;
+            try {
+                run(fn, cfg, "gshare3", 1 << 20, opts);
+                ADD_FAILURE() << "unusable machine accepted";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.kind(), SimError::Kind::Config) << e.what();
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace vanguard

@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/journal.hh"
 #include "core/worker_pool.hh"
+#include "profile/profile_io.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
@@ -193,6 +196,7 @@ TEST(WorkerCodec, JobRoundTripsEverySpecOptionAndScopeField)
     j.config = 0;
     j.seed = 0xfeedface01ull;
     j.collectStalls = true;
+    j.widths = {2, 8, 4};
     j.profileText = std::string("vanguard-profile\n\x00\x01raw", 21);
 
     j.spec = findBenchmark("gcc-like");
@@ -223,6 +227,7 @@ TEST(WorkerCodec, JobRoundTripsEverySpecOptionAndScopeField)
     EXPECT_EQ(back.config, j.config);
     EXPECT_EQ(back.seed, j.seed);
     EXPECT_EQ(back.collectStalls, j.collectStalls);
+    EXPECT_EQ(back.widths, j.widths);
     EXPECT_EQ(back.profileText, j.profileText);
 
     ASSERT_NE(back.spec.name, nullptr);
@@ -292,6 +297,110 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
     EXPECT_NE(err.find("truncated"), std::string::npos);
 }
 
+TEST(WorkerCodec, WidthListsAreCappedAndComplete)
+{
+    const std::string head = "vanguard-workerjob v2\nphase simulate\n";
+    WorkerJob out;
+    std::string err;
+    ASSERT_TRUE(parseWorkerJob(head + "widths 3 2 4 8\n", &out, &err))
+        << err;
+    EXPECT_EQ(out.widths, (std::vector<unsigned>{2, 4, 8}));
+
+    std::string too_many =
+        "widths " + std::to_string(kMaxSweepWidths + 1);
+    for (size_t i = 0; i <= kMaxSweepWidths; ++i)
+        too_many += " 4";
+    for (const std::string &bad :
+         {std::string("widths 0\n"), too_many + "\n",
+          std::string("widths 18446744073709551615 4\n"),
+          std::string("widths 3 2 4\n"),            // truncated list
+          std::string("widths 2 4 0\n"),            // zero width
+          "widths 1 " + std::to_string(kMaxWidthValue + 1) + "\n",
+          std::string("widths 1 x\n"),
+          std::string("config exp\n")}) {            // no widths at all
+        WorkerJob j;
+        EXPECT_FALSE(parseWorkerJob(head + bad, &j, &err)) << bad;
+    }
+
+    // A result whose stats record lost a lane is torn, not short.
+    WorkerResult r;
+    r.ok = true;
+    r.slot = 2;
+    r.widths = {2, 4};
+    r.lanes.resize(2);
+    std::string body = serializeWorkerResult(r);
+    JournalRecord rec;
+    rec.phase = 'S';
+    rec.index = 2;
+    rec.widths = {2, 4};
+    rec.lanes.resize(2);
+    std::string good = serializeJournalRecord(rec);
+    rec.widths = {2};
+    rec.lanes.resize(1);
+    std::string one = serializeJournalRecord(rec);
+    // Same record with its width count raised but one lane only: the
+    // CRC holds (it is recomputed) but the lane list is short.
+    std::string short_body = one.substr(0, one.rfind(" @"));
+    short_body.replace(short_body.find("widths 1 2"), 10, "widths 2 2 4");
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), " @%08x", crc32(short_body));
+    std::string torn = body;
+    torn.replace(torn.find(good), good.size(), short_body + crc);
+    // The blob length prefix must match the new record length.
+    std::string len_old = "record " + std::to_string(good.size());
+    std::string len_new =
+        "record " + std::to_string(short_body.size() + std::strlen(crc));
+    torn.replace(torn.find(len_old), len_old.size(), len_new);
+    WorkerResult back;
+    EXPECT_TRUE(parseWorkerResult(body, &back, &err)) << err;
+    EXPECT_FALSE(parseWorkerResult(torn, &back, &err));
+}
+
+/**
+ * A worker runs a fused simulate job exactly as the in-process runner
+ * does: one stats lane per width, each equal to the in-process
+ * result, and the result survives its own codec.
+ */
+TEST(JobBody, FusedSimulateJobMatchesInProcessLanes)
+{
+    BenchmarkSpec spec = findBenchmark("gobmk-like");
+    spec.iterations = 300;
+    VanguardOptions opts;
+    BenchmarkArtifacts art = prepareBenchmark(spec, opts);
+    const std::vector<unsigned> widths = {8, 2, 4};
+    std::vector<SimStats> want = simulateConfigWidths(
+        spec, art.exp, opts, widths, kRefSeeds[1], false);
+
+    WorkerJob job;
+    job.phase = "simulate";
+    job.slot = 3;
+    job.spec = spec;
+    job.specName = spec.name;
+    job.bindSpecName();
+    job.options = opts;
+    job.config = 1;
+    job.widths = widths;
+    job.seed = kRefSeeds[1];
+    job.profileText = serializeProfile(art.train.profile);
+
+    JobBodyRunner runner;
+    WorkerResult res = runner.run(job);
+    ASSERT_TRUE(res.ok) << res.message;
+    WorkerResult back;
+    std::string err;
+    ASSERT_TRUE(
+        parseWorkerResult(serializeWorkerResult(res), &back, &err))
+        << err;
+    EXPECT_EQ(back.widths, widths);
+    ASSERT_EQ(back.lanes.size(), widths.size());
+    for (size_t l = 0; l < widths.size(); ++l) {
+        EXPECT_EQ(back.lanes[l].cycles, want[l].cycles) << widths[l];
+        EXPECT_EQ(back.lanes[l].dynamicInsts, want[l].dynamicInsts);
+        EXPECT_EQ(back.lanes[l].bpredCounters, want[l].bpredCounters);
+    }
+    EXPECT_LT(back.lanes[0].cycles, back.lanes[1].cycles); // w8 < w2
+}
+
 TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
 {
     {
@@ -300,11 +409,14 @@ TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
         WorkerResult r;
         r.ok = true;
         r.slot = 9;
-        r.stats.cycles = 1234567;
-        r.stats.dynamicInsts = 99999;
-        r.stats.brMispredicts = 321;
-        r.stats.halted = true;
-        r.stats.branchStalls[17] = {100, 7};
+        r.widths = {2, 8};
+        r.lanes.resize(2);
+        r.lanes[0].cycles = 1234567;
+        r.lanes[0].dynamicInsts = 99999;
+        r.lanes[0].brMispredicts = 321;
+        r.lanes[0].halted = true;
+        r.lanes[0].branchStalls[17] = {100, 7};
+        r.lanes[1].cycles = 765432;
         r.injected[static_cast<size_t>(SimError::Kind::Io)] = 3;
 
         WorkerResult back;
@@ -314,11 +426,14 @@ TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
             << err;
         EXPECT_TRUE(back.ok);
         EXPECT_EQ(back.slot, 9u);
-        EXPECT_EQ(back.stats.cycles, r.stats.cycles);
-        EXPECT_EQ(back.stats.dynamicInsts, r.stats.dynamicInsts);
-        EXPECT_EQ(back.stats.brMispredicts, r.stats.brMispredicts);
-        EXPECT_EQ(back.stats.halted, r.stats.halted);
-        EXPECT_EQ(back.stats.branchStalls, r.stats.branchStalls);
+        EXPECT_EQ(back.widths, r.widths);
+        ASSERT_EQ(back.lanes.size(), 2u);
+        EXPECT_EQ(back.lanes[0].cycles, r.lanes[0].cycles);
+        EXPECT_EQ(back.lanes[0].dynamicInsts, r.lanes[0].dynamicInsts);
+        EXPECT_EQ(back.lanes[0].brMispredicts, r.lanes[0].brMispredicts);
+        EXPECT_EQ(back.lanes[0].halted, r.lanes[0].halted);
+        EXPECT_EQ(back.lanes[0].branchStalls, r.lanes[0].branchStalls);
+        EXPECT_EQ(back.lanes[1].cycles, r.lanes[1].cycles);
         EXPECT_EQ(
             back.injected[static_cast<size_t>(SimError::Kind::Io)],
             3u);
