@@ -45,6 +45,7 @@
  *                          jobs before exiting 3
  *     --replay FILE        re-execute a failure bundle solo (under
  *                          lockstep) and report whether it reproduced
+ *                          (exit 2 if its options are unusable)
  *     --checkpoint-dir DIR with --all-refs: journal every completed
  *                          job (crash-safe ledger + TRAIN profiles)
  *     --resume             continue a checkpointed sweep: replay
@@ -341,7 +342,8 @@ parseUnsignedOrDie(const char *flag, const char *text, unsigned lo,
     return static_cast<unsigned>(v);
 }
 
-/** Re-execute a failure bundle solo; exit 0 iff it reproduced. */
+/** Re-execute a failure bundle solo; exit 0 iff it reproduced, 2 if
+ *  its options are unusable. */
 int
 runReplay(const std::string &path, bool lockstep)
 {
@@ -360,6 +362,16 @@ runReplay(const std::string &path, bool lockstep)
                 b.errorMessage.c_str());
 
     ReplayOutcome out = replayBundle(b, lockstep);
+    if (out.failed &&
+        out.kind == SimError::kindName(SimError::Kind::Config)) {
+        // A bundle is outside input: options the simulator rejects are
+        // a usage error, exactly as the matching flags are.
+        std::fprintf(stderr,
+                     "vanguard_cli: replay bundle's options are "
+                     "unusable: %s\n",
+                     out.message.c_str());
+        return 2;
+    }
     if (!out.failed) {
         std::printf("replay ran CLEAN (%llu cycles, IPC %.3f) — the "
                     "recorded failure did not reproduce\n",

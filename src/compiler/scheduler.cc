@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <span>
 
 #include "ir/analysis.hh"
 #include "support/logging.hh"
@@ -10,13 +11,6 @@
 namespace vanguard {
 
 namespace {
-
-struct DagNode
-{
-    std::vector<size_t> succs;
-    unsigned preds_left = 0;
-    unsigned pathLength = 0;    ///< latency-weighted height to block end
-};
 
 static_assert(kNumRegs <= 64, "register sets are walked as one word");
 
@@ -29,10 +23,27 @@ forEachReg(const RegSet &s, F f)
         f(static_cast<RegId>(std::countr_zero(bits)));
 }
 
-} // namespace
+/**
+ * Working storage for one block's DAG and ordering. scheduleFunction
+ * reuses one across all its blocks, so it allocates only while a block
+ * outgrows every earlier one; each use resets what it reads.
+ */
+struct Scratch
+{
+    std::vector<std::pair<size_t, size_t>> edges; ///< (from, to)
+    std::vector<size_t> succBegin;  ///< CSR: succs of i at [i], [i+1]
+    std::vector<size_t> succs;
+    std::vector<unsigned> predsLeft;
+    std::vector<unsigned> pathLength; ///< latency-weighted height
+    std::array<std::vector<size_t>, kNumRegs> readsSinceDef;
+    std::vector<size_t> loadsSinceStore;
+    std::vector<size_t> ready;
+    std::vector<size_t> order;
+    std::vector<Instruction> body;
+};
 
 bool
-scheduleBlock(BasicBlock &bb, const ScheduleOptions &)
+scheduleBlock(BasicBlock &bb, Scratch &s)
 {
     size_t n = bb.bodySize();
     if (n < 2)
@@ -47,56 +58,75 @@ scheduleBlock(BasicBlock &bb, const ScheduleOptions &)
     // and with it every height and the emitted order — is the same as
     // linking all conflicting pairs, in time linear in the edges.
     constexpr size_t kNone = SIZE_MAX;
-    std::vector<DagNode> dag(n);
-    auto add_edge = [&](size_t from, size_t to) {
-        dag[from].succs.push_back(to);
-        ++dag[to].preds_left;
-    };
+    s.edges.clear();
     std::array<size_t, kNumRegs> last_def;
     last_def.fill(kNone);
-    std::array<std::vector<size_t>, kNumRegs> reads_since_def;
+    for (auto &reads : s.readsSinceDef)
+        reads.clear();
     size_t last_store = kNone;
-    std::vector<size_t> loads_since_store;
+    s.loadsSinceStore.clear();
 
     for (size_t j = 0; j < n; ++j) {
         const Instruction &inst = bb.insts[j];
         RegSet uses = instUses(inst);
         forEachReg(uses, [&](RegId r) {
             if (last_def[r] != kNone)
-                add_edge(last_def[r], j);                    // RAW
+                s.edges.emplace_back(last_def[r], j);        // RAW
         });
         forEachReg(instDefs(inst), [&](RegId r) {
             if (last_def[r] != kNone)
-                add_edge(last_def[r], j);                    // WAW
-            for (size_t u : reads_since_def[r])
-                add_edge(u, j);                              // WAR
+                s.edges.emplace_back(last_def[r], j);        // WAW
+            for (size_t u : s.readsSinceDef[r])
+                s.edges.emplace_back(u, j);                  // WAR
             last_def[r] = j;
-            reads_since_def[r].clear();
+            s.readsSinceDef[r].clear();
         });
         forEachReg(uses, [&](RegId r) {
-            reads_since_def[r].push_back(j);
+            s.readsSinceDef[r].push_back(j);
         });
         if (inst.isMemRef()) {
             if (last_store != kNone)
-                add_edge(last_store, j);
+                s.edges.emplace_back(last_store, j);
             if (inst.isStore()) {
-                for (size_t l : loads_since_store)
-                    add_edge(l, j);
+                for (size_t l : s.loadsSinceStore)
+                    s.edges.emplace_back(l, j);
                 last_store = j;
-                loads_since_store.clear();
+                s.loadsSinceStore.clear();
             } else {
-                loads_since_store.push_back(j);
+                s.loadsSinceStore.push_back(j);
             }
         }
     }
 
+    // Successor lists in CSR form, by counting sort on the source:
+    // prefix sums leave succBegin[i] at the end of i's list, and the
+    // backward fill walks each one down to its start. Duplicate edges
+    // stay, matched by their duplicate predecessor counts.
+    s.succBegin.assign(n + 1, 0);
+    s.predsLeft.assign(n, 0);
+    for (auto [from, to] : s.edges) {
+        ++s.succBegin[from];
+        ++s.predsLeft[to];
+    }
+    for (size_t i = 1; i <= n; ++i)
+        s.succBegin[i] += s.succBegin[i - 1];
+    s.succs.resize(s.edges.size());
+    for (auto e = s.edges.rbegin(); e != s.edges.rend(); ++e)
+        s.succs[--s.succBegin[e->first]] = e->second;
+    auto succs_of = [&s](size_t i) {
+        return std::span<const size_t>(s.succs.data() + s.succBegin[i],
+                                       s.succBegin[i + 1] -
+                                           s.succBegin[i]);
+    };
+
     // Priority: critical-path height (sum of latencies to the end).
+    s.pathLength.assign(n, 0);
     for (size_t k = n; k > 0; --k) {
         size_t i = k - 1;
         unsigned best = 0;
-        for (size_t s : dag[i].succs)
-            best = std::max(best, dag[s].pathLength);
-        dag[i].pathLength = best + bb.insts[i].latency();
+        for (size_t succ : succs_of(i))
+            best = std::max(best, s.pathLength[succ]);
+        s.pathLength[i] = best + bb.insts[i].latency();
     }
 
     // Critical-path-first topological ordering.
@@ -116,38 +146,39 @@ scheduleBlock(BasicBlock &bb, const ScheduleOptions &)
     // "overlap the pushed down contents of block A with the hoisted
     // contents of blocks B and C").
     //
-    // The ready list is a max-heap on (pathLength, then lower index).
-    auto lower_priority = [&](size_t a, size_t b) {
-        if (dag[a].pathLength != dag[b].pathLength)
-            return dag[a].pathLength < dag[b].pathLength;
+    // The ready list is a max-heap on (pathLength, then lower index),
+    // a strict total order, so the emitted order does not depend on
+    // the order in which successors become ready.
+    auto lower_priority = [&s](size_t a, size_t b) {
+        if (s.pathLength[a] != s.pathLength[b])
+            return s.pathLength[a] < s.pathLength[b];
         return a > b;
     };
-    std::vector<size_t> ready;
+    s.ready.clear();
     for (size_t i = 0; i < n; ++i)
-        if (dag[i].preds_left == 0)
-            ready.push_back(i);
-    std::make_heap(ready.begin(), ready.end(), lower_priority);
+        if (s.predsLeft[i] == 0)
+            s.ready.push_back(i);
+    std::make_heap(s.ready.begin(), s.ready.end(), lower_priority);
 
-    std::vector<size_t> order;
-    order.reserve(n);
-    while (!ready.empty()) {
-        std::pop_heap(ready.begin(), ready.end(), lower_priority);
-        size_t i = ready.back();
-        ready.pop_back();
-        order.push_back(i);
-        for (size_t s : dag[i].succs) {
-            if (--dag[s].preds_left == 0) {
-                ready.push_back(s);
-                std::push_heap(ready.begin(), ready.end(),
+    s.order.clear();
+    while (!s.ready.empty()) {
+        std::pop_heap(s.ready.begin(), s.ready.end(), lower_priority);
+        size_t i = s.ready.back();
+        s.ready.pop_back();
+        s.order.push_back(i);
+        for (size_t succ : succs_of(i)) {
+            if (--s.predsLeft[succ] == 0) {
+                s.ready.push_back(succ);
+                std::push_heap(s.ready.begin(), s.ready.end(),
                                lower_priority);
             }
         }
     }
-    vg_assert(order.size() == n, "scheduler lost instructions");
+    vg_assert(s.order.size() == n, "scheduler lost instructions");
 
     bool changed = false;
     for (size_t i = 0; i < n; ++i) {
-        if (order[i] != i) {
+        if (s.order[i] != i) {
             changed = true;
             break;
         }
@@ -155,21 +186,30 @@ scheduleBlock(BasicBlock &bb, const ScheduleOptions &)
     if (!changed)
         return false;
 
-    std::vector<Instruction> new_body;
-    new_body.reserve(bb.insts.size());
-    for (size_t i : order)
-        new_body.push_back(bb.insts[i]);
-    new_body.push_back(bb.terminator());
-    bb.insts = std::move(new_body);
+    // The terminator stays in place at the end.
+    s.body.assign(bb.insts.begin(),
+                  bb.insts.begin() + static_cast<ptrdiff_t>(n));
+    for (size_t k = 0; k < n; ++k)
+        bb.insts[k] = s.body[s.order[k]];
     return true;
 }
 
-unsigned
-scheduleFunction(Function &fn, const ScheduleOptions &opts)
+} // namespace
+
+bool
+scheduleBlock(BasicBlock &bb, const ScheduleOptions &)
 {
+    Scratch scratch;
+    return scheduleBlock(bb, scratch);
+}
+
+unsigned
+scheduleFunction(Function &fn, const ScheduleOptions &)
+{
+    Scratch scratch;
     unsigned changed = 0;
     for (auto &bb : fn.blocks())
-        if (scheduleBlock(bb, opts))
+        if (scheduleBlock(bb, scratch))
             ++changed;
     return changed;
 }

@@ -58,10 +58,25 @@ trainFromProfile(const BenchmarkSpec &spec, BranchProfile profile,
     return out;
 }
 
+namespace {
+
+/** The superblock pass: the one IR step both configurations share. */
+Function
+hoistedKernel(Function fn, const TrainArtifacts &train,
+              const VanguardOptions &opts)
+{
+    if (opts.applySuperblock) {
+        TraceSpan pass(currentTracer(), "compile.superblock");
+        hoistAboveBiasedBranches(fn, train.profile, opts.superblock);
+    }
+    return fn;
+}
+
+/** The rest of one configuration's pipeline, from the hoisted kernel:
+ *  optional decomposition, scheduling, layout and decode. */
 CompiledConfig
-compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
-              bool decomposed, const VanguardOptions &opts,
-              DecomposeStats *dstats_out)
+finishConfig(Function fn, const TrainArtifacts &train, bool decomposed,
+             const VanguardOptions &opts, DecomposeStats *dstats_out)
 {
     Tracer *tracer = currentTracer();
     TraceSpan span(tracer, "compile.config",
@@ -69,16 +84,6 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
                                   decomposed ? "1" : "0"}}));
     CompiledConfig out;
     out.decomposed = decomposed;
-
-    // The code is the same for every input; only the memory image
-    // differs between TRAIN and the REF seeds.
-    KernelCode code = buildKernelCode(spec);
-    Function &fn = code.fn;
-
-    if (opts.applySuperblock) {
-        TraceSpan pass(tracer, "compile.superblock");
-        hoistAboveBiasedBranches(fn, train.profile, opts.superblock);
-    }
 
     DecomposeStats dstats;
     if (decomposed) {
@@ -111,6 +116,20 @@ compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
     out.decoded = std::make_shared<const DecodedProgram>(
         DecodedProgram::decode(out.prog, opts.machine().l1i.lineBytes));
     return out;
+}
+
+} // namespace
+
+CompiledConfig
+compileConfig(const BenchmarkSpec &spec, const TrainArtifacts &train,
+              bool decomposed, const VanguardOptions &opts,
+              DecomposeStats *dstats_out)
+{
+    // The code is the same for every input; only the memory image
+    // differs between TRAIN and the REF seeds.
+    return finishConfig(hoistedKernel(buildKernelCode(spec).fn, train,
+                                      opts),
+                        train, decomposed, opts, dstats_out);
 }
 
 std::vector<SimStats>
@@ -272,15 +291,16 @@ BenchmarkArtifacts
 compileBenchmark(const BenchmarkSpec &spec, TrainArtifacts train,
                  const VanguardOptions &opts)
 {
+    // One kernel build and one superblock pass serve the static-shape
+    // metrics (read before any transformation) and both configurations.
     BenchmarkArtifacts art;
-    art.base = compileConfig(spec, train, false, opts);
-    art.exp =
-        compileConfig(spec, train, opts.applyDecomposition, opts);
-
-    // Static-shape metrics from the untransformed kernel.
-    KernelCode pristine = buildKernelCode(spec);
-    art.alpbb = avgLoadsPerBlock(pristine.fn, pristine.firstColdBlock);
-    art.phi = avgHoistableFraction(pristine.fn, train.selected);
+    KernelCode code = buildKernelCode(spec);
+    art.alpbb = avgLoadsPerBlock(code.fn, code.firstColdBlock);
+    art.phi = avgHoistableFraction(code.fn, train.selected);
+    Function hoisted = hoistedKernel(std::move(code.fn), train, opts);
+    art.base = finishConfig(hoisted, train, false, opts, nullptr);
+    art.exp = finishConfig(std::move(hoisted), train,
+                           opts.applyDecomposition, opts, nullptr);
 
     art.train = std::move(train);
     return art;

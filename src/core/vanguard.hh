@@ -159,7 +159,9 @@ struct BenchmarkArtifacts
 /**
  * Compile both configurations (and the static-shape metrics) from an
  * existing TRAIN pass. Neither step depends on the width, so one
- * result serves every width of a sweep.
+ * result serves every width of a sweep. One kernel build and one
+ * superblock pass are shared by both configurations and the metrics;
+ * each configuration equals what compileConfig returns for it.
  */
 BenchmarkArtifacts compileBenchmark(const BenchmarkSpec &spec,
                                     TrainArtifacts train,

@@ -1,5 +1,6 @@
 #include "ir/function.hh"
 
+#include <bit>
 #include <set>
 #include <sstream>
 
@@ -73,46 +74,90 @@ Function::predecessors() const
     return preds;
 }
 
+namespace {
+
+/**
+ * Open-addressed set of instruction ids. Its capacity comes from the
+ * instruction count, never from the id values: parsed IR may carry any
+ * id below kNoInst, so an id-indexed bitmap could be gigabytes.
+ * Fibonacci hashing spreads the usual dense ids evenly; the load factor
+ * stays below one half, so each insert probes O(1) slots on average.
+ */
+class InstIdSet
+{
+  public:
+    explicit InstIdSet(size_t count)
+    {
+        unsigned bits = static_cast<unsigned>(std::bit_width(2 * count | 1));
+        slots_.assign(size_t{1} << bits, kNoInst);
+        shift_ = 64 - bits;
+    }
+
+    /** Add id (never kNoInst); false if it was already present. */
+    bool
+    insert(InstId id)
+    {
+        size_t mask = slots_.size() - 1;
+        for (size_t i = (id * 0x9E3779B97F4A7C15ull) >> shift_;;
+             i = (i + 1) & mask) {
+            if (slots_[i] == id)
+                return false;
+            if (slots_[i] == kNoInst) {
+                slots_[i] = id;
+                return true;
+            }
+        }
+    }
+
+  private:
+    std::vector<InstId> slots_;   ///< kNoInst marks an empty slot
+    unsigned shift_ = 0;
+};
+
+} // namespace
+
 std::string
 Function::verify() const
 {
     if (blocks_.empty())
         return "function has no blocks";
 
-    std::set<InstId> seen_ids;
+    InstIdSet seen_ids(instCount());
     for (const auto &bb : blocks_) {
-        std::string where = "block " + bb.name + ": ";
+        auto fail = [&bb](const std::string &what) {
+            return "block " + bb.name + ": " + what;
+        };
         if (bb.insts.empty())
-            return where + "empty block";
+            return fail("empty block");
         if (!bb.hasTerminator())
-            return where + "missing terminator";
+            return fail("missing terminator");
         for (size_t i = 0; i < bb.insts.size(); ++i) {
             const Instruction &inst = bb.insts[i];
             if (inst.isTerminator() && i != bb.insts.size() - 1)
-                return where + "terminator in mid-block at index " +
-                       std::to_string(i);
+                return fail("terminator in mid-block at index " +
+                            std::to_string(i));
             if (inst.id == kNoInst)
-                return where + "instruction without id";
-            if (!seen_ids.insert(inst.id).second)
-                return where + "duplicate instruction id " +
-                       std::to_string(inst.id);
+                return fail("instruction without id");
+            if (!seen_ids.insert(inst.id))
+                return fail("duplicate instruction id " +
+                            std::to_string(inst.id));
             if (inst.writesDst() && inst.dst >= kNumRegs)
-                return where + "bad dst register";
+                return fail("bad dst register");
             for (RegId src : {inst.src1, inst.src2, inst.src3}) {
                 if (src != kNoReg && src >= kNumRegs)
-                    return where + "bad src register";
+                    return fail("bad src register");
             }
             if (inst.isCondBranch() && inst.src1 == kNoReg)
-                return where + "conditional branch without condition reg";
+                return fail("conditional branch without condition reg");
             if ((inst.op == Opcode::PREDICT ||
                  inst.op == Opcode::RESOLVE) &&
                 inst.origBranch == kNoInst) {
-                return where + "decomposed branch without origBranch";
+                return fail("decomposed branch without origBranch");
             }
         }
         for (BlockId succ : successors(bb.id)) {
             if (succ == kNoBlock || succ >= blocks_.size())
-                return where + "terminator targets invalid block";
+                return fail("terminator targets invalid block");
         }
     }
     return "";

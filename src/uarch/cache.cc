@@ -32,8 +32,8 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
     vg_assert(cfg.ways >= 1 && cfg.ways <= 64,
               "cache ways must fit the per-set valid bitmask");
     num_sets_ = static_cast<unsigned>(total_lines / cfg.ways);
-    tags_.assign(total_lines, 0);
-    lrus_.assign(total_lines, 0);
+    tags_ = std::make_unique_for_overwrite<uint64_t[]>(total_lines);
+    lrus_ = std::make_unique_for_overwrite<uint64_t[]>(total_lines);
     valid_.assign(num_sets_, 0);
     mru_.assign(num_sets_, 0);
     full_mask_ = cfg.ways == 64 ? ~uint64_t{0}
@@ -80,7 +80,8 @@ void
 Cache::invalidateAll()
 {
     // Stale tags_/lrus_/mru_ entries are unreachable once their valid
-    // bits drop, so clearing the bitmasks suffices.
+    // bits drop (the invariant at tags_), so clearing the bitmasks
+    // suffices.
     std::fill(valid_.begin(), valid_.end(), 0);
     hits_ = misses_ = 0;
     tick_ = 0;

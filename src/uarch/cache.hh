@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "uarch/config.hh"
@@ -122,8 +123,16 @@ class Cache
     // validity packed one bitmask per set (hence ways <= 64, asserted
     // in the constructor). The hit scan touches tags_ only; lrus_ is
     // read on the miss path and written once per access.
-    std::vector<uint64_t> tags_;
-    std::vector<uint64_t> lrus_;
+    //
+    // Invariant: a way's tags_/lrus_ slots are read only while its
+    // valid bit is set, and a valid bit is set only together with
+    // writing both slots. The MRU check, the hit scan and contains()
+    // test the bit before the tag; the LRU victim scan runs only on a
+    // full set. So both arrays start uninitialised (no zero-fill of
+    // pages a run may never touch), and invalidateAll() need only
+    // clear valid_.
+    std::unique_ptr<uint64_t[]> tags_;
+    std::unique_ptr<uint64_t[]> lrus_;
     std::vector<uint64_t> valid_;   ///< per-set way bitmask
     std::vector<uint8_t> mru_;      ///< per-set last-touched way
     uint64_t full_mask_ = 0;        ///< valid_ value when all ways live

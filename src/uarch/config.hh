@@ -20,6 +20,14 @@
 
 namespace vanguard {
 
+/** Largest cache level the simulator accepts (64 MB, 16x the L3). */
+inline constexpr unsigned kMaxCacheSizeKB = 64 * 1024;
+
+/**
+ * One cache level's geometry. A usable one (checked before every
+ * simulation) has sizeKB in 1..kMaxCacheSizeKB, a power-of-two
+ * lineBytes, 1..64 ways, and a whole, non-zero number of sets.
+ */
 struct CacheConfig
 {
     unsigned sizeKB = 32;

@@ -1,5 +1,6 @@
 #include "uarch/pipeline.hh"
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -74,11 +75,31 @@ stallKeyBound(const Program &prog)
  * Reject machine shapes the timing model cannot make progress on: a
  * zero issue width or port count spins computeIssue forever, and a
  * zero-entry fetch buffer, DBB or miss buffer breaks the queue bounds
- * below.
+ * below. A cache level without sets would divide by zero in Cache, and
+ * the fetch-line mask assumes power-of-two lines.
  */
 void
 validateLaneConfig(const MachineConfig &cfg)
 {
+    for (auto [name, c] : {std::pair{"l1i", &cfg.l1i},
+                           std::pair{"l1d", &cfg.l1d},
+                           std::pair{"l2", &cfg.l2},
+                           std::pair{"l3", &cfg.l3}}) {
+        if (c->sizeKB == 0 || c->sizeKB > kMaxCacheSizeKB)
+            vg_throw(Config, "machine config: %s size %u KB outside "
+                     "1..%u", name, c->sizeKB, kMaxCacheSizeKB);
+        if (!std::has_single_bit(c->lineBytes))
+            vg_throw(Config, "machine config: %s line size %u B is not "
+                     "a power of two", name, c->lineBytes);
+        if (c->ways == 0 || c->ways > 64)
+            vg_throw(Config, "machine config: %s ways %u outside 1..64",
+                     name, c->ways);
+        uint64_t lines = uint64_t{c->sizeKB} * 1024 / c->lineBytes;
+        if (lines == 0 || lines % c->ways != 0)
+            vg_throw(Config, "machine config: %s %llu lines do not "
+                     "form whole %u-way sets", name,
+                     static_cast<unsigned long long>(lines), c->ways);
+    }
     struct Field
     {
         const char *name;
@@ -1093,6 +1114,7 @@ simulate(const Program &prog, Memory &mem,
          DirectionPredictor &predictor, const MachineConfig &cfg,
          const SimOptions &opts)
 {
+    validateLaneConfig(cfg); // before decode reads the line size
     if (fastEligible(opts)) {
         DecodedProgram decoded =
             DecodedProgram::decode(prog, cfg.l1i.lineBytes);

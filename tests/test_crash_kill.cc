@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "core/journal.hh"
+#include "core/replay.hh"
 
 #ifndef VANGUARD_CLI_BIN
 #error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
@@ -204,6 +205,34 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
         }
         ASSERT_TRUE(WIFEXITED(status)) << flags[0] << ' ' << flags[1];
         EXPECT_EQ(WEXITSTATUS(status), 2) << flags[0] << ' ' << flags[1];
+    }
+}
+
+/**
+ * A replay bundle is outside input too: one whose machine has a cache
+ * level with no sets (it used to die with SIGFPE in the set index) or
+ * one too large to allocate is a usage error, exit 2.
+ */
+TEST(CrashKill, ReplayOfUnusableCacheExitsWithUsageError)
+{
+    std::string out = ::testing::TempDir() + "bad-bundle.out";
+    std::string path = ::testing::TempDir() + "bad-bundle.vgr";
+    for (unsigned size_kb : {0u, 4'000'000'000u}) {
+        ReplayBundle bundle;
+        bundle.benchmark = "mcf-like";
+        bundle.iterations = 500;
+        bundle.seed = 1;
+        bundle.options.l1iSizeKB = size_kb;
+        bundle.errorKind = "Fault";
+        {
+            std::ofstream f(path);
+            f << serializeReplayBundle(bundle);
+        }
+        pid_t pid = launch({"--replay", path}, out);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status)) << size_kb << " KB";
+        EXPECT_EQ(WEXITSTATUS(status), 2) << size_kb << " KB";
     }
 }
 

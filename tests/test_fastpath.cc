@@ -477,6 +477,35 @@ TEST(FusedLanes, LanesMayDifferOnlyInWidthAndPorts)
                  SimError);
 }
 
+/** Two compile artifacts are identical, down to every decoded field. */
+void
+expectSameCompile(const CompiledConfig &a, const CompiledConfig &b,
+                  const std::string &tag)
+{
+    EXPECT_EQ(a.decomposed, b.decomposed) << tag;
+    EXPECT_EQ(a.prog.toString(), b.prog.toString()) << tag;
+    EXPECT_EQ(a.hoistedMask, b.hoistedMask) << tag;
+    EXPECT_EQ(a.staticInsts, b.staticInsts) << tag;
+    const DecodedProgram &da = *a.decoded;
+    const DecodedProgram &db = *b.decoded;
+    ASSERT_EQ(da.size(), db.size()) << tag;
+    EXPECT_EQ(da.lineBytes(), db.lineBytes()) << tag;
+    EXPECT_EQ(da.maxStallKey(), db.maxStallKey()) << tag;
+    for (size_t i = 0; i < da.size(); ++i) {
+        const DecodedInst &x = da.insts()[i];
+        const DecodedInst &y = db.insts()[i];
+        EXPECT_TRUE(x.pc == y.pc && x.takenPc == y.takenPc &&
+                    x.lineTag == y.lineTag && x.imm == y.imm &&
+                    x.takenIdx == y.takenIdx && x.id == y.id &&
+                    x.stallKey == y.stallKey && x.op == y.op &&
+                    x.dst == y.dst && x.src1 == y.src1 &&
+                    x.src2 == y.src2 && x.src3 == y.src3 &&
+                    x.fu == y.fu && x.latency == y.latency &&
+                    x.flags == y.flags)
+            << tag << " inst " << i;
+    }
+}
+
 /**
  * Compiling once per benchmark is only sound because compile output
  * does not depend on the width: every kernel's Program and
@@ -492,36 +521,33 @@ TEST(FusedLanes, CompileOutputIsWidthIndependent)
         for (unsigned w : {4u, 8u}) {
             vopts.width = w;
             BenchmarkArtifacts other = compileBenchmark(spec, train, vopts);
-            for (auto [a, b] : {std::pair{&w2.base, &other.base},
-                                std::pair{&w2.exp, &other.exp}}) {
-                std::string tag = std::string(spec.name) + " w" +
-                                  std::to_string(w) +
-                                  (a->decomposed ? " [exp]" : " [base]");
-                EXPECT_EQ(a->prog.toString(), b->prog.toString()) << tag;
-                EXPECT_EQ(a->hoistedMask, b->hoistedMask) << tag;
-                EXPECT_EQ(a->staticInsts, b->staticInsts) << tag;
-                const DecodedProgram &da = *a->decoded;
-                const DecodedProgram &db = *b->decoded;
-                ASSERT_EQ(da.size(), db.size()) << tag;
-                EXPECT_EQ(da.lineBytes(), db.lineBytes()) << tag;
-                EXPECT_EQ(da.maxStallKey(), db.maxStallKey()) << tag;
-                for (size_t i = 0; i < da.size(); ++i) {
-                    const DecodedInst &x = da.insts()[i];
-                    const DecodedInst &y = db.insts()[i];
-                    EXPECT_TRUE(x.pc == y.pc && x.takenPc == y.takenPc &&
-                                x.lineTag == y.lineTag && x.imm == y.imm &&
-                                x.takenIdx == y.takenIdx && x.id == y.id &&
-                                x.stallKey == y.stallKey && x.op == y.op &&
-                                x.dst == y.dst && x.src1 == y.src1 &&
-                                x.src2 == y.src2 && x.src3 == y.src3 &&
-                                x.fu == y.fu && x.latency == y.latency &&
-                                x.flags == y.flags)
-                        << tag << " inst " << i;
-                }
-            }
+            std::string tag =
+                std::string(spec.name) + " w" + std::to_string(w);
+            expectSameCompile(w2.base, other.base, tag + " [base]");
+            expectSameCompile(w2.exp, other.exp, tag + " [exp]");
             EXPECT_EQ(w2.alpbb, other.alpbb);
             EXPECT_EQ(w2.phi, other.phi);
         }
+    }
+}
+
+/**
+ * compileBenchmark shares one kernel build and one superblock pass
+ * between its two configurations; each must still equal the
+ * standalone compileConfig that replay and the workers run.
+ */
+TEST(FusedLanes, SharedBenchmarkCompileMatchesStandaloneConfigs)
+{
+    for (const BenchmarkSpec &spec : allKernels(100)) {
+        VanguardOptions vopts;
+        TrainArtifacts train = trainBenchmark(spec, vopts);
+        BenchmarkArtifacts art = compileBenchmark(spec, train, vopts);
+        std::string tag(spec.name);
+        expectSameCompile(art.base,
+                          compileConfig(spec, train, false, vopts),
+                          tag + " [base]");
+        expectSameCompile(art.exp, compileConfig(spec, train, true, vopts),
+                          tag + " [exp]");
     }
 }
 

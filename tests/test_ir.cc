@@ -118,6 +118,78 @@ TEST(Function, VerifyCatchesDecomposedWithoutOrigBranch)
               std::string::npos);
 }
 
+/** A one-block function of n MOVIs and a HALT, for verify() faults. */
+Function
+straightLine(unsigned n)
+{
+    Function fn("bad");
+    IRBuilder b(fn);
+    b.startBlock("entry");
+    for (unsigned i = 0; i < n; ++i)
+        b.movi(static_cast<RegId>(i % 8), i);
+    b.halt();
+    return fn;
+}
+
+TEST(Function, VerifyCatchesDuplicateIds)
+{
+    Function fn = straightLine(4);
+    fn.block(0).insts[3].id = fn.block(0).insts[1].id;
+    EXPECT_EQ(fn.verify(), "block entry: duplicate instruction id 1");
+
+    // Parsed IR may carry any id below kNoInst: sparse ids near the
+    // top of the range are valid, and a repeat among them is caught.
+    Function sparse = straightLine(4);
+    auto &insts = sparse.block(0).insts;
+    for (size_t i = 0; i < insts.size(); ++i)
+        insts[i].id = kNoInst - 1 - static_cast<InstId>(i);
+    EXPECT_EQ(sparse.verify(), "");
+    insts[4].id = kNoInst - 1;
+    EXPECT_EQ(sparse.verify(), "block entry: duplicate instruction id " +
+                                   std::to_string(kNoInst - 1));
+}
+
+TEST(Function, VerifyCatchesInstructionWithoutId)
+{
+    Function fn = straightLine(2);
+    fn.block(0).insts[1].id = kNoInst;
+    EXPECT_EQ(fn.verify(), "block entry: instruction without id");
+}
+
+TEST(Function, VerifyCatchesBadRegisters)
+{
+    Function dst = straightLine(2);
+    dst.block(0).insts[0].dst = static_cast<RegId>(kNumRegs);
+    EXPECT_EQ(dst.verify(), "block entry: bad dst register");
+
+    Function fn("bad");
+    IRBuilder b(fn);
+    b.startBlock("entry");
+    b.add(1, 2, 3);
+    b.halt();
+    fn.block(0).insts[0].src2 = static_cast<RegId>(kNumRegs);
+    EXPECT_EQ(fn.verify(), "block entry: bad src register");
+}
+
+TEST(Function, VerifyReportsTheFirstFaultInProgramOrder)
+{
+    // Two faults in one block: the earlier instruction's wins, and
+    // within one instruction the checks run in a fixed order.
+    Function fn = straightLine(4);
+    auto &insts = fn.block(0).insts;
+    insts[1].dst = static_cast<RegId>(kNumRegs);
+    insts[2].id = insts[0].id;
+    EXPECT_EQ(fn.verify(), "block entry: bad dst register");
+    insts[1].id = kNoInst;
+    EXPECT_EQ(fn.verify(), "block entry: instruction without id");
+
+    // A fault in an earlier block wins over one in a later block.
+    Function two = makeDiamond();
+    two.block(2).insts[0].id = kNoInst;
+    two.block(1).insts[0].dst = static_cast<RegId>(kNumRegs);
+    EXPECT_EQ(two.verify(), "block t: bad dst register");
+}
+
 TEST(Function, AllocUnusedTempRegSkipsUsedOnes)
 {
     Function fn("t");

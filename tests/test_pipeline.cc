@@ -408,6 +408,16 @@ TEST(Pipeline, UnusableMachineIsAConfigError)
              +[](MachineConfig &c) { c.fetchBufferEntries = 0; },
              +[](MachineConfig &c) { c.dbbEntries = 0; },
              +[](MachineConfig &c) { c.mshrEntries = 0; },
+             // Cache geometry: no sets would divide by zero.
+             +[](MachineConfig &c) { c.l1i.sizeKB = 0; },
+             +[](MachineConfig &c) { c.l3.sizeKB = 4'000'000'000u; },
+             +[](MachineConfig &c) { c.l2.sizeKB = kMaxCacheSizeKB + 1; },
+             +[](MachineConfig &c) { c.l1d.lineBytes = 48; },
+             +[](MachineConfig &c) { c.l1i.lineBytes = 0; },
+             +[](MachineConfig &c) { c.l2.ways = 0; },
+             +[](MachineConfig &c) { c.l3.ways = 65; },
+             +[](MachineConfig &c) { c.l1d.ways = 3; },
+             +[](MachineConfig &c) { c.l1i.lineBytes = 1 << 16; },
          }) {
         MachineConfig cfg;
         zero(cfg);

@@ -90,22 +90,35 @@ referenceOrder(const BasicBlock &bb)
     return order;
 }
 
-/** scheduleBlock emits exactly the reference order for bb. */
-::testing::AssertionResult
-matchesReference(const BasicBlock &bb)
+/** The ids of bb's instructions in the reference schedule's order. */
+std::vector<InstId>
+referenceIds(const BasicBlock &bb)
 {
     std::vector<InstId> want;
     for (size_t i : referenceOrder(bb))
         want.push_back(bb.insts[i].id);
     if (bb.hasTerminator())
         want.push_back(bb.terminator().id);
+    return want;
+}
 
+std::vector<InstId>
+idsOf(const BasicBlock &bb)
+{
+    std::vector<InstId> ids;
+    for (const Instruction &inst : bb.insts)
+        ids.push_back(inst.id);
+    return ids;
+}
+
+/** scheduleBlock emits exactly the reference order for bb. */
+::testing::AssertionResult
+matchesReference(const BasicBlock &bb)
+{
+    std::vector<InstId> want = referenceIds(bb);
     BasicBlock got = bb;
     bool changed = scheduleBlock(got, {});
-    std::vector<InstId> got_ids;
-    for (const Instruction &inst : got.insts)
-        got_ids.push_back(inst.id);
-    if (got_ids != want)
+    if (idsOf(got) != want)
         return ::testing::AssertionFailure()
                << "order differs in block " << bb.name;
     bool reordered = false;
@@ -332,6 +345,40 @@ TEST(Scheduler, RandomBlocksMatchAllPairsReference)
         ASSERT_TRUE(
             matchesReference(randomBlock(long_rng, 200).block(0)))
             << "long trial " << trial;
+}
+
+TEST(Scheduler, FunctionOverMixedBlockSizesMatchesReference)
+{
+    // scheduleFunction reuses its working storage from block to block:
+    // big, tiny and mid-sized blocks in turn must each still get the
+    // order the reference gives that block alone.
+    Rng rng(31);
+    Function fn("mixed");
+    IRBuilder b(fn);
+    const int lengths[] = {200, 1, 60, 0, 3, 150, 24, 2, 90};
+    for (int length : lengths) {
+        b.startBlock("");
+        b.movi(0, 256); // base pointer
+        Function body = randomBlock(rng, length);
+        const BasicBlock &src = body.block(0);
+        for (size_t i = 1; i < src.bodySize(); ++i)
+            b.append(src.insts[i]);
+        b.jmp(static_cast<BlockId>(fn.numBlocks()));
+    }
+    b.startBlock("exit");
+    b.halt();
+    ASSERT_EQ(fn.verify(), "");
+
+    Function scheduled = fn;
+    unsigned changed = scheduleFunction(scheduled, {});
+    unsigned reordered = 0;
+    for (const BasicBlock &bb : fn.blocks()) {
+        std::vector<InstId> got = idsOf(scheduled.block(bb.id));
+        EXPECT_EQ(got, referenceIds(bb)) << "block " << bb.id;
+        reordered += got != idsOf(bb);
+    }
+    EXPECT_EQ(changed, reordered);
+    EXPECT_GT(reordered, 3u);
 }
 
 TEST(Scheduler, SuiteKernelsMatchAllPairsReference)

@@ -401,6 +401,32 @@ TEST(JobBody, FusedSimulateJobMatchesInProcessLanes)
     EXPECT_LT(back.lanes[0].cycles, back.lanes[1].cycles); // w8 < w2
 }
 
+/**
+ * A job frame is outside input: one whose machine has an I$ without
+ * sets fails as Config instead of killing the worker with SIGFPE.
+ */
+TEST(JobBody, UnusableCacheFailsAsConfig)
+{
+    BenchmarkSpec spec = findBenchmark("gobmk-like");
+    spec.iterations = 300;
+    WorkerJob job;
+    job.phase = "simulate";
+    job.spec = spec;
+    job.specName = spec.name;
+    job.bindSpecName();
+    job.options.l1iSizeKB = 0;
+    job.config = 0;
+    job.widths = {4};
+    job.seed = kRefSeeds[0];
+    job.profileText =
+        serializeProfile(trainBenchmark(spec, job.options).profile);
+
+    JobBodyRunner runner;
+    WorkerResult res = runner.run(job);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.kind, SimError::Kind::Config) << res.message;
+}
+
 TEST(WorkerCodec, ResultRoundTripsOkFailAndInjectedCounts)
 {
     {
