@@ -9,12 +9,13 @@
  *                          and 8; default 4)
  *     --predictor NAME     bimodal|local|gshare|gshare3|gshare3-big|
  *                          perceptron|tage|isltage|ideal:<p>
- *     --iterations N       loop trip count (default 15000)
+ *     --iterations N       loop trip count, >= 1 (default 15000)
  *     --seed N             REF input seed (default first REF seed)
  *     --all-refs           evaluate every REF input through the
  *                          parallel experiment engine (mean/best)
- *     --jobs N             engine worker threads (default: the
- *                          VANGUARD_JOBS env var, then all cores)
+ *     --jobs N             engine worker threads, 1..4x the hardware
+ *                          threads (default: the VANGUARD_JOBS env
+ *                          var, then all cores)
  *     --no-threaded-dispatch  use the portable switch dispatcher even
  *                          in builds carrying the computed-goto fast
  *                          path (bit-identical results, machine code
@@ -29,8 +30,9 @@
  *     --dump-ir            print the transformed IR
  *     --dump-asm           print the laid-out program
  *     --timeline           print a steady-state pipeline timeline
- *     --gantt-window N     timeline window size in instructions
- *                          (default 256; overflow is reported)
+ *     --gantt-window N     timeline window size in instructions,
+ *                          1..65536 (default 256; overflow is
+ *                          reported)
  *     --stats              print the full counter set
  *     --metrics-out FILE   write the metrics-registry dump
  *                          (vanguard-metrics v1; .csv suffix selects
@@ -113,6 +115,9 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -141,6 +146,7 @@
 #include "support/shutdown.hh"
 #include "support/stats.hh"
 #include "support/telemetry.hh"
+#include "support/thread_pool.hh"
 #include "support/tracing.hh"
 #include "uarch/trace.hh"
 #include "workloads/suites.hh"
@@ -148,6 +154,10 @@
 using namespace vanguard;
 
 namespace {
+
+/** Largest --gantt-window: the timeline renders one row per window
+ *  instruction, and the capture buffer is sized from it up front. */
+constexpr size_t kMaxGanttWindow = 65536;
 
 void
 dumpStats(const char *label, const SimStats &s)
@@ -219,7 +229,8 @@ printUsage(std::FILE *to)
         "                      .csv suffix selects CSV, else JSON)\n"
         "  --trace-out F       write a Chrome trace-event timeline "
         "(Perfetto)\n"
-        "  --gantt-window N    --timeline window size (default 256)\n"
+        "  --gantt-window N    --timeline window size, 1..65536 "
+        "(default 256)\n"
         "\n"
         "crash safety (with --all-refs):\n"
         "  --checkpoint-dir D  journal every completed job into "
@@ -340,6 +351,27 @@ parseUnsignedOrDie(const char *flag, const char *text, unsigned lo,
         usageAndExit();
     }
     return static_cast<unsigned>(v);
+}
+
+/** parseUnsignedOrDie for 64-bit values. */
+uint64_t
+parseU64OrDie(const char *flag, const char *text, uint64_t lo,
+              uint64_t hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isdigit(static_cast<unsigned char>(text[0])) || v < lo ||
+        v > hi) {
+        std::fprintf(stderr,
+                     "vanguard_cli: %s expects an integer in "
+                     "[%llu, %llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), text);
+        usageAndExit();
+    }
+    return v;
 }
 
 /** Re-execute a failure bundle solo; exit 0 iff it reproduced, 2 if
@@ -512,13 +544,16 @@ runCli(int argc, char **argv)
         } else if (arg == "--predictor") {
             opts.predictor = next();
         } else if (arg == "--iterations") {
-            iterations = strtoull(next(), nullptr, 10);
+            // The kernel loads the trip count as a signed immediate.
+            iterations = parseU64OrDie("--iterations", next(), 1,
+                                       INT64_MAX);
         } else if (arg == "--seed") {
             seed = strtoull(next(), nullptr, 10);
         } else if (arg == "--all-refs") {
             all_refs = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(atoi(next()));
+            jobs = parseUnsignedOrDie("--jobs", next(), 1,
+                                      ThreadPool::maxWorkerCount());
         } else if (arg == "--no-threaded-dispatch") {
             opts.noThreadedDispatch = true;
         } else if (arg == "--no-decompose") {
@@ -584,7 +619,8 @@ runCli(int argc, char **argv)
         } else if (arg == "--timeline") {
             timeline = true;
         } else if (arg == "--gantt-window") {
-            gantt_window = strtoull(next(), nullptr, 10);
+            gantt_window = parseU64OrDie("--gantt-window", next(), 1,
+                                         kMaxGanttWindow);
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--metrics-out") {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -185,7 +186,7 @@ writeBundle(JobFailure &f, const BenchmarkSpec &spec,
     f.bundlePath = path;
 }
 
-/** Append phase failures to the report in job-index order. */
+/** Append one job kind's failures to the report in job-index order. */
 void
 collectPhase(std::vector<std::optional<JobFailure>> &slots,
              SuiteReport &report)
@@ -195,6 +196,33 @@ collectPhase(std::vector<std::optional<JobFailure>> &slots,
             report.failures.push_back(std::move(*slot));
     }
 }
+
+/**
+ * First start to last end of one job kind, in tracer time. Job kinds
+ * overlap in the job graph, so the envelope is recorded after the
+ * graph on a track of its own (Tracer::envelope).
+ */
+struct JobEnvelope
+{
+    std::mutex mutex;
+    uint64_t first = UINT64_MAX;
+    uint64_t last = 0;
+
+    void
+    widen(uint64_t begin_us, uint64_t end_us)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        first = std::min(first, begin_us);
+        last = std::max(last, end_us);
+    }
+
+    void
+    record(Tracer *tracer, const char *name) const
+    {
+        if (tracer != nullptr && first != UINT64_MAX)
+            tracer->envelope(name, first, last);
+    }
+};
 
 /**
  * Per-sweep checkpoint state: the journal writer plus, on resume, the
@@ -477,13 +505,19 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         fabric = &wpool->coordinator();
     }
 
-    // Graceful drain: once a shutdown is requested, queued jobs are
-    // discarded (leaving no result and no journal record — exactly
-    // "incomplete, re-run on --resume") while in-flight jobs finish
-    // and checkpoint normally.
-    ThreadPool pool(ropts.jobs, [] { return shutdownRequested(); });
+    // The sweep is one job graph on one pool: train(b) submits
+    // compile(b), and compile(b) submits b's 2·S simulate jobs; a
+    // failed train or compile submits nothing and counts its
+    // dependents skipped. Every job is keyed by its benchmark's
+    // position and the pool runs the lowest key first, so a
+    // benchmark's compile and simulate jobs overtake later trains and
+    // at most `jobs` benchmarks hold compiled programs at once.
+    // Each benchmark drops its programs after its last simulate job
+    // (releasePrograms), keeping only what assembly reads. Failures
+    // are collected after the graph, per job kind in job-index order,
+    // so the report does not depend on the interleaving.
 
-    // Phase 1: train each benchmark once (width-independent). With a
+    // Train: one job per benchmark (width-independent). With a
     // journal, a completed slot replays: failures rematerialize, ok
     // records reload the checkpointed TRAIN profile (falling back to
     // retraining — and re-journaling — if the profile file rotted).
@@ -503,173 +537,142 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     ProgressReporter train_progress(ropts.tag, "train", B);
     train_progress.observeFailures(&train_failed);
     train_progress.observeRetries(&jobs_retries);
-    {
-        TraceSpan phase_span(tracer, "phase.train");
-        pool.parallelFor(B, [&](size_t b) {
-            ScopedCurrentTracer ambient(tracer);
-            JobIdentity id;
-            id.phase = "train";
-            id.benchmark = suite[b].name;
-            id.index = b;
-            faultinject::Scope job_scope(jobScopeKey(id, 0));
-            if (ckpt != nullptr) {
-                auto it = ckpt->prior.train.find(b);
-                if (it != ckpt->prior.train.end()) {
-                    if (!it->second.ok) {
-                        train_fail[b] =
-                            failureFromRecord(id, it->second);
-                        ckpt->countReplay();
-                        jobs_replayed.add();
-                        jobs_failed.add();
-                        train_failed.add();
-                        train_progress.jobFailedReplayed();
-                        return;
+    // Returns false when a drain discarded the job before it settled
+    // (no result, no failure, no journal record).
+    auto runTrain = [&](size_t b) -> bool {
+        ScopedCurrentTracer ambient(tracer);
+        JobIdentity id;
+        id.phase = "train";
+        id.benchmark = suite[b].name;
+        id.index = b;
+        faultinject::Scope job_scope(jobScopeKey(id, 0));
+        if (ckpt != nullptr) {
+            auto it = ckpt->prior.train.find(b);
+            if (it != ckpt->prior.train.end()) {
+                if (!it->second.ok) {
+                    train_fail[b] = failureFromRecord(id, it->second);
+                    ckpt->countReplay();
+                    jobs_replayed.add();
+                    jobs_failed.add();
+                    train_failed.add();
+                    train_progress.jobFailedReplayed();
+                    return true;
+                }
+                std::string path = ckpt->trainProfilePath(suite[b].name);
+                std::ifstream in(path);
+                std::stringstream buf;
+                if (in)
+                    buf << in.rdbuf();
+                ProfileParseResult parsed = deserializeProfile(buf.str());
+                if (in && parsed.ok) {
+                    trains[b] = trainFromProfile(
+                        suite[b], std::move(parsed.profile), base);
+                    ckpt->countReplay();
+                    jobs_replayed.add();
+                    jobs_completed.add();
+                    train_done.add();
+                    mergeTrain(b);
+                    if (tracer != nullptr) {
+                        tracer->instant(
+                            "job.replayed",
+                            Tracer::args({{"job", id.describe()}}));
                     }
-                    std::string path =
-                        ckpt->trainProfilePath(suite[b].name);
-                    std::ifstream in(path);
-                    std::stringstream buf;
-                    if (in)
-                        buf << in.rdbuf();
-                    ProfileParseResult parsed =
-                        deserializeProfile(buf.str());
-                    if (in && parsed.ok) {
-                        trains[b] = trainFromProfile(
-                            suite[b], std::move(parsed.profile),
-                            base);
-                        ckpt->countReplay();
-                        jobs_replayed.add();
-                        jobs_completed.add();
-                        train_done.add();
-                        mergeTrain(b);
-                        if (tracer != nullptr) {
-                            tracer->instant(
-                                "job.replayed",
-                                Tracer::args(
-                                    {{"job", id.describe()}}));
-                        }
-                        train_progress.jobReplayed();
-                        return;
-                    }
-                    vg_warn("checkpointed profile %s is unreadable; "
-                            "retraining %s", path.c_str(),
-                            suite[b].name);
+                    train_progress.jobReplayed();
+                    return true;
                 }
+                vg_warn("checkpointed profile %s is unreadable; "
+                        "retraining %s", path.c_str(), suite[b].name);
             }
-            {
-                TraceSpan span(
-                    tracer, "train",
-                    tracer == nullptr
-                        ? std::string()
-                        : Tracer::args(
-                              {{"benchmark", suite[b].name},
-                               {"index", std::to_string(b)}}));
-                try {
-                    train_fail[b] = runGuarded(
-                        id, ropts, tracer, jobs_retries,
-                        [&](unsigned attempt) {
-                            if (fabric == nullptr) {
-                                trains[b] =
-                                    trainBenchmark(suite[b], base);
-                                return;
-                            }
-                            // Worker-side profiling; selection
-                            // re-derives here via trainFromProfile,
-                            // bit-identical to trainBenchmark (same
-                            // guarantee the resume path relies on).
-                            WorkerJob wj;
-                            wj.phase = "train";
-                            wj.slot = b;
-                            wj.scopeKey = jobScopeKey(id, attempt);
-                            wj.scopeStartDraw =
-                                faultinject::currentDrawCount();
-                            wj.spec = suite[b];
-                            wj.specName = suite[b].name;
-                            wj.bindSpecName();
-                            wj.options = base;
-                            WorkerResult res =
-                                fabric->execute(std::move(wj));
-                            ProfileParseResult parsed =
-                                deserializeProfile(res.profileText);
-                            if (!parsed.ok) {
-                                vg_throw(Io,
-                                         "worker returned an "
-                                         "unreadable TRAIN profile "
-                                         "for %s: %s",
-                                         suite[b].name,
-                                         parsed.error.c_str());
-                            }
-                            trains[b] = trainFromProfile(
-                                suite[b], std::move(parsed.profile),
-                                base);
-                        });
-                } catch (const JobDiscarded &) {
-                    // Drained before any worker leased it: leave no
-                    // result, no failure, no journal record — the
-                    // post-phase shutdownRequested() check reports
-                    // the sweep interrupted.
-                    return;
-                }
-            }
-            if (train_fail[b].has_value()) {
-                writeBundle(*train_fail[b], suite[b], base, ropts);
-                jobs_failed.add();
-                train_failed.add();
-                train_progress.jobFailed();
-            } else {
-                jobs_completed.add();
-                train_done.add();
-                mergeTrain(b);
-                train_progress.jobDone();
-            }
-            if (ckpt == nullptr)
-                return;
-            if (train_fail[b].has_value()) {
-                ckpt->append(
-                    recordFromFailure('T', b, *train_fail[b]));
-            } else {
-                try {
-                    writeFileAtomic(
-                        ckpt->trainProfilePath(suite[b].name),
-                        serializeProfile(trains[b].profile));
-                } catch (const SimError &e) {
-                    vg_warn("cannot checkpoint TRAIN profile for %s "
-                            "(%s); resume will retrain",
-                            suite[b].name, e.detail().c_str());
-                }
-                JournalRecord rec;
-                rec.phase = 'T';
-                rec.index = b;
-                rec.ok = true;
-                ckpt->append(rec);
-            }
-        });
-    }
-    collectPhase(train_fail, report);
-    if (shutdownRequested()) {
-        report.interrupted = true;
-        stampReplayed();
-        stampFaultGauges();
-        return report;
-    }
-
-    // Remote bodies (process or distributed mode) ship each simulate
-    // job its benchmark's serialized TRAIN profile (jobs must be
-    // self-contained); serialize each one exactly once, up front.
-    std::vector<std::string> profile_text(B);
-    if (fabric != nullptr) {
-        for (size_t b = 0; b < B; ++b) {
-            if (!train_fail[b].has_value())
-                profile_text[b] = serializeProfile(trains[b].profile);
         }
-    }
+        {
+            TraceSpan span(
+                tracer, "train",
+                tracer == nullptr
+                    ? std::string()
+                    : Tracer::args({{"benchmark", suite[b].name},
+                                    {"index", std::to_string(b)}}));
+            try {
+                train_fail[b] = runGuarded(
+                    id, ropts, tracer, jobs_retries,
+                    [&](unsigned attempt) {
+                        if (fabric == nullptr) {
+                            trains[b] = trainBenchmark(suite[b], base);
+                            return;
+                        }
+                        // Worker-side profiling; selection re-derives
+                        // here via trainFromProfile, bit-identical to
+                        // trainBenchmark (same guarantee the resume
+                        // path relies on).
+                        WorkerJob wj;
+                        wj.phase = "train";
+                        wj.slot = b;
+                        wj.scopeKey = jobScopeKey(id, attempt);
+                        wj.scopeStartDraw =
+                            faultinject::currentDrawCount();
+                        wj.spec = suite[b];
+                        wj.specName = suite[b].name;
+                        wj.bindSpecName();
+                        wj.options = base;
+                        WorkerResult res =
+                            fabric->execute(std::move(wj));
+                        ProfileParseResult parsed =
+                            deserializeProfile(res.profileText);
+                        if (!parsed.ok) {
+                            vg_throw(Io,
+                                     "worker returned an unreadable "
+                                     "TRAIN profile for %s: %s",
+                                     suite[b].name,
+                                     parsed.error.c_str());
+                        }
+                        trains[b] = trainFromProfile(
+                            suite[b], std::move(parsed.profile), base);
+                    });
+            } catch (const JobDiscarded &) {
+                // Drained before any worker leased it: leave no
+                // result, no failure, no journal record — the
+                // post-graph shutdownRequested() check reports the
+                // sweep interrupted.
+                return false;
+            }
+        }
+        if (train_fail[b].has_value()) {
+            writeBundle(*train_fail[b], suite[b], base, ropts);
+            jobs_failed.add();
+            train_failed.add();
+            train_progress.jobFailed();
+        } else {
+            jobs_completed.add();
+            train_done.add();
+            mergeTrain(b);
+            train_progress.jobDone();
+        }
+        if (ckpt == nullptr)
+            return true;
+        if (train_fail[b].has_value()) {
+            ckpt->append(recordFromFailure('T', b, *train_fail[b]));
+        } else {
+            try {
+                writeFileAtomic(ckpt->trainProfilePath(suite[b].name),
+                                serializeProfile(trains[b].profile));
+            } catch (const SimError &e) {
+                vg_warn("cannot checkpoint TRAIN profile for %s (%s); "
+                        "resume will retrain",
+                        suite[b].name, e.detail().c_str());
+            }
+            JournalRecord rec;
+            rec.phase = 'T';
+            rec.index = b;
+            rec.ok = true;
+            ckpt->append(rec);
+        }
+        return true;
+    };
 
-    // Phase 2: compile each benchmark once — compile output does not
-    // depend on the width, so every width shares it. Compiles of a
-    // failed train are skipped: the root cause is already recorded.
-    // Journal records here are completion markers — artifacts must
-    // exist in memory anyway, so a marked slot recompiles (pure and
-    // cheap) without re-recording.
+    // Compile: one job per benchmark — compile output does not depend
+    // on the width, so every width shares it. Journal records here
+    // are completion markers — artifacts must exist in memory anyway,
+    // so a marked slot recompiles (pure and cheap) without
+    // re-recording.
     std::vector<BenchmarkArtifacts> arts(B);
     std::vector<std::optional<JobFailure>> compile_fail(B);
     auto mergeCompile = [&](size_t b) {
@@ -684,89 +687,70 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     ProgressReporter compile_progress(ropts.tag, "compile", B);
     compile_progress.observeFailures(&compile_failed);
     compile_progress.observeRetries(&jobs_retries);
-    {
-        TraceSpan phase_span(tracer, "phase.compile");
-        pool.parallelFor(B, [&](size_t b) {
-            if (train_fail[b].has_value()) {
-                jobs_skipped.add();
-                compile_progress.jobDone();
-                return;
-            }
-            ScopedCurrentTracer ambient(tracer);
-            JobIdentity id;
-            id.phase = "compile";
-            id.benchmark = suite[b].name;
-            id.index = b;
-            faultinject::Scope job_scope(jobScopeKey(id, 0));
-            bool journaled = false;
-            if (ckpt != nullptr) {
-                auto it = ckpt->prior.compile.find(b);
-                if (it != ckpt->prior.compile.end()) {
-                    if (!it->second.ok) {
-                        compile_fail[b] =
-                            failureFromRecord(id, it->second);
-                        ckpt->countReplay();
-                        jobs_replayed.add();
-                        jobs_failed.add();
-                        compile_failed.add();
-                        compile_progress.jobFailedReplayed();
-                        return;
-                    }
-                    journaled = true;
+    auto runCompile = [&](size_t b) {
+        ScopedCurrentTracer ambient(tracer);
+        JobIdentity id;
+        id.phase = "compile";
+        id.benchmark = suite[b].name;
+        id.index = b;
+        faultinject::Scope job_scope(jobScopeKey(id, 0));
+        bool journaled = false;
+        if (ckpt != nullptr) {
+            auto it = ckpt->prior.compile.find(b);
+            if (it != ckpt->prior.compile.end()) {
+                if (!it->second.ok) {
+                    compile_fail[b] = failureFromRecord(id, it->second);
                     ckpt->countReplay();
                     jobs_replayed.add();
+                    jobs_failed.add();
+                    compile_failed.add();
+                    compile_progress.jobFailedReplayed();
+                    return;
                 }
+                journaled = true;
+                ckpt->countReplay();
+                jobs_replayed.add();
             }
-            {
-                TraceSpan span(
-                    tracer, "compile",
-                    tracer == nullptr
-                        ? std::string()
-                        : Tracer::args(
-                              {{"benchmark", suite[b].name},
-                               {"index", std::to_string(b)}}));
-                // Compile stays supervisor-local in both isolation
-                // modes: artifacts must live in this process anyway.
-                compile_fail[b] = runGuarded(
-                    id, ropts, tracer, jobs_retries, [&](unsigned) {
-                        arts[b] =
-                            compileBenchmark(suite[b], trains[b], lead);
-                    });
-            }
-            if (compile_fail[b].has_value()) {
-                writeBundle(*compile_fail[b], suite[b], lead, ropts);
-                jobs_failed.add();
-                compile_failed.add();
-                compile_progress.jobFailed();
-            } else {
-                jobs_completed.add();
-                compile_done.add();
-                mergeCompile(b);
-                compile_progress.jobDone();
-            }
-            if (ckpt == nullptr || journaled)
-                return;
-            if (compile_fail[b].has_value()) {
-                ckpt->append(
-                    recordFromFailure('C', b, *compile_fail[b]));
-            } else {
-                JournalRecord rec;
-                rec.phase = 'C';
-                rec.index = b;
-                rec.ok = true;
-                ckpt->append(rec);
-            }
-        });
-    }
-    collectPhase(compile_fail, report);
-    if (shutdownRequested()) {
-        report.interrupted = true;
-        stampReplayed();
-        stampFaultGauges();
-        return report;
-    }
+        }
+        {
+            TraceSpan span(
+                tracer, "compile",
+                tracer == nullptr
+                    ? std::string()
+                    : Tracer::args({{"benchmark", suite[b].name},
+                                    {"index", std::to_string(b)}}));
+            // Compile stays supervisor-local in both isolation modes:
+            // artifacts must live in this process anyway.
+            compile_fail[b] = runGuarded(
+                id, ropts, tracer, jobs_retries, [&](unsigned) {
+                    arts[b] = compileBenchmark(suite[b], trains[b], lead);
+                });
+        }
+        if (compile_fail[b].has_value()) {
+            writeBundle(*compile_fail[b], suite[b], lead, ropts);
+            jobs_failed.add();
+            compile_failed.add();
+            compile_progress.jobFailed();
+        } else {
+            jobs_completed.add();
+            compile_done.add();
+            mergeCompile(b);
+            compile_progress.jobDone();
+        }
+        if (ckpt == nullptr || journaled)
+            return;
+        if (compile_fail[b].has_value()) {
+            ckpt->append(recordFromFailure('C', b, *compile_fail[b]));
+        } else {
+            JournalRecord rec;
+            rec.phase = 'C';
+            rec.index = b;
+            rec.ok = true;
+            ckpt->append(rec);
+        }
+    };
 
-    // Phase 3: one job per (benchmark, config, seed), each its own
+    // Simulate: one job per (benchmark, config, seed), each its own
     // pool work item so a shutdown drain stops between seeds. A job
     // times every width in one fused pass (simulateConfigWidths) and
     // fills one result slot per width. Job index: (b*S + s)*2 + cfg
@@ -820,137 +804,208 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // Reads are racy-but-monotonic counter loads; display only.
     progress.observeRtt(&job_rtt);
     progress.observeSimCycles(&sim_cycles);
-    {
-        TraceSpan phase_span(tracer, "phase.simulate");
-        pool.parallelFor(num_sim_jobs, [&](size_t i) {
-            size_t cfg = i % 2;
-            size_t s = (i / 2) % S;
-            size_t b = i / (2 * S);
-            if (train_fail[b].has_value() ||
-                compile_fail[b].has_value()) {
-                jobs_skipped.add();
-                progress.jobDone(); // skipped; the sweep advanced
-                return;
-            }
-            ScopedCurrentTracer ambient(tracer);
-            const BenchmarkSpec &spec = suite[b];
-            const CompiledConfig &config =
-                cfg == 0 ? arts[b].base : arts[b].exp;
-            JobIdentity id;
-            id.phase = "simulate";
-            id.benchmark = spec.name;
-            id.width = W == 1 ? widths[0] : 0;
-            id.config = static_cast<int>(cfg);
-            id.seed = kRefSeeds[s];
-            id.index = i;
-            faultinject::Scope job_scope(jobScopeKey(id, 0));
+    // Remote bodies (process or distributed mode) ship each simulate
+    // job its benchmark's serialized TRAIN profile (jobs must be
+    // self-contained); compile(b) serializes it once.
+    std::vector<std::string> profile_text(B);
+    auto runSim = [&](size_t i) {
+        size_t cfg = i % 2;
+        size_t s = (i / 2) % S;
+        size_t b = i / (2 * S);
+        ScopedCurrentTracer ambient(tracer);
+        const BenchmarkSpec &spec = suite[b];
+        const CompiledConfig &config =
+            cfg == 0 ? arts[b].base : arts[b].exp;
+        JobIdentity id;
+        id.phase = "simulate";
+        id.benchmark = spec.name;
+        id.width = W == 1 ? widths[0] : 0;
+        id.config = static_cast<int>(cfg);
+        id.seed = kRefSeeds[s];
+        id.index = i;
+        faultinject::Scope job_scope(jobScopeKey(id, 0));
 
-            // Journal replay satisfies the job without re-executing
-            // (or re-journaling) it.
-            if (ckpt != nullptr) {
-                auto it = ckpt->prior.sim.find(i);
-                if (it != ckpt->prior.sim.end() &&
-                    (!it->second.ok || it->second.widths == widths)) {
-                    ckpt->countReplay();
-                    jobs_replayed.add();
-                    if (!it->second.ok) {
-                        sim_fail[i] = failureFromRecord(id, it->second);
-                        nameFailedLane(*sim_fail[i]);
-                        jobs_failed.add();
-                        sim_failed.add();
-                        progress.jobFailedReplayed();
-                        return;
-                    }
-                    storeLanes(b, cfg, s, it->second.lanes);
-                    jobs_completed.add();
-                    sim_done.add();
-                    mergeSim(b, cfg, s);
-                    if (tracer != nullptr) {
-                        tracer->instant(
-                            "job.replayed",
-                            Tracer::args({{"job", id.describe()}}));
-                    }
-                    progress.jobReplayed();
+        // Journal replay satisfies the job without re-executing (or
+        // re-journaling) it.
+        if (ckpt != nullptr) {
+            auto it = ckpt->prior.sim.find(i);
+            if (it != ckpt->prior.sim.end() &&
+                (!it->second.ok || it->second.widths == widths)) {
+                ckpt->countReplay();
+                jobs_replayed.add();
+                if (!it->second.ok) {
+                    sim_fail[i] = failureFromRecord(id, it->second);
+                    nameFailedLane(*sim_fail[i]);
+                    jobs_failed.add();
+                    sim_failed.add();
+                    progress.jobFailedReplayed();
                     return;
                 }
-            }
-
-            try {
-                TraceSpan span(
-                    tracer, "simulate",
-                    tracer == nullptr
-                        ? std::string()
-                        : Tracer::args(
-                              {{"benchmark", spec.name},
-                               {"widths", width_list},
-                               {"config", cfg == 0 ? "base" : "exp"},
-                               {"seed", hexU64(kRefSeeds[s])},
-                               {"index", std::to_string(i)}}));
-                sim_fail[i] = runGuarded(
-                    id, ropts, tracer, jobs_retries,
-                    [&](unsigned attempt) {
-                        if (fabric == nullptr) {
-                            storeLanes(b, cfg, s,
-                                       simulateConfigWidths(
-                                           spec, config, lead, widths,
-                                           kRefSeeds[s],
-                                           /*collect_branch_stalls=*/
-                                           cfg == 0));
-                            return;
-                        }
-                        WorkerJob wj;
-                        wj.phase = "simulate";
-                        wj.slot = i;
-                        wj.scopeKey = jobScopeKey(id, attempt);
-                        wj.scopeStartDraw =
-                            faultinject::currentDrawCount();
-                        wj.spec = spec;
-                        wj.specName = spec.name;
-                        wj.bindSpecName();
-                        wj.options = lead;
-                        wj.config = static_cast<int>(cfg);
-                        wj.widths = widths;
-                        wj.seed = kRefSeeds[s];
-                        wj.collectStalls = cfg == 0;
-                        wj.profileText = profile_text[b];
-                        storeLanes(b, cfg, s,
-                                   fabric->execute(std::move(wj)).lanes);
-                    });
-            } catch (const JobDiscarded &) {
-                // Drained before lease: record nothing (journal,
-                // failure table, progress totals all untouched —
-                // identical to a queued job the in-process drain
-                // never dequeued).
-                return;
-            }
-            if (sim_fail[i].has_value()) {
-                nameFailedLane(*sim_fail[i]);
-                writeBundle(*sim_fail[i], spec, lead, ropts);
-                jobs_failed.add();
-                sim_failed.add();
-                progress.jobFailed();
-            } else {
+                storeLanes(b, cfg, s, it->second.lanes);
                 jobs_completed.add();
                 sim_done.add();
                 mergeSim(b, cfg, s);
-                progress.jobDone();
-            }
-            if (ckpt == nullptr)
+                if (tracer != nullptr) {
+                    tracer->instant(
+                        "job.replayed",
+                        Tracer::args({{"job", id.describe()}}));
+                }
+                progress.jobReplayed();
                 return;
-            if (sim_fail[i].has_value()) {
-                ckpt->append(recordFromFailure('S', i, *sim_fail[i]));
-            } else {
-                JournalRecord rec;
-                rec.phase = 'S';
-                rec.index = i;
-                rec.ok = true;
-                rec.widths = widths;
-                for (size_t w = 0; w < W; ++w)
-                    rec.lanes.push_back(sims[simSlot(b, w, s, cfg)]);
-                ckpt->append(rec);
             }
-        });
-    }
+        }
+
+        try {
+            TraceSpan span(
+                tracer, "simulate",
+                tracer == nullptr
+                    ? std::string()
+                    : Tracer::args(
+                          {{"benchmark", spec.name},
+                           {"widths", width_list},
+                           {"config", cfg == 0 ? "base" : "exp"},
+                           {"seed", hexU64(kRefSeeds[s])},
+                           {"index", std::to_string(i)}}));
+            sim_fail[i] = runGuarded(
+                id, ropts, tracer, jobs_retries, [&](unsigned attempt) {
+                    if (fabric == nullptr) {
+                        storeLanes(b, cfg, s,
+                                   simulateConfigWidths(
+                                       spec, config, lead, widths,
+                                       kRefSeeds[s],
+                                       /*collect_branch_stalls=*/
+                                       cfg == 0));
+                        return;
+                    }
+                    WorkerJob wj;
+                    wj.phase = "simulate";
+                    wj.slot = i;
+                    wj.scopeKey = jobScopeKey(id, attempt);
+                    wj.scopeStartDraw = faultinject::currentDrawCount();
+                    wj.spec = spec;
+                    wj.specName = spec.name;
+                    wj.bindSpecName();
+                    wj.options = lead;
+                    wj.config = static_cast<int>(cfg);
+                    wj.widths = widths;
+                    wj.seed = kRefSeeds[s];
+                    wj.collectStalls = cfg == 0;
+                    wj.profileText = profile_text[b];
+                    storeLanes(b, cfg, s,
+                               fabric->execute(std::move(wj)).lanes);
+                });
+        } catch (const JobDiscarded &) {
+            // Drained before lease: record nothing (journal, failure
+            // table, progress totals all untouched — identical to a
+            // queued job the in-process drain never dequeued).
+            return;
+        }
+        if (sim_fail[i].has_value()) {
+            nameFailedLane(*sim_fail[i]);
+            writeBundle(*sim_fail[i], spec, lead, ropts);
+            jobs_failed.add();
+            sim_failed.add();
+            progress.jobFailed();
+        } else {
+            jobs_completed.add();
+            sim_done.add();
+            mergeSim(b, cfg, s);
+            progress.jobDone();
+        }
+        if (ckpt == nullptr)
+            return;
+        if (sim_fail[i].has_value()) {
+            ckpt->append(recordFromFailure('S', i, *sim_fail[i]));
+        } else {
+            JournalRecord rec;
+            rec.phase = 'S';
+            rec.index = i;
+            rec.ok = true;
+            rec.widths = widths;
+            for (size_t w = 0; w < W; ++w)
+                rec.lanes.push_back(sims[simSlot(b, w, s, cfg)]);
+            ckpt->append(rec);
+        }
+    };
+
+    // Graph edges. Graceful drain: once a shutdown is requested the
+    // pool discards queued jobs (leaving no result and no journal
+    // record — exactly "incomplete, re-run on --resume"), in-flight
+    // jobs finish and checkpoint normally, and a job that finishes
+    // during the drain submits nothing.
+    ThreadPool pool(ropts.jobs, [] { return shutdownRequested(); });
+    JobEnvelope train_env;
+    JobEnvelope compile_env;
+    JobEnvelope sim_env;
+    std::vector<std::atomic<size_t>> sims_left(B);
+    auto skipSims = [&] {
+        jobs_skipped.add(2 * S);
+        for (size_t k = 0; k < 2 * S; ++k)
+            progress.jobDone(); // skipped; the sweep advanced
+    };
+    // After a benchmark's last simulate job only assembleOutcome's
+    // inputs stay: the train profile and selection, the static counts,
+    // ALPBB and PHI.
+    auto releasePrograms = [&](size_t b) {
+        for (CompiledConfig *c : {&arts[b].base, &arts[b].exp}) {
+            c->prog = Program();
+            c->decoded.reset();
+            std::vector<bool>().swap(c->hoistedMask);
+        }
+        std::string().swap(profile_text[b]);
+    };
+    auto now = [tracer] {
+        return tracer == nullptr ? 0 : tracer->nowMicros();
+    };
+    auto simJob = [&](size_t i) {
+        uint64_t begin = now();
+        runSim(i);
+        sim_env.widen(begin, now());
+        size_t b = i / (2 * S);
+        if (sims_left[b].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            releasePrograms(b);
+    };
+    auto compileJob = [&](size_t b) {
+        uint64_t begin = now();
+        runCompile(b);
+        compile_env.widen(begin, now());
+        if (shutdownRequested())
+            return;
+        if (compile_fail[b].has_value()) {
+            skipSims();
+            return;
+        }
+        // arts[b].train now holds the TRAIN artifacts.
+        trains[b] = TrainArtifacts();
+        if (fabric != nullptr)
+            profile_text[b] = serializeProfile(arts[b].train.profile);
+        sims_left[b].store(2 * S, std::memory_order_relaxed);
+        for (size_t i = b * 2 * S; i < (b + 1) * 2 * S; ++i)
+            pool.submit([&simJob, i] { simJob(i); }, b);
+    };
+    auto trainJob = [&](size_t b) {
+        uint64_t begin = now();
+        bool settled = runTrain(b);
+        train_env.widen(begin, now());
+        if (!settled || shutdownRequested())
+            return;
+        if (train_fail[b].has_value()) {
+            jobs_skipped.add();
+            compile_progress.jobDone();
+            skipSims();
+            return;
+        }
+        pool.submit([&compileJob, b] { compileJob(b); }, b);
+    };
+    for (size_t b = 0; b < B; ++b)
+        pool.submit([&trainJob, b] { trainJob(b); }, b);
+    pool.wait();
+
+    train_env.record(tracer, "phase.train");
+    compile_env.record(tracer, "phase.compile");
+    sim_env.record(tracer, "phase.simulate");
+    collectPhase(train_fail, report);
+    collectPhase(compile_fail, report);
     collectPhase(sim_fail, report);
     if (shutdownRequested()) {
         report.interrupted = true;
@@ -959,7 +1014,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         return report;
     }
 
-    // Phase 4: deterministic assembly in index order. A seed whose
+    // Assembly: deterministic, in index order. A seed whose
     // baseline or experimental simulation failed is dropped from the
     // benchmark's mean/best; a benchmark whose train/compile failed
     // keeps its row (alignment across widths) but contributes nothing

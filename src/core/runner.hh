@@ -4,19 +4,29 @@
  * x REF-seed) sweep into independent jobs on a shared thread pool,
  * with per-job fault isolation.
  *
- * Phases (each a pool-wide barrier):
- *   1. train   — one job per benchmark (training is width-independent),
+ * One job graph on one pool, three job kinds:
+ *   1. train   — one job per benchmark (training is width-independent);
+ *      it submits its benchmark's compile,
  *   2. compile — one job per benchmark: both configurations (compile
- *      output is width-independent too, so every width shares it),
+ *      output is width-independent too, so every width shares it);
+ *      it submits its benchmark's simulate jobs,
  *   3. simulate — one job per (benchmark, config, seed), timing every
  *      width of the sweep in one fused pass (simulateConfigWidths:
  *      the functional, predictor and cache work runs once, the
  *      per-width timing once per width). Each job builds its own
- *      Memory and predictor, reads the phase-2 CompiledConfig
+ *      Memory and predictor, reads its benchmark's CompiledConfig
  *      strictly read-only, and fills one result slot per width,
- *   4. assemble — single-threaded, in index order.
+ * then assembly — single-threaded, in index order, after the graph.
  *
- * A sweep over B benchmarks therefore runs B + B + 6B jobs (3 REF
+ * Every job is keyed by its benchmark's position and the pool runs
+ * the lowest key first, so a benchmark's compile and simulate jobs
+ * overtake later trains: at most `jobs` benchmarks are between their
+ * first train and their last simulate job at any moment. A
+ * benchmark's programs are dropped after its last simulate job; only
+ * what assembly reads (profile, selection, static counts, ALPBB, PHI)
+ * stays.
+ *
+ * A sweep over B benchmarks runs B + B + 6B jobs (3 REF
  * seeds x 2 configs), whatever its number of widths.
  *
  * Fault isolation: every job runs under a try/catch that converts a

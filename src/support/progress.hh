@@ -10,12 +10,13 @@
  *
  *   [fig08] simulate 312/4800 (14.2 jobs/s, ETA 316s), 2 failed
  *
- * Each phase of a sweep gets its own reporter carrying the phase
- * label. Failure and retry tallies are read live from the metrics
- * registry's counters when the engine wires them in (observeFailures /
- * observeRetries) — the ad-hoc internal tally is only the fallback —
- * so the console, the JSON dump, and the journal all agree on one
- * number. Throughput and ETA are wall-clock derived and go only to
+ * Each job kind of a sweep (train, compile, simulate) gets its own
+ * reporter carrying that label; the engine's job graph runs the kinds
+ * side by side, so their lines interleave. Failure and retry tallies
+ * are read live from the metrics registry's counters when the engine
+ * wires them in (observeFailures / observeRetries) — the ad-hoc
+ * internal tally is only the fallback — so the console, the JSON
+ * dump, and the journal all agree on one number. Throughput and ETA are wall-clock derived and go only to
  * stderr, never into the registry (which must stay bit-identical
  * across worker counts).
  *

@@ -3,9 +3,13 @@
  * Minimal work-queue thread pool for the parallel experiment engine.
  *
  * N worker threads (default: hardware_concurrency, overridable with
- * the VANGUARD_JOBS environment variable, clamped to 4x the hardware
- * thread count) drain a FIFO of std::function jobs. wait() blocks
- * until every submitted job has finished; every exception any job
+ * the VANGUARD_JOBS environment variable, clamped to
+ * maxWorkerCount()) drain a queue of std::function jobs: lowest
+ * priority key first, FIFO within a key (every job submitted without
+ * a key shares key 0, so the queue is then a plain FIFO). A job may
+ * submit further jobs, which is how the experiment engine runs its
+ * job graph. wait() blocks until every submitted job, including the
+ * ones submitted by jobs, has finished; every exception any job
  * raised is collected (not just the first), so multi-failure sweeps
  * can report each distinct cause. wait() rethrows a lone failure
  * verbatim and aggregates several into one SimError(Internal) whose
@@ -13,8 +17,8 @@
  * use waitCollect().
  *
  * The pool is deliberately dumb — no futures, no stealing, no
- * priorities. Experiment jobs are coarse (one full simulation each),
- * so a single mutex-guarded queue is nowhere near contention.
+ * preemption. Experiment jobs are coarse (one full simulation each),
+ * so a single mutex-guarded heap is nowhere near contention.
  * Determinism is the caller's job: jobs must write results into
  * pre-sized slots keyed by job index, never by completion order.
  *
@@ -30,11 +34,11 @@
 #ifndef VANGUARD_SUPPORT_THREAD_POOL_HH
 #define VANGUARD_SUPPORT_THREAD_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -54,24 +58,29 @@ class ThreadPool
      * VANGUARD_JOBS environment variable, then hardware_concurrency
      * (minimum 1). Unparsable or zero VANGUARD_JOBS values are
      * ignored; absurd ones (a typo like VANGUARD_JOBS=100000 would
-     * otherwise try to spawn that many threads) are clamped to 4x
-     * the hardware thread count.
+     * otherwise try to spawn that many threads) are clamped to
+     * maxWorkerCount().
      */
     static unsigned
     resolveWorkerCount(unsigned requested = 0)
     {
         if (requested > 0)
             return requested;
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
         if (const char *env = std::getenv("VANGUARD_JOBS")) {
             unsigned long v = std::strtoul(env, nullptr, 10);
             if (v > 0)
                 return static_cast<unsigned>(
-                    v > 4ul * hw ? 4ul * hw : v);
+                    std::min<unsigned long>(v, maxWorkerCount()));
         }
-        return hw;
+        return hardwareThreads();
+    }
+
+    /** The worker-count ceiling: 4x the hardware thread count. Front
+     *  ends reject larger explicit requests with it. */
+    static unsigned
+    maxWorkerCount()
+    {
+        return 4 * hardwareThreads();
     }
 
     /**
@@ -110,13 +119,17 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Enqueue one job. */
+    /**
+     * Enqueue one job. Workers dequeue the lowest key first and, among
+     * equal keys, the earliest submitted.
+     */
     void
-    submit(std::function<void()> job)
+    submit(std::function<void()> job, uint64_t key = 0)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            queue_.push_back(std::move(job));
+            queue_.push_back({key, next_seq_++, std::move(job)});
+            std::push_heap(queue_.begin(), queue_.end(), Queued::later);
             ++outstanding_;
         }
         work_cv_.notify_one();
@@ -201,6 +214,27 @@ class ThreadPool
     }
 
   private:
+    struct Queued
+    {
+        uint64_t key;
+        uint64_t seq;
+        std::function<void()> job;
+
+        /** Heap order: the top is the lowest (key, seq). */
+        static bool
+        later(const Queued &a, const Queued &b)
+        {
+            return a.key != b.key ? a.key > b.key : a.seq > b.seq;
+        }
+    };
+
+    static unsigned
+    hardwareThreads()
+    {
+        unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? 1 : hw;
+    }
+
     void
     workerLoop()
     {
@@ -213,8 +247,10 @@ class ThreadPool
                 });
                 if (queue_.empty())
                     return;
-                job = std::move(queue_.front());
-                queue_.pop_front();
+                std::pop_heap(queue_.begin(), queue_.end(),
+                              Queued::later);
+                job = std::move(queue_.back().job);
+                queue_.pop_back();
             }
             if (!drain_ || !drain_()) {
                 executed_.fetch_add(1, std::memory_order_relaxed);
@@ -239,7 +275,8 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable work_cv_;
     std::condition_variable idle_cv_;
-    std::deque<std::function<void()>> queue_;
+    std::vector<Queued> queue_;   ///< binary heap on Queued::later
+    uint64_t next_seq_ = 0;
     std::vector<std::thread> workers_;
     size_t outstanding_ = 0;
     std::vector<std::exception_ptr> errors_;

@@ -56,18 +56,25 @@ Tracer::Tracer()
 Tracer::~Tracer() = default;
 
 Tracer::ThreadBuf &
+Tracer::newTrackLocked()
+{
+    auto buf = std::make_unique<ThreadBuf>();
+    buf->tid = static_cast<uint32_t>(buffers_.size());
+    buffers_.push_back(std::move(buf));
+    return *buffers_.back();
+}
+
+Tracer::ThreadBuf &
 Tracer::threadBuf()
 {
     if (t_cache.tracerId == id_ && t_cache.buf != nullptr)
         return *static_cast<ThreadBuf *>(t_cache.buf);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto buf = std::make_unique<ThreadBuf>();
-    buf->tid = static_cast<uint32_t>(buffers_.size());
-    buf->events.reserve(256);
-    buffers_.push_back(std::move(buf));
+    ThreadBuf &buf = newTrackLocked();
+    buf.events.reserve(256);
     t_cache.tracerId = id_;
-    t_cache.buf = buffers_.back().get();
-    return *buffers_.back();
+    t_cache.buf = &buf;
+    return buf;
 }
 
 void
@@ -101,6 +108,16 @@ Tracer::instant(const std::string &name, const std::string &args_json)
     // recorder so a post-mortem dump carries the same landmarks as
     // the trace, even when the trace itself was never written out.
     flightRecord("trace", name, args_json);
+}
+
+void
+Tracer::envelope(const std::string &name, uint64_t begin_us,
+                 uint64_t end_us)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ThreadBuf &track = newTrackLocked();
+    track.events.push_back({'B', begin_us, name, ""});
+    track.events.push_back({'E', end_us, name, ""});
 }
 
 std::string

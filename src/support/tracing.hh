@@ -20,7 +20,9 @@
  *    counts).
  *  - Span begin/end must happen on the same thread (TraceSpan is a
  *    stack object inside one job), which is exactly the nesting
- *    Perfetto's B/E events require.
+ *    Perfetto's B/E events require. A span known only after the fact
+ *    (an envelope over many jobs, which may overlap other envelopes)
+ *    is recorded whole by envelope() on a track of its own.
  *
  * currentTracer() is a thread-local ambient pointer so deep layers
  * (core/vanguard.cc's coarse sim phases) can emit spans without
@@ -68,6 +70,25 @@ class Tracer
     void instant(const std::string &name,
                  const std::string &args_json = "");
 
+    /**
+     * Record one closed span [begin_us, end_us] (nowMicros() values,
+     * begin_us <= end_us) on a new track of its own, so it pairs B/E
+     * and keeps per-track timestamps monotonic however it overlaps
+     * spans recorded elsewhere.
+     */
+    void envelope(const std::string &name, uint64_t begin_us,
+                  uint64_t end_us);
+
+    /** Microseconds since this tracer was created (steady clock). */
+    uint64_t
+    nowMicros() const
+    {
+        return static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - epoch_)
+                .count());
+    }
+
     /** Small key/value args helper: builds {"k":"v",...} with
      *  escaping. Values are emitted as strings (Perfetto renders them
      *  uniformly in the args pane). */
@@ -83,7 +104,8 @@ class Tracer
      */
     std::string toChromeJson() const;
 
-    /** All events of one thread, in recording order (tests). */
+    /** All events of one track (a thread, or an envelope), in
+     *  recording order (tests). */
     std::vector<std::vector<TraceEvent>> snapshotByThread() const;
 
   private:
@@ -95,17 +117,9 @@ class Tracer
     };
 
     ThreadBuf &threadBuf();
+    ThreadBuf &newTrackLocked();
     void record(char phase, const std::string &name,
                 const std::string &args_json);
-
-    uint64_t
-    nowMicros() const
-    {
-        return static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - epoch_)
-                .count());
-    }
 
     uint64_t id_;    ///< process-global tracer id (cache key)
     std::chrono::steady_clock::time_point epoch_;

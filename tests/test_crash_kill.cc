@@ -174,7 +174,12 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
  * A machine the model cannot run is refused up front with the usage
  * exit code (2) — never a hang or an internal assert: a zero width
  * spins the issue stage, a zero-entry DBB breaks its ring, and a
- * non-numeric value must not be read as zero.
+ * non-numeric value must not be read as zero. Count flags are parsed
+ * as strictly: a worker count past the ceiling (or a negative one,
+ * which wraps to 4294967295), a non-numeric trip count, and a Gantt
+ * window too large to allocate all fail in parsing. No case passes
+ * --all-refs, so none of them would build a worker pool even if
+ * parsing let it through.
  */
 TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
 {
@@ -184,7 +189,17 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
           std::vector<std::string>{"--width", "x"},
           std::vector<std::string>{"--width", "4x"},
           std::vector<std::string>{"--dbb", "0"},
-          std::vector<std::string>{"--dbb", "-3"}}) {
+          std::vector<std::string>{"--dbb", "-3"},
+          std::vector<std::string>{"--jobs", "abc"},
+          std::vector<std::string>{"--jobs", "-1"},
+          std::vector<std::string>{"--jobs", "0"},
+          std::vector<std::string>{"--jobs", "100000"},
+          std::vector<std::string>{"--iterations", "abc"},
+          std::vector<std::string>{"--iterations", "0"},
+          std::vector<std::string>{"--iterations", "-5"},
+          std::vector<std::string>{"--gantt-window",
+                                   "99999999999999999", "--timeline"},
+          std::vector<std::string>{"--gantt-window", "0"}}) {
         std::vector<std::string> args = {"--benchmark", "mcf-like",
                                          "--iterations", "500"};
         args.insert(args.end(), flags.begin(), flags.end());

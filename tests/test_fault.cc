@@ -13,6 +13,7 @@
 #include <atomic>
 #include <climits>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bpred/factory.hh"
@@ -22,6 +23,7 @@
 #include "exec/interpreter.hh"
 #include "ir/builder.hh"
 #include "support/logging.hh"
+#include "support/metrics.hh"
 #include "support/thread_pool.hh"
 #include "uarch/lockstep.hh"
 #include "uarch/pipeline.hh"
@@ -386,6 +388,76 @@ TEST(RunnerFault, TransientKindRetriesDeterministically)
     ASSERT_EQ(lost.failures.size(), 1u);
     EXPECT_EQ(lost.failures[0].attempts, 2u);
     EXPECT_EQ(lost.failures[0].kind, SimError::Kind::Io);
+}
+
+TEST(RunnerFault, FailuresKeepPhaseThenIndexOrderUnderTheJobGraph)
+{
+    // Benchmark 0 fails one simulate job and benchmark 2 its train.
+    // At one worker the simulate failure happens first in time; the
+    // report still lists failures by phase, then job index, at any
+    // worker count, and skips exactly the failed train's dependents.
+    std::vector<BenchmarkSpec> suite = {
+        quick("h264ref-like", 600), quick("bzip2-like", 600),
+        quick("astar-like", 600), quick("sjeng-like", 600)};
+    std::vector<unsigned> widths = {2, 4};
+    VanguardOptions opts;
+
+    RunnerOptions clean;
+    clean.jobs = 4;
+    SuiteReport ref = runSuiteWidthsReport(suite, widths, opts, clean);
+    ASSERT_TRUE(ref.failures.empty());
+
+    std::string first_table;
+    for (unsigned jobs : {1u, 4u}) {
+        MetricsRegistry reg;
+        RunnerOptions faulty;
+        faulty.jobs = jobs;
+        faulty.metrics = &reg;
+        faulty.faultInjection = [](const JobIdentity &id) {
+            std::string phase = id.phase;
+            if ((phase == "simulate" && id.benchmark == "h264ref-like" &&
+                 id.config == 1 && id.seed == kRefSeeds[1]) ||
+                (phase == "train" && id.benchmark == "astar-like"))
+                throw SimError(SimError::Kind::Config, "injected");
+        };
+        SuiteReport got =
+            runSuiteWidthsReport(suite, widths, opts, faulty);
+
+        ASSERT_EQ(got.failures.size(), 2u) << "jobs " << jobs;
+        EXPECT_EQ(std::string(got.failures[0].id.phase), "train");
+        EXPECT_EQ(got.failures[0].id.benchmark, "astar-like");
+        EXPECT_EQ(got.failures[0].id.index, 2u);
+        EXPECT_EQ(std::string(got.failures[1].id.phase), "simulate");
+        EXPECT_EQ(got.failures[1].id.benchmark, "h264ref-like");
+        EXPECT_EQ(got.failures[1].id.index, 3u); // (0*S + 1)*2 + exp
+        std::string table = renderFailureTable(got.failures);
+        if (first_table.empty())
+            first_table = table;
+        EXPECT_EQ(table, first_table) << "jobs " << jobs;
+        // One compile and 2·S simulate jobs of the failed train.
+        EXPECT_EQ(reg.findCounter("engine.jobs.skipped")->value(), 7u);
+
+        for (size_t w = 0; w < widths.size(); ++w) {
+            const auto &rows = got.results[w].rows;
+            const auto &clean_rows = ref.results[w].rows;
+            EXPECT_EQ(rows[2].failedSeeds, kNumRefSeeds);
+            EXPECT_EQ(rows[0].failedSeeds, 1u);
+            for (size_t r : {size_t{1}, size_t{3}}) {
+                ASSERT_EQ(rows[r].perSeed.size(),
+                          clean_rows[r].perSeed.size());
+                EXPECT_DOUBLE_EQ(rows[r].meanSpeedupPct,
+                                 clean_rows[r].meanSpeedupPct);
+                for (size_t s = 0; s < rows[r].perSeed.size(); ++s) {
+                    EXPECT_EQ(rows[r].perSeed[s].base.cycles,
+                              clean_rows[r].perSeed[s].base.cycles);
+                    EXPECT_EQ(rows[r].perSeed[s].exp.cycles,
+                              clean_rows[r].perSeed[s].exp.cycles);
+                    EXPECT_EQ(rows[r].perSeed[s].base.branchStalls,
+                              clean_rows[r].perSeed[s].base.branchStalls);
+                }
+            }
+        }
+    }
 }
 
 TEST(RunnerFault, StrictWrapperRethrowsRootCause)

@@ -8,13 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <future>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/runner.hh"
 #include "support/thread_pool.hh"
+#include "support/tracing.hh"
 #include "workloads/suites.hh"
 
 namespace vanguard {
@@ -70,6 +76,50 @@ TEST(ThreadPool, PropagatesJobExceptions)
     EXPECT_EQ(survivors.load(), 21);
 }
 
+TEST(ThreadPool, LowestKeyFirstFifoWithinAKey)
+{
+    ThreadPool pool(1);
+    // Hold the only worker so every keyed job is queued before any
+    // of them runs.
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    pool.submit([open] { open.wait(); });
+    std::mutex mutex;
+    std::vector<int> order;
+    auto job = [&](int tag) {
+        return [&, tag] {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(tag);
+        };
+    };
+    pool.submit(job(30), 3);
+    pool.submit(job(10), 1);
+    pool.submit(job(20), 2);
+    pool.submit(job(11), 1);
+    pool.submit(job(0));
+    pool.submit(job(12), 1);
+    gate.set_value();
+    pool.wait();
+    EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 12, 20, 30}));
+}
+
+TEST(ThreadPool, WaitCoversJobsSubmittedByJobs)
+{
+    ThreadPool pool(3);
+    std::atomic<int> leaves{0};
+    for (int root = 0; root < 8; ++root) {
+        pool.submit([&pool, &leaves, root] {
+            for (int k = 0; k < 4; ++k) {
+                pool.submit([&pool, &leaves] {
+                    pool.submit([&leaves] { ++leaves; }, 0);
+                }, static_cast<uint64_t>(root));
+            }
+        }, static_cast<uint64_t>(root));
+    }
+    pool.wait();
+    EXPECT_EQ(leaves.load(), 32);
+}
+
 TEST(ThreadPool, ResolveWorkerCountPolicy)
 {
     // Explicit request wins over everything.
@@ -86,6 +136,13 @@ TEST(ThreadPool, ResolveWorkerCountPolicy)
     EXPECT_GE(ThreadPool::resolveWorkerCount(), 1u);
     ::unsetenv("VANGUARD_JOBS");
     EXPECT_GE(ThreadPool::resolveWorkerCount(), 1u);
+
+    // The environment is clamped to the one published ceiling.
+    ::setenv("VANGUARD_JOBS", "1000000", 1);
+    EXPECT_EQ(ThreadPool::resolveWorkerCount(),
+              ThreadPool::maxWorkerCount());
+    ::unsetenv("VANGUARD_JOBS");
+    EXPECT_GE(ThreadPool::maxWorkerCount(), 4u);
 }
 
 /** Field-by-field identity of two suite sweeps. */
@@ -152,6 +209,83 @@ TEST(Runner, EnvForcedSingleWorkerMatchesParallel)
     auto parallel = runSuiteWidths(suite, widths, opts, {});
     ::unsetenv("VANGUARD_JOBS");
     expectIdentical(serial, parallel);
+}
+
+/** Value of `"key":"..."` in a span's args JSON ("" if absent). */
+std::string
+argValue(const std::string &args, const std::string &key)
+{
+    std::string tag = "\"" + key + "\":\"";
+    size_t at = args.find(tag);
+    if (at == std::string::npos)
+        return "";
+    at += tag.size();
+    return args.substr(at, args.find('"', at) - at);
+}
+
+TEST(Runner, AtMostJobsPlusOneBenchmarksHoldPrograms)
+{
+    // A benchmark holds its compiled programs from the end of its
+    // compile to the end of its last simulate job. The job graph runs
+    // each benchmark's jobs ahead of later trains, so that live set
+    // stays at jobs + 1 however long the suite is.
+    std::vector<BenchmarkSpec> suite;
+    for (const BenchmarkSpec &spec : specInt2006()) {
+        suite.push_back(spec);
+        suite.back().iterations = 300;
+        if (suite.size() == 9)
+            break;
+    }
+    ASSERT_GE(suite.size(), 8u);
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        Tracer tracer;
+        RunnerOptions ropts;
+        ropts.jobs = jobs;
+        ropts.tracer = &tracer;
+        SuiteReport report =
+            runSuiteWidthsReport(suite, {2, 4}, VanguardOptions{}, ropts);
+        ASSERT_TRUE(report.failures.empty());
+
+        std::map<std::string, uint64_t> compiled_at;
+        std::map<std::string, uint64_t> last_sim_end;
+        size_t sim_spans = 0;
+        for (const auto &track : tracer.snapshotByThread()) {
+            std::vector<const TraceEvent *> open;
+            for (const TraceEvent &e : track) {
+                if (e.phase == 'B') {
+                    open.push_back(&e);
+                    continue;
+                }
+                if (e.phase != 'E' || open.empty())
+                    continue;
+                const TraceEvent &b = *open.back();
+                open.pop_back();
+                std::string bench = argValue(b.argsJson, "benchmark");
+                if (b.name == "compile") {
+                    compiled_at[bench] = e.tsMicros;
+                } else if (b.name == "simulate") {
+                    ++sim_spans;
+                    last_sim_end[bench] =
+                        std::max(last_sim_end[bench], e.tsMicros);
+                }
+            }
+        }
+        ASSERT_EQ(compiled_at.size(), suite.size());
+        ASSERT_EQ(last_sim_end.size(), suite.size());
+        ASSERT_EQ(sim_spans, suite.size() * kNumRefSeeds * 2);
+        // The live count only rises when a compile ends.
+        size_t peak = 0;
+        for (const auto &[bench, t] : compiled_at) {
+            size_t live = 0;
+            for (const auto &[other, done] : compiled_at) {
+                if (done <= t && last_sim_end[other] > t)
+                    ++live;
+            }
+            peak = std::max(peak, live);
+        }
+        EXPECT_LE(peak, jobs + 1) << "jobs " << jobs;
+        EXPECT_GE(peak, 1u) << "jobs " << jobs;
+    }
 }
 
 TEST(Runner, MatchesLegacyPerSeedEvaluation)

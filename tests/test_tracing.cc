@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,99 @@
 
 namespace vanguard {
 namespace {
+
+/** Minimal JSON syntax checker: objects, arrays, strings (with
+ *  escapes), numbers, true/false/null. */
+class JsonChecker
+{
+  public:
+    explicit JsonChecker(const std::string &text) : s_(text) {}
+
+    bool
+    document()
+    {
+        return value() && (skipSpace(), pos_ == s_.size());
+    }
+
+  private:
+    void
+    skipSpace()
+    {
+        while (pos_ < s_.size() &&
+               std::isspace(static_cast<unsigned char>(s_[pos_])))
+            ++pos_;
+    }
+
+    bool
+    eat(char c)
+    {
+        skipSpace();
+        if (pos_ < s_.size() && s_[pos_] == c) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    string()
+    {
+        if (!eat('"'))
+            return false;
+        while (pos_ < s_.size() && s_[pos_] != '"') {
+            if (static_cast<unsigned char>(s_[pos_]) < 0x20)
+                return false;
+            pos_ += s_[pos_] == '\\' ? 2 : 1;
+        }
+        return pos_++ < s_.size();
+    }
+
+    bool
+    value()
+    {
+        skipSpace();
+        if (pos_ >= s_.size())
+            return false;
+        char c = s_[pos_];
+        if (c == '{' || c == '[') {
+            char close = c == '{' ? '}' : ']';
+            ++pos_;
+            if (eat(close))
+                return true;
+            do {
+                if (c == '{' && !(string() && eat(':')))
+                    return false;
+                if (!value())
+                    return false;
+            } while (eat(','));
+            return eat(close);
+        }
+        if (c == '"')
+            return string();
+        for (const char *lit : {"true", "false", "null"}) {
+            if (s_.compare(pos_, std::string(lit).size(), lit) == 0) {
+                pos_ += std::string(lit).size();
+                return true;
+            }
+        }
+        size_t start = pos_;
+        while (pos_ < s_.size() &&
+               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
+                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
+                s_[pos_] == 'e' || s_[pos_] == 'E'))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    const std::string &s_;
+    size_t pos_ = 0;
+};
+
+void
+expectParsesAsJson(const std::string &text)
+{
+    EXPECT_TRUE(JsonChecker(text).document()) << text;
+}
 
 TEST(Tracing, SpansNestPerThread)
 {
@@ -72,6 +167,58 @@ TEST(Tracing, TimestampsMonotonicPerThread)
         total += ev.size();
     }
     EXPECT_EQ(total, 64u * 3);
+}
+
+TEST(Tracing, EnvelopesGetTracksOfTheirOwn)
+{
+    // Envelopes overlap each other and a live thread's spans, yet each
+    // lands on its own track: B/E stay balanced and every track's
+    // timestamps stay monotonic.
+    Tracer t;
+    uint64_t t0 = t.nowMicros();
+    {
+        TraceSpan job(&t, "job");
+        t.instant("mid");
+    }
+    uint64_t t1 = t.nowMicros() + 50;
+    t.envelope("phase.a", t0, t1);
+    t.envelope("phase.b", t0 + 10, t1 + 10);
+    t.envelope("phase.c", t0 + 20, t0 + 20);
+    {
+        TraceSpan later(&t, "later");
+    }
+
+    auto tracks = t.snapshotByThread();
+    ASSERT_EQ(tracks.size(), 4u); // the thread + three envelopes
+    std::map<std::string, int> open;
+    for (const auto &ev : tracks) {
+        for (size_t i = 1; i < ev.size(); ++i)
+            EXPECT_GE(ev[i].tsMicros, ev[i - 1].tsMicros);
+        std::vector<std::string> stack;
+        for (const auto &e : ev) {
+            if (e.phase == 'B') {
+                stack.push_back(e.name);
+                ++open[e.name];
+            } else if (e.phase == 'E') {
+                ASSERT_FALSE(stack.empty());
+                EXPECT_EQ(stack.back(), e.name);
+                stack.pop_back();
+                --open[e.name];
+            }
+        }
+        EXPECT_TRUE(stack.empty());
+    }
+    for (const char *name : {"job", "later", "phase.a", "phase.b",
+                             "phase.c"}) {
+        ASSERT_TRUE(open.count(name)) << name;
+        EXPECT_EQ(open[name], 0) << name;
+    }
+    EXPECT_EQ(tracks[1].front().tsMicros, t0);
+    EXPECT_EQ(tracks[1].back().tsMicros, t1);
+
+    // The thread's buffer is still its own after the envelopes.
+    EXPECT_EQ(tracks[0].size(), 5u);
+    expectParsesAsJson(t.toChromeJson());
 }
 
 TEST(Tracing, ArgsHelperEscapes)
