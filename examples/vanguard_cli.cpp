@@ -548,7 +548,7 @@ runCli(int argc, char **argv)
             iterations = parseU64OrDie("--iterations", next(), 1,
                                        INT64_MAX);
         } else if (arg == "--seed") {
-            seed = strtoull(next(), nullptr, 10);
+            seed = parseU64OrDie("--seed", next(), 0, UINT64_MAX);
         } else if (arg == "--all-refs") {
             all_refs = true;
         } else if (arg == "--jobs") {
@@ -574,11 +574,14 @@ runCli(int argc, char **argv)
         } else if (arg == "--lockstep") {
             opts.lockstep = true;
         } else if (arg == "--cycle-budget") {
-            opts.simCycleBudget = strtoull(next(), nullptr, 0);
+            // 0 is accepted and disables the cycle watchdog.
+            opts.simCycleBudget =
+                parseU64OrDie("--cycle-budget", next(), 0, UINT64_MAX);
         } else if (arg == "--replay-dir") {
             replay_dir = next();
         } else if (arg == "--fail-threshold") {
-            fail_threshold = strtoull(next(), nullptr, 10);
+            fail_threshold = parseU64OrDie("--fail-threshold", next(), 0,
+                                           SIZE_MAX);
         } else if (arg == "--replay") {
             replay_path = next();
         } else if (arg == "--checkpoint-dir") {
@@ -632,9 +635,11 @@ runCli(int argc, char **argv)
         } else if (arg == "--selfbench-out") {
             selfbench_out = next();
         } else if (arg == "--selfbench-repeats") {
-            sb_opts.repeats = static_cast<unsigned>(atoi(next()));
+            sb_opts.repeats = parseUnsignedOrDie("--selfbench-repeats",
+                                                 next(), 1, 1000);
         } else if (arg == "--selfbench-iters") {
-            sb_opts.iterations = strtoull(next(), nullptr, 10);
+            sb_opts.iterations = parseU64OrDie("--selfbench-iters", next(),
+                                               1, INT64_MAX);
         } else {
             std::fprintf(stderr, "vanguard_cli: unknown flag '%s'\n",
                          arg.c_str());

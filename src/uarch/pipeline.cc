@@ -29,20 +29,7 @@
 #include "support/fault_inject.hh"
 #include "support/logging.hh"
 #include "support/ring.hh"
-
-/*
- * The fused step functions are large enough (every handler plus the
- * replicated threaded-dispatch tails) that GCC's unit-growth budget
- * stops inlining the per-instruction timing helpers into them,
- * leaving a real call (spills included) per retired instruction.
- * Force the verdict for the helpers that run on every instruction;
- * they are small, single-caller-shaped, and loop-free.
- */
-#if defined(__GNUC__) || defined(__clang__)
-#define VG_HOT_INLINE inline __attribute__((always_inline))
-#else
-#define VG_HOT_INLINE inline
-#endif
+#include "uarch/lanes.hh"
 
 namespace vanguard {
 
@@ -145,272 +132,6 @@ validateLanes(std::span<const MachineConfig> cfgs)
 }
 
 /**
- * The per-width half of the timing model: everything a cycle decision
- * reads or writes that depends on the issue width — fetch bandwidth
- * and the fetch-buffer ring, issue slots and ports, the scoreboard,
- * the miss buffer, the DBB free-cycle FIFO, the lane's stall counters
- * and its watchdog state. One lane per simulated width; the shared
- * functional/predictor/cache work in TimingCommon drives them all in
- * lockstep.
- *
- * Queue bounds (all derived from MachineConfig, so the cycle loop
- * never touches the heap):
- *  - dbb_free_cycles <= 2*dbbEntries - 1: a PREDICT drains it below
- *    dbbEntries before inserting, and at most dbbEntries RESOLVEs (the
- *    DBB's own capacity, asserted by its CircularBuffer) can push
- *    before the next PREDICT;
- *  - outstanding_misses <= mshrEntries: the MSHR loop pops below
- *    capacity before any insert. Only the minimum completion cycle is
- *    ever observed, so a flat min-heap is element-for-element
- *    equivalent to the std::multiset it replaces.
- */
-struct TimingLane
-{
-    TimingLane(const MachineConfig &cfg, InstId stall_key_bound,
-               bool collect_stalls)
-        : fetch_ring(cfg.fetchBufferEntries, 0),
-          outstanding_misses(cfg.mshrEntries),
-          dbb_free_cycles(2 * size_t{cfg.dbbEntries}),
-          fetch_slot_mask(
-              (cfg.fetchBufferEntries & (cfg.fetchBufferEntries - 1)) ==
-                      0
-                  ? cfg.fetchBufferEntries - 1
-                  : 0),
-          width(cfg.width), frontend_stages(cfg.frontendStages),
-          fetch_buffer_entries(cfg.fetchBufferEntries),
-          dbb_entries(cfg.dbbEntries), mshr_entries(cfg.mshrEntries)
-    {
-        port_cap[static_cast<unsigned>(FuClass::IntAlu)] = cfg.intPorts;
-        port_cap[static_cast<unsigned>(FuClass::Mem)] = cfg.memPorts;
-        port_cap[static_cast<unsigned>(FuClass::Fp)] = cfg.fpPorts;
-        port_cap[static_cast<unsigned>(FuClass::None)] = cfg.width;
-        // Dense per-branch stall-cycle accumulator, sized once up front
-        // so the hot loop never touches the hash map (and does nothing
-        // at all when collection is off).
-        if (collect_stalls && stall_key_bound != kNoInst)
-            stall_cycles_by_id.assign(stall_key_bound + 1, 0);
-    }
-
-    /**
-     * Fetch one instruction; returns its fetch cycle. `icache_extra`
-     * is the shared I-cache miss penalty of this instruction's line
-     * (0 on a hit or when the line did not change).
-     */
-    uint64_t
-    fetch(unsigned icache_extra, uint64_t inst_seq)
-    {
-        uint64_t f = next_fetch_cycle;
-
-        // Fetch buffer back-pressure: slot of inst (seq - N) must have
-        // drained.
-        if (inst_seq >= fetch_buffer_entries) {
-            uint64_t freed = fetch_ring[fetchSlot(inst_seq)];
-            if (freed > f) {
-                f = freed;
-                ++fetch_buffer_stalls;
-            }
-        }
-        f += icache_extra;
-
-        // Bandwidth: width insts per cycle.
-        if (f > cur_fetch_cycle) {
-            cur_fetch_cycle = f;
-            fetched_in_cycle = 0;
-        }
-        if (fetched_in_cycle >= width) {
-            ++cur_fetch_cycle;
-            fetched_in_cycle = 0;
-        }
-        f = cur_fetch_cycle;
-        ++fetched_in_cycle;
-        next_fetch_cycle = cur_fetch_cycle;
-        return f;
-    }
-
-    /** The cycle a fetched instruction reaches the issue stage. */
-    VG_HOT_INLINE uint64_t
-    enterIssue(uint64_t fetch_cycle)
-    {
-        uint64_t e = fetch_cycle + frontend_stages - 1;
-        max_done = std::max(max_done, e);
-        return e;
-    }
-
-    /** Fetch-ring slot of inst_seq; mask when the buffer is a power of
-     *  two (the common 32-entry case), avoiding a division per inst. */
-    VG_HOT_INLINE size_t
-    fetchSlot(uint64_t inst_seq) const
-    {
-        return fetch_slot_mask != 0 ? (inst_seq & fetch_slot_mask)
-                                    : (inst_seq % fetch_buffer_entries);
-    }
-
-    /** Record when an instruction leaves the fetch buffer. */
-    VG_HOT_INLINE void
-    recordDrain(uint64_t inst_seq, uint64_t leave_cycle)
-    {
-        fetch_ring[fetchSlot(inst_seq)] = leave_cycle;
-    }
-
-    /** Steer fetch for a taken (correctly-predicted) control transfer;
-     *  `btb_hit` comes from the shared BTB probe. */
-    VG_HOT_INLINE void
-    takenRedirect(bool btb_hit, uint64_t fetch_cycle,
-                  uint64_t decode_cycle)
-    {
-        next_fetch_cycle =
-            std::max(next_fetch_cycle,
-                     btb_hit ? fetch_cycle + 1 : decode_cycle + 1);
-    }
-
-    /** Squash-and-redirect after a mispredict resolves at `done`. */
-    VG_HOT_INLINE void
-    mispredictRedirect(uint64_t done)
-    {
-        next_fetch_cycle = std::max(next_fetch_cycle, done);
-    }
-
-    /**
-     * DBB admission at decode; stalls the front end while the buffer
-     * is full. Returns the (possibly delayed) decode cycle at which the
-     * PREDICT actually drains.
-     */
-    uint64_t
-    dbbAdmit(uint64_t decode)
-    {
-        while (!dbb_free_cycles.empty() &&
-               dbb_free_cycles.front() <= decode) {
-            dbb_free_cycles.pop_front();
-        }
-        while (dbb_free_cycles.size() >= dbb_entries) {
-            ++dbb_full_stalls;
-            decode = std::max(decode, dbb_free_cycles.front() + 1);
-            dbb_free_cycles.pop_front();
-            next_fetch_cycle = std::max(next_fetch_cycle, decode - 1);
-        }
-        dbb_max_occupancy = std::max<uint64_t>(
-            dbb_max_occupancy, dbb_free_cycles.size() + 1);
-        return decode;
-    }
-
-    /** In-order issue: find the first cycle >= earliest with a free
-     *  slot and FU port, and claim them. */
-    uint64_t
-    computeIssue(uint64_t earliest, FuClass cls)
-    {
-        uint64_t c = std::max(earliest, prev_issue_cycle);
-        unsigned cls_idx = static_cast<unsigned>(cls);
-        for (;;) {
-            if (c > cur_issue_cycle) {
-                cur_issue_cycle = c;
-                slots_used = 0;
-                std::memset(ports_used, 0, sizeof(ports_used));
-            }
-            if (slots_used < width &&
-                ports_used[cls_idx] < port_cap[cls_idx]) {
-                ++slots_used;
-                ++ports_used[cls_idx];
-                prev_issue_cycle = c;
-                return c;
-            }
-            ++c;
-        }
-    }
-
-    VG_HOT_INLINE uint64_t
-    srcReady(RegId src1, RegId src2, RegId src3) const
-    {
-        uint64_t ready = 0;
-        if (src1 != kNoReg)
-            ready = reg_ready[src1];
-        if (src2 != kNoReg && reg_ready[src2] > ready)
-            ready = reg_ready[src2];
-        if (src3 != kNoReg && reg_ready[src3] > ready)
-            ready = reg_ready[src3];
-        return ready;
-    }
-
-    /**
-     * Branch-resolution stall accounting (the paper's ASPCB): cycles
-     * between the branch reaching the issue stage and actually
-     * issuing — queueing behind older in-flight work plus waiting for
-     * its own condition operands. `key` is the branch's accumulator
-     * index (BR -> id, RESOLVE -> origBranch); the event count is
-     * width-invariant and kept once, in TimingCommon.
-     */
-    VG_HOT_INLINE void
-    noteBranchStall(InstId key, uint64_t issue, uint64_t enter_issue)
-    {
-        uint64_t stall = issue - enter_issue;
-        branch_stall_cycles += stall;
-        if (key < stall_cycles_by_id.size())
-            stall_cycles_by_id[key] += stall;
-    }
-
-    /** MSHR occupancy gating for a load entering issue. */
-    uint64_t
-    mshrAdmit(uint64_t earliest)
-    {
-        while (!outstanding_misses.empty() &&
-               outstanding_misses.min() <= earliest) {
-            outstanding_misses.pop_min();
-        }
-        while (outstanding_misses.size() >= mshr_entries) {
-            ++mshr_stalls;
-            earliest = std::max(earliest, outstanding_misses.min());
-            outstanding_misses.pop_min();
-        }
-        return earliest;
-    }
-
-    // fetch state
-    uint64_t next_fetch_cycle = 0;
-    uint64_t cur_fetch_cycle = 0;
-    unsigned fetched_in_cycle = 0;
-    std::vector<uint64_t> fetch_ring;
-
-    // issue state
-    uint64_t prev_issue_cycle = 0;
-    uint64_t cur_issue_cycle = 0;
-    unsigned slots_used = 0;
-    unsigned ports_used[4] = {};
-    unsigned port_cap[4] = {};  ///< by FuClass; None -> width
-    uint64_t reg_ready[kNumRegs] = {};
-
-    // memory-system state: completion cycles of in-flight misses.
-    BoundedMinHeap outstanding_misses;
-
-    // DBB timing state: free cycles of inserted entries, FIFO order.
-    RingFifo<uint64_t> dbb_free_cycles;
-
-    // Per-branch stall cycles (only sized when collecting).
-    std::vector<uint64_t> stall_cycles_by_id;
-
-    // Width-dependent counters; folded into this lane's SimStats.
-    uint64_t fetch_buffer_stalls = 0;
-    uint64_t branch_stall_cycles = 0;
-    uint64_t dbb_full_stalls = 0;
-    uint64_t dbb_max_occupancy = 0;
-    uint64_t mshr_stalls = 0;
-
-    // Watchdog state.
-    uint64_t max_done = 0;
-    uint64_t last_commit_cycle = 0;
-
-    /** fetchBufferEntries-1 when a power of two, else 0 (division
-     *  fallback in fetchSlot). */
-    const uint64_t fetch_slot_mask;
-
-    // Config fields copied by value so the cycle loop never reloads
-    // them through a reference the compiler must assume aliases.
-    const unsigned width;
-    const unsigned frontend_stages;
-    const unsigned fetch_buffer_entries;
-    const unsigned dbb_entries;
-    const unsigned mshr_entries;
-};
-
-/**
  * Cycle-accounting machinery shared by both execution paths: the
  * width-invariant machine state (caches, BTB, DBB entries, the current
  * fetch line, the width-invariant counters) plus one TimingLane per
@@ -451,13 +172,22 @@ class TimingCommon
 
     /** Fetch-side work common to every lane: the fetched count and the
      *  I-cache access on each new line. Returns the miss penalty every
-     *  lane adds to this instruction's fetch cycle. */
-    unsigned
+     *  lane adds to this instruction's fetch cycle. The same-line case
+     *  is forced inline: the fused loops grew past the point where GCC
+     *  still split it off by itself, and a call per instruction cost
+     *  the one-lane loop 10-25%. */
+    VG_HOT_INLINE unsigned
     fetchLine(uint64_t line)
     {
         ++stats_.fetched;
         if (line == cur_fetch_line_)
             return 0;
+        return fetchNewLine(line);
+    }
+
+    unsigned
+    fetchNewLine(uint64_t line)
+    {
         ++stats_.icacheLineAccesses;
         unsigned extra = hier_.instAccess(line);
         if (extra > 0)
@@ -916,13 +646,15 @@ threadedDisabledByEnv()
  * advanced inline by a single switch that replicates
  * exec/semantics.cc exactly — including the DIV wrap/fault, LD_S
  * zero-fill, and shift-mask edge cases — and every cycle-accounting
- * decision goes through the same TimingCommon/TimingLane helpers as
- * the reference path. Each instruction's semantic, predictor and
- * cache work runs once; only its timing tail runs per lane. Predictor
- * calls go through the sealed PredictorDispatch (direct, inlineable
- * calls for every factory predictor) in the same per-instruction
- * order the reference path makes them, so predictions, history, and
- * telemetry counters are bit-identical.
+ * decision goes through the same TimingCommon helpers and the same
+ * TimingLane rules as the reference path. Each instruction's semantic,
+ * predictor and cache work runs once; its timing goes to a lane policy
+ * (uarch/lanes.hh): AVX2 columns for two or more lanes when the CPU
+ * has AVX2, TimingLane by TimingLane otherwise. Predictor calls go
+ * through the sealed PredictorDispatch (direct, inlineable calls for
+ * every factory predictor) in the same per-instruction order the
+ * reference path makes them, so predictions, history, and telemetry
+ * counters are bit-identical.
  */
 template <unsigned N>
 class FastModel : public TimingCommon
@@ -958,21 +690,63 @@ class FastModel : public TimingCommon
     std::vector<SimStats>
     run()
     {
+#if VANGUARD_COLUMN_LANES
+        if constexpr (N >= 2) {
+            if (columnLanesAvailable() &&
+                ColumnLanes<N>::fits(lanes_.data())) {
+                ColumnLanes<N> lanes(lanes_.data());
+                runColumns(lanes);
+                lanes.finish();
+                return finalizeStats();
+            }
+        }
+#endif
+        ScalarLanes<N> lanes(lanes_.data());
 #if VANGUARD_THREADED_DISPATCH
         if (use_threaded_)
-            runThreaded();
+            runThreaded(lanes);
         else
-            runSwitch();
+            runSwitch(lanes);
 #else
-        runSwitch();
+        runSwitch(lanes);
 #endif
         return finalizeStats();
     }
 
+    /**
+     * One run through the switch dispatcher with any lane policy
+     * (recordLaneEvents drives it with a recorder). The pointer-sized
+     * policies are taken by value, so the loop keeps their lane
+     * pointer in a register instead of reloading it through a
+     * reference every instruction.
+     */
+    template <class Lanes> void runSwitch(Lanes lanes);
+
   private:
-    void runSwitch();
 #if VANGUARD_THREADED_DISPATCH
-    void runThreaded();
+    template <class Lanes> void runThreaded(Lanes lanes);
+#endif
+#if VANGUARD_COLUMN_LANES
+    // The column policy's loops: the same body, compiled for AVX2 so
+    // the column calls inline into it.
+    __attribute__((target("avx2"))) void
+    runColumnsSwitch(ColumnLanes<N> &lanes);
+#if VANGUARD_THREADED_DISPATCH
+    __attribute__((target("avx2"))) void
+    runColumnsThreaded(ColumnLanes<N> &lanes);
+#endif
+
+    void
+    runColumns(ColumnLanes<N> &lanes)
+    {
+#if VANGUARD_THREADED_DISPATCH
+        if (use_threaded_) {
+            runColumnsThreaded(lanes);
+            return;
+        }
+#endif
+        runColumnsSwitch(lanes);
+    }
 #endif
 
     [[noreturn]] void
@@ -1000,7 +774,7 @@ class FastModel : public TimingCommon
                  static_cast<unsigned long long>(stats_.dynamicInsts));
     }
 
-    bool
+    VG_HOT_INLINE bool
     predictLookup(uint64_t pc)
     {
         // Fill pending_predict_ in place (one fresh-meta write instead
@@ -1023,6 +797,15 @@ class FastModel : public TimingCommon
         return dir;
     }
 
+    /** The Steer of a correctly predicted taken transfer: probes and
+     *  fills the shared BTB. */
+    Steer
+    takenSteer(const DecodedInst &d)
+    {
+        return btbRedirect(d.pc, d.takenPc) ? Steer::BtbHit
+                                            : Steer::BtbMiss;
+    }
+
     const DecodedInst *code_;
     size_t code_size_;
     Memory &mem_;
@@ -1033,9 +816,35 @@ class FastModel : public TimingCommon
     const bool use_threaded_;
 };
 
+// fast_loop.inc is the loop body of every entry point below; its
+// policy parameter is `lanes`.
+
+template <unsigned N>
+template <class Lanes>
+void
+FastModel<N>::runSwitch(Lanes lanes)
+{
+#define VG_THREADED 0
+#include "uarch/fast_loop.inc"
+#undef VG_THREADED
+}
+
+#if VANGUARD_THREADED_DISPATCH
+template <unsigned N>
+template <class Lanes>
+void
+FastModel<N>::runThreaded(Lanes lanes)
+{
+#define VG_THREADED 1
+#include "uarch/fast_loop.inc"
+#undef VG_THREADED
+}
+#endif
+
+#if VANGUARD_COLUMN_LANES
 template <unsigned N>
 void
-FastModel<N>::runSwitch()
+FastModel<N>::runColumnsSwitch(ColumnLanes<N> &lanes)
 {
 #define VG_THREADED 0
 #include "uarch/fast_loop.inc"
@@ -1045,12 +854,13 @@ FastModel<N>::runSwitch()
 #if VANGUARD_THREADED_DISPATCH
 template <unsigned N>
 void
-FastModel<N>::runThreaded()
+FastModel<N>::runColumnsThreaded(ColumnLanes<N> &lanes)
 {
 #define VG_THREADED 1
 #include "uarch/fast_loop.inc"
 #undef VG_THREADED
 }
+#endif
 #endif
 
 template <unsigned N>
@@ -1062,6 +872,19 @@ runFast(const DecodedProgram &decoded, Memory &mem,
     FastModel<N> model(decoded, mem, predictor, cfgs, opts);
     return model.run();
 }
+
+/** A lane policy that times nothing and records every event. */
+class RecordingLanes
+{
+  public:
+    explicit RecordingLanes(std::vector<LaneEvent> &out) : out_(out) {}
+
+    void retire(const LaneEvent &ev, uint64_t) { out_.push_back(ev); }
+    void syncMaxDone() {}
+
+  private:
+    std::vector<LaneEvent> &out_;
+};
 
 /** Dispatch a runtime lane count to its compile-time FastModel. */
 std::vector<SimStats>
@@ -1163,6 +986,29 @@ bool
 threadedDispatchAvailable()
 {
     return VANGUARD_THREADED_DISPATCH != 0;
+}
+
+bool
+columnLanesAvailable()
+{
+#if VANGUARD_COLUMN_LANES
+    static const bool avx2 = __builtin_cpu_supports("avx2");
+    return avx2;
+#else
+    return false;
+#endif
+}
+
+std::vector<LaneEvent>
+recordLaneEvents(const DecodedProgram &decoded, Memory &mem,
+                 DirectionPredictor &predictor, const MachineConfig &cfg,
+                 const SimOptions &opts)
+{
+    validateLaneConfig(cfg);
+    std::vector<LaneEvent> events;
+    FastModel<1> model(decoded, mem, predictor, std::span(&cfg, 1), opts);
+    model.runSwitch(RecordingLanes(events));
+    return events;
 }
 
 MetricSnapshot

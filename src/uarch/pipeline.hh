@@ -222,7 +222,11 @@ SimStats simulateWithDecoded(const Program &prog,
                              const MachineConfig &cfg,
                              const SimOptions &opts = {});
 
-/** Most widths one fused simulateWidths() pass times at once. */
+/**
+ * Most widths one fused simulateWidths() pass times at once: the lanes
+ * of one 4 x 64-bit AVX2 column each (uarch/lanes.hh), which is how a
+ * pass of two or more lanes runs on CPUs with AVX2.
+ */
 inline constexpr unsigned kMaxFusedLanes = 4;
 
 /**

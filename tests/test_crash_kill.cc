@@ -177,7 +177,9 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
  * non-numeric value must not be read as zero. Count flags are parsed
  * as strictly: a worker count past the ceiling (or a negative one,
  * which wraps to 4294967295), a non-numeric trip count, and a Gantt
- * window too large to allocate all fail in parsing. No case passes
+ * window too large to allocate all fail in parsing. So do a
+ * non-numeric seed, cycle budget (it would read as 0 and disable the
+ * watchdog), failure threshold or selfbench count. No case passes
  * --all-refs, so none of them would build a worker pool even if
  * parsing let it through.
  */
@@ -199,7 +201,16 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
           std::vector<std::string>{"--iterations", "-5"},
           std::vector<std::string>{"--gantt-window",
                                    "99999999999999999", "--timeline"},
-          std::vector<std::string>{"--gantt-window", "0"}}) {
+          std::vector<std::string>{"--gantt-window", "0"},
+          std::vector<std::string>{"--seed", "abc"},
+          std::vector<std::string>{"--seed", "-1"},
+          std::vector<std::string>{"--cycle-budget", "abc"},
+          std::vector<std::string>{"--cycle-budget", "100k"},
+          std::vector<std::string>{"--fail-threshold", "abc"},
+          std::vector<std::string>{"--fail-threshold", "-2"},
+          std::vector<std::string>{"--selfbench-repeats", "abc"},
+          std::vector<std::string>{"--selfbench-repeats", "0"},
+          std::vector<std::string>{"--selfbench-iters", "x"}}) {
         std::vector<std::string> args = {"--benchmark", "mcf-like",
                                          "--iterations", "500"};
         args.insert(args.end(), flags.begin(), flags.end());

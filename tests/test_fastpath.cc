@@ -24,6 +24,7 @@
 #include "core/vanguard.hh"
 #include "exec/decoded_program.hh"
 #include "support/metrics.hh"
+#include "uarch/lanes.hh"
 #include "uarch/pipeline.hh"
 #include "workloads/suites.hh"
 
@@ -549,6 +550,194 @@ TEST(FusedLanes, SharedBenchmarkCompileMatchesStandaloneConfigs)
         expectSameCompile(art.exp, compileConfig(spec, train, true, vopts),
                           tag + " [exp]");
     }
+}
+
+#if VANGUARD_COLUMN_LANES
+/** A heap's or FIFO's contents, in pop order. */
+std::vector<uint64_t>
+drained(BoundedMinHeap h)
+{
+    std::vector<uint64_t> out;
+    for (; !h.empty(); h.pop_min())
+        out.push_back(h.min());
+    return out;
+}
+
+std::vector<uint64_t>
+drained(RingFifo<uint64_t> f)
+{
+    std::vector<uint64_t> out;
+    for (; !f.empty(); f.pop_front())
+        out.push_back(f.front());
+    return out;
+}
+
+/** Every field of two lanes, state and counters. */
+void
+expectSameLane(const TimingLane &got, const TimingLane &want,
+               const std::string &tag)
+{
+    EXPECT_EQ(got.next_fetch_cycle, want.next_fetch_cycle) << tag;
+    EXPECT_EQ(got.cur_fetch_cycle, want.cur_fetch_cycle) << tag;
+    EXPECT_EQ(got.fetched_in_cycle, want.fetched_in_cycle) << tag;
+    EXPECT_EQ(got.fetch_ring, want.fetch_ring) << tag;
+    EXPECT_EQ(got.prev_issue_cycle, want.prev_issue_cycle) << tag;
+    EXPECT_EQ(got.cur_issue_cycle, want.cur_issue_cycle) << tag;
+    EXPECT_EQ(got.slots_used, want.slots_used) << tag;
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(got.ports_used[c], want.ports_used[c]) << tag;
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        EXPECT_EQ(got.reg_ready[r], want.reg_ready[r]) << tag << " r" << r;
+    EXPECT_EQ(drained(got.outstanding_misses),
+              drained(want.outstanding_misses))
+        << tag;
+    EXPECT_EQ(drained(got.dbb_free_cycles), drained(want.dbb_free_cycles))
+        << tag;
+    EXPECT_EQ(got.stall_cycles_by_id, want.stall_cycles_by_id) << tag;
+    EXPECT_EQ(got.fetch_buffer_stalls, want.fetch_buffer_stalls) << tag;
+    EXPECT_EQ(got.branch_stall_cycles, want.branch_stall_cycles) << tag;
+    EXPECT_EQ(got.dbb_full_stalls, want.dbb_full_stalls) << tag;
+    EXPECT_EQ(got.dbb_max_occupancy, want.dbb_max_occupancy) << tag;
+    EXPECT_EQ(got.mshr_stalls, want.mshr_stalls) << tag;
+    EXPECT_EQ(got.max_done, want.max_done) << tag;
+}
+
+std::vector<TimingLane>
+makeLanes(const std::vector<MachineConfig> &cfgs, InstId stall_keys)
+{
+    std::vector<TimingLane> lanes;
+    for (const MachineConfig &cfg : cfgs)
+        lanes.emplace_back(cfg, stall_keys, true);
+    return lanes;
+}
+
+/** Replay `events` through both policies over `cfgs`; lanes must
+ *  agree field for field. Returns the lanes' MSHR and DBB stalls. */
+template <unsigned N>
+std::pair<uint64_t, uint64_t>
+expectPoliciesAgree(std::span<const LaneEvent> events,
+                    const std::vector<MachineConfig> &cfgs,
+                    InstId stall_keys, const std::string &tag)
+{
+    std::vector<TimingLane> scalar = makeLanes(cfgs, stall_keys);
+    std::vector<TimingLane> columns = makeLanes(cfgs, stall_keys);
+    ScalarLanes<N> by_lane(scalar.data());
+    by_lane.replay(events);
+    ColumnLanes<N> by_column(columns.data());
+    by_column.replay(events);
+    std::pair<uint64_t, uint64_t> stalls;
+    for (unsigned l = 0; l < N; ++l) {
+        expectSameLane(columns[l], scalar[l],
+                       tag + " lane " + std::to_string(l) + " w" +
+                           std::to_string(cfgs[l].width));
+        stalls.first += scalar[l].mshr_stalls;
+        stalls.second += scalar[l].dbb_full_stalls;
+    }
+    return stalls;
+}
+#endif
+
+/**
+ * The two lane policies are interchangeable: one recorded event stream
+ * per kernel, config and machine shape, replayed through ScalarLanes
+ * and through the AVX2 ColumnLanes for several lane sets, leaves every
+ * lane in the same state with the same counters. Two tiny shapes (a
+ * 24-entry fetch buffer, the modulo slot path, with a 2-entry miss
+ * buffer; and a 1-entry DBB) drive the per-lane escapes hard. This also
+ * keeps the scalar multi-lane path covered on hosts where simulation
+ * itself takes the columns.
+ */
+TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
+{
+#if !VANGUARD_COLUMN_LANES
+    GTEST_SKIP() << "column lanes are not built for this target";
+#else
+    if (!columnLanesAvailable())
+        GTEST_SKIP() << "this CPU has no AVX2";
+    const std::vector<std::vector<unsigned>> lane_sets = {
+        {2, 4, 8}, {8, 2}, {4, 2, 4}, {8, 4, 2, 2}};
+    struct Shape
+    {
+        const char *what;
+        unsigned fetchBuffer, dbb, mshr;
+    };
+    // Every kernel at 100 trips, plus three at 300 trips, where
+    // selection converts enough branches for the 1-entry DBB to fill.
+    std::vector<BenchmarkSpec> specs = allKernels(100);
+    for (const char *name : {"mcf-like", "bzip2-like", "milc-like"})
+        specs.push_back(smallSpec(name, 300));
+    VanguardOptions vopts;
+    uint64_t mshr_stalls = 0;
+    uint64_t dbb_stalls = 0;
+    for (const BenchmarkSpec &spec : specs) {
+        BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+        for (const CompiledConfig *config : {&art.base, &art.exp}) {
+            for (Shape shape : {Shape{"default", 32, 16, 64},
+                                Shape{"fetch 24 mshr 2", 24, 16, 2},
+                                Shape{"dbb 1", 32, 1, 64}}) {
+                auto machine = [&](unsigned width) {
+                    VanguardOptions o = vopts;
+                    o.width = width;
+                    MachineConfig cfg = o.machine();
+                    cfg.fetchBufferEntries = shape.fetchBuffer;
+                    cfg.dbbEntries = shape.dbb;
+                    cfg.mshrEntries = shape.mshr;
+                    return cfg;
+                };
+                std::string tag = std::string(spec.name) + " x" +
+                    std::to_string(spec.iterations) +
+                    (config->decomposed ? " [exp] " : " [base] ") +
+                    shape.what;
+                SimOptions sopts;
+                sopts.collectBranchStalls = true;
+                if (!config->hoistedMask.empty())
+                    sopts.hoistedMask = &config->hoistedMask;
+                Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
+                auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+                std::vector<LaneEvent> events = recordLaneEvents(
+                    *config->decoded, mem, *pred, machine(4), sopts);
+                InstId keys = config->decoded->maxStallKey();
+
+                // The recording is the run: one scalar lane replayed
+                // at the recording's width times it like simulate().
+                Memory solo_mem = buildKernelMemory(spec, kRefSeeds[0]);
+                auto solo_pred =
+                    makePredictor(vopts.predictor, kRefSeeds[0]);
+                SimStats solo = simulateWithDecoded(
+                    config->prog, *config->decoded, solo_mem, *solo_pred,
+                    machine(4), sopts);
+                ASSERT_EQ(events.size(), solo.dynamicInsts) << tag;
+                std::vector<TimingLane> one = makeLanes({machine(4)}, keys);
+                ScalarLanes<1> replay(one.data());
+                replay.replay(events);
+                EXPECT_EQ(one[0].max_done + 1, solo.cycles) << tag;
+
+                for (const std::vector<unsigned> &widths : lane_sets) {
+                    std::vector<MachineConfig> cfgs;
+                    for (unsigned w : widths)
+                        cfgs.push_back(machine(w));
+                    std::span<const LaneEvent> ev(events);
+                    std::pair<uint64_t, uint64_t> stalls;
+                    switch (widths.size()) {
+                      case 2:
+                        stalls = expectPoliciesAgree<2>(ev, cfgs, keys, tag);
+                        break;
+                      case 3:
+                        stalls = expectPoliciesAgree<3>(ev, cfgs, keys, tag);
+                        break;
+                      case 4:
+                        stalls = expectPoliciesAgree<4>(ev, cfgs, keys, tag);
+                        break;
+                    }
+                    mshr_stalls += stalls.first;
+                    dbb_stalls += stalls.second;
+                }
+            }
+        }
+    }
+    EXPECT_GT(mshr_stalls, 0u);
+    EXPECT_GT(dbb_stalls, 0u);
+#endif
 }
 
 /**
