@@ -24,7 +24,8 @@
  *     --no-superblock      disable the biased-branch pass
  *     --no-shadow-commit   commit MOVs consume issue slots
  *     --dbb N              Decomposed Branch Buffer entries (1..65536)
- *     --threshold P        selection threshold (default 0.05)
+ *     --threshold P        selection threshold, a number in [0, 1]
+ *                          (default 0.05)
  *     --save-profile FILE  write the TRAIN profile (PGO artifact)
  *     --load-profile FILE  reuse a saved profile instead of training
  *     --dump-ir            print the transformed IR
@@ -35,8 +36,7 @@
  *                          reported)
  *     --stats              print the full counter set
  *     --metrics-out FILE   write the metrics-registry dump
- *                          (vanguard-metrics v1; .csv suffix selects
- *                          CSV, anything else JSON)
+ *                          (vanguard-metrics v1 JSON)
  *     --trace-out FILE     write a Chrome trace-event JSON timeline
  *                          (open in Perfetto / chrome://tracing)
  *     --lockstep           run the functional-oracle differential
@@ -96,17 +96,6 @@
  *                          --checkpoint-dir) only when the sweep
  *                          fails, is interrupted, or dies on a
  *                          SimError
- *     --selfbench          benchmark the simulator itself: run the
- *                          pinned workload x width x predictor matrix
- *                          through every execution path (switch /
- *                          threaded / reference) and print
- *                          the vanguard-selfbench v2 JSON report
- *     --selfbench-out F    write the report to F (atomic) instead of
- *                          stdout (the committed trajectory is
- *                          BENCH_PR6.json at the repo root)
- *     --selfbench-repeats N  timed repetitions per cell, best-of
- *                          (default 3)
- *     --selfbench-iters N  kernel trip count per cell (default 6000)
  *     --help               print usage and exit 0
  *
  * Exit codes: 0 success, 1 simulator error, 2 usage,
@@ -135,7 +124,6 @@
 #include "core/journal.hh"
 #include "core/replay.hh"
 #include "core/runner.hh"
-#include "core/selfbench.hh"
 #include "core/worker_pool.hh"
 #include "core/vanguard.hh"
 #include "profile/profile_io.hh"
@@ -174,13 +162,10 @@ dumpStats(const char *label, const SimStats &s)
     std::printf("%s.derived.mppki = %.4f\n", label, s.mppki());
 }
 
-/** Dump format by suffix: .csv selects CSV, anything else JSON. */
 void
 writeMetricsFile(const std::string &path, const MetricsRegistry &reg)
 {
-    bool csv = path.size() >= 4 &&
-               path.compare(path.size() - 4, 4, ".csv") == 0;
-    writeFileAtomic(path, csv ? reg.toCsv() : reg.toJson());
+    writeFileAtomic(path, reg.toJson());
     std::fprintf(stderr, "metrics written to %s\n", path.c_str());
 }
 
@@ -212,9 +197,7 @@ printUsage(std::FILE *to)
         "[--worker-rlimit-mb MB] "
         "[--serve-sweep PORT] [--lease-ms MS] "
         "[--remote-worker HOST:PORT] [--net-inject SPEC] "
-        "[--telemetry-port P] [--flightrec-out F] "
-        "[--selfbench] [--selfbench-out F] [--selfbench-repeats N] "
-        "[--selfbench-iters N] [--help]\n"
+        "[--telemetry-port P] [--flightrec-out F] [--help]\n"
         "\n"
         "execution paths:\n"
         "  --no-threaded-dispatch  portable switch dispatcher even "
@@ -225,8 +208,8 @@ printUsage(std::FILE *to)
         "\n"
         "telemetry:\n"
         "  --metrics-out F     write the unified metrics dump "
-        "(vanguard-metrics v1;\n"
-        "                      .csv suffix selects CSV, else JSON)\n"
+        "(vanguard-metrics v1\n"
+        "                      JSON)\n"
         "  --trace-out F       write a Chrome trace-event timeline "
         "(Perfetto)\n"
         "  --gantt-window N    --timeline window size, 1..65536 "
@@ -314,9 +297,8 @@ printUsage(std::FILE *to)
         "  0  success\n"
         "  1  simulator error (SimError: config, fault, hang, "
         "divergence, io, ...)\n"
-        "  2  usage error (unknown flag or missing argument, or "
-        "--isolate-jobs\n"
-        "     on a platform without fork/exec support)\n"
+        "  2  usage error (unknown flag, missing argument, or "
+        "unusable value)\n"
         "  3  sweep job failures exceeded --fail-threshold\n"
         "  4  sweep interrupted by SIGINT/SIGTERM; checkpointed work "
         "is\n"
@@ -369,6 +351,27 @@ parseU64OrDie(const char *flag, const char *text, uint64_t lo,
                      "[%llu, %llu], got '%s'\n",
                      flag, static_cast<unsigned long long>(lo),
                      static_cast<unsigned long long>(hi), text);
+        usageAndExit();
+    }
+    return v;
+}
+
+/** Strict parse for fractions: the whole token must be a finite
+ *  number in [0, 1], else exit 2. */
+double
+parseFractionOrDie(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    // A leading digit or '.' rules out what else strtod accepts:
+    // blanks, a sign, "inf" and "nan". An overflow reads as inf > 1.
+    bool leads = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                 text[0] == '.';
+    if (!leads || *end != '\0' || v > 1.0) {
+        std::fprintf(stderr,
+                     "vanguard_cli: %s expects a number in [0, 1], "
+                     "got '%s'\n",
+                     flag, text);
         usageAndExit();
     }
     return v;
@@ -486,9 +489,6 @@ runCli(int argc, char **argv)
     size_t gantt_window = 256;
     bool resume = false;
     size_t fail_threshold = 0;
-    bool selfbench = false;
-    std::string selfbench_out;
-    SelfBenchOptions sb_opts;
     bool isolate_jobs = false;
     unsigned worker_heartbeat_ms = 0; ///< 0 = runner default
     unsigned worker_rlimit_mb = 0;
@@ -566,7 +566,8 @@ runCli(int argc, char **argv)
             opts.dbbEntries =
                 parseUnsignedOrDie("--dbb", next(), 1, 65536);
         } else if (arg == "--threshold") {
-            opts.selection.minExposed = atof(next());
+            opts.selection.minExposed =
+                parseFractionOrDie("--threshold", next());
         } else if (arg == "--save-profile") {
             save_profile = next();
         } else if (arg == "--load-profile") {
@@ -630,16 +631,6 @@ runCli(int argc, char **argv)
             metrics_out = next();
         } else if (arg == "--trace-out") {
             trace_out = next();
-        } else if (arg == "--selfbench") {
-            selfbench = true;
-        } else if (arg == "--selfbench-out") {
-            selfbench_out = next();
-        } else if (arg == "--selfbench-repeats") {
-            sb_opts.repeats = parseUnsignedOrDie("--selfbench-repeats",
-                                                 next(), 1, 1000);
-        } else if (arg == "--selfbench-iters") {
-            sb_opts.iterations = parseU64OrDie("--selfbench-iters", next(),
-                                               1, INT64_MAX);
         } else {
             std::fprintf(stderr, "vanguard_cli: unknown flag '%s'\n",
                          arg.c_str());
@@ -669,14 +660,6 @@ runCli(int argc, char **argv)
                      "--worker-rlimit-mb need --isolate-jobs\n");
         usageAndExit();
     }
-    if (isolate_jobs && !WorkerPool::supported()) {
-        // Unsupported platform is a usage-level rejection (exit 2),
-        // not a SimError abort: scripts can probe for support.
-        std::fprintf(stderr,
-                     "vanguard_cli: --isolate-jobs is not supported "
-                     "on this platform (needs fork/exec/socketpair)\n");
-        return 2;
-    }
     if (serve_sweep && !all_refs) {
         std::fprintf(stderr, "vanguard_cli: --serve-sweep only "
                              "applies to --all-refs sweeps\n");
@@ -701,26 +684,11 @@ runCli(int argc, char **argv)
                      "mode (no sweep flags)\n");
         usageAndExit();
     }
-    if ((serve_sweep || !remote_worker.empty()) &&
-        !Coordinator::supported()) {
-        std::fprintf(stderr,
-                     "vanguard_cli: the sweep fabric is not supported "
-                     "on this platform (needs POSIX sockets)\n");
-        return 2;
-    }
     if ((telemetry_serve || !flightrec_out.empty()) && !all_refs) {
         std::fprintf(stderr,
                      "vanguard_cli: --telemetry-port/--flightrec-out "
                      "only apply to --all-refs sweeps\n");
         usageAndExit();
-    }
-    if (telemetry_serve && !TelemetryServer::supported()) {
-        // Same usage-level rejection (exit 2) as the other socket
-        // transports, so scripts can probe for support.
-        std::fprintf(stderr,
-                     "vanguard_cli: --telemetry-port is not supported "
-                     "on this platform (needs POSIX sockets)\n");
-        return 2;
     }
 
     // Deterministic fault injection: an explicit --inject wins over
@@ -762,32 +730,6 @@ runCli(int argc, char **argv)
 
     if (!replay_path.empty())
         return runReplay(replay_path, /*lockstep=*/true);
-
-    if (selfbench) {
-        // Simulator self-benchmark: measures the host, so it runs
-        // before (and instead of) any deterministic sweep plumbing.
-        SelfBenchReport report = runSelfBench(sb_opts, stderr);
-        std::string json = selfBenchToJson(report);
-        if (selfbench_out.empty()) {
-            std::printf("%s\n", json.c_str());
-        } else {
-            writeFileAtomic(selfbench_out, json + "\n");
-            std::fprintf(stderr, "selfbench report written to %s\n",
-                         selfbench_out.c_str());
-        }
-        std::fprintf(stderr,
-                     "selfbench geomean: %.1f M-insts/s fast, "
-                     "%.1f M-insts/s reference (%.2fx)\n",
-                     report.geomeanFastIps() / 1e6,
-                     report.geomeanRefIps() / 1e6,
-                     report.geomeanSpeedup());
-        std::fprintf(stderr,
-                     "selfbench geomean: %.1f M-insts/s switch, "
-                     "%.1f threaded\n",
-                     report.geomeanSwitchIps() / 1e6,
-                     report.geomeanThreadedIps() / 1e6);
-        return 0;
-    }
 
     BenchmarkSpec spec = findBenchmark(benchmark);
     spec.iterations = iterations;

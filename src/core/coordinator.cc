@@ -29,11 +29,8 @@
 #include "support/telemetry.hh"
 #include "support/versioned_format.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_FABRIC_POSIX 1
 #include <poll.h>
 #include <unistd.h>
-#endif
 
 namespace vanguard {
 
@@ -127,8 +124,6 @@ mixJitter(uint64_t x)
 }
 
 } // namespace
-
-#ifdef VANGUARD_FABRIC_POSIX
 
 // ---------------------------------------------------------------------
 // Coordinator
@@ -1607,45 +1602,6 @@ runWorkerProcess(int fd)
     // No reconnect: the socketpair is the only way back, so EOF (a
     // dead supervisor) means exit, like a final DRAIN.
     return out == ConnOutcome::Lost ? 1 : 0;
-}
-
-#else // !VANGUARD_FABRIC_POSIX
-
-/** No sockets or poll() here: constructing a fabric is a structured
- *  refusal. */
-struct Coordinator::Impl
-{
-    Impl(const Options &, Spawner *)
-    {
-        vg_throw(Config,
-                 "the sweep fabric is not supported on this platform");
-    }
-    WorkerResult execute(WorkerJob) { return {}; }
-    void shutdown() {}
-
-    uint16_t port_ = 0;
-    mutable std::mutex mutex_;
-    WorkerPool::Stats stats_;
-};
-
-int
-runRemoteWorker(const std::string &, uint16_t)
-{
-    return 2;
-}
-
-int
-runWorkerProcess(int)
-{
-    return 2;
-}
-
-#endif // VANGUARD_FABRIC_POSIX
-
-bool
-Coordinator::supported()
-{
-    return ipc::ipcSupported();
 }
 
 Coordinator::Coordinator(const Options &opts)

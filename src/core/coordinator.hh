@@ -75,9 +75,6 @@
  * remote worker reconnects (with jittered exponential backoff, across
  * coordinator restarts and injected partitions); a spawned worker
  * exits when its socketpair closes.
- *
- * POSIX-only, like the rest of the transport; Coordinator::supported()
- * gates it and the CLI maps unsupported platforms to exit 2.
  */
 
 #ifndef VANGUARD_CORE_COORDINATOR_HH
@@ -142,9 +139,6 @@ class Coordinator
          *  its fate ("died on signal 11 (Segmentation fault)"). */
         virtual std::string retire(int pid, bool kill) = 0;
     };
-
-    /** Does this build/platform carry the fabric? */
-    static bool supported();
 
     /** Binds the TCP listener and starts the service thread. Throws
      *  SimError(Io) if the port cannot be bound. */

@@ -491,10 +491,6 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
             vg_throw(Config,
                      "--serve-sweep and --isolate-jobs are mutually "
                      "exclusive: pick one remote-body transport");
-        if (!WorkerPool::supported())
-            vg_throw(Config,
-                     "process isolation (--isolate-jobs) is not "
-                     "supported on this platform");
         WorkerPool::Options wo;
         wo.workers = ThreadPool::resolveWorkerCount(ropts.jobs);
         wo.heartbeatTimeoutMs = ropts.workerHeartbeatMs;

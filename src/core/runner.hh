@@ -137,8 +137,7 @@ struct RunnerOptions
      *  hardware_concurrency (ThreadPool::resolveWorkerCount). */
     unsigned jobs = 0;
 
-    /** Job-body execution mode; `process` requires
-     *  WorkerPool::supported() (SimError(Config) otherwise). */
+    /** Job-body execution mode. */
     JobIsolation isolation = JobIsolation::inproc;
 
     /** Process mode: worker lease in ms (a worker that stops renewing

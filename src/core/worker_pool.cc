@@ -7,7 +7,9 @@
 #include "core/worker_pool.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,14 +26,9 @@
 #include "support/logging.hh"
 #include "support/versioned_format.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_WORKER_POSIX 1
-#include <cerrno>
-#include <csignal>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace vanguard {
 
@@ -415,7 +412,6 @@ maybeDeliberateCrash(const WorkerJob &job)
             *p = 1; // intentional SIGSEGV
         }
     }
-#ifdef VANGUARD_WORKER_POSIX
     if (faultinject::armed()) {
         faultinject::Scope scope(
             workerKillScope(job.scopeKey, job.delivery));
@@ -423,7 +419,6 @@ maybeDeliberateCrash(const WorkerJob &job)
                                    SimError::Kind::Internal))
             ::raise(SIGKILL);
     }
-#endif
 }
 
 } // namespace
@@ -546,8 +541,6 @@ JobBodyRunner::run(const WorkerJob &job)
             before[k];
     return res;
 }
-
-#ifdef VANGUARD_WORKER_POSIX
 
 // ---------------------------------------------------------------------
 // Spawner
@@ -714,33 +707,6 @@ struct WorkerPool::Spawner final : Coordinator::Spawner
             retire(pid, /*kill=*/true);
     }
 };
-
-#else // !VANGUARD_WORKER_POSIX
-
-/** No fork/exec here: constructing a pool is a structured refusal. */
-struct WorkerPool::Spawner final : Coordinator::Spawner
-{
-    mutable std::mutex mutex;
-    std::vector<int> live;
-
-    explicit Spawner(const Options &)
-    {
-        vg_throw(Config,
-                 "process isolation is not supported on this platform");
-    }
-    unsigned slots() const override { return 0; }
-    int spawn(unsigned, int *) override { return -1; }
-    std::string retire(int, bool) override { return ""; }
-    void drain() {}
-};
-
-#endif // VANGUARD_WORKER_POSIX
-
-bool
-WorkerPool::supported()
-{
-    return ipc::ipcSupported();
-}
 
 WorkerPool::WorkerPool(const Options &opts)
     : spawner_(std::make_unique<Spawner>(opts))

@@ -33,9 +33,6 @@
  * child as an already-connected peer it owns. A lease that expires on
  * an owned peer is a hang: the child is SIGKILLed and the job fails as
  * SimError(Hang), mirroring the in-process watchdog taxonomy.
- *
- * POSIX-only (fork/exec/waitpid); WorkerPool::supported() gates it and
- * the CLI turns unsupported platforms into exit 2.
  */
 
 #ifndef VANGUARD_CORE_WORKER_POOL_HH
@@ -251,9 +248,6 @@ class WorkerPool
          *  advisory only — never touches the registry merges). */
         TelemetryHub *telemetry = nullptr;
     };
-
-    /** Does this build/platform carry fork/exec supervision? */
-    static bool supported();
 
     /** Spawns every worker and returns once each has said hello. */
     explicit WorkerPool(const Options &opts);

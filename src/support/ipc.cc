@@ -5,39 +5,26 @@
 
 #include "support/ipc.hh"
 
-#include <cstring>
-
-#include "support/checksum.hh"
-#include "support/fault_inject.hh"
-#include "support/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_IPC_POSIX 1
-#include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <thread>
+
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <thread>
 #include <unistd.h>
-#endif
+
+#include "support/checksum.hh"
+#include "support/fault_inject.hh"
+#include "support/logging.hh"
 
 namespace vanguard {
 namespace ipc {
-
-bool
-ipcSupported()
-{
-#ifdef VANGUARD_IPC_POSIX
-    return true;
-#else
-    return false;
-#endif
-}
 
 void
 appendBlob(std::string *out, const char *name, const std::string &data)
@@ -50,8 +37,6 @@ appendBlob(std::string *out, const char *name, const std::string &data)
     out->append(data);
     out->push_back('\n');
 }
-
-#ifdef VANGUARD_IPC_POSIX
 
 namespace {
 
@@ -377,58 +362,6 @@ sendFrameNet(int fd, char type, const std::string &body,
     }
     return SendStatus::Ok;
 }
-
-#else // !VANGUARD_IPC_POSIX
-
-void
-writeFrame(int, char, const std::string &)
-{
-    vg_throw(Config, "worker ipc is not supported on this platform");
-}
-
-ReadStatus
-FrameChannel::read(Frame *, int)
-{
-    vg_throw(Config, "worker ipc is not supported on this platform");
-}
-
-void
-makeSocketPair(int[2])
-{
-    vg_throw(Config, "worker ipc is not supported on this platform");
-}
-
-int
-listenTcp(uint16_t)
-{
-    vg_throw(Config, "sweep fabric is not supported on this platform");
-}
-
-uint16_t
-listenPort(int)
-{
-    vg_throw(Config, "sweep fabric is not supported on this platform");
-}
-
-int
-acceptPeer(int, int, std::string *)
-{
-    vg_throw(Config, "sweep fabric is not supported on this platform");
-}
-
-int
-connectTcp(const std::string &, uint16_t, std::string *)
-{
-    vg_throw(Config, "sweep fabric is not supported on this platform");
-}
-
-SendStatus
-sendFrameNet(int, char, const std::string &, uint64_t, uint64_t *)
-{
-    vg_throw(Config, "sweep fabric is not supported on this platform");
-}
-
-#endif // VANGUARD_IPC_POSIX
 
 } // namespace ipc
 } // namespace vanguard

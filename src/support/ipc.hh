@@ -26,9 +26,6 @@
  * network fault plan (support/fault_inject.hh `net.*` sites) so
  * partition, frame-loss, and slow-peer behavior is reproducible in
  * tests.
- *
- * POSIX-only (socketpair/poll/TCP); on other platforms the API exists
- * but every call raises SimError(Config) — see ipcSupported().
  */
 
 #ifndef VANGUARD_SUPPORT_IPC_HH
@@ -85,9 +82,6 @@ enum class ReadStatus
     Eof,        ///< peer closed (worker death / supervisor gone)
     Timeout,    ///< deadline expired with no complete frame
 };
-
-/** Does this build carry the POSIX transport? */
-bool ipcSupported();
 
 /**
  * Write one frame (blocking, retrying short writes). Throws

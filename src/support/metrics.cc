@@ -376,32 +376,6 @@ MetricsRegistry::toJson() const
     return os.str();
 }
 
-std::string
-MetricsRegistry::toCsv() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream os;
-    os << "# " << kMetricsMagic << " v" << kMetricsVersion << '\n';
-    os << "kind,path,value\n";
-    for (const auto &[path, c] : counters_)
-        os << "counter," << path << ',' << c->value() << '\n';
-    for (const auto &[path, g] : gauges_)
-        os << "gauge," << path << ',' << fmtDouble(g->value()) << '\n';
-    for (const auto &[path, h] : histograms_) {
-        std::vector<std::pair<std::string, uint64_t>> fields;
-        histogramFields(*h, fields);
-        for (const auto &[field, v] : fields)
-            os << "histogram," << path << '.' << field << ',' << v
-               << '\n';
-    }
-    for (const auto &[scope, entries] : scopes_) {
-        for (const auto &e : entries)
-            os << "job," << scope << '.' << e.path << ',' << e.value
-               << '\n';
-    }
-    return os.str();
-}
-
 // --- parse-back (tests and jq-free tooling) ----------------------------
 
 namespace {
@@ -548,49 +522,6 @@ parseMetricsJson(const std::string &text)
         out.error = "schema is not '" + std::string(kMetricsMagic) +
                     "': '" + reader.schema + "'";
         return out;
-    }
-    out.ok = true;
-    return out;
-}
-
-ParsedMetrics
-parseMetricsCsv(const std::string &text)
-{
-    ParsedMetrics out;
-    std::istringstream is(text);
-    std::string line;
-    if (!std::getline(is, line) || line.rfind("# ", 0) != 0) {
-        out.error = "missing '# " + std::string(kMetricsMagic) +
-                    " vN' header line";
-        return out;
-    }
-    if (!parseVersionedHeader(line.substr(2), kMetricsMagic,
-                              kMetricsVersion, &out.version)) {
-        out.error = "header is not '" + std::string(kMetricsMagic) +
-                    "': '" + line + "'";
-        return out;
-    }
-    while (std::getline(is, line)) {
-        if (line.empty() || line == "kind,path,value")
-            continue;
-        size_t c1 = line.find(',');
-        size_t c2 = line.rfind(',');
-        if (c1 == std::string::npos || c2 == c1) {
-            out.error = "malformed CSV row: '" + line + "'";
-            return out;
-        }
-        std::string kind = line.substr(0, c1);
-        std::string path = line.substr(c1 + 1, c2 - c1 - 1);
-        if (kind == "counter")
-            kind = "counters";
-        else if (kind == "gauge")
-            kind = "gauges";
-        else if (kind == "histogram")
-            kind = "histograms";
-        else if (kind == "job")
-            kind = "jobs";
-        out.values[kind + "." + path] =
-            std::strtod(line.c_str() + c2 + 1, nullptr);
     }
     out.ok = true;
     return out;

@@ -4,7 +4,7 @@
  * named counters, gauges, and histograms with dotted paths
  * (`uarch.pipeline.branchStallCycles`, `bpred.tage-6x4096.providerHits`,
  * `engine.jobs.retries`). Every component registers its stats once;
- * harnesses export the union as schema-versioned JSON or CSV
+ * harnesses export the union as schema-versioned JSON
  * (`vanguard-metrics v1`, parsed back through
  * support/versioned_format.hh).
  *
@@ -216,7 +216,7 @@ struct RegistrySample
  * The registry: register-or-get by dotted path (re-registration
  * returns the existing instrument; a path registered as a different
  * kind raises SimError(Invariant)), per-job snapshot merging with the
- * bit-identity assertion, and versioned JSON/CSV export.
+ * bit-identity assertion, and versioned JSON export.
  */
 class MetricsRegistry
 {
@@ -253,9 +253,8 @@ class MetricsRegistry
      */
     RegistrySample sample() const;
 
-    /** Schema-versioned exports ("vanguard-metrics v1"). */
+    /** Schema-versioned export ("vanguard-metrics v1"). */
     std::string toJson() const;
-    std::string toCsv() const;
 
   private:
     mutable std::mutex mutex_;
@@ -284,11 +283,10 @@ struct ParsedMetrics
 
 /**
  * Parse a metrics dump back (the test-side half of the round trip).
- * Both raise SimError(Io) via parseVersionedHeader for a future
- * schema version; lesser problems come back through ok/error.
+ * Raises SimError(Io) via parseVersionedHeader for a future schema
+ * version; lesser problems come back through ok/error.
  */
 ParsedMetrics parseMetricsJson(const std::string &text);
-ParsedMetrics parseMetricsCsv(const std::string &text);
 
 } // namespace vanguard
 

@@ -8,6 +8,7 @@
 
 #include "support/telemetry.hh"
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -20,12 +21,9 @@
 #include "support/progress.hh"
 #include "support/versioned_format.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define VANGUARD_TELEMETRY_POSIX 1
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace vanguard {
 
@@ -564,8 +562,6 @@ httpResponse(int code, const char *status, const std::string &ctype,
     return os.str();
 }
 
-#ifdef VANGUARD_TELEMETRY_POSIX
-
 /** Read until the request's terminating blank line (or 8 KiB, or the
  *  deadline) — we only route on the request line, but draining the
  *  headers first keeps the close clean for picky clients. */
@@ -603,37 +599,18 @@ writeAll(int fd, const std::string &data)
     size_t off = 0;
     while (off < data.size()) {
         ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-#ifdef MSG_NOSIGNAL
-                           MSG_NOSIGNAL
-#else
-                           0
-#endif
-        );
+                           MSG_NOSIGNAL);
         if (n <= 0)
             return;     // scraper went away; its loss
         off += static_cast<size_t>(n);
     }
 }
 
-#endif // VANGUARD_TELEMETRY_POSIX
-
 } // namespace
-
-bool
-TelemetryServer::supported()
-{
-    return ipc::ipcSupported();
-}
 
 TelemetryServer::TelemetryServer(const Options &opts)
     : hub_(opts.hub)
 {
-    if (!ipc::ipcSupported()) {
-        throw SimError(SimError::Kind::Config,
-                       "--telemetry-port requires the POSIX "
-                       "transport; this platform has no socket "
-                       "support");
-    }
     if (hub_ == nullptr) {
         throw SimError(SimError::Kind::Invariant,
                        "TelemetryServer requires a TelemetryHub");
@@ -655,18 +632,15 @@ TelemetryServer::stop()
         return;
     if (thread_.joinable())
         thread_.join();
-#ifdef VANGUARD_TELEMETRY_POSIX
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
     }
-#endif
 }
 
 void
 TelemetryServer::serveLoop()
 {
-#ifdef VANGUARD_TELEMETRY_POSIX
     while (!stopping_.load()) {
         int fd = -1;
         try {
@@ -705,7 +679,6 @@ TelemetryServer::serveLoop()
         writeAll(fd, resp);
         ::close(fd);
     }
-#endif
 }
 
 } // namespace vanguard

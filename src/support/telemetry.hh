@@ -27,8 +27,7 @@
  * TelemetryServer speaks just enough HTTP/1.0 for `curl`, Prometheus,
  * and a watch loop: GET /metrics, /progress, /healthz; anything else
  * is 404. One service thread, one connection at a time, bounded
- * request reads — a stuck scraper cannot wedge the sweep. POSIX-only,
- * like the rest of the fabric (see ipc::ipcSupported()).
+ * request reads — a stuck scraper cannot wedge the sweep.
  */
 
 #ifndef VANGUARD_SUPPORT_TELEMETRY_HH
@@ -218,12 +217,8 @@ class TelemetryServer
         TelemetryHub *hub = nullptr;
     };
 
-    /** Does this build/platform carry the HTTP endpoint? (Same gate
-     *  as the rest of the socket transport: ipc::ipcSupported().) */
-    static bool supported();
-
     /** Binds and starts serving immediately. Throws SimError(Io) if
-     *  the port cannot be bound, SimError(Config) off-POSIX. */
+     *  the port cannot be bound. */
     explicit TelemetryServer(const Options &opts);
     ~TelemetryServer();
 

@@ -27,12 +27,10 @@
 #include "support/thread_pool.hh"
 #include "workloads/suites.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace vanguard {
 namespace {
@@ -442,7 +440,6 @@ TEST(Shutdown, DrainDiscardsQueuedJobsButFinishesInFlight)
     EXPECT_EQ(ran.load(), 16);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(Shutdown, WorkerPoolDrainUnderShutdownLeavesNoZombies)
 {
     // The process-isolation twin of the drain test: with the drain
@@ -450,8 +447,6 @@ TEST(Shutdown, WorkerPoolDrainUnderShutdownLeavesNoZombies)
     // worker pool still shuts down cleanly — QUIT + one SIGTERM per
     // live worker, bounded reap — and no child outlives it, running
     // or zombie.
-    if (!WorkerPool::supported())
-        GTEST_SKIP() << "no fork/exec supervision on this platform";
     clearShutdownRequest();
     requestShutdown(SIGTERM);
     std::vector<int> pids;
@@ -473,7 +468,6 @@ TEST(Shutdown, WorkerPoolDrainUnderShutdownLeavesNoZombies)
     EXPECT_EQ(errno, ECHILD) << "a zombie outlived the pool";
     clearShutdownRequest();
 }
-#endif
 
 TEST(CheckpointResume, InterruptedSweepResumesBitIdentical)
 {

@@ -179,9 +179,11 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
  * which wraps to 4294967295), a non-numeric trip count, and a Gantt
  * window too large to allocate all fail in parsing. So do a
  * non-numeric seed, cycle budget (it would read as 0 and disable the
- * watchdog), failure threshold or selfbench count. No case passes
- * --all-refs, so none of them would build a worker pool even if
- * parsing let it through.
+ * watchdog) or failure threshold, and a selection threshold that is
+ * not a finite number in [0, 1] (it would read as 0 and select every
+ * branch). The retired self-benchmark flags are unknown flags now.
+ * No case passes --all-refs, so none of them would build a worker
+ * pool even if parsing let it through.
  */
 TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
 {
@@ -208,9 +210,18 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
           std::vector<std::string>{"--cycle-budget", "100k"},
           std::vector<std::string>{"--fail-threshold", "abc"},
           std::vector<std::string>{"--fail-threshold", "-2"},
+          std::vector<std::string>{"--threshold", "abc"},
+          std::vector<std::string>{"--threshold", "nan"},
+          std::vector<std::string>{"--threshold", "-3"},
+          std::vector<std::string>{"--threshold", "1.5"},
+          std::vector<std::string>{"--threshold", ""},
+          std::vector<std::string>{"--selfbench"},
           std::vector<std::string>{"--selfbench-repeats", "abc"},
           std::vector<std::string>{"--selfbench-repeats", "0"},
           std::vector<std::string>{"--selfbench-iters", "x"}}) {
+        std::string label;
+        for (const std::string &f : flags)
+            label += (label.empty() ? "" : " ") + f;
         std::vector<std::string> args = {"--benchmark", "mcf-like",
                                          "--iterations", "500"};
         args.insert(args.end(), flags.begin(), flags.end());
@@ -226,11 +237,11 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
         if (got == 0) {
             ::kill(pid, SIGKILL);
             ::waitpid(pid, &status, 0);
-            ADD_FAILURE() << flags[0] << ' ' << flags[1] << " hung";
+            ADD_FAILURE() << label << " hung";
             continue;
         }
-        ASSERT_TRUE(WIFEXITED(status)) << flags[0] << ' ' << flags[1];
-        EXPECT_EQ(WEXITSTATUS(status), 2) << flags[0] << ' ' << flags[1];
+        ASSERT_TRUE(WIFEXITED(status)) << label;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << label;
     }
 }
 

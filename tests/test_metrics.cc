@@ -117,32 +117,15 @@ TEST(Metrics, JsonRoundTripThroughVersionedHeader)
         777.0);
 }
 
-TEST(Metrics, CsvRoundTripThroughVersionedHeader)
-{
-    MetricsRegistry reg;
-    reg.counter("engine.jobs.total").add(9);
-    MetricSnapshot snap;
-    snap.add("uarch.pipeline.cycles", 5);
-    reg.mergeJobSnapshot("run.base", snap);
-
-    ParsedMetrics parsed = parseMetricsCsv(reg.toCsv());
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.version, kMetricsVersion);
-    EXPECT_DOUBLE_EQ(parsed.values.at("counters.engine.jobs.total"),
-                     9.0);
-    EXPECT_DOUBLE_EQ(
-        parsed.values.at("jobs.run.base.uarch.pipeline.cycles"), 5.0);
-}
-
 TEST(Metrics, FutureSchemaVersionRefusesLoudly)
 {
     std::string json = "{\"schema\": \"vanguard-metrics v99\", "
                        "\"counters\": {}}";
     EXPECT_THROW(parseMetricsJson(json), SimError);
-    EXPECT_THROW(parseMetricsCsv("# vanguard-metrics v99\n"), SimError);
 
     // Not-this-format stays an ordinary parse error, not a throw.
-    ParsedMetrics parsed = parseMetricsCsv("# other-format v1\n");
+    ParsedMetrics parsed =
+        parseMetricsJson("{\"schema\": \"other-format v1\"}");
     EXPECT_FALSE(parsed.ok);
 }
 

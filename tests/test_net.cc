@@ -21,16 +21,11 @@
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
 #include <unistd.h>
-#define VANGUARD_TEST_POSIX 1
-#endif
 
 namespace vanguard {
 namespace {
-
-#ifdef VANGUARD_TEST_POSIX
 
 /** A loopback listener + connected client/server fd pair. */
 struct TcpPair
@@ -270,8 +265,6 @@ TEST(NetFault, DrawIsAPureFunctionOfSiteScopeAndDraw)
     EXPECT_FALSE(faultinject::netSiteFires(
         "net.frame.drop", SimError::Kind::Io, 1, 0));
 }
-
-#endif // VANGUARD_TEST_POSIX
 
 TEST(NetCodec, BlobRoundTripsBinaryPayloads)
 {

@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +41,7 @@
 #include <unistd.h>
 
 #include "core/journal.hh"
+#include "support/metrics.hh"
 
 #ifndef VANGUARD_CLI_BIN
 #error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
@@ -153,28 +155,29 @@ sortedLines(const std::string &text)
     return out;
 }
 
-/** A metrics CSV minus the per-transport carve-outs: engine.net.*
+/** A metrics dump's flattened keys (parseMetricsJson) minus the
+ *  per-transport carve-outs: engine.net.*
  *  values count fabric traffic (zero without --serve-sweep) and
  *  engine.worker.* counts supervision traffic (zero without
  *  --isolate-jobs) — both wall-clock-ish transport tallies, like the
  *  job_rtt histogram. Shape stays asserted — the keys must exist in
  *  every mode; only their values are mode-specific. */
-std::string
-comparableMetrics(const std::string &csv)
+std::map<std::string, double>
+comparableMetrics(const std::string &json)
 {
-    std::string out;
-    std::stringstream in(csv);
-    std::string line;
+    ParsedMetrics parsed = parseMetricsJson(json);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    std::map<std::string, double> out;
     size_t net_keys = 0;
-    while (std::getline(in, line)) {
-        if (line.find("engine.net.") != std::string::npos) {
+    for (const auto &[key, value] : parsed.values) {
+        if (key.find("engine.net.") != std::string::npos) {
             ++net_keys;
             continue;
         }
-        if (line.find("engine.worker.") != std::string::npos ||
-            line.find("job_rtt") != std::string::npos)
+        if (key.find("engine.worker.") != std::string::npos ||
+            key.find("job_rtt") != std::string::npos)
             continue;
-        out += line + "\n";
+        out.emplace(key, value);
     }
     EXPECT_EQ(net_keys, 6u) << "engine.net.* keys missing from dump";
     return out;
@@ -202,14 +205,14 @@ runLocalSweep(const std::string &dir, bool isolate)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.csv");
+        sweepArgs(dir, dir + "/metrics.json");
     if (isolate)
         args.push_back("--isolate-jobs");
     EXPECT_EQ(runToCompletion(args, dir + "/stdout", dir + "/stderr"),
               0);
     return {readFile(dir + "/stdout"),
             readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.csv")};
+            readFile(dir + "/metrics.json")};
 }
 
 /**
@@ -224,7 +227,7 @@ runServedSweep(const std::string &dir, unsigned workers,
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.csv");
+        sweepArgs(dir, dir + "/metrics.json");
     args.push_back("--serve-sweep");
     args.push_back("0");
     for (const std::string &e : extra)
@@ -243,7 +246,7 @@ runServedSweep(const std::string &dir, unsigned workers,
         EXPECT_EQ(waitExit(pid), 0); // drained, not errored
     return {readFile(dir + "/stdout"),
             readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.csv")};
+            readFile(dir + "/metrics.json")};
 }
 
 TEST(NetSweep, DistributedRunIsByteIdenticalToLocalAndIsolated)
@@ -383,7 +386,7 @@ TEST(NetSweep, StoppedWorkerLeaseExpiresAndRegrantsWithoutHang)
 
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    std::string metrics = dir + "/metrics.csv";
+    std::string metrics = dir + "/metrics.json";
     std::vector<std::string> args = {
         "--benchmark",      "gobmk-like", "--all-refs",
         "--iterations",     "60000",      "--jobs", "2",
@@ -432,23 +435,20 @@ TEST(NetSweep, StoppedWorkerLeaseExpiresAndRegrantsWithoutHang)
 
     // Counters: the expiry happened on the engine.net.* side, and
     // every engine.worker.* value (job_rtt included) stayed zero.
-    std::stringstream in(readFile(metrics));
-    std::string line;
+    ParsedMetrics parsed = parseMetricsJson(readFile(metrics));
+    ASSERT_TRUE(parsed.ok) << parsed.error;
     size_t worker_keys = 0;
-    bool saw_expired = false;
-    while (std::getline(in, line)) {
-        std::string value = line.substr(line.rfind(',') + 1);
-        if (line.find(",engine.net.leases_expired,") !=
-            std::string::npos) {
-            saw_expired = true;
-            EXPECT_GE(std::stoull(value), 1u) << line;
-        }
-        if (line.find(",engine.worker.") != std::string::npos) {
+    for (const auto &[key, value] : parsed.values) {
+        // Keys are "<section>.<path>"; only the path is matched.
+        std::string path = key.substr(key.find('.') + 1);
+        if (path.rfind("engine.worker.", 0) == 0) {
             ++worker_keys;
-            EXPECT_EQ(value, "0") << line;
+            EXPECT_EQ(value, 0.0) << key;
         }
     }
-    EXPECT_TRUE(saw_expired) << "no engine.net.leases_expired in dump";
+    ASSERT_TRUE(parsed.has("counters.engine.net.leases_expired"))
+        << "no engine.net.leases_expired in dump";
+    EXPECT_GE(parsed.values.at("counters.engine.net.leases_expired"), 1.0);
     EXPECT_GT(worker_keys, 0u) << "engine.worker.* keys missing";
 }
 

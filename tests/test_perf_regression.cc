@@ -1,138 +1,107 @@
 /**
  * @file
- * tier2_perf: the simulator-performance regression gate. Re-measures a
- * short slice of the self-benchmark matrix and compares against the
- * committed BENCH_PR6.json trajectory; skipped (not failed) when no
- * baseline is committed.
+ * tier2_perf: the simulator-performance regression gates. Each one
+ * times a short slice of simulate runs on this machine and checks a
+ * committed bound; none reads a file.
  *
  * What is compared, and why:
- *  - Primary (always on): the fast-path speedup over the in-build
- *    reference path. Both paths run on this machine back to back, so
- *    the ratio cancels host speed and is meaningful on any hardware —
- *    a fast-path regression shows up as the ratio collapsing toward 1.
- *  - Dispatcher (v2 baselines, threaded builds only): the computed-goto
- *    dispatcher's gain over the portable switch — same
+ *  - Fast path vs reference (always on): the fast path's speedup over
+ *    the in-build reference model. Both paths run on this machine
+ *    back to back, so the ratio cancels host speed and is meaningful
+ *    on any hardware — a fast-path regression shows up as the ratio
+ *    collapsing toward 1.
+ *  - Dispatcher (threaded builds only): the computed-goto
+ *    dispatcher's throughput against the portable switch — same
  *    ratio-cancels-host reasoning. Guards against the threaded path
- *    silently degenerating (e.g. a compiler change re-merging the
- *    per-opcode indirect jumps).
+ *    silently degenerating well below the switch.
  *  - Absolute (opt-in via VANGUARD_PERF_ABSOLUTE=1): geomean simulated
- *    instructions per second against the committed numbers. Only
- *    comparable on hardware like the one that produced the baseline,
- *    so it stays off in CI by default.
- *  - Width fusion (no baseline needed): one 3-lane fused simulation
- *    of a pinned INT06 kernel against three single-lane runs of the
- *    same work, back to back. The fused pass shares the functional,
- *    predictor and cache work, so it must take at most 0.8x the time.
- * The trajectory gates allow a 20% regression margin, and each of
- * their measurements gets up to three attempts (best result wins)
- * because short wall-clock runs on a shared machine are noisy; the
- * fusion gate compares medians of five.
+ *    instructions per second of the fast path against the number
+ *    BENCH_PR6.json recorded. Only comparable on hardware like the
+ *    one that produced it, so it stays off by default.
+ *  - Width fusion: one 3-lane fused simulation of a pinned INT06
+ *    kernel against three single-lane runs of the same work, back to
+ *    back. The fused pass shares the functional, predictor and cache
+ *    work, so it must take at most 0.8x the time.
+ * The first three bounds are BENCH_PR6.json's geomeans less a 20%
+ * regression margin, written down here as constants. Each of their measurements gets up to three
+ * attempts (best result wins), each attempt taking the best of three
+ * runs per path, because short wall-clock runs on a shared machine
+ * are noisy; the fusion gate compares medians of five.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <memory>
 
-#include "core/selfbench.hh"
+#include "bpred/factory.hh"
 #include "core/vanguard.hh"
 #include "uarch/pipeline.hh"
+#include "workloads/kernel.hh"
 #include "workloads/suites.hh"
-
-#ifndef VANGUARD_BENCH_BASELINE
-#define VANGUARD_BENCH_BASELINE "BENCH_PR6.json"
-#endif
 
 namespace vanguard {
 namespace {
 
 constexpr double kAllowedRegression = 0.20;
 constexpr int kAttempts = 3;
+constexpr unsigned kRepeats = 3;
 
-/** The short measurement slice every gate uses: one INT workload per
- *  character (branchy vs memory-bound), default width/predictor. */
-SelfBenchOptions
-sliceOptions()
+/** Fast path / reference: BENCH_PR6.json's geomean speedup 1.55695,
+ *  less the margin. */
+constexpr double kMinFastVsRef = 1.2456;
+/** Threaded / switch: BENCH_PR6.json's geomeans of 39.60 and 37.81
+ *  M-insts/s (1.0473x), less the margin. */
+constexpr double kMinThreadedVsSwitch = 0.8378;
+/** BENCH_PR6.json: fast-path geomean simulated-insts/s. */
+constexpr double kCommittedFastIps = 39601300;
+
+/** One workload of the measured slice, trained and compiled once. */
+struct SliceCell
 {
-    SelfBenchOptions opts;
-    opts.repeats = 3;
-    opts.iterations = 3000;
-    opts.matrix = {{"bzip2-like", 4, "gshare3"},
-                   {"mcf-like", 4, "gshare3"}};
-    return opts;
+    BenchmarkSpec spec;
+    VanguardOptions opts;
+    BenchmarkArtifacts art;
+};
+
+/** The short measurement slice every ratio gate uses: one INT workload
+ *  per character (branchy vs memory-bound) at width 4, gshare3. */
+std::vector<SliceCell>
+prepareSlice()
+{
+    std::vector<SliceCell> cells;
+    for (const char *name : {"bzip2-like", "mcf-like"}) {
+        SliceCell cell{findBenchmark(name), VanguardOptions{}, {}};
+        cell.spec.iterations = 3000;
+        cell.opts.width = 4;
+        cell.opts.predictor = "gshare3";
+        cell.art = prepareBenchmark(cell.spec, cell.opts);
+        cells.push_back(std::move(cell));
+    }
+    return cells;
 }
 
-TEST(PerfRegression, FastPathHoldsTheCommittedTrajectory)
+/** An execution path: the SimOptions switches that select it. */
+struct Path
 {
-    SelfBenchBaseline base = loadSelfBenchBaseline(VANGUARD_BENCH_BASELINE);
-    if (!base.ok)
-        GTEST_SKIP() << "no committed baseline: " << base.error;
-    ASSERT_GT(base.geomeanSpeedup, 0.0);
-    ASSERT_GT(base.geomeanFastIps, 0.0);
+    bool forceReference;
+    bool noThreadedDispatch;
+};
+constexpr Path kFast{false, false};     ///< threaded where built
+constexpr Path kSwitch{false, true};
+constexpr Path kReference{true, false};
 
-    SelfBenchOptions opts = sliceOptions();
-
-    const bool absolute =
-        std::getenv("VANGUARD_PERF_ABSOLUTE") != nullptr;
-    const double need_speedup =
-        base.geomeanSpeedup * (1.0 - kAllowedRegression);
-    const double need_ips =
-        base.geomeanFastIps * (1.0 - kAllowedRegression);
-
-    double best_speedup = 0.0;
-    double best_ips = 0.0;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        SelfBenchReport report = runSelfBench(opts);
-        best_speedup = std::max(best_speedup, report.geomeanSpeedup());
-        best_ips = std::max(best_ips, report.geomeanFastIps());
-        if (best_speedup >= need_speedup &&
-            (!absolute || best_ips >= need_ips))
-            break;
-    }
-
-    EXPECT_GE(best_speedup, need_speedup)
-        << "fast-path speedup over the reference path collapsed: "
-        << "measured " << best_speedup << "x, committed "
-        << base.geomeanSpeedup << "x (gate at " << need_speedup
-        << "x) — see BENCH_PR5.json";
-    if (absolute) {
-        EXPECT_GE(best_ips, need_ips)
-            << "absolute simulated-IPS regressed: measured "
-            << best_ips / 1e6 << " M-insts/s, committed "
-            << base.geomeanFastIps / 1e6 << " M-insts/s";
-    }
-}
-
-TEST(PerfRegression, ThreadedDispatcherHoldsItsGainOverSwitch)
+/** One execution path's timing of a cell: best wall seconds over
+ *  kRepeats runs, and the (path-independent) run result. */
+struct PathTiming
 {
-    if (!threadedDispatchAvailable())
-        GTEST_SKIP() << "portable build: no threaded dispatcher";
-    SelfBenchBaseline base = loadSelfBenchBaseline(VANGUARD_BENCH_BASELINE);
-    if (!base.ok)
-        GTEST_SKIP() << "no committed baseline: " << base.error;
-    if (base.geomeanThreadedIps <= 0.0 || base.geomeanSwitchIps <= 0.0)
-        GTEST_SKIP() << "baseline predates the v2 dispatcher streams";
-
-    const double committed_ratio =
-        base.geomeanThreadedIps / base.geomeanSwitchIps;
-    const double need = committed_ratio * (1.0 - kAllowedRegression);
-
-    SelfBenchOptions opts = sliceOptions();
-    opts.timeReference = false;
-
-    double best = 0.0;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        SelfBenchReport report = runSelfBench(opts);
-        best = std::max(best, report.geomeanThreadedSpeedup());
-        if (best >= need)
-            break;
-    }
-    EXPECT_GE(best, need)
-        << "threaded dispatcher lost its edge over the switch: "
-        << "measured " << best << "x, committed " << committed_ratio
-        << "x — did the computed-goto jumps get re-merged?";
-}
+    double seconds = 0.0;
+    uint64_t insts = 0;
+    uint64_t cycles = 0;
+};
 
 /** Wall seconds of one call of fn. */
 template <typename Fn>
@@ -144,6 +113,121 @@ secondsOf(Fn &&fn)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** Time the exp program's simulate loop alone: each run gets a fresh
+ *  REF memory image and predictor, built outside the timed region. */
+PathTiming
+timePath(const SliceCell &cell, Path path)
+{
+    PathTiming best;
+    for (unsigned rep = 0; rep < kRepeats; ++rep) {
+        Memory mem = buildKernelMemory(cell.spec, kRefSeeds[0]);
+        auto pred = makePredictor(cell.opts.predictor, kRefSeeds[0]);
+        SimOptions sopts;
+        sopts.maxInsts = cell.opts.simMaxInsts;
+        sopts.cycleBudget = cell.opts.simCycleBudget;
+        sopts.progressWindow = cell.opts.simProgressWindow;
+        sopts.forceReference = path.forceReference;
+        sopts.noThreadedDispatch = path.noThreadedDispatch;
+        if (!cell.art.exp.hoistedMask.empty())
+            sopts.hoistedMask = &cell.art.exp.hoistedMask;
+
+        SimStats s;
+        double dt = secondsOf([&] {
+            s = simulateWithDecoded(cell.art.exp.prog,
+                                    *cell.art.exp.decoded, mem, *pred,
+                                    cell.opts.machine(), sopts);
+        });
+        if (rep == 0 || dt < best.seconds)
+            best.seconds = dt;
+        best.insts = s.dynamicInsts;
+        best.cycles = s.cycles;
+    }
+    return best;
+}
+
+/** Geometric mean of xs (all positive). */
+double
+geomean(const std::vector<double> &xs)
+{
+    double acc = 0.0;
+    for (double x : xs)
+        acc += std::log(x);
+    return std::exp(acc / static_cast<double>(xs.size()));
+}
+
+/** Time two execution paths on every slice cell and return the
+ *  geomean of `fast`'s per-cell speedup over `slow`; `ips` receives
+ *  the geomean simulated insts/s of `fast`. Both paths must retire
+ *  the same run. */
+double
+geomeanSpeedup(const std::vector<SliceCell> &cells, Path slow, Path fast,
+               double *ips = nullptr)
+{
+    std::vector<double> speedups;
+    std::vector<double> fast_ips;
+    for (const SliceCell &cell : cells) {
+        PathTiming s = timePath(cell, slow);
+        PathTiming f = timePath(cell, fast);
+        EXPECT_EQ(s.insts, f.insts) << cell.spec.name;
+        EXPECT_EQ(s.cycles, f.cycles) << cell.spec.name;
+        speedups.push_back(s.seconds / f.seconds);
+        fast_ips.push_back(static_cast<double>(f.insts) / f.seconds);
+    }
+    if (ips != nullptr)
+        *ips = geomean(fast_ips);
+    return geomean(speedups);
+}
+
+TEST(PerfRegression, FastPathHoldsTheCommittedSpeedup)
+{
+    std::vector<SliceCell> cells = prepareSlice();
+    const bool absolute =
+        std::getenv("VANGUARD_PERF_ABSOLUTE") != nullptr;
+    const double need_ips =
+        kCommittedFastIps * (1.0 - kAllowedRegression);
+
+    double best_speedup = 0.0;
+    double best_ips = 0.0;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
+        double ips = 0.0;
+        best_speedup = std::max(
+            best_speedup, geomeanSpeedup(cells, kReference, kFast, &ips));
+        best_ips = std::max(best_ips, ips);
+        if (best_speedup >= kMinFastVsRef &&
+            (!absolute || best_ips >= need_ips))
+            break;
+    }
+
+    EXPECT_GE(best_speedup, kMinFastVsRef)
+        << "fast-path speedup over the reference path collapsed: "
+        << "measured " << best_speedup << "x, gate at "
+        << kMinFastVsRef << "x";
+    if (absolute) {
+        EXPECT_GE(best_ips, need_ips)
+            << "absolute simulated-IPS regressed: measured "
+            << best_ips / 1e6 << " M-insts/s, committed "
+            << kCommittedFastIps / 1e6 << " M-insts/s";
+    }
+    RecordProperty("fast_vs_ref", std::to_string(best_speedup));
+}
+
+TEST(PerfRegression, ThreadedDispatcherHoldsItsRatioToSwitch)
+{
+    if (!threadedDispatchAvailable())
+        GTEST_SKIP() << "portable build: no threaded dispatcher";
+    std::vector<SliceCell> cells = prepareSlice();
+    double best = 0.0;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
+        best = std::max(best, geomeanSpeedup(cells, kSwitch, kFast));
+        if (best >= kMinThreadedVsSwitch)
+            break;
+    }
+    EXPECT_GE(best, kMinThreadedVsSwitch)
+        << "threaded dispatcher fell behind the switch: measured "
+        << best << "x, gate at " << kMinThreadedVsSwitch << "x";
+    RecordProperty("threaded_vs_switch", std::to_string(best));
 }
 
 double

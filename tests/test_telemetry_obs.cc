@@ -31,6 +31,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 
 #include "support/flight_recorder.hh"
 #include "support/ipc.hh"
+#include "support/metrics.hh"
 #include "support/telemetry.hh"
 
 #ifndef VANGUARD_CLI_BIN
@@ -136,24 +138,24 @@ sortedLines(const std::string &text)
     return out;
 }
 
-/** Metrics CSV minus the wall-clock transport carve-outs (see
+/** Metrics dump keys minus the wall-clock transport carve-outs (see
  *  test_net_sweep.cc): shape asserted, mode-specific values dropped. */
-std::string
-comparableMetrics(const std::string &csv)
+std::map<std::string, double>
+comparableMetrics(const std::string &json)
 {
-    std::string out;
-    std::stringstream in(csv);
-    std::string line;
+    ParsedMetrics parsed = parseMetricsJson(json);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    std::map<std::string, double> out;
     size_t net_keys = 0;
-    while (std::getline(in, line)) {
-        if (line.find("engine.net.") != std::string::npos) {
+    for (const auto &[key, value] : parsed.values) {
+        if (key.find("engine.net.") != std::string::npos) {
             ++net_keys;
             continue;
         }
-        if (line.find("engine.worker.") != std::string::npos ||
-            line.find("job_rtt") != std::string::npos)
+        if (key.find("engine.worker.") != std::string::npos ||
+            key.find("job_rtt") != std::string::npos)
             continue;
-        out += line + "\n";
+        out.emplace(key, value);
     }
     EXPECT_EQ(net_keys, 6u) << "engine.net.* keys missing from dump";
     return out;
@@ -202,7 +204,7 @@ runLocalSweep(const std::string &dir, bool isolate, bool telemetry)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.csv");
+        sweepArgs(dir, dir + "/metrics.json");
     if (isolate)
         args.push_back("--isolate-jobs");
     if (telemetry) {
@@ -214,7 +216,7 @@ runLocalSweep(const std::string &dir, bool isolate, bool telemetry)
         << readFile(dir + "/stderr");
     return {readFile(dir + "/stdout"),
             readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.csv")};
+            readFile(dir + "/metrics.json")};
 }
 
 /** One distributed sweep: coordinator + `workers` remote workers. */
@@ -225,7 +227,7 @@ runServedSweep(const std::string &dir, unsigned workers,
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.csv");
+        sweepArgs(dir, dir + "/metrics.json");
     args.push_back("--serve-sweep");
     args.push_back("0");
     if (telemetry) {
@@ -247,7 +249,7 @@ runServedSweep(const std::string &dir, unsigned workers,
         EXPECT_EQ(waitExit(pid), 0); // drained, not errored
     return {readFile(dir + "/stdout"),
             readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.csv")};
+            readFile(dir + "/metrics.json")};
 }
 
 TEST(TelemetryObs, InProcessSweepIsByteIdenticalWithTelemetryOn)

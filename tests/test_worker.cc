@@ -25,15 +25,10 @@
 #include "support/ipc.hh"
 #include "workloads/suites.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#define VANGUARD_TEST_POSIX 1
-#endif
 
 namespace vanguard {
 namespace {
-
-#ifdef VANGUARD_TEST_POSIX
 
 /** A connected socketpair that closes both ends on scope exit. */
 struct PairFds
@@ -142,8 +137,6 @@ TEST(IpcFrame, CrcCorruptionAndOversizeAreLoudIoErrors)
         }
     }
 }
-
-#endif // VANGUARD_TEST_POSIX
 
 TEST(WorkerSupervision, HeartbeatIntervalIsQuarterDeadline)
 {
@@ -579,20 +572,6 @@ TEST(WorkerFaults, SiteFiresDoesNotPerturbJobDrawsOrGauges)
     EXPECT_EQ(faultinject::injectedCount(SimError::Kind::Internal),
               before_injected);
     faultinject::disarm();
-}
-
-TEST(WorkerPoolApi, UnsupportedPlatformIsExplicit)
-{
-#ifdef VANGUARD_TEST_POSIX
-    EXPECT_TRUE(WorkerPool::supported());
-    EXPECT_TRUE(ipc::ipcSupported());
-#else
-    EXPECT_FALSE(WorkerPool::supported());
-    EXPECT_FALSE(ipc::ipcSupported());
-    // Constructing anyway refuses with a structured Config error.
-    WorkerPool::Options o;
-    EXPECT_THROW(WorkerPool pool(o), SimError);
-#endif
 }
 
 TEST(WorkerPoolApi, RttHistogramBoundsAreSharedAndSorted)
