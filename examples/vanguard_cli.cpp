@@ -16,10 +16,6 @@
  *     --jobs N             engine worker threads, 1..4x the hardware
  *                          threads (default: the VANGUARD_JOBS env
  *                          var, then all cores)
- *     --no-threaded-dispatch  use the portable switch dispatcher even
- *                          in builds carrying the computed-goto fast
- *                          path (bit-identical results, machine code
- *                          choice only)
  *     --no-decompose       measure the baseline configuration only
  *     --no-superblock      disable the biased-branch pass
  *     --no-shadow-commit   commit MOVs consume issue slots
@@ -184,7 +180,6 @@ printUsage(std::FILE *to)
         "usage: vanguard_cli [--benchmark NAME] [--list] "
         "[--width N] [--predictor NAME] [--iterations N] "
         "[--seed N] [--all-refs] [--jobs N] "
-        "[--no-threaded-dispatch] "
         "[--no-decompose] [--no-superblock] "
         "[--no-shadow-commit] [--dbb N] [--threshold P] "
         "[--save-profile F] [--load-profile F] "
@@ -198,13 +193,6 @@ printUsage(std::FILE *to)
         "[--serve-sweep PORT] [--lease-ms MS] "
         "[--remote-worker HOST:PORT] [--net-inject SPEC] "
         "[--telemetry-port P] [--flightrec-out F] [--help]\n"
-        "\n"
-        "execution paths:\n"
-        "  --no-threaded-dispatch  portable switch dispatcher even "
-        "when the\n"
-        "                      build carries the computed-goto fast "
-        "path\n"
-        "                      (results are bit-identical either way)\n"
         "\n"
         "telemetry:\n"
         "  --metrics-out F     write the unified metrics dump "
@@ -554,8 +542,6 @@ runCli(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = parseUnsignedOrDie("--jobs", next(), 1,
                                       ThreadPool::maxWorkerCount());
-        } else if (arg == "--no-threaded-dispatch") {
-            opts.noThreadedDispatch = true;
         } else if (arg == "--no-decompose") {
             opts.applyDecomposition = false;
         } else if (arg == "--no-superblock") {

@@ -1,9 +1,12 @@
 #include "core/replay.hh"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "support/logging.hh"
 #include "support/versioned_format.hh"
@@ -56,26 +59,40 @@ serializeOptionsLines(const VanguardOptions &o)
 }
 
 bool
-parseOptLine(std::istringstream &ls, VanguardOptions *o)
+parseOptLine(std::istringstream &ls, VanguardOptions *o, std::string *error)
 {
+    std::string name, tok, extra;
+    ls >> name >> tok;
+    bool ok = false;
+    // Each value must be its whole token; `o` changes only on success.
+    auto num = [&](auto *v) {
+        std::remove_pointer_t<decltype(v)> x{};
+        const char *end = tok.data() + tok.size();
+        auto [p, ec] = std::from_chars(tok.data(), end, x);
+        ok = ec == std::errc() && p == end;
+        if (ok)
+            *v = x;
+    };
     // Doubles go through strtod, which reads both the bundle's decimal
     // spelling and the job frames' exact hexfloat one.
-    auto real = [&ls](double *v) {
-        std::string tok;
-        ls >> tok;
-        *v = std::strtod(tok.c_str(), nullptr);
+    auto real = [&](double *v) {
+        char *end = nullptr;
+        double x = std::strtod(tok.c_str(), &end);
+        ok = !tok.empty() && end == tok.c_str() + tok.size();
+        if (ok)
+            *v = x;
     };
-    auto flag = [&ls](bool *v) {
-        int i = 0;
-        ls >> i;
-        *v = i != 0;
+    auto flag = [&](bool *v) {
+        ok = tok == "0" || tok == "1";
+        if (ok)
+            *v = tok == "1";
     };
-    std::string name;
-    ls >> name;
     if (name == "predictor") {
-        ls >> o->predictor;
+        ok = !tok.empty();
+        if (ok)
+            o->predictor = tok;
     } else if (name == "width") {
-        ls >> o->width;
+        num(&o->width);
     } else if (name == "superblock") {
         flag(&o->applySuperblock);
     } else if (name == "decompose") {
@@ -83,42 +100,45 @@ parseOptLine(std::istringstream &ls, VanguardOptions *o)
     } else if (name == "shadow-commit") {
         flag(&o->shadowCommit);
     } else if (name == "dbb-entries") {
-        ls >> o->dbbEntries;
+        num(&o->dbbEntries);
     } else if (name == "l1i-size-kb") {
-        ls >> o->l1iSizeKB;
+        num(&o->l1iSizeKB);
     } else if (name == "icache-prefetch") {
         flag(&o->icachePrefetch);
     } else if (name == "lockstep") {
         flag(&o->lockstep);
-    } else if (name == "no-threaded-dispatch") {
-        flag(&o->noThreadedDispatch);
     } else if (name == "sel-min-exposed") {
         real(&o->selection.minExposed);
     } else if (name == "sel-min-execs") {
-        ls >> o->selection.minExecs;
+        num(&o->selection.minExecs);
     } else if (name == "sel-min-predictability") {
         real(&o->selection.minPredictability);
     } else if (name == "sel-forward-only") {
         flag(&o->selection.forwardOnly);
     } else if (name == "dec-max-hoist") {
-        ls >> o->decompose.maxHoistPerPath;
+        num(&o->decompose.maxHoistPerPath);
     } else if (name == "dec-max-slice") {
-        ls >> o->decompose.maxSliceDepth;
+        num(&o->decompose.maxSliceDepth);
     } else if (name == "sb-bias-threshold") {
         real(&o->superblock.biasThreshold);
     } else if (name == "sb-min-execs") {
-        ls >> o->superblock.minExecs;
+        num(&o->superblock.minExecs);
     } else if (name == "sb-max-hoist") {
-        ls >> o->superblock.maxHoist;
+        num(&o->superblock.maxHoist);
     } else if (name == "profile-max-insts") {
-        ls >> o->profileMaxInsts;
+        num(&o->profileMaxInsts);
     } else if (name == "sim-max-insts") {
-        ls >> o->simMaxInsts;
+        num(&o->simMaxInsts);
     } else if (name == "cycle-budget") {
-        ls >> o->simCycleBudget;
+        num(&o->simCycleBudget);
     } else if (name == "progress-window") {
-        ls >> o->simProgressWindow;
+        num(&o->simProgressWindow);
     } else {
+        *error = "unknown opt '" + name + "'";
+        return false;
+    }
+    if (!ok || ls >> extra) {
+        *error = "bad value '" + tok + "' for opt '" + name + "'";
         return false;
     }
     return true;
@@ -194,8 +214,9 @@ parseReplayBundle(const std::string &text)
         } else if (key == "iterations") {
             ls >> b.iterations;
         } else if (key == "opt") {
-            // Unknown opts are skipped: forward compatibility.
-            parseOptLine(ls, &o);
+            std::string why;
+            if (!parseOptLine(ls, &o, &why))
+                return fail(why);
         } else if (key == "error-kind") {
             ls >> out.bundle.errorKind;
         } else if (key == "error-msg") {

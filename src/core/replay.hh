@@ -66,11 +66,13 @@ std::string serializeOptionsLines(const VanguardOptions &opts);
  * Parse the rest of one `opt <name> <value>` line (the stream is
  * positioned after `opt`) into `o` — the one options text parser,
  * shared by replay bundles and worker job frames. Doubles accept both
- * the bundle's decimal and the job frame's hexfloat spelling. Returns
- * false for an unknown name (callers skip it, for forward
- * compatibility) and leaves `o` untouched in that case.
+ * the bundle's decimal and the job frame's hexfloat spelling. An
+ * unknown name, or a value that is not exactly one whole token of its
+ * type (flags are 0 or 1, counts unsigned), returns false with an
+ * `*error` naming the key and leaves `o` untouched.
  */
-bool parseOptLine(std::istringstream &ls, VanguardOptions *o);
+bool parseOptLine(std::istringstream &ls, VanguardOptions *o,
+                  std::string *error);
 
 struct ReplayParseResult
 {

@@ -144,7 +144,6 @@ simulateConfigWidths(const BenchmarkSpec &spec,
     common.cycleBudget = opts.simCycleBudget;
     common.progressWindow = opts.simProgressWindow;
     common.collectBranchStalls = collect_branch_stalls;
-    common.noThreadedDispatch = opts.noThreadedDispatch;
     if (!config.hoistedMask.empty())
         common.hoistedMask = &config.hoistedMask;
 

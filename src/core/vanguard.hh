@@ -52,10 +52,9 @@ struct VanguardOptions
     bool lockstep = false;
 
     /**
-     * Select the portable switch dispatcher for the fast path even in
-     * builds that carry the computed-goto dispatcher (forwarded to
-     * SimOptions::noThreadedDispatch). A machine-code choice only —
-     * results are bit-identical either way.
+     * No effect: the fast path has one dispatcher. Kept only because
+     * the benchmark harness (perfbench/harness.cc) still assigns it;
+     * nothing else reads or writes it.
      */
     bool noThreadedDispatch = false;
 

@@ -76,10 +76,10 @@ using Cursor = ipc::BodyCursor;
 
 /**
  * Exact option serialization for job frames. Mirrors the replay
- * bundle's field list (plus width/lockstep/no-threaded-dispatch,
- * which the bundle carries out-of-band or forces) but encodes doubles
- * as hexfloat so the worker re-derives selection/compilation from
- * bit-identical inputs.
+ * bundle's field list (plus width and lockstep, which the bundle
+ * carries out-of-band or forces) but encodes doubles as hexfloat so
+ * the worker re-derives selection/compilation from bit-identical
+ * inputs.
  */
 std::string
 serializeOptionsExact(const VanguardOptions &o)
@@ -94,8 +94,6 @@ serializeOptionsExact(const VanguardOptions &o)
     os << "opt l1i-size-kb " << o.l1iSizeKB << "\n";
     os << "opt icache-prefetch " << (o.icachePrefetch ? 1 : 0) << "\n";
     os << "opt lockstep " << (o.lockstep ? 1 : 0) << "\n";
-    os << "opt no-threaded-dispatch "
-       << (o.noThreadedDispatch ? 1 : 0) << "\n";
     os << "opt sel-min-exposed " << hexDouble(o.selection.minExposed)
        << "\n";
     os << "opt sel-min-execs " << o.selection.minExecs << "\n";
@@ -255,7 +253,8 @@ parseWorkerJob(const std::string &body, WorkerJob *out,
                 ls >> sp.iterations;
             }
         } else if (key == "opt") {
-            parseOptLine(ls, &out->options);
+            if (!parseOptLine(ls, &out->options, error))
+                return false;
         } else if (key == "blob") {
             std::string name;
             size_t len = 0;

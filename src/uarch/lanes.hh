@@ -47,9 +47,9 @@
 
 /*
  * The fused step functions are large enough (every handler plus the
- * replicated threaded-dispatch tails) that GCC's unit-growth budget
- * stops inlining the per-instruction timing helpers into them,
- * leaving a real call (spills included) per retired instruction.
+ * shared timing tails) that GCC's unit-growth budget stops inlining
+ * the per-instruction timing helpers into them, leaving a real call
+ * (spills included) per retired instruction.
  * Force the verdict for the helpers that run on every instruction;
  * they are small, single-caller-shaped, and loop-free.
  */
@@ -526,7 +526,7 @@ class ScalarLanes
  * Column code is compiled for AVX2 whatever the build's -march, and
  * only runs after columnLanesAvailable() says the CPU has it. The
  * vector type is declared 8-byte aligned so the compiler never emits
- * aligned 32-byte moves: a stack slot of the computed-goto loop is not
+ * aligned 32-byte moves: a stack slot of the loop function is not
  * guaranteed 32-byte alignment.
  */
 #define VG_AVX2 __attribute__((target("avx2")))

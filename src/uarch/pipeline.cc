@@ -2,25 +2,7 @@
 
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <span>
-
-/*
- * Compile-time availability of the computed-goto (threaded-code)
- * dispatcher for the fast path. GCC/Clang builds default to on; the
- * CMake option VANGUARD_THREADED=OFF defines it to 0 and any other
- * compiler falls back to the portable switch. Runtime opt-out (the
- * SimOptions::noThreadedDispatch flag or VANGUARD_THREADED=0 in the
- * environment) selects the switch dispatcher inside a threaded build
- * without recompiling.
- */
-#ifndef VANGUARD_THREADED_DISPATCH
-#if defined(__GNUC__) || defined(__clang__)
-#define VANGUARD_THREADED_DISPATCH 1
-#else
-#define VANGUARD_THREADED_DISPATCH 0
-#endif
-#endif
 
 #include "bpred/btb.hh"
 #include "bpred/dispatch.hh"
@@ -625,21 +607,6 @@ ReferenceModel::run()
 }
 
 /**
- * True when VANGUARD_THREADED in the environment asks for the switch
- * dispatcher ("0", "OFF", or "off"); mirrors the spelling of CMake's
- * VANGUARD_THREADED option so one name controls both build and run.
- */
-bool
-threadedDisabledByEnv()
-{
-    const char *env = std::getenv("VANGUARD_THREADED");
-    if (env == nullptr)
-        return false;
-    return env[0] == '0' || std::strcmp(env, "OFF") == 0 ||
-           std::strcmp(env, "off") == 0;
-}
-
-/**
  * The fast path: a fused decode/execute/time loop over a
  * DecodedProgram for N timing lanes (N a compile-time count, so the
  * per-lane loops unroll). Architectural state (registers, memory) is
@@ -666,10 +633,7 @@ class FastModel : public TimingCommon
         : TimingCommon(predictor, cfgs, opts, decoded.maxStallKey()),
           code_(decoded.insts()), code_size_(decoded.size()),
           mem_(mem), pdx_(predictor),
-          use_line_tags_(decoded.lineBytes() == cfg_.l1i.lineBytes),
-          use_threaded_(VANGUARD_THREADED_DISPATCH != 0 &&
-                        !opts.noThreadedDispatch &&
-                        !threadedDisabledByEnv())
+          use_line_tags_(decoded.lineBytes() == cfg_.l1i.lineBytes)
     {
         vg_assert(cfgs.size() == N, "lane count mismatch");
         // Expand the per-InstId hoisted mask to a per-instruction-index
@@ -702,61 +666,26 @@ class FastModel : public TimingCommon
         }
 #endif
         ScalarLanes<N> lanes(lanes_.data());
-#if VANGUARD_THREADED_DISPATCH
-        if (use_threaded_)
-            runThreaded(lanes);
-        else
-            runSwitch(lanes);
-#else
-        runSwitch(lanes);
-#endif
+        runLoop(lanes);
         return finalizeStats();
     }
 
     /**
-     * One run through the switch dispatcher with any lane policy
-     * (recordLaneEvents drives it with a recorder). The pointer-sized
-     * policies are taken by value, so the loop keeps their lane
-     * pointer in a register instead of reloading it through a
-     * reference every instruction.
+     * One run of the loop with any lane policy (recordLaneEvents
+     * drives it with a recorder). The pointer-sized policies are taken
+     * by value, so the loop keeps their lane pointer in a register
+     * instead of reloading it through a reference every instruction.
      */
-    template <class Lanes> void runSwitch(Lanes lanes);
+    template <class Lanes> void runLoop(Lanes lanes);
 
   private:
-#if VANGUARD_THREADED_DISPATCH
-    template <class Lanes> void runThreaded(Lanes lanes);
-#endif
 #if VANGUARD_COLUMN_LANES
-    // The column policy's loops: the same body, compiled for AVX2 so
+    // The column policy's loop: the same body, compiled for AVX2 so
     // the column calls inline into it.
     __attribute__((target("avx2"))) void
-    runColumnsSwitch(ColumnLanes<N> &lanes);
-#if VANGUARD_THREADED_DISPATCH
-    __attribute__((target("avx2"))) void
-    runColumnsThreaded(ColumnLanes<N> &lanes);
+    runColumns(ColumnLanes<N> &lanes);
 #endif
 
-    void
-    runColumns(ColumnLanes<N> &lanes)
-    {
-#if VANGUARD_THREADED_DISPATCH
-        if (use_threaded_) {
-            runColumnsThreaded(lanes);
-            return;
-        }
-#endif
-        runColumnsSwitch(lanes);
-    }
-#endif
-
-    [[noreturn]] void
-    badOpcodeThrow(Opcode op, uint64_t pc, size_t idx)
-    {
-        vg_throw(Invariant,
-                 "evaluate: bad opcode %u at pc 0x%llx (idx %zu)",
-                 static_cast<unsigned>(op),
-                 static_cast<unsigned long long>(pc), idx);
-    }
     VG_HOT_INLINE int64_t
     src2Value(const DecodedInst &d) const
     {
@@ -813,54 +742,26 @@ class FastModel : public TimingCommon
     int64_t regs_[kNumRegs] = {};
     std::vector<uint8_t> hoisted_;  ///< by instruction index
     const bool use_line_tags_;
-    const bool use_threaded_;
 };
 
-// fast_loop.inc is the loop body of every entry point below; its
+// fast_loop.inc is the loop body of both entry points below; its
 // policy parameter is `lanes`.
 
 template <unsigned N>
 template <class Lanes>
 void
-FastModel<N>::runSwitch(Lanes lanes)
+FastModel<N>::runLoop(Lanes lanes)
 {
-#define VG_THREADED 0
 #include "uarch/fast_loop.inc"
-#undef VG_THREADED
 }
-
-#if VANGUARD_THREADED_DISPATCH
-template <unsigned N>
-template <class Lanes>
-void
-FastModel<N>::runThreaded(Lanes lanes)
-{
-#define VG_THREADED 1
-#include "uarch/fast_loop.inc"
-#undef VG_THREADED
-}
-#endif
 
 #if VANGUARD_COLUMN_LANES
 template <unsigned N>
 void
-FastModel<N>::runColumnsSwitch(ColumnLanes<N> &lanes)
+FastModel<N>::runColumns(ColumnLanes<N> &lanes)
 {
-#define VG_THREADED 0
 #include "uarch/fast_loop.inc"
-#undef VG_THREADED
 }
-
-#if VANGUARD_THREADED_DISPATCH
-template <unsigned N>
-void
-FastModel<N>::runColumnsThreaded(ColumnLanes<N> &lanes)
-{
-#define VG_THREADED 1
-#include "uarch/fast_loop.inc"
-#undef VG_THREADED
-}
-#endif
 #endif
 
 template <unsigned N>
@@ -983,12 +884,6 @@ maxFusedLanes(const SimOptions &opts)
 }
 
 bool
-threadedDispatchAvailable()
-{
-    return VANGUARD_THREADED_DISPATCH != 0;
-}
-
-bool
 columnLanesAvailable()
 {
 #if VANGUARD_COLUMN_LANES
@@ -1007,7 +902,7 @@ recordLaneEvents(const DecodedProgram &decoded, Memory &mem,
     validateLaneConfig(cfg);
     std::vector<LaneEvent> events;
     FastModel<1> model(decoded, mem, predictor, std::span(&cfg, 1), opts);
-    model.runSwitch(RecordingLanes(events));
+    model.runLoop(RecordingLanes(events));
     return events;
 }
 

@@ -110,21 +110,18 @@ struct SimOptions
      * std::function hooks, virtual predictor dispatch) even when the
      * run is fast-path eligible. The reference path is the pre-decode
      * baseline kept for bit-identity testing (tests/test_fastpath.cc)
-     * and for the self-benchmark's before/after comparison. The
-     * environment variable VANGUARD_FORCE_REFERENCE=1 has the same
-     * effect process-wide (used to A/B whole sweeps). Runs with a
-     * lockstep checker or a pipeline trace attached use the reference
-     * path regardless.
+     * and as the denominator of the tier2_perf fast-vs-reference gate
+     * (tests/test_perf_regression.cc). The environment variable
+     * VANGUARD_FORCE_REFERENCE=1 has the same effect process-wide
+     * (used to A/B whole sweeps). Runs with a lockstep checker or a
+     * pipeline trace attached use the reference path regardless.
      */
     bool forceReference = false;
 
     /**
-     * Force the portable switch dispatcher for the fast path even in
-     * builds that carry the computed-goto (threaded-code) dispatcher.
-     * Both dispatchers execute the same loop body, so this selects
-     * machine code, never behavior. The environment variable
-     * VANGUARD_THREADED=0 (or OFF/off) has the same effect
-     * process-wide, mirroring VANGUARD_FORCE_REFERENCE.
+     * No effect: the fast path has one dispatcher. Kept only because
+     * the benchmark harness (perfbench/harness.cc) still assigns it;
+     * nothing else reads or writes it.
      */
     bool noThreadedDispatch = false;
 };
@@ -250,16 +247,6 @@ std::vector<SimStats> simulateWidths(const Program &prog,
 
 /** kMaxFusedLanes when `opts` takes the fast path, else 1. */
 size_t maxFusedLanes(const SimOptions &opts);
-
-/**
- * True when this build carries the computed-goto threaded-code
- * dispatcher for the fast path (GCC/Clang builds with the CMake
- * option VANGUARD_THREADED left ON). When false, the fast path always
- * uses the portable switch dispatcher and SimOptions::noThreadedDispatch
- * is a no-op; callers that benchmark or gate on the threaded stream
- * use this to skip gracefully rather than measure the switch twice.
- */
-bool threadedDispatchAvailable();
 
 /**
  * Flatten one run's SimStats into dotted metric paths

@@ -218,7 +218,8 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
           std::vector<std::string>{"--selfbench"},
           std::vector<std::string>{"--selfbench-repeats", "abc"},
           std::vector<std::string>{"--selfbench-repeats", "0"},
-          std::vector<std::string>{"--selfbench-iters", "x"}}) {
+          std::vector<std::string>{"--selfbench-iters", "x"},
+          std::vector<std::string>{"--no-threaded-dispatch"}}) {
         std::string label;
         for (const std::string &f : flags)
             label += (label.empty() ? "" : " ") + f;

@@ -43,7 +43,7 @@ smallSpec(const char *name = "h264ref-like", unsigned iterations = 800)
 SimStats
 runOnce(const BenchmarkSpec &spec, const CompiledConfig &config,
         const VanguardOptions &vopts, uint64_t seed,
-        bool force_reference, bool no_threaded = false)
+        bool force_reference)
 {
     BuiltKernel ref = buildKernel(spec, seed);
     auto pred = makePredictor(vopts.predictor, seed);
@@ -53,7 +53,6 @@ runOnce(const BenchmarkSpec &spec, const CompiledConfig &config,
     sopts.progressWindow = vopts.simProgressWindow;
     sopts.collectBranchStalls = true;
     sopts.forceReference = force_reference;
-    sopts.noThreadedDispatch = no_threaded;
     if (!config.hoistedMask.empty())
         sopts.hoistedMask = &config.hoistedMask;
     return simulateWithDecoded(config.prog, *config.decoded, *ref.mem,
@@ -133,43 +132,6 @@ TEST(FastPath, BitIdenticalAcrossWidths)
                                "width " + std::to_string(width) + " " +
                                    pred,
                                {kRefSeeds, kRefSeeds + kNumRefSeeds});
-        }
-    }
-}
-
-/**
- * The computed-goto and portable-switch dispatchers run the same loop
- * body, so choosing between them must select machine code only, never
- * behavior — both the SimOptions flag and the VANGUARD_THREADED env
- * kill switch. Skips (trivially passes) in builds without the
- * threaded dispatcher, where the flag is a documented no-op.
- */
-TEST(FastPath, ThreadedAndSwitchDispatchersBitIdentical)
-{
-    if (!threadedDispatchAvailable())
-        GTEST_SKIP() << "portable build: no threaded dispatcher";
-    BenchmarkSpec spec = smallSpec("mcf-like", 500);
-    for (const char *pred : {"gshare3", "tage"}) {
-        VanguardOptions vopts;
-        vopts.predictor = pred;
-        BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
-        for (const CompiledConfig *config : {&art.base, &art.exp}) {
-            std::string tag = std::string("dispatcher ") + pred +
-                (config->decomposed ? " [exp]" : " [base]");
-            SimStats threaded =
-                runOnce(spec, *config, vopts, kRefSeeds[0], false, false);
-            SimStats sw =
-                runOnce(spec, *config, vopts, kRefSeeds[0], false, true);
-            EXPECT_EQ(threaded.cycles, sw.cycles) << tag;
-            expectSnapshotsIdentical(threaded, sw, tag);
-            EXPECT_TRUE(threaded.branchStalls == sw.branchStalls) << tag;
-
-            // The env kill switch must behave exactly like the flag.
-            ASSERT_EQ(setenv("VANGUARD_THREADED", "0", 1), 0);
-            SimStats env_sw =
-                runOnce(spec, *config, vopts, kRefSeeds[0], false, false);
-            unsetenv("VANGUARD_THREADED");
-            expectSnapshotsIdentical(env_sw, sw, tag + " env");
         }
     }
 }

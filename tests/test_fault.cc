@@ -14,6 +14,7 @@
 #include <climits>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bpred/factory.hh"
@@ -519,6 +520,31 @@ TEST(Replay, BundleRoundTripsThroughText)
     EXPECT_FALSE(parseReplayBundle("not a bundle\n").ok);
     EXPECT_FALSE(
         parseReplayBundle("vanguard-replay v1\nwidth 4\n").ok);
+}
+
+TEST(Replay, OptLinesAreStrict)
+{
+    const std::string head = "vanguard-replay v1\nbenchmark mcf-like\n";
+    ReplayParseResult good =
+        parseReplayBundle(head + "opt dbb-entries 8\n");
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(good.bundle.options.dbbEntries, 8u);
+    // An unknown name (a retired key among them) or a value that is
+    // not one whole token of its type refuses the bundle, naming the
+    // key.
+    for (const auto &[line, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"opt bogus 7", "bogus"},
+             {"opt no-threaded-dispatch 1", "no-threaded-dispatch"},
+             {"opt dbb-entries x", "dbb-entries"},
+             {"opt dbb-entries -3", "dbb-entries"},
+             {"opt sel-min-exposed garbage", "sel-min-exposed"},
+             {"opt icache-prefetch yes", "icache-prefetch"}}) {
+        ReplayParseResult r = parseReplayBundle(head + line + "\n");
+        EXPECT_FALSE(r.ok) << line;
+        EXPECT_NE(r.error.find("'" + key + "'"), std::string::npos)
+            << line << ": " << r.error;
+    }
 }
 
 TEST(Replay, UnknownFutureVersionRaisesIoNamingIt)

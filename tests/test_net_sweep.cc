@@ -25,78 +25,22 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_sweep_drill.hh"
 #include "core/journal.hh"
 #include "support/metrics.hh"
-
-#ifndef VANGUARD_CLI_BIN
-#error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
-#endif
 
 namespace vanguard {
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** fork/exec vanguard_cli with stdout/stderr captured; returns pid. */
-pid_t
-launch(const std::vector<std::string> &args,
-       const std::string &out_path, const std::string &err_path)
-{
-    pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    ::dup2(fd, STDOUT_FILENO);
-    int errfd = ::open(err_path.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    ::dup2(errfd, STDERR_FILENO);
-    std::vector<char *> argv;
-    argv.push_back(const_cast<char *>(VANGUARD_CLI_BIN));
-    for (const std::string &a : args)
-        argv.push_back(const_cast<char *>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(VANGUARD_CLI_BIN, argv.data());
-    std::_Exit(127); // exec failed
-}
-
-int
-waitExit(pid_t pid)
-{
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-int
-runToCompletion(const std::vector<std::string> &args,
-                const std::string &out_path,
-                const std::string &err_path)
-{
-    return waitExit(launch(args, out_path, err_path));
-}
+using namespace drill;
 
 /**
  * Reap a worker that should drain on its own, with a SIGTERM
@@ -118,142 +62,12 @@ waitExitWithGrace(pid_t pid, int grace_ms)
     return waitExit(pid);
 }
 
-/** Poll a coordinator's stderr for the resolved "port N" line. */
-unsigned
-awaitServePort(const std::string &err_path, pid_t coord)
-{
-    for (int spin = 0; spin < 500; ++spin) {
-        std::string text = readFile(err_path);
-        size_t at = text.find("serving sweep on port ");
-        if (at != std::string::npos) {
-            return static_cast<unsigned>(
-                std::strtoul(text.c_str() + at + 22, nullptr, 10));
-        }
-        int status = 0;
-        EXPECT_EQ(::waitpid(coord, &status, WNOHANG), 0)
-            << "coordinator exited before announcing its port";
-        ::usleep(20'000);
-    }
-    ADD_FAILURE() << "no 'serving sweep on port' line within 10s";
-    return 0;
-}
-
-/** Journal text as sorted lines: record *content* must be identical
- *  across execution modes; completion *order* legitimately is not. */
-std::string
-sortedLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::stringstream in(text);
-    std::string line;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    std::string out;
-    for (const std::string &l : lines)
-        out += l + "\n";
-    return out;
-}
-
-/** A metrics dump's flattened keys (parseMetricsJson) minus the
- *  per-transport carve-outs: engine.net.*
- *  values count fabric traffic (zero without --serve-sweep) and
- *  engine.worker.* counts supervision traffic (zero without
- *  --isolate-jobs) — both wall-clock-ish transport tallies, like the
- *  job_rtt histogram. Shape stays asserted — the keys must exist in
- *  every mode; only their values are mode-specific. */
-std::map<std::string, double>
-comparableMetrics(const std::string &json)
-{
-    ParsedMetrics parsed = parseMetricsJson(json);
-    EXPECT_TRUE(parsed.ok) << parsed.error;
-    std::map<std::string, double> out;
-    size_t net_keys = 0;
-    for (const auto &[key, value] : parsed.values) {
-        if (key.find("engine.net.") != std::string::npos) {
-            ++net_keys;
-            continue;
-        }
-        if (key.find("engine.worker.") != std::string::npos ||
-            key.find("job_rtt") != std::string::npos)
-            continue;
-        out.emplace(key, value);
-    }
-    EXPECT_EQ(net_keys, 6u) << "engine.net.* keys missing from dump";
-    return out;
-}
-
-/** One full sweep in a given mode; returns the exit code. */
-struct SweepArtifacts
-{
-    std::string out, journal, metrics;
-};
-
-std::vector<std::string>
-sweepArgs(const std::string &ckpt_dir, const std::string &metrics)
-{
-    return {
-        "--benchmark",      "gobmk-like", "--all-refs",
-        "--iterations",     "3000",       "--jobs", "2",
-        "--checkpoint-dir", ckpt_dir,     "--metrics-out", metrics,
-    };
-}
-
-SweepArtifacts
-runLocalSweep(const std::string &dir, bool isolate)
-{
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.json");
-    if (isolate)
-        args.push_back("--isolate-jobs");
-    EXPECT_EQ(runToCompletion(args, dir + "/stdout", dir + "/stderr"),
-              0);
-    return {readFile(dir + "/stdout"),
-            readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.json")};
-}
-
-/**
- * One distributed sweep: coordinator on an ephemeral port, `workers`
- * remote workers, all reaped before returning. Extra coordinator
- * flags (e.g. --net-inject) ride along.
- */
-SweepArtifacts
-runServedSweep(const std::string &dir, unsigned workers,
-               const std::vector<std::string> &extra)
-{
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.json");
-    args.push_back("--serve-sweep");
-    args.push_back("0");
-    for (const std::string &e : extra)
-        args.push_back(e);
-    pid_t coord = launch(args, dir + "/stdout", dir + "/stderr");
-    unsigned port = awaitServePort(dir + "/stderr", coord);
-    std::string host_port = "127.0.0.1:" + std::to_string(port);
-    std::vector<pid_t> pids;
-    for (unsigned w = 0; w < workers; ++w) {
-        std::string base = dir + "/worker" + std::to_string(w);
-        pids.push_back(launch({"--remote-worker", host_port},
-                              base + ".out", base + ".err"));
-    }
-    EXPECT_EQ(waitExit(coord), 0) << readFile(dir + "/stderr");
-    for (pid_t pid : pids)
-        EXPECT_EQ(waitExit(pid), 0); // drained, not errored
-    return {readFile(dir + "/stdout"),
-            readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.json")};
-}
-
 TEST(NetSweep, DistributedRunIsByteIdenticalToLocalAndIsolated)
 {
     std::string base = ::testing::TempDir() + "net-ident";
-    SweepArtifacts local = runLocalSweep(base + "-local", false);
-    SweepArtifacts isolated = runLocalSweep(base + "-iso", true);
+    SweepArtifacts local = runLocalSweep(base + "-local", {});
+    SweepArtifacts isolated =
+        runLocalSweep(base + "-iso", {"--isolate-jobs"});
     SweepArtifacts served = runServedSweep(base + "-served", 2, {});
 
     ASSERT_FALSE(local.out.empty());
@@ -283,7 +97,7 @@ TEST(NetSweep, IdentityHoldsUnderInjectedNetworkChaos)
     // STILL be byte-identical, because the net fault plan never
     // touches the job draw streams.
     std::string base = ::testing::TempDir() + "net-chaos";
-    SweepArtifacts local = runLocalSweep(base + "-local", false);
+    SweepArtifacts local = runLocalSweep(base + "-local", {});
     SweepArtifacts chaos = runServedSweep(
         base + "-served", 2,
         {"--lease-ms", "500", "--net-inject",
@@ -324,7 +138,8 @@ TEST(NetSweep, SigkilledWorkerIsAbsorbedByLeaseExpiry)
         "--lease-ms",       "500",
     };
     pid_t coord = launch(args, dir + "/stdout", dir + "/stderr");
-    unsigned port = awaitServePort(dir + "/stderr", coord);
+    unsigned port = awaitPortLine(dir + "/stderr", coord,
+                                  "serving sweep on port ");
     std::string host_port = "127.0.0.1:" + std::to_string(port);
 
     pid_t victim = launch({"--remote-worker", host_port},
@@ -394,7 +209,8 @@ TEST(NetSweep, StoppedWorkerLeaseExpiresAndRegrantsWithoutHang)
         "--lease-ms",       "500",        "--metrics-out", metrics,
     };
     pid_t coord = launch(args, dir + "/stdout", dir + "/stderr");
-    unsigned port = awaitServePort(dir + "/stderr", coord);
+    unsigned port = awaitPortLine(dir + "/stderr", coord,
+                                  "serving sweep on port ");
     std::string host_port = "127.0.0.1:" + std::to_string(port);
     pid_t victim = launch({"--remote-worker", host_port},
                           dir + "/victim.out", dir + "/victim.err");
@@ -485,7 +301,9 @@ TEST(NetSweep, SigkilledCoordinatorResumesOnTheSamePort)
         "--lease-ms",       "500",
     };
     pid_t coord = launch(serve, dir + "/stdout", dir + "/stderr");
-    ASSERT_EQ(awaitServePort(dir + "/stderr", coord), port);
+    ASSERT_EQ(awaitPortLine(dir + "/stderr", coord,
+                            "serving sweep on port "),
+              port);
 
     pid_t w1 = launch({"--remote-worker", host_port}, dir + "/w1.out",
                       dir + "/w1.err");

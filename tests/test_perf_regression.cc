@@ -10,10 +10,6 @@
  *    back to back, so the ratio cancels host speed and is meaningful
  *    on any hardware — a fast-path regression shows up as the ratio
  *    collapsing toward 1.
- *  - Dispatcher (threaded builds only): the computed-goto
- *    dispatcher's throughput against the portable switch — same
- *    ratio-cancels-host reasoning. Guards against the threaded path
- *    silently degenerating well below the switch.
  *  - Absolute (opt-in via VANGUARD_PERF_ABSOLUTE=1): geomean simulated
  *    instructions per second of the fast path against the number
  *    BENCH_PR6.json recorded. Only comparable on hardware like the
@@ -22,11 +18,12 @@
  *    kernel against three single-lane runs of the same work, back to
  *    back. The fused pass shares the functional, predictor and cache
  *    work, so it must take at most 0.8x the time.
- * The first three bounds are BENCH_PR6.json's geomeans less a 20%
- * regression margin, written down here as constants. Each of their measurements gets up to three
- * attempts (best result wins), each attempt taking the best of three
- * runs per path, because short wall-clock runs on a shared machine
- * are noisy; the fusion gate compares medians of five.
+ * The first two bounds are BENCH_PR6.json's geomeans less a 20%
+ * regression margin, written down here as constants. Their
+ * measurement gets up to three attempts (best result wins), each
+ * attempt taking the best of three runs per path, because short
+ * wall-clock runs on a shared machine are noisy; the fusion gate
+ * compares medians of five.
  */
 
 #include <gtest/gtest.h>
@@ -53,9 +50,6 @@ constexpr unsigned kRepeats = 3;
 /** Fast path / reference: BENCH_PR6.json's geomean speedup 1.55695,
  *  less the margin. */
 constexpr double kMinFastVsRef = 1.2456;
-/** Threaded / switch: BENCH_PR6.json's geomeans of 39.60 and 37.81
- *  M-insts/s (1.0473x), less the margin. */
-constexpr double kMinThreadedVsSwitch = 0.8378;
 /** BENCH_PR6.json: fast-path geomean simulated-insts/s. */
 constexpr double kCommittedFastIps = 39601300;
 
@@ -67,7 +61,7 @@ struct SliceCell
     BenchmarkArtifacts art;
 };
 
-/** The short measurement slice every ratio gate uses: one INT workload
+/** The short measurement slice the ratio gate uses: one INT workload
  *  per character (branchy vs memory-bound) at width 4, gshare3. */
 std::vector<SliceCell>
 prepareSlice()
@@ -83,16 +77,6 @@ prepareSlice()
     }
     return cells;
 }
-
-/** An execution path: the SimOptions switches that select it. */
-struct Path
-{
-    bool forceReference;
-    bool noThreadedDispatch;
-};
-constexpr Path kFast{false, false};     ///< threaded where built
-constexpr Path kSwitch{false, true};
-constexpr Path kReference{true, false};
 
 /** One execution path's timing of a cell: best wall seconds over
  *  kRepeats runs, and the (path-independent) run result. */
@@ -115,10 +99,11 @@ secondsOf(Fn &&fn)
         .count();
 }
 
-/** Time the exp program's simulate loop alone: each run gets a fresh
+/** Time the exp program's simulate loop alone on the fast path or,
+ *  with `force_reference`, the reference path: each run gets a fresh
  *  REF memory image and predictor, built outside the timed region. */
 PathTiming
-timePath(const SliceCell &cell, Path path)
+timePath(const SliceCell &cell, bool force_reference)
 {
     PathTiming best;
     for (unsigned rep = 0; rep < kRepeats; ++rep) {
@@ -128,8 +113,7 @@ timePath(const SliceCell &cell, Path path)
         sopts.maxInsts = cell.opts.simMaxInsts;
         sopts.cycleBudget = cell.opts.simCycleBudget;
         sopts.progressWindow = cell.opts.simProgressWindow;
-        sopts.forceReference = path.forceReference;
-        sopts.noThreadedDispatch = path.noThreadedDispatch;
+        sopts.forceReference = force_reference;
         if (!cell.art.exp.hoistedMask.empty())
             sopts.hoistedMask = &cell.art.exp.hoistedMask;
 
@@ -157,26 +141,24 @@ geomean(const std::vector<double> &xs)
     return std::exp(acc / static_cast<double>(xs.size()));
 }
 
-/** Time two execution paths on every slice cell and return the
- *  geomean of `fast`'s per-cell speedup over `slow`; `ips` receives
- *  the geomean simulated insts/s of `fast`. Both paths must retire
- *  the same run. */
+/** Time both execution paths on every slice cell and return the
+ *  geomean of the fast path's per-cell speedup over the reference
+ *  path; `ips` receives the fast path's geomean simulated insts/s.
+ *  Both paths must retire the same run. */
 double
-geomeanSpeedup(const std::vector<SliceCell> &cells, Path slow, Path fast,
-               double *ips = nullptr)
+geomeanSpeedup(const std::vector<SliceCell> &cells, double *ips)
 {
     std::vector<double> speedups;
     std::vector<double> fast_ips;
     for (const SliceCell &cell : cells) {
-        PathTiming s = timePath(cell, slow);
-        PathTiming f = timePath(cell, fast);
+        PathTiming s = timePath(cell, true);
+        PathTiming f = timePath(cell, false);
         EXPECT_EQ(s.insts, f.insts) << cell.spec.name;
         EXPECT_EQ(s.cycles, f.cycles) << cell.spec.name;
         speedups.push_back(s.seconds / f.seconds);
         fast_ips.push_back(static_cast<double>(f.insts) / f.seconds);
     }
-    if (ips != nullptr)
-        *ips = geomean(fast_ips);
+    *ips = geomean(fast_ips);
     return geomean(speedups);
 }
 
@@ -192,8 +174,7 @@ TEST(PerfRegression, FastPathHoldsTheCommittedSpeedup)
     double best_ips = 0.0;
     for (int attempt = 0; attempt < kAttempts; ++attempt) {
         double ips = 0.0;
-        best_speedup = std::max(
-            best_speedup, geomeanSpeedup(cells, kReference, kFast, &ips));
+        best_speedup = std::max(best_speedup, geomeanSpeedup(cells, &ips));
         best_ips = std::max(best_ips, ips);
         if (best_speedup >= kMinFastVsRef &&
             (!absolute || best_ips >= need_ips))
@@ -211,23 +192,6 @@ TEST(PerfRegression, FastPathHoldsTheCommittedSpeedup)
             << kCommittedFastIps / 1e6 << " M-insts/s";
     }
     RecordProperty("fast_vs_ref", std::to_string(best_speedup));
-}
-
-TEST(PerfRegression, ThreadedDispatcherHoldsItsRatioToSwitch)
-{
-    if (!threadedDispatchAvailable())
-        GTEST_SKIP() << "portable build: no threaded dispatcher";
-    std::vector<SliceCell> cells = prepareSlice();
-    double best = 0.0;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        best = std::max(best, geomeanSpeedup(cells, kSwitch, kFast));
-        if (best >= kMinThreadedVsSwitch)
-            break;
-    }
-    EXPECT_GE(best, kMinThreadedVsSwitch)
-        << "threaded dispatcher fell behind the switch: measured "
-        << best << "x, gate at " << kMinThreadedVsSwitch << "x";
-    RecordProperty("threaded_vs_switch", std::to_string(best));
 }
 
 double

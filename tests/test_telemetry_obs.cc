@@ -14,152 +14,38 @@
  *     a parseable `vanguard-flightrec v1` dump next to the replay
  *     bundles, with the quarantine visible in the event ring.
  *
- * Same comparison discipline as test_net_sweep: journals compare as
- * sorted records (completion order is legitimately nondeterministic)
- * and cross-checked metrics drop the wall-clock transport carve-outs
- * (engine.worker.*, engine.net.*, job_rtt) — except in pure in-process
- * mode, where nothing wall-clock is ever observed and the dumps must
- * match byte-for-byte.
+ * Same comparison discipline as test_net_sweep (both use
+ * cli_sweep_drill.hh): journals compare as sorted records (completion
+ * order is legitimately nondeterministic) and cross-checked metrics
+ * drop the wall-clock transport carve-outs (engine.worker.*,
+ * engine.net.*, job_rtt) — except in pure in-process mode, where
+ * nothing wall-clock is ever observed and the dumps must match
+ * byte-for-byte.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_sweep_drill.hh"
 #include "support/flight_recorder.hh"
 #include "support/ipc.hh"
 #include "support/metrics.hh"
 #include "support/telemetry.hh"
 
-#ifndef VANGUARD_CLI_BIN
-#error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
-#endif
-
 namespace vanguard {
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
+using namespace drill;
 
-/** fork/exec vanguard_cli with stdout/stderr captured; returns pid. */
-pid_t
-launch(const std::vector<std::string> &args,
-       const std::string &out_path, const std::string &err_path)
-{
-    pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    ::dup2(fd, STDOUT_FILENO);
-    int errfd = ::open(err_path.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    ::dup2(errfd, STDERR_FILENO);
-    std::vector<char *> argv;
-    argv.push_back(const_cast<char *>(VANGUARD_CLI_BIN));
-    for (const std::string &a : args)
-        argv.push_back(const_cast<char *>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(VANGUARD_CLI_BIN, argv.data());
-    std::_Exit(127); // exec failed
-}
-
-int
-waitExit(pid_t pid)
-{
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-int
-runToCompletion(const std::vector<std::string> &args,
-                const std::string &out_path,
-                const std::string &err_path)
-{
-    return waitExit(launch(args, out_path, err_path));
-}
-
-/** Poll a child's stderr for a "<needle>N" line; 0 on timeout. */
-unsigned
-awaitPortLine(const std::string &err_path, pid_t child,
-              const std::string &needle)
-{
-    for (int spin = 0; spin < 500; ++spin) {
-        std::string text = readFile(err_path);
-        size_t at = text.find(needle);
-        if (at != std::string::npos) {
-            return static_cast<unsigned>(std::strtoul(
-                text.c_str() + at + needle.size(), nullptr, 10));
-        }
-        int status = 0;
-        EXPECT_EQ(::waitpid(child, &status, WNOHANG), 0)
-            << "child exited before announcing its port: "
-            << readFile(err_path);
-        ::usleep(20'000);
-    }
-    ADD_FAILURE() << "no '" << needle << "' line within 10s";
-    return 0;
-}
-
-std::string
-sortedLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::stringstream in(text);
-    std::string line;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    std::string out;
-    for (const std::string &l : lines)
-        out += l + "\n";
-    return out;
-}
-
-/** Metrics dump keys minus the wall-clock transport carve-outs (see
- *  test_net_sweep.cc): shape asserted, mode-specific values dropped. */
-std::map<std::string, double>
-comparableMetrics(const std::string &json)
-{
-    ParsedMetrics parsed = parseMetricsJson(json);
-    EXPECT_TRUE(parsed.ok) << parsed.error;
-    std::map<std::string, double> out;
-    size_t net_keys = 0;
-    for (const auto &[key, value] : parsed.values) {
-        if (key.find("engine.net.") != std::string::npos) {
-            ++net_keys;
-            continue;
-        }
-        if (key.find("engine.worker.") != std::string::npos ||
-            key.find("job_rtt") != std::string::npos)
-            continue;
-        out.emplace(key, value);
-    }
-    EXPECT_EQ(net_keys, 6u) << "engine.net.* keys missing from dump";
-    return out;
-}
+/** The flags that switch the live telemetry endpoint on. */
+const std::vector<std::string> kTelemetry = {"--telemetry-port", "0"};
 
 std::string
 httpGet(uint16_t port, const std::string &target)
@@ -181,82 +67,11 @@ httpGet(uint16_t port, const std::string &target)
     return resp;
 }
 
-struct SweepArtifacts
-{
-    std::string out, journal, metrics;
-};
-
-std::vector<std::string>
-sweepArgs(const std::string &ckpt_dir, const std::string &metrics)
-{
-    return {
-        "--benchmark",      "gobmk-like", "--all-refs",
-        "--iterations",     "3000",       "--jobs", "2",
-        "--checkpoint-dir", ckpt_dir,     "--metrics-out", metrics,
-    };
-}
-
-/** One local sweep (in-process or --isolate-jobs), with or without
- *  the live telemetry endpoint. */
-SweepArtifacts
-runLocalSweep(const std::string &dir, bool isolate, bool telemetry)
-{
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.json");
-    if (isolate)
-        args.push_back("--isolate-jobs");
-    if (telemetry) {
-        args.push_back("--telemetry-port");
-        args.push_back("0");
-    }
-    EXPECT_EQ(runToCompletion(args, dir + "/stdout", dir + "/stderr"),
-              0)
-        << readFile(dir + "/stderr");
-    return {readFile(dir + "/stdout"),
-            readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.json")};
-}
-
-/** One distributed sweep: coordinator + `workers` remote workers. */
-SweepArtifacts
-runServedSweep(const std::string &dir, unsigned workers,
-               bool telemetry)
-{
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> args =
-        sweepArgs(dir, dir + "/metrics.json");
-    args.push_back("--serve-sweep");
-    args.push_back("0");
-    if (telemetry) {
-        args.push_back("--telemetry-port");
-        args.push_back("0");
-    }
-    pid_t coord = launch(args, dir + "/stdout", dir + "/stderr");
-    unsigned port = awaitPortLine(dir + "/stderr", coord,
-                                  "serving sweep on port ");
-    std::string host_port = "127.0.0.1:" + std::to_string(port);
-    std::vector<pid_t> pids;
-    for (unsigned w = 0; w < workers; ++w) {
-        std::string base = dir + "/worker" + std::to_string(w);
-        pids.push_back(launch({"--remote-worker", host_port},
-                              base + ".out", base + ".err"));
-    }
-    EXPECT_EQ(waitExit(coord), 0) << readFile(dir + "/stderr");
-    for (pid_t pid : pids)
-        EXPECT_EQ(waitExit(pid), 0); // drained, not errored
-    return {readFile(dir + "/stdout"),
-            readFile(dir + "/journal.vgj"),
-            readFile(dir + "/metrics.json")};
-}
-
 TEST(TelemetryObs, InProcessSweepIsByteIdenticalWithTelemetryOn)
 {
     std::string base = ::testing::TempDir() + "obs-local";
-    SweepArtifacts off = runLocalSweep(base + "-off", false, false);
-    SweepArtifacts on = runLocalSweep(base + "-on", false, true);
+    SweepArtifacts off = runLocalSweep(base + "-off", {});
+    SweepArtifacts on = runLocalSweep(base + "-on", kTelemetry);
 
     ASSERT_FALSE(off.out.empty());
     EXPECT_EQ(on.out, off.out);
@@ -269,8 +84,9 @@ TEST(TelemetryObs, InProcessSweepIsByteIdenticalWithTelemetryOn)
 TEST(TelemetryObs, IsolatedSweepIsByteIdenticalWithTelemetryOn)
 {
     std::string base = ::testing::TempDir() + "obs-iso";
-    SweepArtifacts off = runLocalSweep(base + "-off", true, false);
-    SweepArtifacts on = runLocalSweep(base + "-on", true, true);
+    SweepArtifacts off = runLocalSweep(base + "-off", {"--isolate-jobs"});
+    SweepArtifacts on = runLocalSweep(
+        base + "-on", {"--isolate-jobs", "--telemetry-port", "0"});
 
     ASSERT_FALSE(off.out.empty());
     EXPECT_EQ(on.out, off.out);
@@ -282,8 +98,8 @@ TEST(TelemetryObs, IsolatedSweepIsByteIdenticalWithTelemetryOn)
 TEST(TelemetryObs, DistributedSweepIsByteIdenticalWithTelemetryOn)
 {
     std::string base = ::testing::TempDir() + "obs-net";
-    SweepArtifacts off = runServedSweep(base + "-off", 2, false);
-    SweepArtifacts on = runServedSweep(base + "-on", 2, true);
+    SweepArtifacts off = runServedSweep(base + "-off", 2, {});
+    SweepArtifacts on = runServedSweep(base + "-on", 2, kTelemetry);
 
     ASSERT_FALSE(off.out.empty());
     EXPECT_EQ(on.out, off.out);

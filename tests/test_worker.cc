@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/journal.hh"
@@ -288,6 +289,31 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
         "vanguard-workerjob v1\nphase train\nblob profile 99\nxx",
         &out, &err));
     EXPECT_NE(err.find("truncated"), std::string::npos);
+    // An `opt` line is as strict as a top-level key: an unknown name
+    // (a retired key among them) or a value that is not one whole
+    // token of its type fails, naming the key.
+    const std::string head = "vanguard-workerjob v2\nphase train\n";
+    ASSERT_TRUE(parseWorkerJob(head + "opt dbb-entries 8\n", &out, &err))
+        << err;
+    EXPECT_EQ(out.options.dbbEntries, 8u);
+    for (const auto &[line, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"opt no-such-opt 1", "no-such-opt"},
+             {"opt no-threaded-dispatch 1", "no-threaded-dispatch"},
+             {"opt sel-min-exposed garbage", "sel-min-exposed"},
+             {"opt sel-min-exposed 0.5x", "sel-min-exposed"},
+             {"opt dbb-entries -3", "dbb-entries"},
+             {"opt dbb-entries x", "dbb-entries"},
+             {"opt dbb-entries", "dbb-entries"},
+             {"opt width 4 4", "width"},
+             {"opt superblock 2", "superblock"},
+             {"opt sim-max-insts 12k", "sim-max-insts"}}) {
+        WorkerJob j;
+        err.clear();
+        EXPECT_FALSE(parseWorkerJob(head + line + "\n", &j, &err)) << line;
+        EXPECT_NE(err.find("'" + key + "'"), std::string::npos)
+            << line << ": " << err;
+    }
 }
 
 TEST(WorkerCodec, WidthListsAreCappedAndComplete)
