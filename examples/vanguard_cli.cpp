@@ -126,6 +126,7 @@
 #include "support/atomic_file.hh"
 #include "support/fault_inject.hh"
 #include "support/flight_recorder.hh"
+#include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/shutdown.hh"
 #include "support/stats.hh"
@@ -365,49 +366,61 @@ parseFractionOrDie(const char *flag, const char *text)
     return v;
 }
 
-/** Re-execute a failure bundle solo; exit 0 iff it reproduced, 2 if
- *  its options are unusable. */
+/** Re-execute a failure bundle's job solo, through the body every
+ *  worker runs, under lockstep; exit 0 iff it reproduced, 2 if its
+ *  options are unusable. */
 int
-runReplay(const std::string &path, bool lockstep)
+runReplay(const std::string &path)
 {
-    ReplayParseResult parsed = loadReplayBundle(path);
-    if (!parsed.ok) {
-        std::fprintf(stderr, "bad replay bundle: %s\n",
-                     parsed.error.c_str());
+    ReplayJob r;
+    std::string error;
+    if (!loadReplayJob(path, &r, &error)) {
+        std::fprintf(stderr, "bad replay bundle: %s\n", error.c_str());
         return 1;
     }
-    const ReplayBundle &b = parsed.bundle;
-    std::printf("replaying %s: %s %s w%u %s seed 0x%llx\n",
-                path.c_str(), b.benchmark.c_str(), b.phase.c_str(),
-                b.width, b.config == 0 ? "base" : "exp",
-                static_cast<unsigned long long>(b.seed));
-    std::printf("recorded failure: %s: %s\n", b.errorKind.c_str(),
-                b.errorMessage.c_str());
+    WorkerJob &job = r.job;
+    std::string what = job.specName + " " + job.phase;
+    if (job.phase == "simulate") {
+        for (size_t k = 0; k < job.widths.size(); ++k)
+            what += (k == 0 ? " w" : ",") + std::to_string(job.widths[k]);
+        what += job.config == 0 ? " base seed " : " exp seed ";
+        what += hexU64(job.seed);
+    }
+    std::printf("replaying %s: %s\n", path.c_str(), what.c_str());
+    std::printf("recorded failure: %s: %s\n", r.errorKind.c_str(),
+                r.errorMessage.c_str());
 
-    ReplayOutcome out = replayBundle(b, lockstep);
-    if (out.failed &&
-        out.kind == SimError::kindName(SimError::Kind::Config)) {
+    job.options.lockstep = true;
+    WorkerResult res = JobBodyRunner().run(job);
+    if (!res.ok && res.kind == SimError::Kind::Config) {
         // A bundle is outside input: options the simulator rejects are
         // a usage error, exactly as the matching flags are.
         std::fprintf(stderr,
                      "vanguard_cli: replay bundle's options are "
                      "unusable: %s\n",
-                     out.message.c_str());
+                     res.message.c_str());
         return 2;
     }
-    if (!out.failed) {
-        std::printf("replay ran CLEAN (%llu cycles, IPC %.3f) — the "
-                    "recorded failure did not reproduce\n",
-                    static_cast<unsigned long long>(out.stats.cycles),
-                    out.stats.ipc());
+    if (res.ok) {
+        std::string stats;
+        if (!res.lanes.empty()) {
+            stats = detail::csprintf(" (%llu cycles, IPC %.3f)",
+                                     static_cast<unsigned long long>(
+                                         res.lanes[0].cycles),
+                                     res.lanes[0].ipc());
+        }
+        std::printf("replay ran CLEAN%s — the recorded failure did not "
+                    "reproduce\n",
+                    stats.c_str());
         return 1;
     }
-    std::printf("replay raised %s: %s\n", out.kind.c_str(),
-                out.message.c_str());
-    std::printf(out.reproduced
-                    ? "REPRODUCED (same error kind as recorded)\n"
-                    : "DIFFERENT error kind than recorded\n");
-    return out.reproduced ? 0 : 1;
+    std::string kind = SimError::kindName(res.kind);
+    bool reproduced = kind == r.errorKind;
+    std::printf("replay raised %s: %s\n", kind.c_str(),
+                res.message.c_str());
+    std::printf(reproduced ? "REPRODUCED (same error kind as recorded)\n"
+                           : "DIFFERENT error kind than recorded\n");
+    return reproduced ? 0 : 1;
 }
 
 int
@@ -715,7 +728,7 @@ runCli(int argc, char **argv)
     }
 
     if (!replay_path.empty())
-        return runReplay(replay_path, /*lockstep=*/true);
+        return runReplay(replay_path);
 
     BenchmarkSpec spec = findBenchmark(benchmark);
     spec.iterations = iterations;

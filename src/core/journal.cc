@@ -12,7 +12,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "core/replay.hh"
+#include "core/worker_pool.hh"
 #include "support/atomic_file.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
@@ -379,7 +379,11 @@ sweepSpecCanonical(const std::vector<BenchmarkSpec> &suite,
     os << "\nseeds";
     for (size_t s = 0; s < kNumRefSeeds; ++s)
         os << ' ' << kRefSeeds[s];
-    os << '\n' << serializeOptionsLines(base);
+    // Width and lockstep do not change a sweep's results: pin them.
+    VanguardOptions opts = base;
+    opts.width = 0;
+    opts.lockstep = false;
+    os << '\n' << serializeOptionsExact(opts);
     return os.str();
 }
 

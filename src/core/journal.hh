@@ -136,8 +136,9 @@ JournalContents loadJournalFile(const std::string &path);
 /**
  * The canonical sweep-spec string whose FNV-1a hash keys a journal:
  * benchmark names+iterations, widths, REF seeds, and the full
- * options vector (via serializeOptionsLines). Any change to these
- * invalidates checkpoints by construction.
+ * options vector, exact (serializeOptionsExact, with the width and
+ * lockstep knobs pinned: they do not change a sweep's results). Any
+ * change to these invalidates checkpoints by construction.
  */
 std::string sweepSpecCanonical(const std::vector<BenchmarkSpec> &suite,
                                const std::vector<unsigned> &widths,

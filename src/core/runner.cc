@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -31,14 +30,6 @@
 namespace vanguard {
 
 namespace {
-
-std::string
-hexU64(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%" PRIx64, v);
-    return buf;
-}
 
 /**
  * Deterministic fault-injection scope key for one job attempt: a pure
@@ -133,10 +124,14 @@ runGuarded(const JobIdentity &id, const RunnerOptions &ropts,
     }
 }
 
-/** Write a replay bundle for a root-cause failure (best effort). */
+/**
+ * Flight-record a root-cause failure and, with a replay dir, write its
+ * bundle (best effort): the job as a worker runs it, cut to the width
+ * lane that failed. `job` builds that frame only when it is written.
+ */
 void
-writeBundle(JobFailure &f, const BenchmarkSpec &spec,
-            const VanguardOptions &opts, const RunnerOptions &ropts)
+recordFailure(JobFailure &f, const RunnerOptions &ropts,
+              const std::function<WorkerJob()> &job)
 {
     // Every call is a freshly-executed root-cause failure (replayed
     // failures rematerialize from the journal without coming here),
@@ -155,19 +150,15 @@ writeBundle(JobFailure &f, const BenchmarkSpec &spec,
         return;
     }
 
-    ReplayBundle b;
-    b.benchmark = spec.name;
-    b.phase = f.id.phase;
-    b.width = f.id.width != 0 ? f.id.width : opts.width;
-    b.config = f.id.config >= 0 ? f.id.config : 1;
-    b.seed = f.id.seed;
-    b.iterations = spec.iterations;
-    b.options = opts;
-    b.options.width = b.width;
-    b.errorKind = SimError::kindName(f.kind);
-    b.errorMessage = f.message;
+    ReplayJob r;
+    r.job = job();
+    r.job.bindSpecName();
+    if (f.id.width != 0)
+        r.job.widths = {f.id.width};
+    r.errorKind = SimError::kindName(f.kind);
+    r.errorMessage = f.message;
 
-    std::string name = std::string(spec.name) + "-" + f.id.phase;
+    std::string name = f.id.benchmark + "-" + f.id.phase;
     if (f.id.width != 0)
         name += "-w" + std::to_string(f.id.width);
     if (f.id.config >= 0)
@@ -177,7 +168,7 @@ writeBundle(JobFailure &f, const BenchmarkSpec &spec,
     std::string path = ropts.replayDir + "/" + name + ".vgr";
 
     try {
-        writeFileAtomic(path, serializeReplayBundle(b));
+        writeFileAtomic(path, serializeReplayJob(r));
     } catch (const SimError &e) {
         vg_warn("cannot write replay bundle %s: %s", path.c_str(),
                 e.detail().c_str());
@@ -513,6 +504,57 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // are collected after the graph, per job kind in job-index order,
     // so the report does not depend on the interleaving.
 
+    // Job identities and bodies. Each train and simulate job is built
+    // in one place, as the WorkerJob a worker runs: the fabric
+    // dispatches it and a failure's replay bundle holds it. Only
+    // dispatch stamps scopeStartDraw and delivery, so a bundle's bytes
+    // do not depend on the execution mode.
+    auto trainId = [&](size_t b) {
+        JobIdentity id;
+        id.phase = "train";
+        id.benchmark = suite[b].name;
+        id.index = b;
+        return id;
+    };
+    auto simId = [&](size_t i) {
+        JobIdentity id;
+        id.phase = "simulate";
+        id.benchmark = suite[i / (2 * S)].name;
+        id.width = W == 1 ? widths[0] : 0;
+        id.config = static_cast<int>(i % 2);
+        id.seed = kRefSeeds[(i / 2) % S];
+        id.index = i;
+        return id;
+    };
+    auto trainJobBody = [&](size_t b, unsigned attempt) {
+        WorkerJob wj;
+        wj.phase = "train";
+        wj.slot = b;
+        wj.scopeKey = jobScopeKey(trainId(b), attempt);
+        wj.spec = suite[b];
+        wj.specName = suite[b].name;
+        wj.options = base;
+        return wj;
+    };
+    auto simJobBody = [&](size_t i, unsigned attempt,
+                          std::string profile) {
+        JobIdentity id = simId(i);
+        size_t b = i / (2 * S);
+        WorkerJob wj;
+        wj.phase = "simulate";
+        wj.slot = i;
+        wj.scopeKey = jobScopeKey(id, attempt);
+        wj.spec = suite[b];
+        wj.specName = suite[b].name;
+        wj.options = lead;
+        wj.config = id.config;
+        wj.widths = widths;
+        wj.seed = id.seed;
+        wj.collectStalls = id.config == 0;
+        wj.profileText = std::move(profile);
+        return wj;
+    };
+
     // Train: one job per benchmark (width-independent). With a
     // journal, a completed slot replays: failures rematerialize, ok
     // records reload the checkpointed TRAIN profile (falling back to
@@ -537,10 +579,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // (no result, no failure, no journal record).
     auto runTrain = [&](size_t b) -> bool {
         ScopedCurrentTracer ambient(tracer);
-        JobIdentity id;
-        id.phase = "train";
-        id.benchmark = suite[b].name;
-        id.index = b;
+        JobIdentity id = trainId(b);
         faultinject::Scope job_scope(jobScopeKey(id, 0));
         if (ckpt != nullptr) {
             auto it = ckpt->prior.train.find(b);
@@ -599,16 +638,9 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                         // here via trainFromProfile, bit-identical to
                         // trainBenchmark (same guarantee the resume
                         // path relies on).
-                        WorkerJob wj;
-                        wj.phase = "train";
-                        wj.slot = b;
-                        wj.scopeKey = jobScopeKey(id, attempt);
+                        WorkerJob wj = trainJobBody(b, attempt);
                         wj.scopeStartDraw =
                             faultinject::currentDrawCount();
-                        wj.spec = suite[b];
-                        wj.specName = suite[b].name;
-                        wj.bindSpecName();
-                        wj.options = base;
                         WorkerResult res =
                             fabric->execute(std::move(wj));
                         ProfileParseResult parsed =
@@ -632,7 +664,9 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
             }
         }
         if (train_fail[b].has_value()) {
-            writeBundle(*train_fail[b], suite[b], base, ropts);
+            recordFailure(*train_fail[b], ropts, [&] {
+                return trainJobBody(b, train_fail[b]->attempts);
+            });
             jobs_failed.add();
             train_failed.add();
             train_progress.jobFailed();
@@ -723,7 +757,14 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 });
         }
         if (compile_fail[b].has_value()) {
-            writeBundle(*compile_fail[b], suite[b], lead, ropts);
+            // Compile runs only here, so its bundle is the experimental
+            // simulate job at the first REF seed: replaying it compiles
+            // first, and compile raises before any simulation.
+            recordFailure(*compile_fail[b], ropts, [&] {
+                return simJobBody(b * 2 * S + 1,
+                                  compile_fail[b]->attempts,
+                                  serializeProfile(trains[b].profile));
+            });
             jobs_failed.add();
             compile_failed.add();
             compile_progress.jobFailed();
@@ -812,13 +853,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         const BenchmarkSpec &spec = suite[b];
         const CompiledConfig &config =
             cfg == 0 ? arts[b].base : arts[b].exp;
-        JobIdentity id;
-        id.phase = "simulate";
-        id.benchmark = spec.name;
-        id.width = W == 1 ? widths[0] : 0;
-        id.config = static_cast<int>(cfg);
-        id.seed = kRefSeeds[s];
-        id.index = i;
+        JobIdentity id = simId(i);
         faultinject::Scope job_scope(jobScopeKey(id, 0));
 
         // Journal replay satisfies the job without re-executing (or
@@ -873,20 +908,8 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                                        cfg == 0));
                         return;
                     }
-                    WorkerJob wj;
-                    wj.phase = "simulate";
-                    wj.slot = i;
-                    wj.scopeKey = jobScopeKey(id, attempt);
+                    WorkerJob wj = simJobBody(i, attempt, profile_text[b]);
                     wj.scopeStartDraw = faultinject::currentDrawCount();
-                    wj.spec = spec;
-                    wj.specName = spec.name;
-                    wj.bindSpecName();
-                    wj.options = lead;
-                    wj.config = static_cast<int>(cfg);
-                    wj.widths = widths;
-                    wj.seed = kRefSeeds[s];
-                    wj.collectStalls = cfg == 0;
-                    wj.profileText = profile_text[b];
                     storeLanes(b, cfg, s,
                                fabric->execute(std::move(wj)).lanes);
                 });
@@ -898,7 +921,10 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         }
         if (sim_fail[i].has_value()) {
             nameFailedLane(*sim_fail[i]);
-            writeBundle(*sim_fail[i], spec, lead, ropts);
+            recordFailure(*sim_fail[i], ropts, [&] {
+                return simJobBody(i, sim_fail[i]->attempts,
+                                  serializeProfile(arts[b].train.profile));
+            });
             jobs_failed.add();
             sim_failed.add();
             progress.jobFailed();

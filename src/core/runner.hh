@@ -42,9 +42,9 @@
  * them), fully-failed rows are excluded from suite geomeans.
  *
  * Failure replay: with a non-empty replayDir, each root-cause failure
- * writes a deterministic replay bundle (core/replay.hh) that
- * `vanguard_cli --replay <bundle>` re-executes solo under the
- * lockstep oracle.
+ * writes a replay bundle (core/replay.hh) — the failed job's worker
+ * frame — that `vanguard_cli --replay <bundle>` re-executes solo
+ * through JobBodyRunner under the lockstep oracle.
  *
  * Determinism contract: jobs write into pre-sized slots keyed by job
  * index, never by completion order, and every job is a pure function

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -16,10 +17,10 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/coordinator.hh"
 #include "core/journal.hh"
-#include "core/replay.hh"
 #include "profile/profile_io.hh"
 #include "support/checksum.hh"
 #include "support/ipc.hh"
@@ -39,15 +40,6 @@ namespace {
 constexpr unsigned kWorkerJobVersion = 2;
 constexpr unsigned kWorkerResultVersion = 2;
 
-std::string
-hexU64(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 /** %a hexfloat: exact double round-trip through strtod. */
 std::string
 hexDouble(double v)
@@ -57,16 +49,188 @@ hexDouble(double v)
     return buf;
 }
 
-double
-parseHexDouble(const std::string &tok)
+/**
+ * Read one whole token as a value of T, writing `*v` only on success:
+ * a count through std::from_chars (so "-3" and "12k" fail), a double
+ * through strtod (decimal or hexfloat), a flag as exactly 0 or 1.
+ */
+template <typename T>
+bool
+readToken(const std::string &tok, T *v)
 {
-    return std::strtod(tok.c_str(), nullptr);
+    T x{};
+    bool ok;
+    if constexpr (std::is_same_v<T, bool>) {
+        ok = tok == "0" || tok == "1";
+        x = tok == "1";
+    } else if constexpr (std::is_same_v<T, double>) {
+        char *end = nullptr;
+        x = std::strtod(tok.c_str(), &end);
+        ok = !tok.empty() && end == tok.c_str() + tok.size();
+    } else {
+        const char *end = tok.data() + tok.size();
+        auto [p, ec] = std::from_chars(tok.data(), end, x);
+        ok = ec == std::errc() && p == end;
+    }
+    if (ok)
+        *v = x;
+    return ok;
 }
 
-uint64_t
-parseU64(const std::string &tok)
+/** A "0x"-prefixed hex token (hexU64's spelling). */
+bool
+readHexToken(const std::string &tok, uint64_t *v)
 {
-    return std::strtoull(tok.c_str(), nullptr, 0);
+    if (tok.size() <= 2 || tok.compare(0, 2, "0x") != 0)
+        return false;
+    uint64_t x = 0;
+    const char *end = tok.data() + tok.size();
+    auto [p, ec] = std::from_chars(tok.data() + 2, end, x, 16);
+    if (ec != std::errc() || p != end)
+        return false;
+    *v = x;
+    return true;
+}
+
+/** The rest of a line's tokens. */
+std::vector<std::string>
+restTokens(std::istringstream &ls)
+{
+    std::vector<std::string> out;
+    for (std::string tok; ls >> tok;)
+        out.push_back(std::move(tok));
+    return out;
+}
+
+/** Exactly one token per field, each whole and of its field's type. */
+template <typename... T>
+bool
+readFields(const std::vector<std::string> &toks, T *...fields)
+{
+    size_t i = 0;
+    return toks.size() == sizeof...(T) &&
+           (readToken(toks[i++], fields) && ...);
+}
+
+/**
+ * Parse the rest of one `opt <name> <value>` line. An unknown name, or
+ * a value that is not exactly one whole token of its type, returns
+ * false with an `*error` naming the key and leaves `o` untouched.
+ */
+bool
+parseOptLine(std::istringstream &ls, VanguardOptions *o, std::string *error)
+{
+    std::string name;
+    ls >> name;
+    std::vector<std::string> v = restTokens(ls);
+    bool ok = false;
+    if (name == "predictor") {
+        ok = v.size() == 1;
+        if (ok)
+            o->predictor = v[0];
+    } else if (name == "width") {
+        ok = readFields(v, &o->width);
+    } else if (name == "superblock") {
+        ok = readFields(v, &o->applySuperblock);
+    } else if (name == "decompose") {
+        ok = readFields(v, &o->applyDecomposition);
+    } else if (name == "shadow-commit") {
+        ok = readFields(v, &o->shadowCommit);
+    } else if (name == "dbb-entries") {
+        ok = readFields(v, &o->dbbEntries);
+    } else if (name == "l1i-size-kb") {
+        ok = readFields(v, &o->l1iSizeKB);
+    } else if (name == "icache-prefetch") {
+        ok = readFields(v, &o->icachePrefetch);
+    } else if (name == "lockstep") {
+        ok = readFields(v, &o->lockstep);
+    } else if (name == "sel-min-exposed") {
+        ok = readFields(v, &o->selection.minExposed);
+    } else if (name == "sel-min-execs") {
+        ok = readFields(v, &o->selection.minExecs);
+    } else if (name == "sel-min-predictability") {
+        ok = readFields(v, &o->selection.minPredictability);
+    } else if (name == "sel-forward-only") {
+        ok = readFields(v, &o->selection.forwardOnly);
+    } else if (name == "dec-max-hoist") {
+        ok = readFields(v, &o->decompose.maxHoistPerPath);
+    } else if (name == "dec-max-slice") {
+        ok = readFields(v, &o->decompose.maxSliceDepth);
+    } else if (name == "sb-bias-threshold") {
+        ok = readFields(v, &o->superblock.biasThreshold);
+    } else if (name == "sb-min-execs") {
+        ok = readFields(v, &o->superblock.minExecs);
+    } else if (name == "sb-max-hoist") {
+        ok = readFields(v, &o->superblock.maxHoist);
+    } else if (name == "profile-max-insts") {
+        ok = readFields(v, &o->profileMaxInsts);
+    } else if (name == "sim-max-insts") {
+        ok = readFields(v, &o->simMaxInsts);
+    } else if (name == "cycle-budget") {
+        ok = readFields(v, &o->simCycleBudget);
+    } else if (name == "progress-window") {
+        ok = readFields(v, &o->simProgressWindow);
+    } else {
+        *error = "unknown opt '" + name + "'";
+        return false;
+    }
+    if (!ok)
+        *error = "bad value '" + (v.empty() ? "" : v[0]) +
+                 "' for opt '" + name + "'";
+    return ok;
+}
+
+/** Parse the rest of one `spec <name> <values>` line into `sp`. */
+bool
+parseSpecLine(std::istringstream &ls, WorkerJob *out, std::string *error)
+{
+    std::string name;
+    ls >> name;
+    std::vector<std::string> v = restTokens(ls);
+    BenchmarkSpec &sp = out->spec;
+    bool ok = false;
+    if (name == "name") {
+        ok = v.size() == 1;
+        if (ok)
+            out->specName = v[0];
+    } else if (name == "fp") {
+        ok = readFields(v, &sp.fp);
+    } else if (name == "hammocks") {
+        ok = readFields(v, &sp.hammocksPU, &sp.hammocksBP, &sp.hammocksUP);
+    } else if (name == "loads-per-succ") {
+        ok = readFields(v, &sp.loadsPerSucc);
+    } else if (name == "chained-succ-loads") {
+        ok = readFields(v, &sp.chainedSuccLoads);
+    } else if (name == "alu-per-succ") {
+        ok = readFields(v, &sp.aluPerSucc);
+    } else if (name == "fp-per-succ") {
+        ok = readFields(v, &sp.fpPerSucc);
+    } else if (name == "stores-per-succ") {
+        ok = readFields(v, &sp.storesPerSucc);
+    } else if (name == "noise-pu") {
+        ok = readFields(v, &sp.noisePU);
+    } else if (name == "taken-pu") {
+        ok = readFields(v, &sp.takenPU);
+    } else if (name == "working-set-kb") {
+        ok = readFields(v, &sp.workingSetKB);
+    } else if (name == "stride-lines") {
+        ok = readFields(v, &sp.strideLines);
+    } else if (name == "stores-early") {
+        ok = readFields(v, &sp.storesEarly);
+    } else if (name == "cond-chain-ops") {
+        ok = readFields(v, &sp.condChainOps);
+    } else if (name == "cold") {
+        ok = readFields(v, &sp.coldBlocks, &sp.coldBlockInsts,
+                        &sp.coldPeriod);
+    } else if (name == "iterations") {
+        ok = readFields(v, &sp.iterations);
+    } else {
+        *error = "unknown spec key '" + name + "'";
+        return false;
+    }
+    if (!ok)
+        *error = "bad value for spec key '" + name + "'";
+    return ok;
 }
 
 // Frame bodies are built with ipc::appendBlob and walked with
@@ -74,13 +238,8 @@ parseU64(const std::string &tok)
 using ipc::appendBlob;
 using Cursor = ipc::BodyCursor;
 
-/**
- * Exact option serialization for job frames. Mirrors the replay
- * bundle's field list (plus width and lockstep, which the bundle
- * carries out-of-band or forces) but encodes doubles as hexfloat so
- * the worker re-derives selection/compilation from bit-identical
- * inputs.
- */
+} // namespace
+
 std::string
 serializeOptionsExact(const VanguardOptions &o)
 {
@@ -113,8 +272,6 @@ serializeOptionsExact(const VanguardOptions &o)
     os << "opt progress-window " << o.simProgressWindow << "\n";
     return os.str();
 }
-
-} // namespace
 
 std::string
 serializeWorkerJob(const WorkerJob &job)
@@ -182,92 +339,69 @@ parseWorkerJob(const std::string &body, WorkerJob *out,
         std::istringstream ls(line);
         std::string key;
         ls >> key;
+        if (key == "opt") {
+            if (!parseOptLine(ls, &out->options, error))
+                return false;
+            continue;
+        }
+        if (key == "spec") {
+            if (!parseSpecLine(ls, out, error))
+                return false;
+            continue;
+        }
+        std::vector<std::string> v = restTokens(ls);
+        bool ok = false;
         if (key == "phase") {
-            ls >> out->phase;
+            ok = v.size() == 1;
+            if (ok)
+                out->phase = v[0];
         } else if (key == "slot") {
-            ls >> out->slot;
+            ok = readFields(v, &out->slot);
         } else if (key == "scope") {
-            std::string tok; ls >> tok;
-            out->scopeKey = parseU64(tok);
+            ok = v.size() == 1 && readHexToken(v[0], &out->scopeKey);
         } else if (key == "scope-start-draw") {
-            ls >> out->scopeStartDraw;
+            ok = readFields(v, &out->scopeStartDraw);
         } else if (key == "delivery") {
-            ls >> out->delivery;
+            ok = readFields(v, &out->delivery);
         } else if (key == "config") {
-            std::string c; ls >> c;
-            out->config = c == "base" ? 0 : 1;
+            ok = v.size() == 1 && (v[0] == "base" || v[0] == "exp");
+            if (ok)
+                out->config = v[0] == "exp" ? 1 : 0;
         } else if (key == "seed") {
-            std::string tok; ls >> tok;
-            out->seed = parseU64(tok);
+            ok = v.size() == 1 && readHexToken(v[0], &out->seed);
         } else if (key == "collect-stalls") {
-            int v; ls >> v; out->collectStalls = v != 0;
+            ok = readFields(v, &out->collectStalls);
         } else if (key == "widths") {
             size_t n = 0;
-            if (!(ls >> n) || n == 0 || n > kMaxSweepWidths) {
+            if (v.empty() || !readToken(v[0], &n) || n == 0 ||
+                n > kMaxSweepWidths || v.size() != n + 1) {
                 *error = "bad width-list length";
                 return false;
             }
             out->widths.assign(n, 0);
-            for (unsigned &w : out->widths) {
-                if (!(ls >> w) || w == 0 || w > kMaxWidthValue) {
+            for (size_t k = 0; k < n; ++k) {
+                unsigned &w = out->widths[k];
+                if (!readToken(v[k + 1], &w) || w == 0 ||
+                    w > kMaxWidthValue) {
                     *error = "bad width in width list";
                     return false;
                 }
             }
-        } else if (key == "spec") {
-            std::string name, tok;
-            ls >> name;
-            BenchmarkSpec &sp = out->spec;
-            if (name == "name") {
-                ls >> out->specName;
-            } else if (name == "fp") {
-                int v; ls >> v; sp.fp = v != 0;
-            } else if (name == "hammocks") {
-                ls >> sp.hammocksPU >> sp.hammocksBP >> sp.hammocksUP;
-            } else if (name == "loads-per-succ") {
-                ls >> sp.loadsPerSucc;
-            } else if (name == "chained-succ-loads") {
-                ls >> sp.chainedSuccLoads;
-            } else if (name == "alu-per-succ") {
-                ls >> sp.aluPerSucc;
-            } else if (name == "fp-per-succ") {
-                ls >> sp.fpPerSucc;
-            } else if (name == "stores-per-succ") {
-                ls >> sp.storesPerSucc;
-            } else if (name == "noise-pu") {
-                ls >> tok; sp.noisePU = parseHexDouble(tok);
-            } else if (name == "taken-pu") {
-                ls >> tok; sp.takenPU = parseHexDouble(tok);
-            } else if (name == "working-set-kb") {
-                ls >> sp.workingSetKB;
-            } else if (name == "stride-lines") {
-                ls >> sp.strideLines;
-            } else if (name == "stores-early") {
-                int v; ls >> v; sp.storesEarly = v != 0;
-            } else if (name == "cond-chain-ops") {
-                ls >> sp.condChainOps;
-            } else if (name == "cold") {
-                ls >> sp.coldBlocks >> sp.coldBlockInsts
-                   >> sp.coldPeriod;
-            } else if (name == "iterations") {
-                ls >> sp.iterations;
-            }
-        } else if (key == "opt") {
-            if (!parseOptLine(ls, &out->options, error))
-                return false;
+            ok = true;
         } else if (key == "blob") {
-            std::string name;
             size_t len = 0;
-            ls >> name >> len;
-            std::string data;
-            if (!cur.raw(len, &data)) {
-                *error = "truncated blob '" + name + "'";
+            ok = v.size() == 2 && v[0] == "profile" &&
+                 readToken(v[1], &len);
+            if (ok && !cur.raw(len, &out->profileText)) {
+                *error = "truncated blob 'profile'";
                 return false;
             }
-            if (name == "profile")
-                out->profileText = std::move(data);
         } else {
             *error = "unknown job key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            *error = "bad value for job key '" + key + "'";
             return false;
         }
     }

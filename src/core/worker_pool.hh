@@ -16,7 +16,8 @@
  * Job bodies cross the boundary fully self-contained (complete
  * BenchmarkSpec, exact hexfloat-encoded options, and — for simulate
  * jobs — the serialized TRAIN profile), so workers never touch the
- * filesystem and any single job is replayable by construction. Train
+ * filesystem and any single job is replayable by construction (a
+ * replay bundle, core/replay.hh, is one such frame on disk). Train
  * jobs return the serialized profile (the supervisor re-derives
  * selection via trainFromProfile, proven bit-identical by the resume
  * path); simulate jobs return SimStats through the journal's
@@ -175,7 +176,19 @@ struct WorkerResult
  *  registration so both isolation modes dump identical shapes. */
 std::vector<uint64_t> workerRttBoundsMs();
 
-/** Frame-body codecs (versioned text, exact numeric round-trips). */
+/**
+ * The `opt <name> <value>` lines of the full VanguardOptions vector,
+ * doubles as exact hexfloat: the one options writer, shared by job
+ * frames, replay bundles and the journal's sweep-spec hash. Its reader
+ * is parseWorkerJob, which fails by key name on an unknown name or on
+ * a value that is not one whole token of its type.
+ */
+std::string serializeOptionsExact(const VanguardOptions &opts);
+
+/** Frame-body codecs (versioned text, exact numeric round-trips).
+ *  parseWorkerJob is strict: each value is one whole token of its
+ *  type, and an unknown key, a trailing token or a bad value fails
+ *  with an `*error` naming the key. */
 std::string serializeWorkerJob(const WorkerJob &job);
 bool parseWorkerJob(const std::string &body, WorkerJob *out,
                     std::string *error);

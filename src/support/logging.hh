@@ -19,6 +19,8 @@
 #ifndef VANGUARD_SUPPORT_LOGGING_HH
 #define VANGUARD_SUPPORT_LOGGING_HH
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -90,6 +92,14 @@ csprintf(const char *fmt, Args &&...args)
 }
 
 } // namespace detail
+
+/** "0x"-prefixed lowercase hex: how seeds and scope keys are spelled
+ *  in every text format and message. */
+inline std::string
+hexU64(uint64_t v)
+{
+    return detail::csprintf("0x%" PRIx64, v);
+}
 
 } // namespace vanguard
 

@@ -270,8 +270,6 @@ MetricsRegistry::scopeCount() const
 
 // --- export ------------------------------------------------------------
 
-namespace {
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -292,6 +290,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace {
 
 std::string
 fmtDouble(double v)

@@ -60,6 +60,11 @@ sanitizeMetricKey(const std::string &name)
     return out;
 }
 
+/** Escape `s` for a JSON string literal: `"` and `\` get a
+ *  backslash, and every control byte is spelled `\u00XX`. Shared by
+ *  the metrics dump, trace export and the telemetry endpoint. */
+std::string jsonEscape(const std::string &s);
+
 /**
  * A job's metric summary: (path, value, aggregation) triples produced
  * on the worker thread and folded into a registry once. Header-only so

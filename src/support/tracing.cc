@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/flight_recorder.hh"
+#include "support/metrics.hh"
 
 namespace vanguard {
 
@@ -23,27 +24,6 @@ struct TlsCache
 
 thread_local TlsCache t_cache;
 thread_local Tracer *t_current_tracer = nullptr;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
 
 } // namespace
 

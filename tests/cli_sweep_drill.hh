@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers of the end-to-end sweep drills that drive the real
- * vanguard_cli binary across execution modes (test_net_sweep,
- * test_telemetry_obs): launching the CLI, running one sweep in-process,
+ * vanguard_cli binary across execution modes (test_crash,
+ * test_net_sweep, test_telemetry_obs): launching the CLI, running one sweep in-process,
  * isolated or distributed, and the comparison discipline for its
  * artifacts. Journals compare as sorted records (completion order is
  * legitimately nondeterministic); metrics dumps compare minus the

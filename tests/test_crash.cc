@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_sweep_drill.hh"
 #include "core/journal.hh"
 #include "core/runner.hh"
 #include "core/worker_pool.hh"
@@ -331,6 +333,14 @@ TEST(Journal, SpecHashPinsTheSweepDefinition)
     VanguardOptions tweaked = opts;
     tweaked.predictor = "tage";
     EXPECT_NE(base_hash, sweepSpecHash(suite, {4}, tweaked));
+    // Doubles are hashed exactly: a threshold that differs only in the
+    // 7th significant digit is a different sweep.
+    VanguardOptions near = opts;
+    near.selection.minExposed = 0.1234567;
+    VanguardOptions nearer = opts;
+    nearer.selection.minExposed = 0.1234568;
+    EXPECT_NE(sweepSpecHash(suite, {4}, near),
+              sweepSpecHash(suite, {4}, nearer));
 }
 
 TEST(AtomicFile, WritesAndReplacesWholeFiles)
@@ -796,6 +806,52 @@ TEST(FaultStorm, DeterministicPartialResultsAndCleanResume)
             EXPECT_TRUE(matched) << suite[b].name;
         }
     }
+}
+
+/**
+ * A replay bundle is the failed job's worker frame, so the in-process
+ * pool and spawned workers write the same bytes for the same failing
+ * sweep, and `vanguard_cli --replay` reproduces the failure from it.
+ */
+TEST(ReplayCli, BundlesMatchAcrossModesAndReproduce)
+{
+    std::string dir = freshDir("replay-modes");
+    std::filesystem::create_directories(dir);
+    std::map<std::string, std::string> bundles[2];
+    for (int isolated = 0; isolated < 2; ++isolated) {
+        std::string vgr = dir + (isolated ? "/isolated" : "/inproc");
+        std::vector<std::string> args = {
+            "--benchmark", "bzip2-like", "--iterations", "3000",
+            "--all-refs", "--jobs", "2", "--cycle-budget", "2000",
+            "--replay-dir", vgr};
+        if (isolated)
+            args.push_back("--isolate-jobs");
+        // Every simulate job hangs: more failures than the default
+        // threshold of zero.
+        EXPECT_EQ(drill::runToCompletion(args, dir + "/sweep.out",
+                                         dir + "/sweep.err"),
+                  3)
+            << readFile(dir + "/sweep.err");
+        for (const auto &e : std::filesystem::directory_iterator(vgr)) {
+            if (e.path().extension() == ".vgr")
+                bundles[isolated][e.path().filename()] =
+                    readFile(e.path());
+        }
+    }
+    ASSERT_EQ(bundles[0].size(), kNumRefSeeds * 2);
+    for (const auto &[name, text] : bundles[0])
+        EXPECT_EQ(text, bundles[1][name]) << name;
+    EXPECT_EQ(bundles[1].size(), bundles[0].size());
+
+    std::string bundle = dir + "/isolated/" + bundles[1].begin()->first;
+    EXPECT_EQ(drill::runToCompletion({"--replay", bundle},
+                                     dir + "/replay.out",
+                                     dir + "/replay.err"),
+              0)
+        << readFile(dir + "/replay.err");
+    EXPECT_NE(readFile(dir + "/replay.out").find("REPRODUCED"),
+              std::string::npos)
+        << readFile(dir + "/replay.out");
 }
 
 } // namespace

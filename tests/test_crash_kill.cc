@@ -24,6 +24,8 @@
 
 #include "core/journal.hh"
 #include "core/replay.hh"
+#include "profile/profile_io.hh"
+#include "workloads/suites.hh"
 
 #ifndef VANGUARD_CLI_BIN
 #error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
@@ -256,15 +258,21 @@ TEST(CrashKill, ReplayOfUnusableCacheExitsWithUsageError)
     std::string out = ::testing::TempDir() + "bad-bundle.out";
     std::string path = ::testing::TempDir() + "bad-bundle.vgr";
     for (unsigned size_kb : {0u, 4'000'000'000u}) {
-        ReplayBundle bundle;
-        bundle.benchmark = "mcf-like";
-        bundle.iterations = 500;
-        bundle.seed = 1;
-        bundle.options.l1iSizeKB = size_kb;
+        ReplayJob bundle;
+        WorkerJob &job = bundle.job;
+        job.phase = "simulate";
+        job.spec = findBenchmark("mcf-like");
+        job.spec.iterations = 500;
+        job.specName = job.spec.name;
+        job.widths = {4};
+        job.seed = 1;
+        job.profileText =
+            serializeProfile(trainBenchmark(job.spec, job.options).profile);
+        job.options.l1iSizeKB = size_kb;
         bundle.errorKind = "Fault";
         {
             std::ofstream f(path);
-            f << serializeReplayBundle(bundle);
+            f << serializeReplayJob(bundle);
         }
         pid_t pid = launch({"--replay", path}, out);
         int status = 0;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <climits>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/runner.hh"
 #include "exec/interpreter.hh"
 #include "ir/builder.hh"
+#include "profile/profile_io.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/thread_pool.hh"
@@ -481,54 +483,81 @@ TEST(RunnerFault, StrictWrapperRethrowsRootCause)
     }
 }
 
+/** Run a bundle's job as `vanguard_cli --replay` does. */
+WorkerResult
+replay(ReplayJob r)
+{
+    r.job.bindSpecName();
+    r.job.options.lockstep = true;
+    return JobBodyRunner().run(r.job);
+}
+
 TEST(Replay, BundleRoundTripsThroughText)
 {
-    ReplayBundle b;
-    b.benchmark = "mcf-like";
-    b.phase = "simulate";
-    b.width = 8;
-    b.config = 0;
-    b.seed = kRefSeeds[2];
-    b.iterations = 12345;
-    b.options.predictor = "tage";
-    b.options.applySuperblock = false;
-    b.options.dbbEntries = 4;
-    b.options.selection.minExposed = 0.25;
-    b.options.simCycleBudget = 777;
+    ReplayJob b;
+    b.job.phase = "simulate";
+    b.job.slot = 5;
+    b.job.spec = quick("mcf-like", 12345);
+    b.job.specName = b.job.spec.name;
+    b.job.bindSpecName();
+    b.job.config = 0;
+    b.job.collectStalls = true;
+    b.job.widths = {8};
+    b.job.seed = kRefSeeds[2];
+    b.job.options.predictor = "tage";
+    b.job.options.applySuperblock = false;
+    b.job.options.dbbEntries = 4;
+    b.job.options.selection.minExposed = 0.1234567;
+    b.job.options.simCycleBudget = 777;
+    b.job.profileText = "vanguard-profile v1\nraw\n";
     b.errorKind = "Hang";
-    b.errorMessage = "cycle budget exceeded: something something";
+    b.errorMessage = "cycle budget exceeded:\nsomething something";
 
-    ReplayParseResult parsed =
-        parseReplayBundle(serializeReplayBundle(b));
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    const ReplayBundle &r = parsed.bundle;
-    EXPECT_EQ(r.benchmark, "mcf-like");
-    EXPECT_EQ(r.phase, "simulate");
-    EXPECT_EQ(r.width, 8u);
-    EXPECT_EQ(r.config, 0);
-    EXPECT_EQ(r.seed, kRefSeeds[2]);
-    EXPECT_EQ(r.iterations, 12345u);
-    EXPECT_EQ(r.options.predictor, "tage");
-    EXPECT_FALSE(r.options.applySuperblock);
-    EXPECT_EQ(r.options.dbbEntries, 4u);
-    EXPECT_DOUBLE_EQ(r.options.selection.minExposed, 0.25);
-    EXPECT_EQ(r.options.simCycleBudget, 777u);
+    ReplayJob r;
+    std::string err;
+    ASSERT_TRUE(parseReplayJob(serializeReplayJob(b), &r, &err)) << err;
+    EXPECT_EQ(r.job.specName, "mcf-like");
+    EXPECT_STREQ(r.job.spec.name, "mcf-like");
+    EXPECT_EQ(r.job.phase, "simulate");
+    EXPECT_EQ(r.job.slot, 5u);
+    EXPECT_EQ(r.job.widths, std::vector<unsigned>{8});
+    EXPECT_EQ(r.job.config, 0);
+    EXPECT_TRUE(r.job.collectStalls);
+    EXPECT_EQ(r.job.seed, kRefSeeds[2]);
+    EXPECT_EQ(r.job.spec.iterations, 12345u);
+    EXPECT_EQ(r.job.options.predictor, "tage");
+    EXPECT_FALSE(r.job.options.applySuperblock);
+    EXPECT_EQ(r.job.options.dbbEntries, 4u);
+    EXPECT_EQ(r.job.options.selection.minExposed, 0.1234567);
+    EXPECT_EQ(r.job.options.simCycleBudget, 777u);
+    EXPECT_EQ(r.job.profileText, b.job.profileText);
     EXPECT_EQ(r.errorKind, "Hang");
-    EXPECT_EQ(r.errorMessage,
-              "cycle budget exceeded: something something");
+    // The message is one line of the bundle.
+    EXPECT_EQ(r.errorMessage, "cycle budget exceeded: something something");
 
-    EXPECT_FALSE(parseReplayBundle("not a bundle\n").ok);
-    EXPECT_FALSE(
-        parseReplayBundle("vanguard-replay v1\nwidth 4\n").ok);
+    EXPECT_FALSE(parseReplayJob("not a bundle\n", &r, &err));
+    EXPECT_FALSE(parseReplayJob("vanguard-replay v2\n", &r, &err));
+    EXPECT_FALSE(parseReplayJob(
+        "vanguard-replay v2\nerror-kind Boom\nerror-msg x\n" +
+            serializeWorkerJob(b.job),
+        &r, &err));
+    EXPECT_NE(err.find("'Boom'"), std::string::npos) << err;
+    // The job frame is read by its own strict parser: a bundle whose
+    // frame is cut short fails.
+    std::string text = serializeReplayJob(b);
+    EXPECT_FALSE(parseReplayJob(text.substr(0, text.size() - 4), &r, &err));
 }
 
 TEST(Replay, OptLinesAreStrict)
 {
-    const std::string head = "vanguard-replay v1\nbenchmark mcf-like\n";
-    ReplayParseResult good =
-        parseReplayBundle(head + "opt dbb-entries 8\n");
-    ASSERT_TRUE(good.ok) << good.error;
-    EXPECT_EQ(good.bundle.options.dbbEntries, 8u);
+    const std::string head = "vanguard-replay v2\nerror-kind Hang\n"
+                             "error-msg x\nvanguard-workerjob v2\n"
+                             "phase train\n";
+    ReplayJob good;
+    std::string err;
+    ASSERT_TRUE(parseReplayJob(head + "opt dbb-entries 8\n", &good, &err))
+        << err;
+    EXPECT_EQ(good.job.options.dbbEntries, 8u);
     // An unknown name (a retired key among them) or a value that is
     // not one whole token of its type refuses the bundle, naming the
     // key.
@@ -540,32 +569,42 @@ TEST(Replay, OptLinesAreStrict)
              {"opt dbb-entries -3", "dbb-entries"},
              {"opt sel-min-exposed garbage", "sel-min-exposed"},
              {"opt icache-prefetch yes", "icache-prefetch"}}) {
-        ReplayParseResult r = parseReplayBundle(head + line + "\n");
-        EXPECT_FALSE(r.ok) << line;
-        EXPECT_NE(r.error.find("'" + key + "'"), std::string::npos)
-            << line << ": " << r.error;
+        ReplayJob r;
+        err.clear();
+        EXPECT_FALSE(parseReplayJob(head + line + "\n", &r, &err)) << line;
+        EXPECT_NE(err.find("'" + key + "'"), std::string::npos)
+            << line << ": " << err;
     }
 }
 
 TEST(Replay, UnknownFutureVersionRaisesIoNamingIt)
 {
+    ReplayJob r;
+    std::string err;
     // A bundle written by a newer build must refuse loudly — naming
     // the version it saw — rather than misparse the payload.
     try {
-        parseReplayBundle("vanguard-replay v2\nbenchmark x\n");
+        parseReplayJob("vanguard-replay v3\nerror-kind Hang\n", &r, &err);
         FAIL() << "future bundle version accepted";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Io);
-        EXPECT_NE(e.detail().find("v2"), std::string::npos);
+        EXPECT_NE(e.detail().find("v3"), std::string::npos);
         EXPECT_NE(e.detail().find("vanguard-replay"),
                   std::string::npos);
     }
     // Malformed version tails refuse the same way.
-    EXPECT_THROW(parseReplayBundle("vanguard-replay vX\n"), SimError);
-    EXPECT_THROW(parseReplayBundle("vanguard-replay\n"), SimError);
+    EXPECT_THROW(parseReplayJob("vanguard-replay vX\n", &r, &err),
+                 SimError);
+    EXPECT_THROW(parseReplayJob("vanguard-replay\n", &r, &err), SimError);
     // A file that is not a replay bundle at all is an ordinary parse
     // failure, not an exception.
-    EXPECT_FALSE(parseReplayBundle("something else v2\n").ok);
+    EXPECT_FALSE(parseReplayJob("something else v2\n", &r, &err));
+    // The retired v1 format fails cleanly, naming its version, before
+    // any of it is read.
+    EXPECT_FALSE(parseReplayJob(
+        "vanguard-replay v1\nbenchmark mcf-like\nphase simulate\n", &r,
+        &err));
+    EXPECT_NE(err.find("vanguard-replay v1"), std::string::npos) << err;
 }
 
 TEST(Replay, GenuineFailureWritesReproducibleBundle)
@@ -577,6 +616,9 @@ TEST(Replay, GenuineFailureWritesReproducibleBundle)
     std::vector<BenchmarkSpec> suite = {quick("bzip2-like", 15000)};
     VanguardOptions opts;
     opts.simCycleBudget = 2'000;
+    // Not representable in six significant digits: the bundle must
+    // carry it bit-exactly.
+    opts.selection.minExposed = 0.1234567;
 
     RunnerOptions ropts;
     ropts.jobs = 4;
@@ -589,16 +631,22 @@ TEST(Replay, GenuineFailureWritesReproducibleBundle)
     EXPECT_EQ(f.kind, SimError::Kind::Hang);
     ASSERT_FALSE(f.bundlePath.empty());
 
-    ReplayParseResult parsed = loadReplayBundle(f.bundlePath);
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.bundle.benchmark, "bzip2-like");
-    EXPECT_EQ(parsed.bundle.errorKind, "Hang");
-    EXPECT_EQ(parsed.bundle.options.simCycleBudget, 2'000u);
+    ReplayJob parsed;
+    std::string err;
+    ASSERT_TRUE(loadReplayJob(f.bundlePath, &parsed, &err)) << err;
+    EXPECT_EQ(parsed.job.specName, "bzip2-like");
+    EXPECT_EQ(parsed.job.phase, "simulate");
+    EXPECT_EQ(parsed.job.widths, std::vector<unsigned>{4});
+    EXPECT_FALSE(parsed.job.profileText.empty());
+    EXPECT_EQ(parsed.errorKind, "Hang");
+    EXPECT_EQ(parsed.job.options.simCycleBudget, 2'000u);
+    EXPECT_EQ(std::memcmp(&parsed.job.options.selection.minExposed,
+                          &opts.selection.minExposed, sizeof(double)),
+              0);
 
-    ReplayOutcome out = replayBundle(parsed.bundle);
-    EXPECT_TRUE(out.failed);
-    EXPECT_TRUE(out.reproduced) << out.kind << ": " << out.message;
-    EXPECT_EQ(out.kind, "Hang");
+    WorkerResult out = replay(parsed);
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.kind, SimError::Kind::Hang) << out.message;
 }
 
 /**
@@ -652,32 +700,40 @@ TEST(Replay, HangInOneFusedLaneNamesItsWidth)
         ASSERT_FALSE(f.bundlePath.empty());
         EXPECT_NE(f.bundlePath.find("-w2-"), std::string::npos)
             << f.bundlePath;
-        ReplayParseResult parsed = loadReplayBundle(f.bundlePath);
-        ASSERT_TRUE(parsed.ok) << parsed.error;
-        EXPECT_EQ(parsed.bundle.width, 2u);
+        ReplayJob parsed;
+        std::string err;
+        ASSERT_TRUE(loadReplayJob(f.bundlePath, &parsed, &err)) << err;
+        EXPECT_EQ(parsed.job.widths, std::vector<unsigned>{2});
     }
-    ReplayOutcome out = replayBundle(
-        loadReplayBundle(report.failures[0].bundlePath).bundle);
-    EXPECT_TRUE(out.reproduced) << out.kind << ": " << out.message;
+    ReplayJob first;
+    std::string err;
+    ASSERT_TRUE(loadReplayJob(report.failures[0].bundlePath, &first, &err))
+        << err;
+    WorkerResult out = replay(first);
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.kind, SimError::Kind::Hang) << out.message;
 }
 
 TEST(Replay, CleanBundleReportsNoReproduction)
 {
     // The same job with a sane budget runs clean: replay reports it.
-    ReplayBundle b;
-    b.benchmark = "bzip2-like";
-    b.phase = "simulate";
-    b.width = 4;
-    b.config = 1;
-    b.seed = kRefSeeds[0];
-    b.iterations = 1000;
+    ReplayJob b;
+    WorkerJob &j = b.job;
+    j.phase = "simulate";
+    j.spec = quick("bzip2-like", 1000);
+    j.specName = j.spec.name;
+    j.config = 1;
+    j.widths = {4};
+    j.seed = kRefSeeds[0];
+    j.profileText =
+        serializeProfile(trainBenchmark(j.spec, j.options).profile);
     b.errorKind = "Hang";
     b.errorMessage = "was a hang once";
 
-    ReplayOutcome out = replayBundle(b);
-    EXPECT_FALSE(out.failed);
-    EXPECT_FALSE(out.reproduced);
-    EXPECT_GT(out.stats.cycles, 0u);
+    WorkerResult out = replay(b);
+    EXPECT_TRUE(out.ok) << out.message;
+    ASSERT_EQ(out.lanes.size(), 1u);
+    EXPECT_GT(out.lanes[0].cycles, 0u);
 }
 
 } // namespace

@@ -307,13 +307,54 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
              {"opt dbb-entries", "dbb-entries"},
              {"opt width 4 4", "width"},
              {"opt superblock 2", "superblock"},
-             {"opt sim-max-insts 12k", "sim-max-insts"}}) {
+             {"opt sim-max-insts 12k", "sim-max-insts"},
+             // Every other line is as strict as an `opt` line.
+             {"config other", "config"},
+             {"config exp exp", "config"},
+             {"seed 12", "seed"},
+             {"seed 0xzz", "seed"},
+             {"scope 0x1 2", "scope"},
+             {"slot -1", "slot"},
+             {"slot 3x", "slot"},
+             {"delivery x", "delivery"},
+             {"scope-start-draw 1.5", "scope-start-draw"},
+             {"collect-stalls 2", "collect-stalls"},
+             {"phase", "phase"},
+             {"blob notes 3", "blob"},
+             {"spec fp 7", "fp"},
+             {"spec hammocks 1 2", "hammocks"},
+             {"spec hammocks 1 2 3 4", "hammocks"},
+             {"spec noise-pu abc", "noise-pu"},
+             {"spec iterations -5", "iterations"},
+             {"spec name", "name"},
+             {"spec colour 3", "colour"}}) {
         WorkerJob j;
         err.clear();
         EXPECT_FALSE(parseWorkerJob(head + line + "\n", &j, &err)) << line;
         EXPECT_NE(err.find("'" + key + "'"), std::string::npos)
             << line << ": " << err;
     }
+    // The control: the same keys with well-formed values parse.
+    WorkerJob j;
+    ASSERT_TRUE(parseWorkerJob(head +
+                                   "config base\nseed 0xbef1\nscope 0x0\n"
+                                   "slot 3\ndelivery 2\n"
+                                   "scope-start-draw 4\ncollect-stalls 1\n"
+                                   "spec fp 1\nspec hammocks 1 2 3\n"
+                                   "spec noise-pu 0x1p-4\n"
+                                   "spec iterations 500\n",
+                               &j, &err))
+        << err;
+    EXPECT_EQ(j.config, 0);
+    EXPECT_EQ(j.seed, 0xbef1u);
+    EXPECT_EQ(j.slot, 3u);
+    EXPECT_EQ(j.delivery, 2u);
+    EXPECT_EQ(j.scopeStartDraw, 4u);
+    EXPECT_TRUE(j.collectStalls);
+    EXPECT_TRUE(j.spec.fp);
+    EXPECT_EQ(j.spec.hammocksUP, 3u);
+    EXPECT_EQ(j.spec.noisePU, 0.0625);
+    EXPECT_EQ(j.spec.iterations, 500u);
 }
 
 TEST(WorkerCodec, WidthListsAreCappedAndComplete)
