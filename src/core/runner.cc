@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -176,6 +177,15 @@ recordFailure(JobFailure &f, const RunnerOptions &ropts,
     }
     f.bundlePath = path;
 }
+
+/** Where a job's outcome came from. */
+enum class Source
+{
+    Fresh,      ///< executed now; journaled when checkpointing
+    Journal,    ///< rematerialized from the resume journal, not re-run
+    Rerun,      ///< journaled as done, re-executed (compile artifacts
+                ///< must exist in memory); counts as replayed
+};
 
 /** Append one job kind's failures to the report in job-index order. */
 void
@@ -432,8 +442,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     reg.counter("engine.worker.heartbeat_misses");
     reg.counter("engine.worker.quarantined_jobs");
     reg.counter("engine.worker.frames");
-    Histogram &job_rtt =
-        reg.histogram("engine.worker.job_rtt", workerRttBoundsMs());
+    reg.histogram("engine.worker.job_rtt", workerRttBoundsMs());
     // Sweep-fabric instruments follow the same rule: registered in
     // every mode (all-zero without --serve-sweep) so dump shape is
     // identical between local, process-isolated, and distributed runs.
@@ -555,6 +564,61 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         return wj;
     };
 
+    // Every job outcome settles in one place: fresh ok, fresh failure,
+    // replayed ok, replayed failure. A job kind parameterises it with
+    // its journal tag, its phase counters, what an ok job merges into
+    // the registry and journals, and the frame a failure's replay
+    // bundle holds.
+    ProgressReporter progress(ropts.tag, reg);
+    struct JobKind
+    {
+        char tag;                   ///< journal record phase
+        Counter &completed;         ///< engine.phase.<kind>.completed
+        Counter &failed;            ///< engine.phase.<kind>.failed
+        std::function<void(size_t)> merge;
+        /** Fill an ok journal record (and write what it points at). */
+        std::function<void(size_t, JournalRecord &)> journalOk;
+        /** The frame a failure's replay bundle holds (index, tries). */
+        std::function<WorkerJob(size_t, unsigned)> bundle;
+    };
+    auto settle = [&](const JobKind &kind, const JobIdentity &id,
+                      std::optional<JobFailure> &fail, Source src) {
+        if (src != Source::Fresh) {
+            ckpt->countReplay();
+            jobs_replayed.add();
+        }
+        if (fail.has_value()) {
+            if (src != Source::Journal) {
+                recordFailure(*fail, ropts, [&] {
+                    return kind.bundle(id.index, fail->attempts);
+                });
+            }
+            jobs_failed.add();
+            kind.failed.add();
+        } else {
+            jobs_completed.add();
+            kind.completed.add();
+            kind.merge(id.index);
+            if (src == Source::Journal && tracer != nullptr) {
+                tracer->instant("job.replayed",
+                                Tracer::args({{"job", id.describe()}}));
+            }
+        }
+        if (src == Source::Fresh && ckpt != nullptr) {
+            if (fail.has_value()) {
+                ckpt->append(recordFromFailure(kind.tag, id.index, *fail));
+            } else {
+                JournalRecord rec;
+                rec.phase = kind.tag;
+                rec.index = id.index;
+                rec.ok = true;
+                kind.journalOk(id.index, rec);
+                ckpt->append(rec);
+            }
+        }
+        progress.tick();
+    };
+
     // Train: one job per benchmark (width-independent). With a
     // journal, a completed slot replays: failures rematerialize, ok
     // records reload the checkpointed TRAIN profile (falling back to
@@ -572,27 +636,32 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         reg.mergeJobSnapshot("train." + std::string(suite[b].name),
                              snap);
     };
-    ProgressReporter train_progress(ropts.tag, "train", B);
-    train_progress.observeFailures(&train_failed);
-    train_progress.observeRetries(&jobs_retries);
+    const JobKind train_kind{
+        'T', train_done, train_failed, mergeTrain,
+        [&](size_t b, JournalRecord &) {
+            try {
+                writeFileAtomic(ckpt->trainProfilePath(suite[b].name),
+                                serializeProfile(trains[b].profile));
+            } catch (const SimError &e) {
+                vg_warn("cannot checkpoint TRAIN profile for %s (%s); "
+                        "resume will retrain",
+                        suite[b].name, e.detail().c_str());
+            }
+        },
+        trainJobBody};
     // Returns false when a drain discarded the job before it settled
     // (no result, no failure, no journal record).
     auto runTrain = [&](size_t b) -> bool {
         ScopedCurrentTracer ambient(tracer);
         JobIdentity id = trainId(b);
         faultinject::Scope job_scope(jobScopeKey(id, 0));
+        Source src = Source::Fresh;
         if (ckpt != nullptr) {
             auto it = ckpt->prior.train.find(b);
-            if (it != ckpt->prior.train.end()) {
-                if (!it->second.ok) {
-                    train_fail[b] = failureFromRecord(id, it->second);
-                    ckpt->countReplay();
-                    jobs_replayed.add();
-                    jobs_failed.add();
-                    train_failed.add();
-                    train_progress.jobFailedReplayed();
-                    return true;
-                }
+            if (it != ckpt->prior.train.end() && !it->second.ok) {
+                train_fail[b] = failureFromRecord(id, it->second);
+                src = Source::Journal;
+            } else if (it != ckpt->prior.train.end()) {
                 std::string path = ckpt->trainProfilePath(suite[b].name);
                 std::ifstream in(path);
                 std::stringstream buf;
@@ -602,24 +671,14 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 if (in && parsed.ok) {
                     trains[b] = trainFromProfile(
                         suite[b], std::move(parsed.profile), base);
-                    ckpt->countReplay();
-                    jobs_replayed.add();
-                    jobs_completed.add();
-                    train_done.add();
-                    mergeTrain(b);
-                    if (tracer != nullptr) {
-                        tracer->instant(
-                            "job.replayed",
-                            Tracer::args({{"job", id.describe()}}));
-                    }
-                    train_progress.jobReplayed();
-                    return true;
+                    src = Source::Journal;
+                } else {
+                    vg_warn("checkpointed profile %s is unreadable; "
+                            "retraining %s", path.c_str(), suite[b].name);
                 }
-                vg_warn("checkpointed profile %s is unreadable; "
-                        "retraining %s", path.c_str(), suite[b].name);
             }
         }
-        {
+        if (src == Source::Fresh) {
             TraceSpan span(
                 tracer, "train",
                 tracer == nullptr
@@ -663,38 +722,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                 return false;
             }
         }
-        if (train_fail[b].has_value()) {
-            recordFailure(*train_fail[b], ropts, [&] {
-                return trainJobBody(b, train_fail[b]->attempts);
-            });
-            jobs_failed.add();
-            train_failed.add();
-            train_progress.jobFailed();
-        } else {
-            jobs_completed.add();
-            train_done.add();
-            mergeTrain(b);
-            train_progress.jobDone();
-        }
-        if (ckpt == nullptr)
-            return true;
-        if (train_fail[b].has_value()) {
-            ckpt->append(recordFromFailure('T', b, *train_fail[b]));
-        } else {
-            try {
-                writeFileAtomic(ckpt->trainProfilePath(suite[b].name),
-                                serializeProfile(trains[b].profile));
-            } catch (const SimError &e) {
-                vg_warn("cannot checkpoint TRAIN profile for %s (%s); "
-                        "resume will retrain",
-                        suite[b].name, e.detail().c_str());
-            }
-            JournalRecord rec;
-            rec.phase = 'T';
-            rec.index = b;
-            rec.ok = true;
-            ckpt->append(rec);
-        }
+        settle(train_kind, id, train_fail[b], src);
         return true;
     };
 
@@ -714,9 +742,16 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         reg.mergeJobSnapshot("compile." + std::string(suite[b].name),
                              snap);
     };
-    ProgressReporter compile_progress(ropts.tag, "compile", B);
-    compile_progress.observeFailures(&compile_failed);
-    compile_progress.observeRetries(&jobs_retries);
+    // Compile runs only here, so its bundle is the experimental
+    // simulate job at the first REF seed: replaying it compiles first,
+    // and compile raises before any simulation.
+    const JobKind compile_kind{
+        'C', compile_done, compile_failed, mergeCompile,
+        [](size_t, JournalRecord &) {},
+        [&](size_t b, unsigned attempts) {
+            return simJobBody(b * 2 * S + 1, attempts,
+                              serializeProfile(trains[b].profile));
+        }};
     auto runCompile = [&](size_t b) {
         ScopedCurrentTracer ambient(tracer);
         JobIdentity id;
@@ -724,25 +759,17 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         id.benchmark = suite[b].name;
         id.index = b;
         faultinject::Scope job_scope(jobScopeKey(id, 0));
-        bool journaled = false;
+        Source src = Source::Fresh;
         if (ckpt != nullptr) {
             auto it = ckpt->prior.compile.find(b);
-            if (it != ckpt->prior.compile.end()) {
-                if (!it->second.ok) {
-                    compile_fail[b] = failureFromRecord(id, it->second);
-                    ckpt->countReplay();
-                    jobs_replayed.add();
-                    jobs_failed.add();
-                    compile_failed.add();
-                    compile_progress.jobFailedReplayed();
-                    return;
-                }
-                journaled = true;
-                ckpt->countReplay();
-                jobs_replayed.add();
+            if (it != ckpt->prior.compile.end() && !it->second.ok) {
+                compile_fail[b] = failureFromRecord(id, it->second);
+                src = Source::Journal;
+            } else if (it != ckpt->prior.compile.end()) {
+                src = Source::Rerun;
             }
         }
-        {
+        if (src != Source::Journal) {
             TraceSpan span(
                 tracer, "compile",
                 tracer == nullptr
@@ -756,35 +783,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
                     arts[b] = compileBenchmark(suite[b], trains[b], lead);
                 });
         }
-        if (compile_fail[b].has_value()) {
-            // Compile runs only here, so its bundle is the experimental
-            // simulate job at the first REF seed: replaying it compiles
-            // first, and compile raises before any simulation.
-            recordFailure(*compile_fail[b], ropts, [&] {
-                return simJobBody(b * 2 * S + 1,
-                                  compile_fail[b]->attempts,
-                                  serializeProfile(trains[b].profile));
-            });
-            jobs_failed.add();
-            compile_failed.add();
-            compile_progress.jobFailed();
-        } else {
-            jobs_completed.add();
-            compile_done.add();
-            mergeCompile(b);
-            compile_progress.jobDone();
-        }
-        if (ckpt == nullptr || journaled)
-            return;
-        if (compile_fail[b].has_value()) {
-            ckpt->append(recordFromFailure('C', b, *compile_fail[b]));
-        } else {
-            JournalRecord rec;
-            rec.phase = 'C';
-            rec.index = b;
-            rec.ok = true;
-            ckpt->append(rec);
-        }
+        settle(compile_kind, id, compile_fail[b], src);
     };
 
     // Simulate: one job per (benchmark, config, seed), each its own
@@ -833,18 +832,24 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     for (unsigned w : widths)
         width_list += (width_list.empty() ? "" : ",") +
                       std::to_string(w);
-    ProgressReporter progress(ropts.tag, "simulate", num_sim_jobs);
-    progress.observeFailures(&sim_failed);
-    progress.observeRetries(&jobs_retries);
-    // Surface job-latency and work-size percentiles on the simulate
-    // progress line (p50/p99 of worker RTT and of retired cycles).
-    // Reads are racy-but-monotonic counter loads; display only.
-    progress.observeRtt(&job_rtt);
-    progress.observeSimCycles(&sim_cycles);
     // Remote bodies (process or distributed mode) ship each simulate
     // job its benchmark's serialized TRAIN profile (jobs must be
     // self-contained); compile(b) serializes it once.
     std::vector<std::string> profile_text(B);
+    const JobKind sim_kind{
+        'S', sim_done, sim_failed,
+        [&](size_t i) { mergeSim(i / (2 * S), i % 2, (i / 2) % S); },
+        [&](size_t i, JournalRecord &rec) {
+            rec.widths = widths;
+            for (size_t w = 0; w < W; ++w)
+                rec.lanes.push_back(
+                    sims[simSlot(i / (2 * S), w, (i / 2) % S, i % 2)]);
+        },
+        [&](size_t i, unsigned attempts) {
+            return simJobBody(
+                i, attempts,
+                serializeProfile(arts[i / (2 * S)].train.profile));
+        }};
     auto runSim = [&](size_t i) {
         size_t cfg = i % 2;
         size_t s = (i / 2) % S;
@@ -858,96 +863,60 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
 
         // Journal replay satisfies the job without re-executing (or
         // re-journaling) it.
+        Source src = Source::Fresh;
         if (ckpt != nullptr) {
             auto it = ckpt->prior.sim.find(i);
             if (it != ckpt->prior.sim.end() &&
                 (!it->second.ok || it->second.widths == widths)) {
-                ckpt->countReplay();
-                jobs_replayed.add();
-                if (!it->second.ok) {
+                src = Source::Journal;
+                if (!it->second.ok)
                     sim_fail[i] = failureFromRecord(id, it->second);
-                    nameFailedLane(*sim_fail[i]);
-                    jobs_failed.add();
-                    sim_failed.add();
-                    progress.jobFailedReplayed();
-                    return;
-                }
-                storeLanes(b, cfg, s, it->second.lanes);
-                jobs_completed.add();
-                sim_done.add();
-                mergeSim(b, cfg, s);
-                if (tracer != nullptr) {
-                    tracer->instant(
-                        "job.replayed",
-                        Tracer::args({{"job", id.describe()}}));
-                }
-                progress.jobReplayed();
+                else
+                    storeLanes(b, cfg, s, it->second.lanes);
+            }
+        }
+        if (src == Source::Fresh) {
+            try {
+                TraceSpan span(
+                    tracer, "simulate",
+                    tracer == nullptr
+                        ? std::string()
+                        : Tracer::args(
+                              {{"benchmark", spec.name},
+                               {"widths", width_list},
+                               {"config", cfg == 0 ? "base" : "exp"},
+                               {"seed", hexU64(kRefSeeds[s])},
+                               {"index", std::to_string(i)}}));
+                sim_fail[i] = runGuarded(
+                    id, ropts, tracer, jobs_retries,
+                    [&](unsigned attempt) {
+                        if (fabric == nullptr) {
+                            storeLanes(b, cfg, s,
+                                       simulateConfigWidths(
+                                           spec, config, lead, widths,
+                                           kRefSeeds[s],
+                                           /*collect_branch_stalls=*/
+                                           cfg == 0));
+                            return;
+                        }
+                        WorkerJob wj =
+                            simJobBody(i, attempt, profile_text[b]);
+                        wj.scopeStartDraw =
+                            faultinject::currentDrawCount();
+                        storeLanes(b, cfg, s,
+                                   fabric->execute(std::move(wj)).lanes);
+                    });
+            } catch (const JobDiscarded &) {
+                // Drained before lease: record nothing (journal,
+                // failure table, progress totals all untouched —
+                // identical to a queued job the in-process drain never
+                // dequeued).
                 return;
             }
         }
-
-        try {
-            TraceSpan span(
-                tracer, "simulate",
-                tracer == nullptr
-                    ? std::string()
-                    : Tracer::args(
-                          {{"benchmark", spec.name},
-                           {"widths", width_list},
-                           {"config", cfg == 0 ? "base" : "exp"},
-                           {"seed", hexU64(kRefSeeds[s])},
-                           {"index", std::to_string(i)}}));
-            sim_fail[i] = runGuarded(
-                id, ropts, tracer, jobs_retries, [&](unsigned attempt) {
-                    if (fabric == nullptr) {
-                        storeLanes(b, cfg, s,
-                                   simulateConfigWidths(
-                                       spec, config, lead, widths,
-                                       kRefSeeds[s],
-                                       /*collect_branch_stalls=*/
-                                       cfg == 0));
-                        return;
-                    }
-                    WorkerJob wj = simJobBody(i, attempt, profile_text[b]);
-                    wj.scopeStartDraw = faultinject::currentDrawCount();
-                    storeLanes(b, cfg, s,
-                               fabric->execute(std::move(wj)).lanes);
-                });
-        } catch (const JobDiscarded &) {
-            // Drained before lease: record nothing (journal, failure
-            // table, progress totals all untouched — identical to a
-            // queued job the in-process drain never dequeued).
-            return;
-        }
-        if (sim_fail[i].has_value()) {
+        if (sim_fail[i].has_value())
             nameFailedLane(*sim_fail[i]);
-            recordFailure(*sim_fail[i], ropts, [&] {
-                return simJobBody(i, sim_fail[i]->attempts,
-                                  serializeProfile(arts[b].train.profile));
-            });
-            jobs_failed.add();
-            sim_failed.add();
-            progress.jobFailed();
-        } else {
-            jobs_completed.add();
-            sim_done.add();
-            mergeSim(b, cfg, s);
-            progress.jobDone();
-        }
-        if (ckpt == nullptr)
-            return;
-        if (sim_fail[i].has_value()) {
-            ckpt->append(recordFromFailure('S', i, *sim_fail[i]));
-        } else {
-            JournalRecord rec;
-            rec.phase = 'S';
-            rec.index = i;
-            rec.ok = true;
-            rec.widths = widths;
-            for (size_t w = 0; w < W; ++w)
-                rec.lanes.push_back(sims[simSlot(b, w, s, cfg)]);
-            ckpt->append(rec);
-        }
+        settle(sim_kind, id, sim_fail[i], src);
     };
 
     // Graph edges. Graceful drain: once a shutdown is requested the
@@ -960,10 +929,11 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     JobEnvelope compile_env;
     JobEnvelope sim_env;
     std::vector<std::atomic<size_t>> sims_left(B);
-    auto skipSims = [&] {
-        jobs_skipped.add(2 * S);
-        for (size_t k = 0; k < 2 * S; ++k)
-            progress.jobDone(); // skipped; the sweep advanced
+    // A failed train or compile skips its dependents; the sweep
+    // advances by them all the same.
+    auto skipJobs = [&](size_t n) {
+        jobs_skipped.add(n);
+        progress.tick();
     };
     // After a benchmark's last simulate job only assembleOutcome's
     // inputs stay: the train profile and selection, the static counts,
@@ -994,7 +964,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         if (shutdownRequested())
             return;
         if (compile_fail[b].has_value()) {
-            skipSims();
+            skipJobs(2 * S);
             return;
         }
         // arts[b].train now holds the TRAIN artifacts.
@@ -1012,9 +982,7 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
         if (!settled || shutdownRequested())
             return;
         if (train_fail[b].has_value()) {
-            jobs_skipped.add();
-            compile_progress.jobDone();
-            skipSims();
+            skipJobs(1 + 2 * S);
             return;
         }
         pool.submit([&compileJob, b] { compileJob(b); }, b);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Crash flight recorder: a fixed-size in-memory ring of recent
- * engine events (worker deaths, lease losses, job failures, telemetry
- * samples) that can be dumped atomically as a versioned
+ * engine events (worker deaths, lease losses, job failures, tracer
+ * instants) that can be dumped atomically as a versioned
  * `vanguard-flightrec v1` file when something goes wrong — a SimError
  * escaping the sweep, a SIGINT/SIGTERM drain, or a worker/coordinator
  * death. The point is post-mortem of *distributed* failures: the
@@ -12,7 +12,9 @@
  * Design points:
  *  - Recording is cheap and bounded: a mutex-guarded ring of
  *    `capacity` events; the oldest events are overwritten and counted
- *    in `dropped`, so a long sweep cannot grow the recorder.
+ *    in `dropped`, so a long sweep cannot grow the recorder. Nothing
+ *    records on a timer, so the ring keeps the losses and failures of
+ *    a long sweep rather than a stream of periodic samples.
  *  - Timestamps are steady-clock microseconds since recorder
  *    creation — wall-clock facts, which is why flight-recorder
  *    content never feeds the metrics registry (whose dumps must stay

@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry-plane implementation: the STATS codec, the Prometheus
- * text exposition writer and its test-side parser, the sampling
+ * text exposition writer and its test-side parser, the
  * TelemetryHub, and the single-threaded HTTP endpoint. See
  * telemetry.hh for the live/authoritative split this enforces.
  */
@@ -9,14 +9,12 @@
 #include "support/telemetry.hh"
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "support/error.hh"
-#include "support/flight_recorder.hh"
 #include "support/ipc.hh"
 #include "support/progress.hh"
 #include "support/versioned_format.hh"
@@ -251,87 +249,6 @@ TelemetryHub::TelemetryHub(const Options &opts)
         throw SimError(SimError::Kind::Invariant,
                        "TelemetryHub requires a metrics registry");
     }
-    if (opts_.sampleIntervalMs == 0)
-        opts_.sampleIntervalMs = 500;
-    if (opts_.historyCapacity == 0)
-        opts_.historyCapacity = 1;
-    sampleOnce();
-    sampler_ = std::thread([this] { samplerLoop(); });
-}
-
-TelemetryHub::~TelemetryHub()
-{
-    stop();
-}
-
-void
-TelemetryHub::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_)
-            return;
-        stopping_ = true;
-    }
-    cv_.notify_all();
-    if (sampler_.joinable())
-        sampler_.join();
-}
-
-uint64_t
-TelemetryHub::nowMicros() const
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-}
-
-void
-TelemetryHub::samplerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_) {
-        cv_.wait_for(lock,
-                     std::chrono::milliseconds(opts_.sampleIntervalMs),
-                     [this] { return stopping_; });
-        if (stopping_)
-            break;
-        lock.unlock();
-        sampleOnce();
-        lock.lock();
-    }
-}
-
-void
-TelemetryHub::sampleOnce()
-{
-    HistoryPoint pt;
-    pt.tsMicros = nowMicros();
-    if (const Counter *c =
-            opts_.registry->findCounter("engine.jobs.completed"))
-        pt.jobsCompleted = c->value();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!history_.empty()) {
-            const HistoryPoint &prev = history_.back();
-            double dt =
-                static_cast<double>(pt.tsMicros - prev.tsMicros) / 1e6;
-            if (dt > 1e-3 && pt.jobsCompleted >= prev.jobsCompleted) {
-                pt.jobsPerSec =
-                    static_cast<double>(pt.jobsCompleted -
-                                        prev.jobsCompleted) / dt;
-            }
-        }
-        history_.push_back(pt);
-        while (history_.size() > opts_.historyCapacity)
-            history_.pop_front();
-    }
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "completed=%" PRIu64 " rate=%.2f",
-                  pt.jobsCompleted, pt.jobsPerSec);
-    flightRecord("metric", "telemetry.sample", buf);
 }
 
 void
@@ -350,13 +267,6 @@ TelemetryHub::setLeaseTableProvider(LeaseTableProvider fn)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     leaseProvider_ = std::move(fn);
-}
-
-std::vector<TelemetryHub::HistoryPoint>
-TelemetryHub::history() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::vector<HistoryPoint>(history_.begin(), history_.end());
 }
 
 std::vector<TelemetryHub::PeerView>
@@ -418,17 +328,16 @@ TelemetryHub::metricsText() const
 std::string
 TelemetryHub::progressJson() const
 {
-    auto counterValue = [this](const char *path) -> uint64_t {
-        const Counter *c = opts_.registry->findCounter(path);
-        return c != nullptr ? c->value() : 0;
-    };
-    uint64_t total = counterValue("engine.jobs.total");
-    uint64_t completed = counterValue("engine.jobs.completed");
-    uint64_t failed = counterValue("engine.jobs.failed");
-    uint64_t retries = counterValue("engine.jobs.retries");
-    uint64_t replayed = counterValue("engine.jobs.replayed");
+    return progressJson(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - epoch_)
+                            .count());
+}
 
-    std::vector<HistoryPoint> hist = history();
+std::string
+TelemetryHub::progressJson(double uptimeSecs) const
+{
+    ProgressSnapshot snap = ProgressSnapshot::read(*opts_.registry);
+    ProgressRate rate = progressRate(snap, uptimeSecs);
     std::vector<PeerView> pv = peers();
     LeaseTableProvider provider;
     {
@@ -443,39 +352,26 @@ TelemetryHub::progressJson() const
     if (provider)
         leases = provider();
 
-    double rate = hist.empty() ? 0.0 : hist.back().jobsPerSec;
-    double eta = -1.0;
-    if (completed >= total) {
-        eta = 0.0;
-    } else if (rate > 1e-9) {
-        eta = static_cast<double>(total - completed) / rate;
-        if (eta > ProgressReporter::kMaxEtaSecs)
-            eta = ProgressReporter::kMaxEtaSecs;
-    }
-
     std::ostringstream os;
     os << "{\n";
     os << "  \"schema\": \"" << kProgressSchema << "\",\n";
-    os << "  \"uptime_secs\": "
-       << fmtDouble(static_cast<double>(nowMicros()) / 1e6) << ",\n";
-    os << "  \"jobs\": {\"total\": " << total << ", \"completed\": "
-       << completed << ", \"failed\": " << failed
-       << ", \"retries\": " << retries << ", \"replayed\": "
-       << replayed << "},\n";
-    os << "  \"throughput_jobs_per_sec\": " << fmtDouble(rate)
+    os << "  \"uptime_secs\": " << fmtDouble(uptimeSecs) << ",\n";
+    os << "  \"jobs\": {\"total\": " << snap.total << ", \"done\": "
+       << snap.done() << ", \"completed\": " << snap.completed
+       << ", \"failed\": " << snap.failed << ", \"skipped\": "
+       << snap.skipped << ", \"retries\": " << snap.retries
+       << ", \"replayed\": " << snap.replayed << "},\n";
+    os << "  \"throughput_jobs_per_sec\": " << fmtDouble(rate.jobsPerSec)
        << ",\n";
-    os << "  \"eta_secs\": " << fmtDouble(eta) << ",\n";
-
-    auto histJson = [this, &os](const char *key, const char *path) {
-        const Histogram *h = opts_.registry->findHistogram(path);
-        os << "  \"" << key << "\": {\"count\": "
-           << (h != nullptr ? h->count() : 0) << ", \"p50\": "
-           << (h != nullptr ? h->percentile(0.50) : 0)
-           << ", \"p99\": "
-           << (h != nullptr ? h->percentile(0.99) : 0) << "},\n";
+    os << "  \"eta_secs\": " << fmtDouble(rate.etaSecs) << ",\n";
+    auto percentiles = [&os](const char *key,
+                             const ProgressSnapshot::Percentiles &p) {
+        os << "  \"" << key << "\": {\"count\": " << p.count
+           << ", \"p50\": " << p.p50 << ", \"p99\": " << p.p99
+           << "},\n";
     };
-    histJson("rtt_ms", "engine.worker.job_rtt");
-    histJson("sim_cycles", "engine.sim.cycles");
+    percentiles("rtt_ms", snap.rttMs);
+    percentiles("sim_cycles", snap.simCycles);
 
     os << "  \"peers\": [";
     for (size_t i = 0; i < pv.size(); ++i) {
@@ -502,18 +398,7 @@ TelemetryHub::progressJson() const
            << jsonEscape(l.peer) << "\", \"expires_in_ms\": "
            << l.expiresInMs << "}";
     }
-    os << (leases.empty() ? "],\n" : "\n  ],\n");
-
-    os << "  \"history\": [";
-    for (size_t i = 0; i < hist.size(); ++i) {
-        const HistoryPoint &p = hist[i];
-        os << (i == 0 ? "\n" : ",\n");
-        os << "    {\"ts_micros\": " << p.tsMicros
-           << ", \"jobs_completed\": " << p.jobsCompleted
-           << ", \"jobs_per_sec\": " << fmtDouble(p.jobsPerSec)
-           << "}";
-    }
-    os << (hist.empty() ? "]\n" : "\n  ]\n");
+    os << (leases.empty() ? "]\n" : "\n  ]\n");
     os << "}\n";
     return os.str();
 }

@@ -1,21 +1,24 @@
 /**
  * @file
- * Live telemetry plane: a TelemetryHub that periodically samples the
- * metrics registry into a bounded history, collects advisory
- * `vanguard-stats v1` pushes from isolated workers and remote peers,
- * and renders two live views — Prometheus text exposition
- * (`/metrics`) and a JSON progress report (`/progress`) — served by a
- * tiny single-threaded HTTP endpoint (TelemetryServer,
- * `--telemetry-port`).
+ * Live telemetry plane: a TelemetryHub that collects advisory
+ * `vanguard-stats v1` pushes from isolated workers and remote peers
+ * and renders two live views of the metrics registry — Prometheus
+ * text exposition (`/metrics`) and a JSON progress report
+ * (`/progress`) — served by a tiny single-threaded HTTP endpoint
+ * (TelemetryServer, `--telemetry-port`). The hub runs no thread of
+ * its own: each request reads the registry live, and `/progress`
+ * derives throughput and ETA from that read and the hub's uptime by
+ * the same rule as the stderr progress line (support/progress.hh).
  *
  * The load-bearing design rule is the live/authoritative split:
  * everything in this file is *observational*. The hub reads the
- * registry through MetricsRegistry::sample() (never registers or
- * mutates), peer STATS frames feed only the hub's in-memory peer
- * table (never mergeJobSnapshot), and throughput/ETA/percentile
- * strings go only to HTTP and stderr. Registry dumps, journals, and
- * sweep stdout are therefore byte-identical whether telemetry is on
- * or off — asserted by the tier2_obs drill.
+ * registry through MetricsRegistry::sample() and find*() (never
+ * registers or mutates), peer STATS frames feed only the hub's
+ * in-memory peer table (never mergeJobSnapshot), and
+ * throughput/ETA/percentile strings go only to HTTP and stderr.
+ * Registry dumps, journals, and sweep stdout are therefore
+ * byte-identical whether telemetry is on or off — asserted by the
+ * tier2_obs drill.
  *
  * The STATS frame body ("vanguard-stats v1") is deliberately tolerant:
  * unknown lines are skipped and a malformed body is dropped, never a
@@ -35,9 +38,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -52,7 +53,7 @@ namespace vanguard {
 constexpr const char *kStatsMagic = "vanguard-stats";
 constexpr unsigned kStatsVersion = 1;
 
-constexpr const char *kProgressSchema = "vanguard-progress v1";
+constexpr const char *kProgressSchema = "vanguard-progress v2";
 
 // ---------------------------------------------------------------------
 // STATS frame codec (ipc::kFrameStats bodies)
@@ -134,16 +135,6 @@ class TelemetryHub
     struct Options
     {
         const MetricsRegistry *registry = nullptr;  ///< required
-        unsigned sampleIntervalMs = 500;
-        size_t historyCapacity = 240;   ///< ~2 min at the default rate
-    };
-
-    /** One registry sample tick. */
-    struct HistoryPoint
-    {
-        uint64_t tsMicros = 0;          ///< since hub creation
-        uint64_t jobsCompleted = 0;     ///< engine.jobs.completed
-        double jobsPerSec = 0.0;        ///< delta rate vs prior tick
     };
 
     struct PeerView
@@ -155,13 +146,9 @@ class TelemetryHub
     using LeaseTableProvider = std::function<std::vector<LeaseInfo>()>;
 
     explicit TelemetryHub(const Options &opts);
-    ~TelemetryHub();
 
     TelemetryHub(const TelemetryHub &) = delete;
     TelemetryHub &operator=(const TelemetryHub &) = delete;
-
-    /** Stop and join the sampling thread (idempotent). */
-    void stop();
 
     /** Fold one advisory STATS push into the live peer table
      *  (keyed by ps.identity; latest wins). */
@@ -177,23 +164,19 @@ class TelemetryHub
      *  series (vanguard_peer_*{peer="..."}). */
     std::string metricsText() const;
 
-    /** The `/progress` JSON document (kProgressSchema). */
+    /** The `/progress` JSON document (kProgressSchema), with rate
+     *  and ETA taken over the hub's uptime. */
     std::string progressJson() const;
 
-    std::vector<HistoryPoint> history() const;
+    /** The same document with the elapsed time given explicitly. */
+    std::string progressJson(double uptimeSecs) const;
+
     std::vector<PeerView> peers() const;
 
   private:
-    void samplerLoop();
-    void sampleOnce();
-    uint64_t nowMicros() const;
-
     Options opts_;
     std::chrono::steady_clock::time_point epoch_;
     mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stopping_ = false;
-    std::deque<HistoryPoint> history_;
     struct PeerSlot
     {
         PeerStats stats;
@@ -201,7 +184,6 @@ class TelemetryHub
     };
     std::map<std::string, PeerSlot> peers_;
     LeaseTableProvider leaseProvider_;
-    std::thread sampler_;
 };
 
 // ---------------------------------------------------------------------

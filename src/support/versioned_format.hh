@@ -12,8 +12,9 @@
 #ifndef VANGUARD_SUPPORT_VERSIONED_FORMAT_HH
 #define VANGUARD_SUPPORT_VERSIONED_FORMAT_HH
 
-#include <cstdlib>
+#include <charconv>
 #include <string>
+#include <system_error>
 
 #include "support/error.hh"
 
@@ -37,22 +38,23 @@ parseVersionedHeader(const std::string &line, const std::string &magic,
     if (line.rfind(magic, 0) != 0)
         return false;
     std::string rest = line.substr(magic.size());
-    // Require " v<digits>" exactly; anything else is a version this
-    // reader does not understand.
+    // Require " v<digits>" exactly: no sign, no space, no value past
+    // the range of `unsigned`. Anything else is a version this reader
+    // does not understand.
+    unsigned version = 0;
     bool well_formed = rest.size() >= 3 && rest[0] == ' ' &&
                        rest[1] == 'v';
-    unsigned version = 0;
     if (well_formed) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(rest.c_str() + 2, &end, 10);
-        well_formed = end != nullptr && *end == '\0' && v > 0;
-        version = static_cast<unsigned>(v);
+        const char *first = rest.data() + 2;
+        const char *last = rest.data() + rest.size();
+        auto [end, ec] = std::from_chars(first, last, version);
+        well_formed = ec == std::errc() && end == last && version > 0;
     }
     if (!well_formed || version > max_supported) {
         throw SimError(SimError::Kind::Io,
                        "unsupported " + magic + " version '" +
                            (rest.empty() ? rest : rest.substr(1)) +
-                           "' (this build reads v1..v" +
+                           "' (the newest this build reads is v" +
                            std::to_string(max_supported) + ")");
     }
     if (version_out != nullptr)

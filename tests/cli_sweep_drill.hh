@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers of the end-to-end sweep drills that drive the real
- * vanguard_cli binary across execution modes (test_crash,
- * test_net_sweep, test_telemetry_obs): launching the CLI, running one sweep in-process,
+ * vanguard_cli binary (test_crash, test_crash_kill, test_worker_kill,
+ * test_net_sweep, test_telemetry_obs): launching the CLI, running one
+ * sweep in-process,
  * isolated or distributed, and the comparison discipline for its
  * artifacts. Journals compare as sorted records (completion order is
  * legitimately nondeterministic); metrics dumps compare minus the
@@ -50,20 +51,32 @@ readFile(const std::string &path)
     return buf.str();
 }
 
-/** fork/exec vanguard_cli with stdout/stderr captured; returns pid. */
+/**
+ * fork/exec vanguard_cli with stdout and stderr sent to files (an
+ * empty path means /dev/null); the child inherits this process's
+ * environment (the SEGV-slot drills rely on that). A redirection that
+ * fails exits the child with 126 before exec, so a missing directory
+ * fails the drill instead of spilling the CLI's output into the
+ * test's own. Returns the pid.
+ */
 inline pid_t
 launch(const std::vector<std::string> &args,
-       const std::string &out_path, const std::string &err_path)
+       const std::string &out_path, const std::string &err_path = "")
 {
     pid_t pid = ::fork();
     if (pid != 0)
         return pid;
-    int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    ::dup2(fd, STDOUT_FILENO);
-    int errfd = ::open(err_path.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    ::dup2(errfd, STDERR_FILENO);
+    auto redirect = [](const std::string &path, int target) {
+        int fd = path.empty()
+                     ? ::open("/dev/null", O_WRONLY)
+                     : ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                              0644);
+        if (fd < 0 || ::dup2(fd, target) < 0)
+            std::_Exit(126);
+        ::close(fd);
+    };
+    redirect(out_path, STDOUT_FILENO);
+    redirect(err_path, STDERR_FILENO);
     std::vector<char *> argv;
     argv.push_back(const_cast<char *>(VANGUARD_CLI_BIN));
     for (const std::string &a : args)
@@ -84,7 +97,7 @@ waitExit(pid_t pid)
 inline int
 runToCompletion(const std::vector<std::string> &args,
                 const std::string &out_path,
-                const std::string &err_path)
+                const std::string &err_path = "")
 {
     return waitExit(launch(args, out_path, err_path));
 }

@@ -227,6 +227,19 @@ TEST(Journal, ParseToleratesCrashDebrisAndCountsDuplicates)
         EXPECT_EQ(e.kind(), SimError::Kind::Io);
         EXPECT_NE(e.detail().find("v9"), std::string::npos);
     }
+    // Tails that strtoul read as v2 are not versions: a sign, a space,
+    // and a value that wraps through `unsigned`.
+    for (const char *tail : {"v+2", "v 2", "v4294967298"}) {
+        try {
+            parseJournal(std::string("vanguard-journal ") + tail +
+                         "\nspec 0\njobs 1\n");
+            ADD_FAILURE() << tail << " accepted as a version";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Io) << tail;
+            EXPECT_NE(e.detail().find(tail), std::string::npos)
+                << e.detail();
+        }
+    }
 }
 
 /** Seal a hand-written record body with its CRC, as the writer does. */
@@ -852,6 +865,22 @@ TEST(ReplayCli, BundlesMatchAcrossModesAndReproduce)
     EXPECT_NE(readFile(dir + "/replay.out").find("REPRODUCED"),
               std::string::npos)
         << readFile(dir + "/replay.out");
+}
+
+/** The drills' launcher refuses to run the CLI when it cannot capture
+ *  its output, rather than letting the output spill into the test's. */
+TEST(ReplayCli, DrillLaunchFailsLoudlyWithoutItsOutputDirectory)
+{
+    std::string dir = freshDir("launch-missing");
+    EXPECT_EQ(drill::runToCompletion({"--benchmark", "mcf-like"},
+                                     dir + "/stdout"),
+              126);
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(drill::runToCompletion({"--benchmark", "mcf-like"},
+                                     dir + "/stdout",
+                                     dir + "/missing/stderr"),
+              126);
+    EXPECT_EQ(readFile(dir + "/stdout"), "");
 }
 
 } // namespace

@@ -14,71 +14,30 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_sweep_drill.hh"
 #include "core/journal.hh"
 #include "core/replay.hh"
 #include "profile/profile_io.hh"
 #include "workloads/suites.hh"
 
-#ifndef VANGUARD_CLI_BIN
-#error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
-#endif
-
 namespace vanguard {
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** fork/exec vanguard_cli with stdout > out_path; returns the pid. */
-pid_t
-launch(const std::vector<std::string> &args,
-       const std::string &out_path)
-{
-    pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    ::dup2(fd, STDOUT_FILENO);
-    int errfd = ::open("/dev/null", O_WRONLY);
-    ::dup2(errfd, STDERR_FILENO);
-    std::vector<char *> argv;
-    argv.push_back(const_cast<char *>(VANGUARD_CLI_BIN));
-    for (const std::string &a : args)
-        argv.push_back(const_cast<char *>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(VANGUARD_CLI_BIN, argv.data());
-    std::_Exit(127); // exec failed
-}
-
-int
-runToCompletion(const std::vector<std::string> &args,
-                const std::string &out_path)
-{
-    pid_t pid = launch(args, out_path);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
+using drill::launch;
+using drill::readFile;
+using drill::runToCompletion;
 
 TEST(CrashKill, SigkilledSweepResumesBitIdentical)
 {
     std::string dir = ::testing::TempDir() + "kill-drill";
     std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
     std::string journal = dir + "/journal.vgj";
 
     // Iterations chosen so one sweep takes several seconds: plenty of
@@ -149,6 +108,7 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
     // success and error — and leave a resumable journal behind.
     std::string dir = ::testing::TempDir() + "term-drill";
     std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
     std::vector<std::string> sweep = {
         "--benchmark", "bzip2-like", "--all-refs",
         "--iterations", "60000",     "--jobs", "2",

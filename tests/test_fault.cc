@@ -591,10 +591,30 @@ TEST(Replay, UnknownFutureVersionRaisesIoNamingIt)
         EXPECT_NE(e.detail().find("v3"), std::string::npos);
         EXPECT_NE(e.detail().find("vanguard-replay"),
                   std::string::npos);
+        // It names only the version this build reads: v1 bundles are
+        // refused too.
+        EXPECT_NE(e.detail().find("newest this build reads is v2"),
+                  std::string::npos)
+            << e.detail();
+        EXPECT_EQ(e.detail().find("v1"), std::string::npos) << e.detail();
     }
-    // Malformed version tails refuse the same way.
+    // Malformed version tails refuse the same way. A sign, a space or
+    // a value past the range of `unsigned` (which used to wrap to v2)
+    // is not a version.
     EXPECT_THROW(parseReplayJob("vanguard-replay vX\n", &r, &err),
                  SimError);
+    for (const char *tail : {"v+2", "v 2", "v4294967298"}) {
+        try {
+            parseReplayJob(std::string("vanguard-replay ") + tail +
+                               "\nerror-kind Hang\n",
+                           &r, &err);
+            ADD_FAILURE() << tail << " accepted as a version";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Io) << tail;
+            EXPECT_NE(e.detail().find(tail), std::string::npos)
+                << e.detail();
+        }
+    }
     EXPECT_THROW(parseReplayJob("vanguard-replay\n", &r, &err), SimError);
     // A file that is not a replay bundle at all is an ordinary parse
     // failure, not an exception.

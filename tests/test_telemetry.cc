@@ -12,24 +12,24 @@
  *     accurate dropped count, serializes to a parseable
  *     `vanguard-flightrec v1` dump, and honors the best-effort dump
  *     contract under an armed `telemetry.emit` fault,
- *   - ProgressReporter::formatLine's rate/ETA hardening: no rate on a
- *     near-zero interval or when every job was a journal replay, ETA
- *     clamped, replayed>done saturates instead of wrapping,
- *   - TelemetryHub samples the registry into bounded history, folds
- *     peer STATS into the live views, and exposes the lease table,
+ *   - the one progress rule (progressRate) and the stderr line built
+ *     on it: no rate on a near-zero interval or when every job was a
+ *     journal replay, ETA clamped, replayed>done saturates instead of
+ *     wrapping, failed and skipped jobs count toward done, and the
+ *     stderr line and `/progress` report the same jobs/s and ETA,
+ *   - TelemetryHub folds peer STATS into the live views and exposes
+ *     the lease table,
  *   - TelemetryServer answers GET /metrics, /progress, /healthz (and
  *     404s the rest) over a real localhost socket.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -285,101 +285,198 @@ TEST(FlightRecorder, AmbientRecorderScoping)
 
 TEST(ProgressFormat, NoRateOnNearZeroElapsed)
 {
-    ProgressReporter::LineInputs in;
-    in.tag = "t";
-    in.phase = "simulate";
-    in.done = 5;
+    ProgressSnapshot in;
+    in.completed = 5;
     in.total = 10;
-    in.secs = 0.0;
-    EXPECT_EQ(ProgressReporter::formatLine(in), "[t] simulate 5/10");
-    in.secs = ProgressReporter::kMinRateElapsedSecs / 2;
-    EXPECT_EQ(ProgressReporter::formatLine(in), "[t] simulate 5/10");
+    EXPECT_EQ(formatProgressLine("t", in, 0.0), "[t] 5/10 jobs");
+    EXPECT_EQ(formatProgressLine("t", in, kMinRateElapsedSecs / 2),
+              "[t] 5/10 jobs");
+    ProgressRate r = progressRate(in, 0.0);
+    EXPECT_EQ(r.jobsPerSec, 0.0);
+    EXPECT_EQ(r.etaSecs, -1.0);     // unknown, not "done"
 }
 
 TEST(ProgressFormat, ReplaysExcludedFromRate)
 {
-    ProgressReporter::LineInputs in;
-    in.tag = "t";
-    in.phase = "simulate";
-    in.done = 100;
+    ProgressSnapshot in;
+    in.completed = 100;
     in.total = 200;
     in.replayed = 100;  // a pure --resume replay burst
-    in.secs = 10.0;
     // Zero fresh jobs: no rate, no wildly-optimistic ETA.
-    EXPECT_EQ(ProgressReporter::formatLine(in),
-              "[t] simulate 100/200");
+    EXPECT_EQ(formatProgressLine("t", in, 10.0), "[t] 100/200 jobs");
 
     in.replayed = 90;   // 10 fresh jobs over 10s = 1.0 jobs/s
-    EXPECT_EQ(ProgressReporter::formatLine(in),
-              "[t] simulate 100/200 (1.0 jobs/s, ETA 100s)");
+    EXPECT_EQ(formatProgressLine("t", in, 10.0),
+              "[t] 100/200 jobs (1.0 jobs/s, ETA 100s)");
 }
 
 TEST(ProgressFormat, ReplayedBeyondDoneSaturates)
 {
     // Counter skew after a reset: replayed > done must saturate at
     // zero fresh jobs, not wrap around to ~2^64 jobs/s.
-    ProgressReporter::LineInputs in;
-    in.tag = "t";
-    in.phase = "simulate";
-    in.done = 3;
+    ProgressSnapshot in;
+    in.completed = 3;
     in.total = 10;
     in.replayed = 5;
-    in.secs = 60.0;
-    EXPECT_EQ(ProgressReporter::formatLine(in), "[t] simulate 3/10");
+    EXPECT_EQ(in.fresh(), 0u);
+    EXPECT_EQ(formatProgressLine("t", in, 60.0), "[t] 3/10 jobs");
 }
 
 TEST(ProgressFormat, EtaClampsAndDisappearsWhenDone)
 {
-    ProgressReporter::LineInputs in;
-    in.tag = "t";
-    in.phase = "simulate";
-    in.done = 1;
+    ProgressSnapshot in;
+    in.completed = 1;
     in.total = 2000000000;
-    in.secs = 1000.0;   // 0.001 jobs/s -> astronomic raw ETA
-    std::string line = ProgressReporter::formatLine(in);
+    // 0.001 jobs/s -> astronomic raw ETA
+    std::string line = formatProgressLine("t", in, 1000.0);
     EXPECT_NE(line.find("ETA 9999999s"), std::string::npos) << line;
+    EXPECT_EQ(progressRate(in, 1000.0).etaSecs, kMaxEtaSecs);
 
-    in.done = in.total; // complete: rate but no ETA
-    in.secs = 10.0;
-    line = ProgressReporter::formatLine(in);
+    in.completed = in.total; // complete: rate but no ETA
+    line = formatProgressLine("t", in, 10.0);
     EXPECT_NE(line.find("jobs/s)"), std::string::npos) << line;
     EXPECT_EQ(line.find("ETA"), std::string::npos) << line;
+    EXPECT_EQ(progressRate(in, 10.0).etaSecs, 0.0);
 }
 
 TEST(ProgressFormat, PercentilesAndTallies)
 {
-    Histogram rtt({1, 2, 4, 8, 16});
+    MetricsRegistry reg;
+    Histogram &rtt = reg.histogram("engine.worker.job_rtt", {1, 2, 4, 8, 16});
     rtt.observe(1);
     rtt.observe(3);
     rtt.observe(12);
-    Histogram cyc({1000, 10000});
+    Histogram &cyc = reg.histogram("engine.sim.cycles", {1000, 10000});
     cyc.observe(900);
     cyc.observe(9000);
+    reg.counter("engine.jobs.total").add(8);
+    reg.counter("engine.jobs.completed").add(3);
+    reg.counter("engine.jobs.failed").add(1);
+    reg.counter("engine.jobs.retries").add(3);
 
-    ProgressReporter::LineInputs in;
-    in.tag = "t";
-    in.phase = "simulate";
-    in.done = 4;
-    in.total = 8;
-    in.secs = 2.0;
-    in.failed = 1;
-    in.retries = 3;
-    in.rttMs = &rtt;
-    in.simCycles = &cyc;
-    std::string line = ProgressReporter::formatLine(in);
+    ProgressSnapshot in = ProgressSnapshot::read(reg);
+    EXPECT_EQ(in.done(), 4u);
+    EXPECT_EQ(in.rttMs.p50, rtt.percentile(0.50));
+    EXPECT_EQ(in.simCycles.p99, cyc.percentile(0.99));
+    std::string line = formatProgressLine("t", in, 2.0);
+    EXPECT_NE(line.find("[t] 4/8 jobs"), std::string::npos) << line;
     EXPECT_NE(line.find(", rtt p50/p99 "), std::string::npos) << line;
     EXPECT_NE(line.find("ms"), std::string::npos) << line;
     EXPECT_NE(line.find(", cyc p50/p99 "), std::string::npos) << line;
     EXPECT_NE(line.find(", 1 failed"), std::string::npos) << line;
     EXPECT_NE(line.find(", 3 retried"), std::string::npos) << line;
+    EXPECT_EQ(line.find("skipped"), std::string::npos) << line;
 
-    // Empty histograms contribute nothing.
-    Histogram empty({1});
-    in.rttMs = &empty;
-    in.simCycles = nullptr;
-    line = ProgressReporter::formatLine(in);
+    // Empty (or absent) histograms contribute nothing.
+    MetricsRegistry bare;
+    bare.histogram("engine.worker.job_rtt", {1});
+    line = formatProgressLine("t", ProgressSnapshot::read(bare), 2.0);
     EXPECT_EQ(line.find("rtt"), std::string::npos) << line;
     EXPECT_EQ(line.find("cyc"), std::string::npos) << line;
+}
+
+TEST(ProgressFormat, ReporterPrintsTheFinalLineOnce)
+{
+    MetricsRegistry reg;
+    reg.counter("engine.jobs.total").add(2);
+    Counter &completed = reg.counter("engine.jobs.completed");
+    Counter &skipped = reg.counter("engine.jobs.skipped");
+
+    ProgressReporter silent("", reg);
+    ProgressReporter reporter("t", reg);
+    completed.add();
+    skipped.add();      // the last job settles as a skip
+    testing::internal::CaptureStderr();
+    silent.tick();
+    reporter.tick();
+    reporter.tick();    // a late tick from another worker
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.rfind("[t] 2/2 jobs", 0), 0u) << err;
+    EXPECT_NE(err.find(", 1 skipped\n"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;  // one line
+}
+
+/** A finished sweep's tally: 3 completed (2 of them journal replays),
+ *  2 failed (1 replayed), 3 skipped behind a failed train. */
+MetricsRegistry &
+finishedSweep(MetricsRegistry &reg)
+{
+    reg.counter("engine.jobs.total").add(8);
+    reg.counter("engine.jobs.completed").add(3);
+    reg.counter("engine.jobs.failed").add(2);
+    reg.counter("engine.jobs.skipped").add(3);
+    reg.counter("engine.jobs.replayed").add(3);
+    reg.counter("engine.jobs.retries").add(1);
+    return reg;
+}
+
+TEST(ProgressFormat, FailedAndSkippedJobsFinishBothRenderings)
+{
+    MetricsRegistry reg;
+    TelemetryHub::Options opts;
+    opts.registry = &finishedSweep(reg);
+    TelemetryHub hub(opts);
+
+    // 8 done of 8 — failures and skips count — and 5 fresh jobs over
+    // 2 s: replays are not throughput.
+    ProgressSnapshot snap = ProgressSnapshot::read(reg);
+    EXPECT_EQ(snap.done(), 8u);
+    EXPECT_EQ(snap.fresh(), 5u);
+    ProgressRate rate = progressRate(snap, 2.0);
+    EXPECT_EQ(rate.jobsPerSec, 2.5);
+    EXPECT_EQ(rate.etaSecs, 0.0);
+
+    EXPECT_EQ(formatProgressLine("t", snap, 2.0),
+              "[t] 8/8 jobs (2.5 jobs/s), 2 failed, 3 skipped, "
+              "1 retried");
+
+    std::string json = hub.progressJson(2.0);
+    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v2\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"jobs\": {\"total\": 8, \"done\": 8, "
+                        "\"completed\": 3, \"failed\": 2, "
+                        "\"skipped\": 3, \"retries\": 1, "
+                        "\"replayed\": 3}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"throughput_jobs_per_sec\": 2.5,"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"eta_secs\": 0,"), std::string::npos) << json;
+    EXPECT_EQ(json.find("history"), std::string::npos) << json;
+}
+
+TEST(ProgressFormat, BothRenderingsShareOneRateMidSweep)
+{
+    MetricsRegistry reg;
+    reg.counter("engine.jobs.total").add(40);
+    reg.counter("engine.jobs.completed").add(12);
+    reg.counter("engine.jobs.failed").add(1);
+    reg.counter("engine.jobs.skipped").add(3);
+    reg.counter("engine.jobs.replayed").add(10);
+    TelemetryHub::Options opts;
+    opts.registry = &reg;
+    TelemetryHub hub(opts);
+
+    // 16 done, 6 fresh over 4 s = 1.5 jobs/s; 24 left = ETA 16 s.
+    ProgressSnapshot snap = ProgressSnapshot::read(reg);
+    EXPECT_EQ(formatProgressLine("t", snap, 4.0),
+              "[t] 16/40 jobs (1.5 jobs/s, ETA 16s), 1 failed, "
+              "3 skipped");
+    std::string json = hub.progressJson(4.0);
+    EXPECT_NE(json.find("\"throughput_jobs_per_sec\": 1.5,"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"eta_secs\": 16,"), std::string::npos) << json;
+
+    // Before the first-tick guard neither rendering has a rate, and
+    // the JSON reports the ETA as unknown.
+    json = hub.progressJson(kMinRateElapsedSecs / 2);
+    EXPECT_NE(json.find("\"throughput_jobs_per_sec\": 0,"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"eta_secs\": -1,"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------
@@ -426,28 +523,18 @@ TEST(RegistrySampling, SampleIsCompleteAndSorted)
 // TelemetryHub
 // ---------------------------------------------------------------------
 
-TEST(TelemetryHubTest, SamplesHistoryAndRendersViews)
+TEST(TelemetryHubTest, RendersPeersLeasesAndPrometheus)
 {
     MetricsRegistry reg;
     reg.counter("engine.jobs.total").add(8);
-    Counter &completed = reg.counter("engine.jobs.completed");
+    reg.counter("engine.jobs.completed").add(3);
     reg.counter("engine.jobs.failed");
     reg.counter("engine.jobs.retries");
     reg.counter("engine.jobs.replayed");
 
     TelemetryHub::Options opts;
     opts.registry = &reg;
-    opts.sampleIntervalMs = 20;
-    opts.historyCapacity = 4;
     TelemetryHub hub(opts);
-
-    completed.add(3);
-    for (int spin = 0; spin < 200 && hub.history().size() < 4; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    std::vector<TelemetryHub::HistoryPoint> hist = hub.history();
-    ASSERT_GE(hist.size(), 2u);
-    EXPECT_LE(hist.size(), 4u);     // bounded
-    EXPECT_EQ(hist.back().jobsCompleted, 3u);
 
     PeerStats ps;
     ps.identity = "slot0:pid99";
@@ -478,7 +565,7 @@ TEST(TelemetryHubTest, SamplesHistoryAndRendersViews)
               2.0);
 
     std::string json = hub.progressJson();
-    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v1\""),
+    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v2\""),
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"completed\": 3"), std::string::npos);
@@ -487,7 +574,6 @@ TEST(TelemetryHubTest, SamplesHistoryAndRendersViews)
     EXPECT_NE(json.find("\"key\": \"simulate:3\""), std::string::npos);
 
     hub.setLeaseTableProvider(nullptr);
-    hub.stop();     // idempotent with the destructor
 }
 
 TEST(TelemetryHubTest, RequiresRegistry)
@@ -527,7 +613,6 @@ TEST(TelemetryServerTest, ServesMetricsProgressAndHealthz)
     reg.counter("engine.jobs.completed").add(5);
     TelemetryHub::Options hopts;
     hopts.registry = &reg;
-    hopts.sampleIntervalMs = 50;
     TelemetryHub hub(hopts);
 
     TelemetryServer::Options sopts;
@@ -544,7 +629,7 @@ TEST(TelemetryServerTest, ServesMetricsProgressAndHealthz)
 
     std::string progress = httpGet(server.port(), "/progress");
     EXPECT_NE(progress.find("HTTP/1.0 200 OK"), std::string::npos);
-    EXPECT_NE(progress.find("vanguard-progress v1"),
+    EXPECT_NE(progress.find("vanguard-progress v2"),
               std::string::npos);
 
     std::string healthz = httpGet(server.port(), "/healthz");

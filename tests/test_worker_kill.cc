@@ -22,67 +22,20 @@
 #include <thread>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_sweep_drill.hh"
 #include "core/journal.hh"
 #include "core/worker_pool.hh"
 #include "workloads/suites.hh"
 
-#ifndef VANGUARD_CLI_BIN
-#error "VANGUARD_CLI_BIN must point at the vanguard_cli binary"
-#endif
-
 namespace vanguard {
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** fork/exec vanguard_cli with stdout/stderr redirected; the child
- *  inherits this process's environment (the SEGV-slot drills rely on
- *  that). Returns the pid. */
-pid_t
-launch(const std::vector<std::string> &args,
-       const std::string &out_path, const std::string &err_path)
-{
-    pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    int fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    ::dup2(fd, STDOUT_FILENO);
-    int errfd =
-        err_path.empty()
-            ? ::open("/dev/null", O_WRONLY)
-            : ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                     0644);
-    ::dup2(errfd, STDERR_FILENO);
-    std::vector<char *> argv;
-    argv.push_back(const_cast<char *>(VANGUARD_CLI_BIN));
-    for (const std::string &a : args)
-        argv.push_back(const_cast<char *>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(VANGUARD_CLI_BIN, argv.data());
-    std::_Exit(127); // exec failed
-}
-
-int
-runCli(const std::vector<std::string> &args,
-       const std::string &out_path, const std::string &err_path = "")
-{
-    pid_t pid = launch(args, out_path, err_path);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
+using drill::launch;
+using drill::readFile;
+using drill::runToCompletion;
 
 /** Metrics dump minus the engine.worker.* lines — everything else is
  *  covered by the cross-mode identity contract. */
@@ -117,7 +70,7 @@ TEST(WorkerIdentity, IsolatedSweepIsBitIdenticalAtAnyWorkerCount)
     std::vector<std::string> ref = sweepArgs(tmpPath("wid-ref.json"));
     ref.push_back("--jobs");
     ref.push_back("4");
-    ASSERT_EQ(runCli(ref, tmpPath("wid-ref.out")), 0);
+    ASSERT_EQ(runToCompletion(ref, tmpPath("wid-ref.out")), 0);
 
     for (const char *jobs : {"1", "8"}) {
         std::string tag = std::string("wid-p") + jobs;
@@ -126,7 +79,7 @@ TEST(WorkerIdentity, IsolatedSweepIsBitIdenticalAtAnyWorkerCount)
         iso.push_back("--jobs");
         iso.push_back(jobs);
         iso.push_back("--isolate-jobs");
-        ASSERT_EQ(runCli(iso, tmpPath(tag + ".out")), 0) << tag;
+        ASSERT_EQ(runToCompletion(iso, tmpPath(tag + ".out")), 0) << tag;
 
         // Report bytes and metrics (minus the supervision gauges,
         // which are operational and legitimately nonzero here) are
@@ -154,7 +107,7 @@ TEST(WorkerIdentity, SweepSurvivesMidJobWorkerKillsBitIdentically)
     ref.insert(ref.end(), plan.begin(), plan.end());
     ref.push_back("--jobs");
     ref.push_back("4");
-    ASSERT_EQ(runCli(ref, tmpPath("wkill-ref.out")), 0);
+    ASSERT_EQ(runToCompletion(ref, tmpPath("wkill-ref.out")), 0);
 
     for (const char *jobs : {"1", "8"}) {
         std::string tag = std::string("wkill-p") + jobs;
@@ -164,7 +117,7 @@ TEST(WorkerIdentity, SweepSurvivesMidJobWorkerKillsBitIdentically)
         iso.push_back("--jobs");
         iso.push_back(jobs);
         iso.push_back("--isolate-jobs");
-        ASSERT_EQ(runCli(iso, tmpPath(tag + ".out"),
+        ASSERT_EQ(runToCompletion(iso, tmpPath(tag + ".out"),
                          tmpPath(tag + ".err")), 0)
             << tag;
 
@@ -200,7 +153,7 @@ TEST(WorkerQuarantine, PoisonJobIsQuarantinedAndSweepCompletes)
     args.push_back("--isolate-jobs");
     args.push_back("--replay-dir");
     args.push_back(replay_dir);
-    int rc = runCli(args, tmpPath("wq.out"), tmpPath("wq.err"));
+    int rc = runToCompletion(args, tmpPath("wq.out"), tmpPath("wq.err"));
     ::unsetenv("VANGUARD_WORKER_SEGV_SLOT");
     EXPECT_EQ(rc, 3); // failed jobs, not a crash
 
@@ -382,7 +335,7 @@ TEST(WorkerResume, SupervisorSigkillOrphansNothingAndResumes)
         "--iterations", "60000",       "--jobs", "2",
         "--checkpoint-dir", ref_dir,
     };
-    ASSERT_EQ(runCli(ref_args, ref_dir + ".out"), 0);
+    ASSERT_EQ(runToCompletion(ref_args, ref_dir + ".out"), 0);
 
     // SIGKILL the supervisor mid-simulate. No handler runs: the
     // journal carries the sweep state, and the workers must notice
@@ -434,7 +387,7 @@ TEST(WorkerResume, SupervisorSigkillOrphansNothingAndResumes)
     // clean in-process reference.
     std::vector<std::string> resume = sweep;
     resume.push_back("--resume");
-    ASSERT_EQ(runCli(resume, dir + "/resume.out"), 0);
+    ASSERT_EQ(runToCompletion(resume, dir + "/resume.out"), 0);
     std::string ref_out = readFile(ref_dir + ".out");
     ASSERT_FALSE(ref_out.empty());
     EXPECT_EQ(readFile(dir + "/resume.out"), ref_out);
