@@ -54,9 +54,6 @@
  *                          bodies in supervised worker processes
  *                          (crash/hang/OOM isolation; byte-identical
  *                          output to the in-process pool)
- *     --worker-heartbeat MS  worker lease (default 10000; a worker
- *                          that stops renewing is killed and the
- *                          job fails with SimError(Hang))
  *     --worker-rlimit-mb MB  RLIMIT_AS cap per worker process
  *     --worker FD          internal: run as a pool worker speaking
  *                          the frame protocol on FD (spawned by the
@@ -67,8 +64,11 @@
  *                          port is printed to stderr); byte-identical
  *                          output to the local paths
  *     --lease-ms MS        lease duration / renew base for
- *                          --serve-sweep (500..3600000, default
- *                          10000)
+ *                          --isolate-jobs (50..3600000; a spawned
+ *                          worker that stops renewing is killed and
+ *                          the job fails with SimError(Hang)) or
+ *                          --serve-sweep (500..3600000; the job is
+ *                          re-granted); default 10000
  *     --remote-worker H:P  standalone mode: connect to a coordinator
  *                          at host H port P, claim and execute leased
  *                          jobs until drained or signalled;
@@ -189,8 +189,7 @@ printUsage(std::FILE *to)
         "[--lockstep] [--cycle-budget N] [--replay-dir D] "
         "[--fail-threshold N] [--replay FILE] "
         "[--checkpoint-dir D] [--resume] [--inject SPEC] "
-        "[--isolate-jobs] [--worker-heartbeat MS] "
-        "[--worker-rlimit-mb MB] "
+        "[--isolate-jobs] [--worker-rlimit-mb MB] "
         "[--serve-sweep PORT] [--lease-ms MS] "
         "[--remote-worker HOST:PORT] [--net-inject SPEC] "
         "[--telemetry-port P] [--flightrec-out F] [--help]\n"
@@ -224,10 +223,10 @@ printUsage(std::FILE *to)
         "                      cannot kill the sweep; output is byte-"
         "identical\n"
         "                      to the in-process pool)\n"
-        "  --worker-heartbeat MS  lease a worker must renew before it "
-        "is\n"
-        "                      killed as hung (default 10000)\n"
         "  --worker-rlimit-mb MB  RLIMIT_AS cap per worker process\n"
+        "  --lease-ms MS       lease a worker must renew before it is "
+        "killed\n"
+        "                      as hung (50..3600000, default 10000)\n"
         "\n"
         "distributed sweeps (with --all-refs):\n"
         "  --serve-sweep PORT  lease train/simulate bodies to remote "
@@ -239,11 +238,10 @@ printUsage(std::FILE *to)
         "                      local paths, including under worker "
         "crashes,\n"
         "                      partitions, and duplicate completions\n"
-        "  --lease-ms MS       lease duration / renew interval base "
-        "(default\n"
-        "                      10000); an expired lease is re-granted "
-        "to a\n"
-        "                      live worker\n"
+        "  --lease-ms MS       lease duration / renew interval base\n"
+        "                      (500..3600000, default 10000); an "
+        "expired\n"
+        "                      lease is re-granted to a live worker\n"
         "  --remote-worker H:P standalone: claim and execute jobs "
         "from the\n"
         "                      coordinator at H:P until drained or "
@@ -491,11 +489,10 @@ runCli(int argc, char **argv)
     bool resume = false;
     size_t fail_threshold = 0;
     bool isolate_jobs = false;
-    unsigned worker_heartbeat_ms = 0; ///< 0 = runner default
     unsigned worker_rlimit_mb = 0;
     bool serve_sweep = false;
     unsigned serve_port = 0;
-    unsigned lease_ms = 0;      ///< 0 = coordinator default
+    unsigned lease_ms = 0;      ///< 0 = the fabric's default
     std::string remote_worker;  ///< "host:port", "" = not a worker
     std::string net_inject_spec;
     bool telemetry_serve = false;
@@ -592,9 +589,6 @@ runCli(int argc, char **argv)
             inject_spec = next();
         } else if (arg == "--isolate-jobs") {
             isolate_jobs = true;
-        } else if (arg == "--worker-heartbeat") {
-            worker_heartbeat_ms = parseUnsignedOrDie(
-                "--worker-heartbeat", next(), 50, 3600000);
         } else if (arg == "--worker-rlimit-mb") {
             worker_rlimit_mb = parseUnsignedOrDie(
                 "--worker-rlimit-mb", next(), 16, 1048576);
@@ -605,8 +599,10 @@ runCli(int argc, char **argv)
         } else if (arg == "--remote-worker") {
             remote_worker = next();
         } else if (arg == "--lease-ms") {
+            // Each mode has its own floor: 50 ms under --isolate-jobs,
+            // 500 ms under --serve-sweep (checked below).
             lease_ms =
-                parseUnsignedOrDie("--lease-ms", next(), 500, 3600000);
+                parseUnsignedOrDie("--lease-ms", next(), 50, 3600000);
         } else if (arg == "--net-inject") {
             net_inject_spec = next();
         } else if (arg == "--telemetry-port") {
@@ -652,11 +648,9 @@ runCli(int argc, char **argv)
                              "applies to --all-refs sweeps\n");
         usageAndExit();
     }
-    if ((worker_heartbeat_ms != 0 || worker_rlimit_mb != 0) &&
-        !isolate_jobs) {
-        std::fprintf(stderr,
-                     "vanguard_cli: --worker-heartbeat/"
-                     "--worker-rlimit-mb need --isolate-jobs\n");
+    if (worker_rlimit_mb != 0 && !isolate_jobs) {
+        std::fprintf(stderr, "vanguard_cli: --worker-rlimit-mb needs "
+                             "--isolate-jobs\n");
         usageAndExit();
     }
     if (serve_sweep && !all_refs) {
@@ -671,9 +665,16 @@ runCli(int argc, char **argv)
                      "transport)\n");
         usageAndExit();
     }
-    if (lease_ms != 0 && !serve_sweep) {
+    if (lease_ms != 0 && !serve_sweep && !isolate_jobs) {
+        std::fprintf(stderr, "vanguard_cli: --lease-ms needs "
+                             "--isolate-jobs or --serve-sweep\n");
+        usageAndExit();
+    }
+    if (lease_ms != 0 && lease_ms < 500 && serve_sweep) {
         std::fprintf(stderr,
-                     "vanguard_cli: --lease-ms needs --serve-sweep\n");
+                     "vanguard_cli: --lease-ms expects an integer in "
+                     "[500, 3600000] with --serve-sweep, got '%u'\n",
+                     lease_ms);
         usageAndExit();
     }
     if (!remote_worker.empty() &&
@@ -746,8 +747,8 @@ runCli(int argc, char **argv)
         ropts.resume = resume;
         if (isolate_jobs) {
             ropts.isolation = JobIsolation::process;
-            if (worker_heartbeat_ms != 0)
-                ropts.workerHeartbeatMs = worker_heartbeat_ms;
+            if (lease_ms != 0)
+                ropts.leaseMs = lease_ms;
             ropts.workerRlimitMb = worker_rlimit_mb;
         }
 

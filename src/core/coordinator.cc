@@ -1,25 +1,26 @@
 /**
  * @file
  * Fabric implementation: lease bookkeeping and the one supervision
- * policy, the coordinator service thread, and the worker lease loop
- * (remote and spawned). See coordinator.hh for the protocol and state
- * machine.
+ * policy, the coordinator service thread, the spawned workers'
+ * fork/exec and reaping, and the worker lease loop (remote and
+ * spawned). See coordinator.hh for the protocol and state machine.
  */
 
 #include "core/coordinator.hh"
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
+#include <csignal>
+#include <cstring>
 #include <deque>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
-#include <vector>
 
 #include "support/fault_inject.hh"
 #include "support/flight_recorder.hh"
@@ -30,19 +31,23 @@
 #include "support/versioned_format.hh"
 
 #include <poll.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace vanguard {
 
 namespace {
 
-/** Every lease-protocol body ("vanguard-<kind> v1") is version 1. */
-constexpr unsigned kFabricVersion = 1;
+/** Every lease-protocol body is "vanguard-<kind> v2"; a peer that
+ *  speaks another version is refused by name. */
+constexpr unsigned kFabricVersion = 2;
 
 // The supervision policy, one copy for spawned and remote peers.
 constexpr unsigned kQuarantineLosses = 3; ///< lost leases in a row = poison
 constexpr unsigned kStormLosses = 10;     ///< losses with no completion
 constexpr unsigned kHelloTimeoutMs = 10000; ///< spawned peers' startup
+constexpr unsigned kReapTimeoutMs = 2000; ///< SIGTERM grace at shutdown
 constexpr int kTickMs = 10; ///< service-loop cap: expiry, idle heartbeats
 constexpr BackoffPolicy kBackoff{};
 
@@ -61,49 +66,54 @@ fabricBody(const char *kind,
     return out;
 }
 
-/** A parsed lease-protocol body — the one parser for every fabric
- *  frame, on both ends of the connection. */
-struct FabricBody
+/** Each parsed lease-protocol body's number keys and blob names. CLAIM
+ *  and DRAIN carry neither, so nothing parses them. */
+struct FabricKind
 {
-    std::map<std::string, std::string> fields; ///< key -> rest of line
-    std::map<std::string, std::string> blobs;
-
-    uint64_t
-    num(const char *key) const
-    {
-        auto it = fields.find(key);
-        return it == fields.end()
-                   ? 0
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
-    }
+    const char *kind;
+    std::vector<std::string> nums;
+    std::vector<std::string> blobs;
 };
 
-/** False on a wrong header ("vanguard-<kind> v1") or a torn blob. */
+const FabricKind kFabricKinds[] = {
+    {"remote", {"pid"}, {}}, // HELLO
+    {"workerconfig", {"lease-ms"}, {"fault-plan", "net-fault-plan"}},
+    {"lease", {"lease"}, {"job"}},
+    {"renew", {"lease"}, {}},
+    {"remoteresult", {"lease"}, {"result"}},
+    {"ack", {"lease"}, {}},
+};
+
 bool
-parseFabricBody(const std::string &body, const char *kind,
-                FabricBody *out)
+listed(const std::vector<std::string> &names, const std::string &name)
 {
-    ipc::BodyCursor cur{body};
-    std::string line;
-    if (!cur.line(&line) ||
-        !parseVersionedHeader(line, std::string("vanguard-") + kind,
-                              kFabricVersion, nullptr))
-        return false;
-    while (cur.line(&line)) {
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key != "blob") {
-            std::getline(ls >> std::ws, out->fields[key]);
-            continue;
-        }
-        std::string name;
-        size_t len = 0;
-        ls >> name >> len;
-        if (!cur.raw(len, &out->blobs[name]))
-            return false;
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+std::string
+selfExePath()
+{
+    char buf[4096];
+    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    if (n <= 0)
+        vg_throw(Config,
+                 "cannot resolve this executable's path for worker "
+                 "spawn; set an explicit worker exec path");
+    return std::string(buf, static_cast<size_t>(n));
+}
+
+std::string
+describeWaitStatus(int status)
+{
+    if (WIFSIGNALED(status)) {
+        int sig = WTERMSIG(status);
+        return detail::csprintf("died on signal %d (%s)", sig,
+                                strsignal(sig));
     }
-    return true;
+    if (WIFEXITED(status))
+        return detail::csprintf("exited with status %d",
+                                WEXITSTATUS(status));
+    return "vanished with unknown wait status";
 }
 
 /** The backoff key of owned slot `s`: it outlives each child. */
@@ -125,6 +135,80 @@ mixJitter(uint64_t x)
 
 } // namespace
 
+bool
+parseFabricBody(const std::string &body, const std::string &kind,
+                FabricBody *out, std::string *error)
+{
+    const FabricKind *schema = nullptr;
+    for (const FabricKind &k : kFabricKinds)
+        if (kind == k.kind)
+            schema = &k;
+    if (schema == nullptr) {
+        *error = "no fabric body kind '" + kind + "'";
+        return false;
+    }
+    const std::string magic = "vanguard-" + kind;
+    ipc::BodyCursor cur{body};
+    std::string line;
+    unsigned version = 0;
+    try {
+        if (!cur.line(&line) ||
+            !parseVersionedHeader(line, magic, kFabricVersion, &version)) {
+            *error = "missing " + magic + " header";
+            return false;
+        }
+    } catch (const SimError &e) {
+        *error = e.detail();
+        return false;
+    }
+    if (version != kFabricVersion) {
+        *error = detail::csprintf("unsupported %s version 'v%u' (this "
+                                  "build speaks only v%u)",
+                                  magic.c_str(), version, kFabricVersion);
+        return false;
+    }
+    while (cur.line(&line)) {
+        if (line.empty())
+            continue;
+        std::istringstream ls(line);
+        std::string key;
+        ls >> key;
+        std::vector<std::string> v = ipc::restTokens(ls);
+        bool ok;
+        if (key == "blob") {
+            size_t len = 0;
+            ok = v.size() == 2 && listed(schema->blobs, v[0]) &&
+                 out->blobs.count(v[0]) == 0 &&
+                 ipc::readToken(v[1], &len);
+            if (ok && !cur.raw(len, &out->blobs[v[0]])) {
+                *error = "truncated blob '" + v[0] + "'";
+                return false;
+            }
+        } else if (listed(schema->nums, key)) {
+            uint64_t n = 0;
+            ok = out->nums.count(key) == 0 && ipc::readFields(v, &n);
+            if (ok)
+                out->nums[key] = n;
+        } else {
+            *error = "unknown " + kind + " key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            *error = "bad value for " + kind + " key '" + key + "'";
+            return false;
+        }
+    }
+    for (const auto *names : {&schema->nums, &schema->blobs}) {
+        for (const std::string &k : *names) {
+            if (out->nums.count(k) + out->blobs.count(k) == 0) {
+                *error = "missing " + kind + " key '" + k + "'";
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 // ---------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------
@@ -139,7 +223,7 @@ struct Coordinator::Impl
         /** "pid@ip" (TCP, from the hello) or "slotN:pidM" (owned). */
         std::string identity;
         int pid = 0;            ///< owned peers: the spawned child
-        unsigned slot = 0;      ///< owned peers: the spawner slot
+        unsigned slot = 0;      ///< owned peers: the worker slot
         bool helloed = false;
         bool claimPending = false;
         bool dead = false;
@@ -162,7 +246,7 @@ struct Coordinator::Impl
     /** An owned worker slot. */
     struct Slot
     {
-        bool live = false;
+        int pid = 0;            ///< spawned, not yet reaped; 0 = vacant
         bool everSpawned = false;
         Clock::time_point vacatedAt;
     };
@@ -172,7 +256,7 @@ struct Coordinator::Impl
         enum State { Queued, Leased, Done };
         State state = Queued;
         uint64_t id = 0;
-        WorkerJob job;
+        WorkerJob job;          ///< cleared once Done or discarded
         std::string key;        ///< "phase:slot" (policy bookkeeping)
         unsigned grants = 0;    ///< deliveries so far
         uint64_t leaseId = 0;   ///< current lease (Leased only)
@@ -187,8 +271,7 @@ struct Coordinator::Impl
         std::string failMessage;
     };
 
-    Impl(const Options &opts, Spawner *spawner)
-        : opts_(opts), spawner_(spawner)
+    explicit Impl(const Options &opts) : opts_(opts)
     {
         if (opts_.leaseMs == 0)
             opts_.leaseMs = 1;
@@ -196,9 +279,11 @@ struct Coordinator::Impl
             planSpec_ = faultPlanSpec(faultinject::currentPlan());
         if (faultinject::netArmed())
             netPlanSpec_ = faultPlanSpec(faultinject::currentNetPlan());
-        if (spawner_ == nullptr) {
+        if (opts_.workers == 0) {
             listenFd_ = ipc::listenTcp(opts_.port);
             port_ = ipc::listenPort(listenFd_);
+        } else if (opts_.execPath.empty()) {
+            opts_.execPath = selfExePath();
         }
         if (opts_.telemetry != nullptr) {
             // The /progress lease table reads the offer map under
@@ -226,14 +311,12 @@ struct Coordinator::Impl
                 return out;
             });
         }
-        if (spawner_ != nullptr) {
-            slots_.resize(spawner_->slots());
-            for (unsigned s = 0; s < slots_.size(); ++s)
-                spawnSlot(s);
-        }
+        slots_.resize(opts_.workers);
+        for (unsigned s = 0; s < slots_.size(); ++s)
+            spawnSlot(s);
         service_ = std::thread([this] { serviceLoop(); });
-        if (spawner_ != nullptr) {
-            // Like a blocking handshake: a pool is ready once every
+        if (!slots_.empty()) {
+            // Like a blocking handshake: the fabric is ready once every
             // child said hello (or the loss policy gave up on them).
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait_for(lock, std::chrono::milliseconds(kHelloTimeoutMs),
@@ -382,19 +465,29 @@ struct Coordinator::Impl
             return;
         }
         consecutiveDeaths_.erase(o.key);
-        o.state = Offer::Done;
         o.failed = true;
         o.failKind = SimError::Kind::Internal;
         o.failMessage = detail::csprintf(
             "poison job quarantined: %s lost %u consecutive leases "
             "(last: %s)",
             o.key.c_str(), losses, why.c_str());
-        stats_.quarantinedJobs++;
         if (owned)
             bumpCounter("engine.worker.quarantined_jobs");
         flightRecord("error",
                      owned ? "worker.quarantine" : "fabric.quarantine",
                      o.failMessage);
+        settleLocked(o);
+    }
+
+    /** `o` is Done: wake its execute() call and drop the job body (a
+     *  simulate job's TRAIN profile among it), which no lease needs
+     *  any more. resultBytes stays for the duplicate byte-compare. */
+    void
+    settleLocked(Offer &o)
+    {
+        o.state = Offer::Done;
+        o.leaseId = 0;
+        o.job = WorkerJob();
         cv_.notify_all();
     }
 
@@ -482,7 +575,7 @@ struct Coordinator::Impl
                 return;
             try {
                 ipc::writeFrame(p.fd, ipc::kFrameDrain,
-                                fabricBody("drain", {{"final", 1}}));
+                                fabricBody("drain", {}));
                 countFrame(p, ipc::kFrameDrain);
                 if (!p.identity.empty())
                     drained.insert(p.identity);
@@ -501,7 +594,7 @@ struct Coordinator::Impl
         // plain bad timing) reconnects with sub-second backoff and
         // must find a goodbye, not a dead port. Keep accepting for a
         // bounded window, answering every HELLO with an immediate
-        // final DRAIN, until each identity this sweep ever saw has
+        // DRAIN, until each identity this sweep ever saw has
         // one (an identity that never returns — a SIGKILLed worker,
         // say — just costs the full window). Window > the worker's
         // worst-case reconnect gap (backoff cap 1000ms + jitter up to
@@ -536,9 +629,10 @@ struct Coordinator::Impl
                 }
                 if (st == ipc::ReadStatus::Eof) {
                     p.dead = true;
-                } else if (st == ipc::ReadStatus::Ok &&
+                } else if (std::string err;
+                           st == ipc::ReadStatus::Ok &&
                            f.type == ipc::kFrameHello &&
-                           parseHello(p, f.body)) {
+                           parseHello(p, f.body, &err)) {
                     drainPeer(p);
                 }
             }
@@ -563,6 +657,7 @@ struct Coordinator::Impl
             Offer &o = offers_[id];
             if (o.state == Offer::Queued && !o.discarded) {
                 o.discarded = true;
+                o.job = WorkerJob();
                 any = true;
             }
         }
@@ -619,9 +714,8 @@ struct Coordinator::Impl
     {
         Slot &slot = slots_[s];
         int fd = -1;
-        int pid;
         try {
-            pid = spawner_->spawn(s, &fd);
+            slot.pid = spawnChild(s, &fd);
         } catch (const SimError &e) {
             vg_warn("worker %u failed to start: %s", s,
                     e.detail().c_str());
@@ -633,11 +727,54 @@ struct Coordinator::Impl
         if (slot.everSpawned)
             bumpCounter("engine.worker.restarts");
         slot.everSpawned = true;
-        slot.live = true;
         Peer &p = adopt(fd);
-        p.pid = pid;
+        p.pid = slot.pid;
         p.slot = s;
-        p.identity = detail::csprintf("slot%u:pid%d", s, pid);
+        p.identity = detail::csprintf("slot%u:pid%d", s, slot.pid);
+    }
+
+    /** fork/exec one `--worker` child over a socketpair, under the
+     *  RLIMIT_AS cap: returns its pid and sets *fd to our end. Throws
+     *  SimError(Io) on failure. */
+    int
+    spawnChild(unsigned s, int *fd)
+    {
+        // Deterministic spawn-fault probe, keyed by a monotonic attempt
+        // ordinal so the pattern is independent of the worker count and
+        // a failed attempt draws fresh on retry.
+        {
+            faultinject::Scope scope(
+                workerKillScope(uint64_t{0x5350574e}, spawnAttempts_++));
+            faultinject::site("worker.spawn", SimError::Kind::Io);
+        }
+
+        int fds[2];
+        ipc::makeSocketPair(fds);
+        char fdarg[16];
+        std::snprintf(fdarg, sizeof(fdarg), "%d", fds[1]);
+        const char *argv[] = {opts_.execPath.c_str(), "--worker", fdarg,
+                              nullptr};
+        pid_t pid = ::fork();
+        if (pid < 0) {
+            ::close(fds[0]);
+            ::close(fds[1]);
+            vg_throw(Io, "fork failed for worker %u: %s", s,
+                     std::strerror(errno));
+        }
+        if (pid == 0) {
+            // Child: async-signal-safe calls only between fork and exec.
+            if (opts_.rlimitMb != 0) {
+                struct rlimit rl;
+                rl.rlim_cur = rl.rlim_max =
+                    static_cast<rlim_t>(opts_.rlimitMb) << 20;
+                ::setrlimit(RLIMIT_AS, &rl);
+            }
+            ::execv(argv[0], const_cast<char *const *>(argv));
+            ::_exit(127);
+        }
+        ::close(fds[1]);
+        *fd = fds[0];
+        return pid;
     }
 
     void
@@ -647,7 +784,7 @@ struct Coordinator::Impl
             return;
         Clock::time_point now = Clock::now();
         for (unsigned s = 0; s < slots_.size(); ++s) {
-            if (slots_[s].live)
+            if (slots_[s].pid != 0)
                 continue;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -668,9 +805,51 @@ struct Coordinator::Impl
         p.dead = true;
         if (!p.owned())
             return "";
-        slots_[p.slot].live = false;
-        slots_[p.slot].vacatedAt = Clock::now();
-        return spawner_->retire(p.pid, kill);
+        Slot &slot = slots_[p.slot];
+        slot.pid = 0;
+        slot.vacatedAt = Clock::now();
+        if (kill)
+            ::kill(p.pid, SIGKILL);
+        int status = 0;
+        pid_t r;
+        while ((r = ::waitpid(p.pid, &status, 0)) < 0 && errno == EINTR) {
+        }
+        return r == p.pid ? describeWaitStatus(status)
+                          : "could not be reaped";
+    }
+
+    /** Exactly one SIGTERM per live child, a bounded reap, SIGKILL and
+     *  a blocking reap for stragglers. No zombie survives this. */
+    void
+    reapChildren()
+    {
+        std::lock_guard<std::mutex> turn(turn_);
+        std::vector<int> pending;
+        for (Slot &slot : slots_) {
+            if (slot.pid != 0)
+                pending.push_back(slot.pid);
+            slot.pid = 0;
+        }
+        for (int pid : pending)
+            ::kill(pid, SIGTERM);
+        auto deadline =
+            Clock::now() + std::chrono::milliseconds(kReapTimeoutMs);
+        while (!pending.empty() && Clock::now() < deadline) {
+            for (size_t i = 0; i < pending.size();) {
+                pid_t r = ::waitpid(pending[i], nullptr, WNOHANG);
+                if (r == pending[i] || (r < 0 && errno == ECHILD))
+                    pending.erase(pending.begin() + static_cast<long>(i));
+                else
+                    ++i;
+            }
+            if (!pending.empty())
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        for (int pid : pending) {
+            ::kill(pid, SIGKILL);
+            while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
+        }
     }
 
     void
@@ -715,7 +894,8 @@ struct Coordinator::Impl
             return true;
         case ipc::kFrameRenew: {
             FabricBody renew;
-            if (!parseFabricBody(f.body, "renew", &renew))
+            std::string err;
+            if (!parseFabricBody(f.body, "renew", &renew, &err))
                 return true; // tolerate malformed renew: lease expires
             uint64_t lease = renew.num("lease");
             std::lock_guard<std::mutex> lock(mutex_);
@@ -756,13 +936,13 @@ struct Coordinator::Impl
     }
 
     /** Validate a HELLO and mark `p` helloed; a TCP peer's identity
-     *  becomes "pid@ip". No reply. False (peer untouched) on a
-     *  malformed header. */
+     *  becomes "pid@ip". No reply. False (peer untouched, `*error`
+     *  set) on a malformed body. */
     bool
-    parseHello(Peer &p, const std::string &body)
+    parseHello(Peer &p, const std::string &body, std::string *error)
     {
         FabricBody hello;
-        if (!parseFabricBody(body, "remote", &hello))
+        if (!parseFabricBody(body, "remote", &hello, error))
             return false;
         if (!p.owned()) {
             std::string ip = p.addr.substr(0, p.addr.rfind(':'));
@@ -775,9 +955,14 @@ struct Coordinator::Impl
     bool
     handleHello(Peer &p, const std::string &body)
     {
-        if (!parseHello(p, body)) {
-            losePeer(p, "hello carries no vanguard-remote header",
-                     /*kill=*/true);
+        std::string err;
+        if (!parseHello(p, body, &err)) {
+            // losePeer names only helloed TCP peers; a refused one is
+            // worth a line (a worker of another version, say).
+            if (!p.owned())
+                vg_warn("fabric: refused peer %s: %s", p.addr.c_str(),
+                        err.c_str());
+            losePeer(p, "hello refused (" + err + ")", /*kill=*/true);
             return false;
         }
         {
@@ -796,7 +981,7 @@ struct Coordinator::Impl
         }
 
         std::string cfg_body =
-            fabricBody("workerconfig", {{"heartbeat-ms", opts_.leaseMs}});
+            fabricBody("workerconfig", {{"lease-ms", opts_.leaseMs}});
         ipc::appendBlob(&cfg_body, "fault-plan", planSpec_);
         ipc::appendBlob(&cfg_body, "net-fault-plan", netPlanSpec_);
         if (sendToPeer(p, ipc::kFrameConfig, cfg_body) ==
@@ -814,16 +999,47 @@ struct Coordinator::Impl
         // duplicates get compared against.
         FabricBody frame;
         WorkerResult parsed;
-        std::string err = "malformed result frame";
-        if (!parseFabricBody(body, "remoteresult", &frame) ||
-            frame.num("lease") == 0 ||
-            !parseWorkerResult(frame.blobs["result"], &parsed, &err)) {
-            losePeer(p, "unreadable worker result (" + err + ")",
+        std::string err;
+        bool readable;
+        try {
+            readable = parseFabricBody(body, "remoteresult", &frame,
+                                       &err) &&
+                       parseWorkerResult(frame.blobs["result"], &parsed,
+                                         &err);
+        } catch (const SimError &e) {
+            readable = false;
+            err = e.detail();
+        }
+        if (!readable || frame.num("lease") == 0) {
+            losePeer(p,
+                     "unreadable worker result (" +
+                         (readable ? std::string("lease 0") : err) + ")",
                      /*kill=*/true);
             return false;
         }
         const uint64_t lease = frame.num("lease");
         std::string &result_bytes = frame.blobs["result"];
+
+        // A result must be for the leased job's slot. Checked while p
+        // still holds the lease, so losePeer requeues it.
+        std::string desync;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto it = leaseHistory_.find(lease);
+            if (it != leaseHistory_.end()) {
+                const Offer &o = offers_[it->second];
+                if (o.state != Offer::Done && !o.discarded &&
+                    parsed.slot != o.job.slot)
+                    desync = detail::csprintf(
+                        "protocol desync (result for slot %zu on the "
+                        "lease of %s)",
+                        parsed.slot, o.key.c_str());
+            }
+        }
+        if (!desync.empty()) {
+            losePeer(p, desync, /*kill=*/true);
+            return false;
+        }
         if (p.leaseId == lease)
             p.leaseId = 0;
 
@@ -873,14 +1089,12 @@ struct Coordinator::Impl
                                     workerRttBoundsMs())
                         .observe(static_cast<uint64_t>(rtt));
                 }
-                o.state = Offer::Done;
-                o.leaseId = 0;
                 o.resultBytes = std::move(result_bytes);
                 o.result = std::move(parsed);
                 consecutiveDeaths_.erase(o.key);
                 losses_[p.lossKey()] = 0;
                 consecutiveLosses_ = 0;
-                cv_.notify_all();
+                settleLocked(o);
             }
         }
         if (sendToPeer(p, ipc::kFrameResultAck, fabricBody("ack", {{"lease", lease}})) ==
@@ -951,7 +1165,6 @@ struct Coordinator::Impl
                 // owned peer is hung. A hang is a determination about
                 // the job, not a supervision failure: non-transient,
                 // no quarantine or storm bookkeeping.
-                o->state = Offer::Done;
                 o->failed = true;
                 o->failKind = SimError::Kind::Hang;
                 o->failMessage = detail::csprintf(
@@ -959,7 +1172,6 @@ struct Coordinator::Impl
                     "worker pid %d during %s job %zu",
                     opts_.leaseMs, p.pid, o->job.phase.c_str(),
                     o->job.slot);
-                stats_.heartbeatMisses++;
                 bumpCounter("engine.worker.heartbeat_misses");
                 flightRecord("error", "worker.heartbeat_miss",
                              o->failMessage);
@@ -967,7 +1179,7 @@ struct Coordinator::Impl
                 consecutiveLosses_ = 0;
                 p.leaseId = 0;
                 hung.push_back(&p);
-                cv_.notify_all();
+                settleLocked(*o);
             }
         }
         for (Peer *p : hung)
@@ -1017,9 +1229,8 @@ struct Coordinator::Impl
                         bumpCounter("engine.net.leases_regranted");
                 }
                 o.grants++;
-                std::string body = fabricBody(
-                    "lease",
-                    {{"lease", o.leaseId}, {"lease-ms", opts_.leaseMs}});
+                std::string body =
+                    fabricBody("lease", {{"lease", o.leaseId}});
                 ipc::appendBlob(&body, "job", serializeWorkerJob(o.job));
                 p.claimPending = false;
                 // Held from here on, even if the send is dropped (the
@@ -1090,11 +1301,11 @@ struct Coordinator::Impl
         // An offer queued after the service thread's final drain pass
         // would otherwise wait forever.
         discardQueued();
+        reapChildren();
     }
 
     Options opts_;
-    Spawner *spawner_;          ///< null: TCP listener instead
-    int listenFd_ = -1;
+    int listenFd_ = -1;         ///< -1 when the peers are spawned
     uint16_t port_ = 0;
     std::string planSpec_;
     std::string netPlanSpec_;
@@ -1102,12 +1313,14 @@ struct Coordinator::Impl
     std::atomic<bool> stop_{false};
 
     /** The turn: whoever holds it owns peers_ and slots_ — the
-     *  service thread, or an execute() caller granting a lease.
-     *  Taken before mutex_, never while holding it. */
-    std::mutex turn_;
+     *  service thread, an execute() caller granting a lease, or a
+     *  workerPids() reader. Taken before mutex_, never while holding
+     *  it. */
+    mutable std::mutex turn_;
     std::vector<std::unique_ptr<Peer>> peers_;
-    std::vector<Slot> slots_;
+    std::vector<Slot> slots_;   ///< one per spawned worker
     uint64_t acceptOrdinal_ = 0;
+    uint64_t spawnAttempts_ = 0; ///< worker.spawn draw ordinal
 
     // Shared (guarded by mutex_):
     mutable std::mutex mutex_;
@@ -1128,7 +1341,6 @@ struct Coordinator::Impl
     std::string brokenReason_;
     bool draining_ = false;
     bool shutdownDone_ = false;
-    WorkerPool::Stats stats_;
 };
 
 // ---------------------------------------------------------------------
@@ -1155,7 +1367,7 @@ interruptibleSleep(unsigned ms)
 
 enum class ConnOutcome
 {
-    Drained,    ///< coordinator sent a final DRAIN: exit cleanly
+    Drained,    ///< coordinator sent a DRAIN: exit cleanly
     Lost,       ///< connection lost: reconnect (remote) or exit
     Shutdown,   ///< local SIGINT/SIGTERM latch: exit cleanly
     Acked,      ///< (serveLease only) result recorded: claim again
@@ -1250,10 +1462,12 @@ bool
 applyConfig(WorkerConn &conn, const std::string &body)
 {
     FabricBody cfg;
-    if (!parseFabricBody(body, "workerconfig", &cfg))
+    std::string err;
+    if (!parseFabricBody(body, "workerconfig", &cfg, &err) ||
+        cfg.num("lease-ms") == 0 ||
+        cfg.num("lease-ms") > std::numeric_limits<unsigned>::max())
         return false;
-    conn.leaseMs = std::max<unsigned>(
-        1, static_cast<unsigned>(cfg.num("heartbeat-ms")));
+    conn.leaseMs = static_cast<unsigned>(cfg.num("lease-ms"));
     try {
         const std::string &plan = cfg.blobs["fault-plan"];
         const std::string &net_plan = cfg.blobs["net-fault-plan"];
@@ -1411,8 +1625,9 @@ serveLease(WorkerConn &conn, JobBodyRunner &runner, Renewer &renewer,
             if (rst == ipc::ReadStatus::Timeout)
                 break; // retransmit
             FabricBody ack;
+            std::string err;
             if (f.type == ipc::kFrameResultAck) {
-                if (parseFabricBody(f.body, "ack", &ack) &&
+                if (parseFabricBody(f.body, "ack", &ack, &err) &&
                     ack.num("lease") == lease)
                     return ConnOutcome::Acked;
                 continue; // stale ack for an older lease
@@ -1480,22 +1695,16 @@ serveConnection(WorkerConn &conn, JobBodyRunner &runner)
                 return ConnOutcome::Shutdown;
             if (st != ipc::ReadStatus::Ok)
                 return ConnOutcome::Lost; // EOF or total silence
-            FabricBody body;
-            if (f.type == ipc::kFrameDrain) {
-                if (parseFabricBody(f.body, "drain", &body) &&
-                    body.num("final") != 0)
-                    return ConnOutcome::Drained;
-                continue; // soft drain: stay connected, stop claiming
-            }
+            if (f.type == ipc::kFrameDrain)
+                return ConnOutcome::Drained;
             if (f.type == ipc::kFrameLease) {
+                FabricBody body;
                 std::string err;
-                if (!parseFabricBody(f.body, "lease", &body) ||
+                if (!parseFabricBody(f.body, "lease", &body, &err) ||
                     body.num("lease") == 0 ||
                     !parseWorkerJob(body.blobs["job"], &job, &err))
                     return ConnOutcome::Lost;
                 lease = body.num("lease");
-                conn.leaseMs = std::max<unsigned>(
-                    1, static_cast<unsigned>(body.num("lease-ms")));
                 leased = true;
                 continue;
             }
@@ -1600,19 +1809,11 @@ runWorkerProcess(int fd)
         out = ConnOutcome::Lost;
     }
     // No reconnect: the socketpair is the only way back, so EOF (a
-    // dead supervisor) means exit, like a final DRAIN.
+    // dead supervisor) means exit, like a DRAIN.
     return out == ConnOutcome::Lost ? 1 : 0;
 }
 
-Coordinator::Coordinator(const Options &opts)
-    : impl_(new Impl(opts, nullptr))
-{
-}
-
-Coordinator::Coordinator(const Options &opts, Spawner &spawner)
-    : impl_(new Impl(opts, &spawner))
-{
-}
+Coordinator::Coordinator(const Options &opts) : impl_(new Impl(opts)) {}
 
 Coordinator::~Coordinator() = default;
 
@@ -1634,11 +1835,15 @@ Coordinator::shutdown()
     impl_->shutdown();
 }
 
-WorkerPool::Stats
-Coordinator::stats() const
+std::vector<int>
+Coordinator::workerPids() const
 {
-    std::lock_guard<std::mutex> lock(impl_->mutex_);
-    return impl_->stats_;
+    std::lock_guard<std::mutex> turn(impl_->turn_);
+    std::vector<int> pids;
+    for (const Impl::Slot &slot : impl_->slots_)
+        if (slot.pid != 0)
+            pids.push_back(slot.pid);
+    return pids;
 }
 
 } // namespace vanguard

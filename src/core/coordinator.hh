@@ -11,14 +11,18 @@
  * process, which is why every mode is byte-identical to an in-process
  * run: the runner consumes the same slot-indexed results either way.
  *
- * Peers come from one of two sources:
- *   - a TCP listener (`--serve-sweep`): `--remote-worker` processes
- *     connect, reconnect and come and go at will;
- *   - a Spawner (`--isolate-jobs`, core/worker_pool.hh): N children
- *     forked over socketpairs and handed over already connected. The
- *     coordinator *owns* such a peer's pid.
+ * One Coordinator, one constructor; Options::workers picks the peer
+ * source:
+ *   - workers == 0 (`--serve-sweep`): a TCP listener on `port`;
+ *     `--remote-worker` processes connect, reconnect and come and go
+ *     at will;
+ *   - workers > 0 (`--isolate-jobs`): that many `--worker` children,
+ *     fork/exec'd over socketpairs and adopted already connected. The
+ *     coordinator *owns* such a peer's pid: it respawns a lost slot,
+ *     and shutdown() reaps every child.
  *
- * Lease protocol (all frame bodies versioned; see ipc.hh for types):
+ * Lease protocol (bodies are "vanguard-<kind> v2" text, a HEARTBEAT's
+ * empty; see ipc.hh for the frame types):
  *
  *   worker                    coordinator
  *   ------                    -----------
@@ -34,7 +38,7 @@
  *   RESULT (lease id, body)->
  *                          <- RESULT-ACK (lease id)
  *   ...claim again...
- *                          <- DRAIN (final)                [shutdown]
+ *                          <- DRAIN                        [shutdown]
  *
  * Lease state machine (per offered job):
  *
@@ -64,6 +68,7 @@
  *       as SimError(Hang), where a TCP expiry re-grants;
  *   (b) owned peers bump engine.worker.* and TCP peers bump
  *       engine.net.*, so every mode dumps the same counter shapes.
+ *       These registry counters are the only supervision tally.
  * SIGINT/SIGTERM (the process-wide shutdown latch) discards
  * queued-but-unleased offers — their execute() calls raise
  * JobDiscarded so the runner records nothing for them — while leased
@@ -82,13 +87,17 @@
 
 #include <cstdint>
 #include <exception>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/worker_pool.hh"
 #include "support/metrics.hh"
 
 namespace vanguard {
+
+class TelemetryHub;
 
 /**
  * Raised by Coordinator::execute for offers discarded by a
@@ -111,8 +120,18 @@ class Coordinator
   public:
     struct Options
     {
-        uint16_t port = 0;          ///< 0 = ephemeral (see port())
-        unsigned leaseMs = 10000;   ///< lease duration / renew base
+        /** The peer source: > 0 spawns and owns that many `--worker`
+         *  children; 0 listens on `port` for remote workers. */
+        unsigned workers = 0;
+        /** Spawned workers' binary ("" = this executable, via
+         *  /proc/self/exe); must understand `--worker <fd>`. */
+        std::string execPath;
+        unsigned rlimitMb = 0;      ///< spawned workers' RLIMIT_AS (0 = none)
+        uint16_t port = 0;          ///< listener; 0 = ephemeral (see port())
+        /** Lease duration; workers renew every quarter of it. An
+         *  expiry on a spawned worker is a hang, on a TCP peer a
+         *  re-grant. */
+        unsigned leaseMs = 10000;
         /** Registry for the engine.net.* / engine.worker.* counters
          *  (optional). */
         MetricsRegistry *metrics = nullptr;
@@ -122,31 +141,10 @@ class Coordinator
         TelemetryHub *telemetry = nullptr;
     };
 
-    /**
-     * The process side of owned peers (core/worker_pool.cc). Called
-     * from the coordinator's constructor and service thread only.
-     */
-    class Spawner
-    {
-      public:
-        virtual ~Spawner() = default;
-        /** How many worker slots to keep populated. */
-        virtual unsigned slots() const = 0;
-        /** Start slot `slot`'s worker: returns its pid and sets *fd to
-         *  the connected supervisor end. Throws SimError on failure. */
-        virtual int spawn(unsigned slot, int *fd) = 0;
-        /** Reap `pid` (SIGKILLing it first when `kill`) and describe
-         *  its fate ("died on signal 11 (Segmentation fault)"). */
-        virtual std::string retire(int pid, bool kill) = 0;
-    };
-
-    /** Binds the TCP listener and starts the service thread. Throws
-     *  SimError(Io) if the port cannot be bound. */
+    /** Spawns every worker and returns once each has said hello
+     *  (bounded), or binds the TCP listener — SimError(Io) if the
+     *  port cannot be bound. Either way starts the service thread. */
     explicit Coordinator(const Options &opts);
-
-    /** No listener: every peer is one of `spawner`'s children. Spawns
-     *  them all and returns once each has said hello (bounded). */
-    Coordinator(const Options &opts, Spawner &spawner);
 
     ~Coordinator();
 
@@ -171,14 +169,15 @@ class Coordinator
 
     /**
      * Drain and stop: discards queued offers, sends every connected
-     * peer a final DRAIN frame, closes all sockets, joins the service
-     * thread. Owned children are left for their spawner to reap.
+     * peer a DRAIN frame, closes all sockets, joins the service
+     * thread; then exactly one SIGTERM per live spawned child, a
+     * bounded reap, SIGKILL for stragglers. No child outlives it.
      * Idempotent; the destructor calls it.
      */
     void shutdown();
 
-    /** Supervision tallies (heartbeat misses, quarantined jobs). */
-    WorkerPool::Stats stats() const;
+    /** Live spawned-worker pids (test hooks: SIGSTOP/SIGKILL drills). */
+    std::vector<int> workerPids() const;
 
   private:
     struct Impl;
@@ -186,9 +185,28 @@ class Coordinator
 };
 
 /**
+ * A lease-protocol frame body, parsed: the one reader of every fabric
+ * frame, on both ends of the connection. Strict, like parseWorkerJob:
+ * the header must be "vanguard-<kind> v2", and each of the kind's keys
+ * and blobs must appear exactly once, each value one whole unsigned
+ * token. A missing, repeated or unknown key, a bad value, a torn blob
+ * or another version fails with an `*error` naming it.
+ */
+struct FabricBody
+{
+    std::map<std::string, uint64_t> nums;
+    std::map<std::string, std::string> blobs;
+
+    uint64_t num(const std::string &key) const { return nums.at(key); }
+};
+
+bool parseFabricBody(const std::string &body, const std::string &kind,
+                     FabricBody *out, std::string *error);
+
+/**
  * Remote-worker entry (`vanguard_cli --remote-worker host:port`):
- * claim/execute/report against a coordinator until a final DRAIN
- * frame or a shutdown signal. Returns the process exit code (0 =
+ * claim/execute/report against a coordinator until a DRAIN frame or a
+ * shutdown signal. Returns the process exit code (0 =
  * drained or signalled, 1 = unrecoverable local error). Connection
  * loss is not an error: the loop reconnects with jittered exponential
  * backoff indefinitely, surviving coordinator restarts.

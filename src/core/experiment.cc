@@ -18,17 +18,6 @@ geomeanPct(const std::vector<double> &pcts)
     return (geomean(ratios) - 1.0) * 100.0;
 }
 
-SuiteResult
-runSuite(const std::vector<BenchmarkSpec> &suite,
-         const VanguardOptions &opts, bool verbose)
-{
-    RunnerOptions ropts;
-    ropts.verbose = verbose;
-    std::vector<SuiteResult> per_width =
-        runSuiteWidths(suite, {opts.width}, opts, ropts);
-    return std::move(per_width.front());
-}
-
 std::string
 renderSpeedupFigure(const std::string &title,
                     const std::vector<BenchmarkSpec> &suite,

@@ -21,11 +21,6 @@ struct SuiteResult
     double geomeanBestPct = 0.0;
 };
 
-/** Evaluate every benchmark of a suite at the options' width. */
-SuiteResult runSuite(const std::vector<BenchmarkSpec> &suite,
-                     const VanguardOptions &opts,
-                     bool verbose = true);
-
 struct RunnerOptions; // core/runner.hh
 struct JobFailure;    // core/runner.hh
 

@@ -481,24 +481,24 @@ runSuiteWidthsReport(const std::vector<BenchmarkSpec> &suite,
     // WorkerJobs and leased out by one coordinator — over TCP
     // (--serve-sweep) or to this process's own spawned workers
     // (--isolate-jobs); compile and all bookkeeping stay here. The
-    // pool is declared before the thread pool so destruction joins the
-    // job threads first, then drains the workers (DRAIN + one SIGTERM
-    // each, bounded reap — no zombies).
+    // spawning coordinator is declared before the thread pool so
+    // destruction joins the job threads first, then drains the workers
+    // (DRAIN + one SIGTERM each, bounded reap — no zombies).
     Coordinator *fabric = ropts.coordinator;
-    std::unique_ptr<WorkerPool> wpool;
+    std::unique_ptr<Coordinator> spawned;
     if (ropts.isolation == JobIsolation::process) {
         if (fabric != nullptr)
             vg_throw(Config,
                      "--serve-sweep and --isolate-jobs are mutually "
                      "exclusive: pick one remote-body transport");
-        WorkerPool::Options wo;
-        wo.workers = ThreadPool::resolveWorkerCount(ropts.jobs);
-        wo.heartbeatTimeoutMs = ropts.workerHeartbeatMs;
-        wo.rlimitMb = ropts.workerRlimitMb;
-        wo.metrics = &reg;
-        wo.telemetry = ropts.telemetry;
-        wpool = std::make_unique<WorkerPool>(wo);
-        fabric = &wpool->coordinator();
+        Coordinator::Options co;
+        co.workers = ThreadPool::resolveWorkerCount(ropts.jobs);
+        co.leaseMs = ropts.leaseMs;
+        co.rlimitMb = ropts.workerRlimitMb;
+        co.metrics = &reg;
+        co.telemetry = ropts.telemetry;
+        spawned = std::make_unique<Coordinator>(co);
+        fabric = spawned.get();
     }
 
     // The sweep is one job graph on one pool: train(b) submits

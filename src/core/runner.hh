@@ -120,7 +120,7 @@ struct JobFailure
 /**
  * Where job bodies execute. `inproc` (the default) runs them on the
  * shared thread pool; `process` routes train and simulate bodies
- * through a supervised pool of worker processes (core/worker_pool.hh)
+ * through a supervised pool of worker processes (core/coordinator.hh)
  * so a SIGSEGV, OOM kill, or hang in one job cannot take down the
  * sweep. Every piece of bookkeeping stays in the supervisor, so sweep
  * output is byte-identical between the modes at any worker count.
@@ -143,7 +143,7 @@ struct RunnerOptions
     /** Process mode: worker lease in ms (a worker that stops renewing
      *  for that long is SIGKILLed and its job fails with
      *  SimError(Hang)). */
-    unsigned workerHeartbeatMs = 10000;
+    unsigned leaseMs = 10000;
 
     /** Process mode: RLIMIT_AS cap per worker in MiB (0 = none). */
     unsigned workerRlimitMb = 0;

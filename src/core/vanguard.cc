@@ -386,29 +386,4 @@ evaluateBenchmark(const BenchmarkSpec &spec, const VanguardOptions &opts,
     return evaluateWithArtifacts(spec, art, opts, ref_seed);
 }
 
-SeedSummary
-evaluateBenchmarkAllRefs(const BenchmarkSpec &spec,
-                         const VanguardOptions &opts)
-{
-    SeedSummary summary;
-    summary.name = spec.name;
-
-    // Train and compile exactly once; CompiledConfig is
-    // seed-independent, so only the simulations differ per REF input.
-    BenchmarkArtifacts art = prepareBenchmark(spec, opts);
-
-    std::vector<double> ratios;
-    double best = -1e9;
-    for (size_t s = 0; s < kNumRefSeeds; ++s) {
-        BenchmarkOutcome outcome =
-            evaluateWithArtifacts(spec, art, opts, kRefSeeds[s]);
-        ratios.push_back(1.0 + outcome.speedupPct / 100.0);
-        best = std::max(best, outcome.speedupPct);
-        summary.perSeed.push_back(std::move(outcome));
-    }
-    summary.meanSpeedupPct = (geomean(ratios) - 1.0) * 100.0;
-    summary.bestSpeedupPct = best;
-    return summary;
-}
-
 } // namespace vanguard

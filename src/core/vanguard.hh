@@ -218,9 +218,6 @@ struct SeedSummary
     unsigned failedSeeds = 0;
 };
 
-SeedSummary evaluateBenchmarkAllRefs(const BenchmarkSpec &spec,
-                                     const VanguardOptions &opts);
-
 /** Simulate a compiled configuration on one REF input at
  *  opts.width (simulateConfigWidths with one width). */
 SimStats simulateConfig(const BenchmarkSpec &spec,

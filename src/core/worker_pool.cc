@@ -1,25 +1,17 @@
 /**
  * @file
- * Process-isolation implementation: frame-body codecs, the job-body
- * runner, and the worker spawner. See worker_pool.hh for the design.
+ * Process-isolation implementation: frame-body codecs and the job-body
+ * runner. See worker_pool.hh for the design.
  */
 
 #include "core/worker_pool.hh"
 
-#include <algorithm>
-#include <cerrno>
 #include <charconv>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <sstream>
-#include <thread>
-#include <type_traits>
 
-#include "core/coordinator.hh"
 #include "core/journal.hh"
 #include "profile/profile_io.hh"
 #include "support/checksum.hh"
@@ -27,13 +19,18 @@
 #include "support/logging.hh"
 #include "support/versioned_format.hh"
 
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 namespace vanguard {
 
 namespace {
+
+// Frame bodies are built with ipc::appendBlob, walked with
+// ipc::BodyCursor and read with ipc::readFields — shared with the
+// coordinator's lease codecs.
+using ipc::appendBlob;
+using ipc::readFields;
+using ipc::readToken;
+using ipc::restTokens;
+using Cursor = ipc::BodyCursor;
 
 // v2: simulate jobs carry a width list and results one stats lane per
 // width (one fused job per (benchmark, config, seed)).
@@ -49,34 +46,6 @@ hexDouble(double v)
     return buf;
 }
 
-/**
- * Read one whole token as a value of T, writing `*v` only on success:
- * a count through std::from_chars (so "-3" and "12k" fail), a double
- * through strtod (decimal or hexfloat), a flag as exactly 0 or 1.
- */
-template <typename T>
-bool
-readToken(const std::string &tok, T *v)
-{
-    T x{};
-    bool ok;
-    if constexpr (std::is_same_v<T, bool>) {
-        ok = tok == "0" || tok == "1";
-        x = tok == "1";
-    } else if constexpr (std::is_same_v<T, double>) {
-        char *end = nullptr;
-        x = std::strtod(tok.c_str(), &end);
-        ok = !tok.empty() && end == tok.c_str() + tok.size();
-    } else {
-        const char *end = tok.data() + tok.size();
-        auto [p, ec] = std::from_chars(tok.data(), end, x);
-        ok = ec == std::errc() && p == end;
-    }
-    if (ok)
-        *v = x;
-    return ok;
-}
-
 /** A "0x"-prefixed hex token (hexU64's spelling). */
 bool
 readHexToken(const std::string &tok, uint64_t *v)
@@ -90,26 +59,6 @@ readHexToken(const std::string &tok, uint64_t *v)
         return false;
     *v = x;
     return true;
-}
-
-/** The rest of a line's tokens. */
-std::vector<std::string>
-restTokens(std::istringstream &ls)
-{
-    std::vector<std::string> out;
-    for (std::string tok; ls >> tok;)
-        out.push_back(std::move(tok));
-    return out;
-}
-
-/** Exactly one token per field, each whole and of its field's type. */
-template <typename... T>
-bool
-readFields(const std::vector<std::string> &toks, T *...fields)
-{
-    size_t i = 0;
-    return toks.size() == sizeof...(T) &&
-           (readToken(toks[i++], fields) && ...);
 }
 
 /**
@@ -232,11 +181,6 @@ parseSpecLine(std::istringstream &ls, WorkerJob *out, std::string *error)
         *error = "bad value for spec key '" + name + "'";
     return ok;
 }
-
-// Frame bodies are built with ipc::appendBlob and walked with
-// ipc::BodyCursor — shared with the coordinator's lease codecs.
-using ipc::appendBlob;
-using Cursor = ipc::BodyCursor;
 
 } // namespace
 
@@ -469,31 +413,41 @@ parseWorkerResult(const std::string &body, WorkerResult *out,
         std::istringstream ls(line);
         std::string key;
         ls >> key;
+        std::vector<std::string> v = restTokens(ls);
+        bool ok = false;
         if (key == "slot") {
-            ls >> out->slot;
+            ok = readFields(v, &out->slot);
         } else if (key == "status") {
-            std::string s; ls >> s;
-            out->ok = s == "ok";
+            ok = v.size() == 1 && (v[0] == "ok" || v[0] == "fail");
+            if (ok)
+                out->ok = v[0] == "ok";
         } else if (key == "injected") {
-            for (uint64_t &c : out->injected)
-                ls >> c;
+            ok = v.size() == FaultPlan::kNumKinds;
+            for (size_t k = 0; ok && k < v.size(); ++k)
+                ok = readToken(v[k], &out->injected[k]);
         } else if (key == "kind") {
-            std::string k; ls >> k;
-            out->kind = SimError::kindFromName(k);
+            // kindFromName maps an unknown name to Internal, so only a
+            // name that round-trips is one.
+            ok = v.size() == 1 &&
+                 SimError::kindName(SimError::kindFromName(v[0])) == v[0];
+            if (ok)
+                out->kind = SimError::kindFromName(v[0]);
         } else if (key == "blob") {
-            std::string name;
             size_t len = 0;
-            ls >> name >> len;
+            ok = v.size() == 2 &&
+                 (v[0] == "profile" || v[0] == "message" ||
+                  v[0] == "record") &&
+                 readToken(v[1], &len);
             std::string data;
-            if (!cur.raw(len, &data)) {
-                *error = "truncated blob '" + name + "'";
+            if (ok && !cur.raw(len, &data)) {
+                *error = "truncated blob '" + v[0] + "'";
                 return false;
             }
-            if (name == "profile") {
+            if (ok && v[0] == "profile") {
                 out->profileText = std::move(data);
-            } else if (name == "message") {
+            } else if (ok && v[0] == "message") {
                 out->message = std::move(data);
-            } else if (name == "record") {
+            } else if (ok) {
                 JournalRecord rec;
                 if (!parseJournalRecord(data, &rec)) {
                     *error = "corrupt stats record in result";
@@ -505,6 +459,10 @@ parseWorkerResult(const std::string &body, WorkerResult *out,
             }
         } else {
             *error = "unknown result key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            *error = "bad value for result key '" + key + "'";
             return false;
         }
     }
@@ -673,223 +631,6 @@ JobBodyRunner::run(const WorkerJob &job)
             faultinject::injectedCount(static_cast<SimError::Kind>(k)) -
             before[k];
     return res;
-}
-
-// ---------------------------------------------------------------------
-// Spawner
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Graceful-drain deadline before stragglers are SIGKILLed. */
-constexpr unsigned kReapTimeoutMs = 2000;
-
-std::string
-selfExePath()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        vg_throw(Config,
-                 "cannot resolve this executable's path for worker "
-                 "spawn; set an explicit worker exec path");
-    return std::string(buf, static_cast<size_t>(n));
-}
-
-std::string
-describeWaitStatus(int status)
-{
-    if (WIFSIGNALED(status)) {
-        int sig = WTERMSIG(status);
-        return detail::csprintf("died on signal %d (%s)", sig,
-                                strsignal(sig));
-    }
-    if (WIFEXITED(status))
-        return detail::csprintf("exited with status %d",
-                                WEXITSTATUS(status));
-    return "vanished with unknown wait status";
-}
-
-} // namespace
-
-/** fork/exec, rlimits, reaping, exit triage and the shutdown drain —
- *  the process half of owned peers. */
-struct WorkerPool::Spawner final : Coordinator::Spawner
-{
-    Options opts;
-    mutable std::mutex mutex;
-    std::vector<int> live;      ///< spawned and not yet reaped
-    uint64_t attempts = 0;      ///< worker.spawn draw ordinal
-
-    explicit Spawner(const Options &o) : opts(o)
-    {
-        if (opts.workers == 0)
-            opts.workers = 1;
-        if (opts.execPath.empty())
-            opts.execPath = selfExePath();
-    }
-
-    unsigned
-    slots() const override
-    {
-        return opts.workers;
-    }
-
-    int
-    spawn(unsigned slot, int *fd) override
-    {
-        // Deterministic spawn-fault probe, keyed by a monotonic attempt
-        // ordinal so the pattern is independent of the worker count and
-        // a failed attempt draws fresh on retry.
-        uint64_t ordinal;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            ordinal = attempts++;
-        }
-        {
-            faultinject::Scope scope(
-                workerKillScope(uint64_t{0x5350574e}, ordinal));
-            faultinject::site("worker.spawn", SimError::Kind::Io);
-        }
-
-        int fds[2];
-        ipc::makeSocketPair(fds);
-        char fdarg[16];
-        std::snprintf(fdarg, sizeof(fdarg), "%d", fds[1]);
-        const char *argv[] = {opts.execPath.c_str(), "--worker", fdarg,
-                              nullptr};
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(fds[0]);
-            ::close(fds[1]);
-            vg_throw(Io, "fork failed for worker %u: %s", slot,
-                     std::strerror(errno));
-        }
-        if (pid == 0) {
-            // Child: async-signal-safe calls only between fork and exec.
-            if (opts.rlimitMb != 0) {
-                struct rlimit rl;
-                rl.rlim_cur = rl.rlim_max =
-                    static_cast<rlim_t>(opts.rlimitMb) << 20;
-                ::setrlimit(RLIMIT_AS, &rl);
-            }
-            ::execv(argv[0], const_cast<char *const *>(argv));
-            ::_exit(127);
-        }
-        ::close(fds[1]);
-        std::lock_guard<std::mutex> lock(mutex);
-        live.push_back(pid);
-        *fd = fds[0];
-        return pid;
-    }
-
-    std::string
-    retire(int pid, bool kill) override
-    {
-        if (kill)
-            ::kill(pid, SIGKILL);
-        int status = 0;
-        pid_t r;
-        while ((r = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
-        }
-        forget(pid);
-        return r == pid ? describeWaitStatus(status)
-                        : "could not be reaped";
-    }
-
-    void
-    forget(int pid)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        live.erase(std::remove(live.begin(), live.end(), pid),
-                   live.end());
-    }
-
-    /** Exactly one SIGTERM per live child, a bounded reap, SIGKILL for
-     *  stragglers. No zombie survives this. */
-    void
-    drain()
-    {
-        std::vector<int> pending;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            pending = live;
-        }
-        for (int pid : pending)
-            ::kill(pid, SIGTERM);
-        auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(kReapTimeoutMs);
-        while (!pending.empty() &&
-               std::chrono::steady_clock::now() < deadline) {
-            for (size_t i = 0; i < pending.size();) {
-                int status = 0;
-                pid_t r = ::waitpid(pending[i], &status, WNOHANG);
-                if (r == pending[i] || (r < 0 && errno == ECHILD)) {
-                    forget(pending[i]);
-                    pending.erase(pending.begin() +
-                                  static_cast<long>(i));
-                } else {
-                    ++i;
-                }
-            }
-            if (!pending.empty())
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-        }
-        for (int pid : pending)
-            retire(pid, /*kill=*/true);
-    }
-};
-
-WorkerPool::WorkerPool(const Options &opts)
-    : spawner_(std::make_unique<Spawner>(opts))
-{
-    Coordinator::Options co;
-    co.leaseMs = opts.heartbeatTimeoutMs;
-    co.metrics = opts.metrics;
-    co.telemetry = opts.telemetry;
-    fabric_ = std::make_unique<Coordinator>(co, *spawner_);
-}
-
-WorkerPool::~WorkerPool()
-{
-    try {
-        shutdown();
-    } catch (...) {
-        // Destructor boundary: never throw.
-    }
-}
-
-Coordinator &
-WorkerPool::coordinator()
-{
-    return *fabric_;
-}
-
-WorkerResult
-WorkerPool::execute(WorkerJob job)
-{
-    return fabric_->execute(std::move(job));
-}
-
-void
-WorkerPool::shutdown()
-{
-    fabric_->shutdown();
-    spawner_->drain();
-}
-
-std::vector<int>
-WorkerPool::workerPids() const
-{
-    std::lock_guard<std::mutex> lock(spawner_->mutex);
-    return spawner_->live;
-}
-
-WorkerPool::Stats
-WorkerPool::stats() const
-{
-    return fabric_->stats();
 }
 
 } // namespace vanguard

@@ -1,7 +1,7 @@
 /**
  * @file
  * Process-isolated job execution: the job-body codecs, the per-process
- * body runner, and the worker-process spawner behind `--isolate-jobs`.
+ * body runner, and the worker-process entry behind `--isolate-jobs`.
  *
  * The in-process pool (support/thread_pool.hh) can only contain
  * failures that unwind as C++ exceptions; a SIGSEGV, OOM kill, or
@@ -23,17 +23,12 @@
  * path); simulate jobs return SimStats through the journal's
  * CRC-guarded record codec, the same bytes a resumed sweep replays.
  *
- * WorkerPool is only a spawner. It fork/execs the children over
- * socketpairs (with an optional RLIMIT_AS cap between fork and exec),
- * reaps them and names their fate ("died on signal 11 (Segmentation
- * fault)"), and drains them at shutdown: a final DRAIN frame, exactly
- * one SIGTERM each, a bounded reap, SIGKILL for stragglers — no zombie
- * outlives the pool. Everything else — leases, redelivery, poison
- * quarantine, restart backoff, the loss-storm breaker, STATS intake —
- * is the lease coordinator's (core/coordinator.hh), which takes each
- * child as an already-connected peer it owns. A lease that expires on
- * an owned peer is a hang: the child is SIGKILLed and the job fails as
- * SimError(Hang), mirroring the in-process watchdog taxonomy.
+ * The lease coordinator (core/coordinator.hh) spawns the children: it
+ * fork/execs them over socketpairs (with an optional RLIMIT_AS cap
+ * between fork and exec), takes each as an already-connected peer it
+ * owns, and reaps and names their fate ("died on signal 11
+ * (Segmentation fault)"). This file is only what crosses the boundary
+ * and what runs on the far side of it.
  */
 
 #ifndef VANGUARD_CORE_WORKER_POOL_HH
@@ -47,13 +42,10 @@
 
 #include "core/vanguard.hh"
 #include "support/fault_inject.hh"
-#include "support/metrics.hh"
 #include "uarch/pipeline.hh"
 #include "workloads/kernel.hh"
 
 namespace vanguard {
-
-class TelemetryHub;
 
 /**
  * Exponential backoff schedule for a worker identity that keeps losing
@@ -172,8 +164,9 @@ struct WorkerResult
 };
 
 /** Bucket bounds (ms, powers of two) for the engine.worker.job_rtt
- *  histogram — shared by the pool and the runner's unconditional
- *  registration so both isolation modes dump identical shapes. */
+ *  histogram — shared by the coordinator and the runner's
+ *  unconditional registration so both isolation modes dump identical
+ *  shapes. */
 std::vector<uint64_t> workerRttBoundsMs();
 
 /**
@@ -186,8 +179,8 @@ std::vector<uint64_t> workerRttBoundsMs();
 std::string serializeOptionsExact(const VanguardOptions &opts);
 
 /** Frame-body codecs (versioned text, exact numeric round-trips).
- *  parseWorkerJob is strict: each value is one whole token of its
- *  type, and an unknown key, a trailing token or a bad value fails
+ *  Both parsers are strict: each value is one whole token of its type,
+ *  and an unknown key or blob, a trailing token or a bad value fails
  *  with an `*error` naming the key. */
 std::string serializeWorkerJob(const WorkerJob &job);
 bool parseWorkerJob(const std::string &body, WorkerJob *out,
@@ -240,70 +233,11 @@ class JobBodyRunner
     std::atomic<uint64_t> instsRetired_{0};
 };
 
-class Coordinator;
-
-class WorkerPool
-{
-  public:
-    struct Options
-    {
-        unsigned workers = 1;
-        /** Binary to exec ("" = this executable, via /proc/self/exe);
-         *  must understand `--worker <fd>`. */
-        std::string execPath;
-        /** Lease duration: a worker that goes this long without
-         *  renewing is SIGKILLed and its job fails as a hang. */
-        unsigned heartbeatTimeoutMs = 10000;
-        unsigned rlimitMb = 0;          ///< RLIMIT_AS cap (0 = none)
-        /** Registry for the engine.worker.* instruments (optional). */
-        MetricsRegistry *metrics = nullptr;
-        /** Live telemetry sink for worker STATS frames (optional;
-         *  advisory only — never touches the registry merges). */
-        TelemetryHub *telemetry = nullptr;
-    };
-
-    /** Spawns every worker and returns once each has said hello. */
-    explicit WorkerPool(const Options &opts);
-    ~WorkerPool();
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** The lease coordinator that owns this pool's workers. */
-    Coordinator &coordinator();
-
-    /** coordinator().execute(job): blocking, thread-safe, returns
-     *  only an ok result (see Coordinator::execute). */
-    WorkerResult execute(WorkerJob job);
-
-    /**
-     * Graceful drain: DRAIN frame + exactly one SIGTERM per live
-     * worker, bounded reap, SIGKILL stragglers. Idempotent; the
-     * destructor calls it. No child of this pool survives it.
-     */
-    void shutdown();
-
-    /** Live worker pids (test hooks: SIGSTOP/SIGKILL drills). */
-    std::vector<int> workerPids() const;
-
-    struct Stats
-    {
-        uint64_t heartbeatMisses = 0;
-        uint64_t quarantinedJobs = 0;
-    };
-    Stats stats() const;
-
-  private:
-    struct Spawner;
-    std::unique_ptr<Spawner> spawner_;
-    std::unique_ptr<Coordinator> fabric_; ///< destroyed before spawner_
-};
-
 /**
  * Worker-process entry (the `--worker <fd>` mode of vanguard_cli and
- * of any test binary that embeds the pool): the lease loop of
+ * of any test binary that spawns workers): the lease loop of
  * runRemoteWorker (core/coordinator.hh) on an inherited socketpair,
- * minus reconnect — a final DRAIN or EOF means exit. Returns the
+ * minus reconnect — a DRAIN or EOF means exit. Returns the
  * process exit code. Installs the shutdown latch so a process-group
  * SIGINT/SIGTERM finishes the in-flight job before exiting (the
  * supervisor owns drain policy).

@@ -23,7 +23,7 @@
  *   interp.step        Hang   functional interpreter, every 4096 insts
  *   pipeline.cycle     Hang   timing model, every 4096 retired insts
  *   pipeline.commit    Fault  timing model, every 4096 retired insts
- *   worker.spawn       Io     spawner, before each worker fork/exec
+ *   worker.spawn       Io     coordinator, before each worker fork/exec
  *                             (transient: exercises backoff respawn)
  *   worker.heartbeat   Hang   worker lease loop, once per job (a fire
  *                             suppresses all of the job's renews, so

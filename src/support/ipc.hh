@@ -31,8 +31,13 @@
 #ifndef VANGUARD_SUPPORT_IPC_HH
 #define VANGUARD_SUPPORT_IPC_HH
 
+#include <charconv>
 #include <cstdint>
+#include <cstdlib>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "support/error.hh"
 
@@ -51,8 +56,7 @@ enum : char
     kFrameResult = 'R',     ///< worker -> coordinator
     kFrameResultAck = 'A',  ///< coordinator -> worker: result recorded
     kFrameHeartbeat = 'B',  ///< coordinator -> idle worker: still here
-    kFrameDrain = 'D',      ///< coordinator -> worker: stop claiming
-    kFrameJob = 'J',        ///< unused by the protocol; framing tests
+    kFrameDrain = 'D',      ///< coordinator -> worker: exit
 
     // Live telemetry plane (support/telemetry.hh):
     kFrameStats = 'S',      ///< worker -> coordinator: periodic
@@ -251,6 +255,55 @@ struct BodyCursor
         return true;
     }
 };
+
+/**
+ * Read one whole token as a value of T, writing `*v` only on success:
+ * a count through std::from_chars (so "-3", "12k" and out-of-range
+ * values fail), a double through strtod (decimal or hexfloat), a flag
+ * as exactly 0 or 1. The strict value reader of every frame body.
+ */
+template <typename T>
+bool
+readToken(const std::string &tok, T *v)
+{
+    T x{};
+    bool ok;
+    if constexpr (std::is_same_v<T, bool>) {
+        ok = tok == "0" || tok == "1";
+        x = tok == "1";
+    } else if constexpr (std::is_same_v<T, double>) {
+        char *end = nullptr;
+        x = std::strtod(tok.c_str(), &end);
+        ok = !tok.empty() && end == tok.c_str() + tok.size();
+    } else {
+        const char *end = tok.data() + tok.size();
+        auto [p, ec] = std::from_chars(tok.data(), end, x);
+        ok = ec == std::errc() && p == end;
+    }
+    if (ok)
+        *v = x;
+    return ok;
+}
+
+/** The rest of a line's tokens. */
+inline std::vector<std::string>
+restTokens(std::istringstream &ls)
+{
+    std::vector<std::string> out;
+    for (std::string tok; ls >> tok;)
+        out.push_back(std::move(tok));
+    return out;
+}
+
+/** Exactly one token per field, each whole and of its field's type. */
+template <typename... T>
+bool
+readFields(const std::vector<std::string> &toks, T *...fields)
+{
+    size_t i = 0;
+    return toks.size() == sizeof...(T) &&
+           (readToken(toks[i++], fields) && ...);
+}
 
 } // namespace ipc
 } // namespace vanguard

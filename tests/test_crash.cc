@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "cli_sweep_drill.hh"
+#include "core/coordinator.hh"
 #include "core/journal.hh"
 #include "core/runner.hh"
-#include "core/worker_pool.hh"
 #include "profile/profile_io.hh"
 #include "support/atomic_file.hh"
 #include "support/checksum.hh"
@@ -463,22 +463,22 @@ TEST(Shutdown, DrainDiscardsQueuedJobsButFinishesInFlight)
     EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(Shutdown, WorkerPoolDrainUnderShutdownLeavesNoZombies)
+TEST(Shutdown, SpawnedWorkersDrainUnderShutdownLeaveNoZombies)
 {
     // The process-isolation twin of the drain test: with the drain
     // flag already latched (as a SIGTERM handler would leave it), a
-    // worker pool still shuts down cleanly — QUIT + one SIGTERM per
-    // live worker, bounded reap — and no child outlives it, running
-    // or zombie.
+    // coordinator's spawned workers still shut down cleanly — DRAIN +
+    // one SIGTERM per live worker, bounded reap — and no child
+    // outlives it, running or zombie.
     clearShutdownRequest();
     requestShutdown(SIGTERM);
     std::vector<int> pids;
     {
-        WorkerPool::Options o;
+        Coordinator::Options o;
         o.workers = 2;
         o.execPath = VANGUARD_CLI_BIN;
-        WorkerPool wpool(o);
-        pids = wpool.workerPids();
+        Coordinator fabric(o);
+        pids = fabric.workerPids();
         EXPECT_EQ(pids.size(), 2u);
     } // destructor drains
     for (int pid : pids) {

@@ -181,7 +181,9 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
           std::vector<std::string>{"--selfbench-repeats", "abc"},
           std::vector<std::string>{"--selfbench-repeats", "0"},
           std::vector<std::string>{"--selfbench-iters", "x"},
-          std::vector<std::string>{"--no-threaded-dispatch"}}) {
+          std::vector<std::string>{"--no-threaded-dispatch"},
+          std::vector<std::string>{"--worker-heartbeat", "400",
+                                   "--all-refs", "--isolate-jobs"}}) {
         std::string label;
         for (const std::string &f : flags)
             label += (label.empty() ? "" : " ") + f;

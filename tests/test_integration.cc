@@ -11,6 +11,7 @@
 #include "bpred/factory.hh"
 #include "compiler/layout.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "core/vanguard.hh"
 #include "workloads/suites.hh"
 
@@ -165,7 +166,7 @@ TEST(Integration, SuiteRunnerAggregates)
     std::vector<BenchmarkSpec> mini = {smallSpec("h264ref-like", 1500),
                                        smallSpec("bzip2-like", 1500)};
     VanguardOptions opts = quickOpts();
-    SuiteResult result = runSuite(mini, opts, /*verbose=*/false);
+    SuiteResult result = runSuiteWidths(mini, {opts.width}, opts).front();
     ASSERT_EQ(result.rows.size(), 2u);
     EXPECT_EQ(result.rows[0].perSeed.size(), kNumRefSeeds);
     EXPECT_GE(result.geomeanBestPct, result.geomeanMeanPct - 1e-9);

@@ -5,21 +5,25 @@
  * socket (torn writes, CRC corruption, slow byte-at-a-time writers,
  * mid-frame disconnects), the FrameChannel buffer-shrink policy, the
  * non-blocking drain read the coordinator's service loop uses, the
- * deterministic network-fault draw, and the blob body codec the lease
- * protocol shares with the worker protocol. Everything here is
- * in-process; the end-to-end coordinator/worker drills live in
- * test_net_sweep.cc (tier2_net).
+ * deterministic network-fault draw, the blob body codec the lease
+ * protocol shares with the worker protocol, and the coordinator's
+ * answer to a result for the wrong slot, against a hand-rolled worker.
+ * Everything here is in-process; the end-to-end coordinator/worker
+ * drills live in test_net_sweep.cc (tier2_net).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "core/coordinator.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
+#include "workloads/suites.hh"
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -287,6 +291,102 @@ TEST(NetCodec, BlobRoundTripsBinaryPayloads)
     ASSERT_TRUE(cur.raw(len, &raw));
     EXPECT_EQ(raw, payload);
     EXPECT_FALSE(cur.line(&line)); // nothing after the blob
+}
+
+/** A hand-rolled remote worker: connects, says hello as `pid`, reads
+ *  its CONFIG, claims, and returns the leased job with its lease id. */
+struct FakeWorker
+{
+    int fd = -1;
+    ipc::FrameChannel chan;
+
+    FakeWorker(uint16_t port, int pid)
+    {
+        std::string err;
+        fd = ipc::connectTcp("127.0.0.1", port, &err);
+        EXPECT_GE(fd, 0) << err;
+        chan.reset(fd);
+        ipc::writeFrame(fd, ipc::kFrameHello,
+                        "vanguard-remote v2\npid " + std::to_string(pid) +
+                            "\n");
+        EXPECT_EQ(next(ipc::kFrameConfig).type, ipc::kFrameConfig);
+    }
+    ~FakeWorker() { ::close(fd); }
+
+    /** The next frame of `type` within 5 s, skipping heartbeats and
+     *  acks (the last frame read when none comes). */
+    ipc::Frame
+    next(char type)
+    {
+        ipc::Frame f;
+        auto end = std::chrono::steady_clock::now() +
+                   std::chrono::seconds(5);
+        while (chan.read(&f, 5000) == ipc::ReadStatus::Ok &&
+               f.type != type && std::chrono::steady_clock::now() < end) {
+        }
+        return f;
+    }
+
+    WorkerJob
+    claim(uint64_t *lease)
+    {
+        ipc::writeFrame(fd, ipc::kFrameClaim, "vanguard-claim v2\n");
+        ipc::Frame f = next(ipc::kFrameLease);
+        FabricBody body;
+        WorkerJob job;
+        std::string err;
+        EXPECT_EQ(f.type, ipc::kFrameLease);
+        EXPECT_TRUE(parseFabricBody(f.body, "lease", &body, &err) &&
+                    parseWorkerJob(body.blobs["job"], &job, &err))
+            << err;
+        *lease = body.nums["lease"];
+        return job;
+    }
+
+    void
+    report(uint64_t lease, size_t slot, const std::string &profile)
+    {
+        WorkerResult r;
+        r.ok = true;
+        r.slot = slot;
+        r.profileText = profile;
+        std::string body =
+            "vanguard-remoteresult v2\nlease " + std::to_string(lease) +
+            "\n";
+        ipc::appendBlob(&body, "result", serializeWorkerResult(r));
+        ipc::writeFrame(fd, ipc::kFrameResult, body);
+    }
+};
+
+TEST(NetFabric, ResultForAnotherSlotIsADesyncAndTheLeaseRequeues)
+{
+    Coordinator fabric(Coordinator::Options{});
+    WorkerJob job;
+    job.phase = "train";
+    job.slot = 4;
+    job.spec = findBenchmark("gcc-like");
+    job.specName = job.spec.name;
+    WorkerResult got;
+    std::thread caller([&] { got = fabric.execute(job); });
+
+    // A result naming slot 5 on the lease of slot 4 drops the peer...
+    uint64_t lease = 0;
+    {
+        FakeWorker bad(fabric.port(), 1);
+        EXPECT_EQ(bad.claim(&lease).slot, 4u);
+        bad.report(lease, 5, "wrong");
+        ipc::Frame f;
+        EXPECT_EQ(bad.chan.read(&f, 5000), ipc::ReadStatus::Eof);
+    }
+    // ...and the job goes to the next claimant (the same worker,
+    // reconnected), whose result counts.
+    FakeWorker good(fabric.port(), 1);
+    EXPECT_EQ(good.claim(&lease).slot, 4u);
+    good.report(lease, 4, "right");
+    caller.join();
+    EXPECT_EQ(got.profileText, "right");
+    fabric.shutdown();
+    EXPECT_EQ(good.next(ipc::kFrameDrain).type, ipc::kFrameDrain);
 }
 
 TEST(NetCodec, ConnScopeMixesBothOperands)

@@ -313,24 +313,5 @@ TEST(Runner, MatchesLegacyPerSeedEvaluation)
     }
 }
 
-TEST(Runner, AllRefsSharesArtifactsAcrossSeeds)
-{
-    // The hoisted train/compile must not change what each seed sees:
-    // evaluateBenchmarkAllRefs (compile-once) equals per-seed
-    // evaluateBenchmark (legacy recompile-per-seed).
-    BenchmarkSpec spec = quick("gobmk-like", 1000);
-    VanguardOptions opts;
-    SeedSummary summary = evaluateBenchmarkAllRefs(spec, opts);
-    ASSERT_EQ(summary.perSeed.size(), kNumRefSeeds);
-    for (size_t s = 0; s < kNumRefSeeds; ++s) {
-        BenchmarkOutcome direct =
-            evaluateBenchmark(spec, opts, kRefSeeds[s]);
-        EXPECT_EQ(summary.perSeed[s].base.cycles, direct.base.cycles);
-        EXPECT_EQ(summary.perSeed[s].exp.cycles, direct.exp.cycles);
-        EXPECT_DOUBLE_EQ(summary.perSeed[s].speedupPct,
-                         direct.speedupPct);
-    }
-}
-
 } // namespace
 } // namespace vanguard

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/coordinator.hh"
 #include "core/journal.hh"
 #include "core/worker_pool.hh"
 #include "profile/profile_io.hh"
@@ -49,13 +51,13 @@ TEST(IpcFrame, RoundTripsBinaryAndEmptyPayloads)
 {
     PairFds p;
     std::string binary("\x00\x01\xff\n\r\x7f frame", 12);
-    ipc::writeFrame(p.fds[0], ipc::kFrameJob, binary);
+    ipc::writeFrame(p.fds[0], ipc::kFrameLease, binary);
     ipc::writeFrame(p.fds[0], ipc::kFrameHeartbeat, "");
 
     ipc::FrameChannel chan(p.fds[1]);
     ipc::Frame f;
     ASSERT_EQ(chan.read(&f, 1000), ipc::ReadStatus::Ok);
-    EXPECT_EQ(f.type, ipc::kFrameJob);
+    EXPECT_EQ(f.type, ipc::kFrameLease);
     EXPECT_EQ(f.body, binary);
     ASSERT_EQ(chan.read(&f, 1000), ipc::ReadStatus::Ok);
     EXPECT_EQ(f.type, ipc::kFrameHeartbeat);
@@ -291,48 +293,117 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
     EXPECT_NE(err.find("truncated"), std::string::npos);
     // An `opt` line is as strict as a top-level key: an unknown name
     // (a retired key among them) or a value that is not one whole
-    // token of its type fails, naming the key.
+    // token of its type fails, naming the key. So does every line of
+    // a result body and of the lease-protocol bodies.
     const std::string head = "vanguard-workerjob v2\nphase train\n";
+    const std::string result = "vanguard-workerresult v2\n";
     ASSERT_TRUE(parseWorkerJob(head + "opt dbb-entries 8\n", &out, &err))
         << err;
     EXPECT_EQ(out.options.dbbEntries, 8u);
-    for (const auto &[line, key] :
-         std::vector<std::pair<std::string, std::string>>{
-             {"opt no-such-opt 1", "no-such-opt"},
-             {"opt no-threaded-dispatch 1", "no-threaded-dispatch"},
-             {"opt sel-min-exposed garbage", "sel-min-exposed"},
-             {"opt sel-min-exposed 0.5x", "sel-min-exposed"},
-             {"opt dbb-entries -3", "dbb-entries"},
-             {"opt dbb-entries x", "dbb-entries"},
-             {"opt dbb-entries", "dbb-entries"},
-             {"opt width 4 4", "width"},
-             {"opt superblock 2", "superblock"},
-             {"opt sim-max-insts 12k", "sim-max-insts"},
+    auto parses = [](const std::string &body, std::string *e) {
+        if (body.rfind("vanguard-workerjob ", 0) == 0) {
+            WorkerJob j;
+            return parseWorkerJob(body, &j, e);
+        }
+        if (body.rfind("vanguard-workerresult ", 0) == 0) {
+            WorkerResult r;
+            return parseWorkerResult(body, &r, e);
+        }
+        FabricBody f;
+        const size_t dash = body.find('-') + 1;
+        return parseFabricBody(body, body.substr(dash, body.find(' ') - dash),
+                               &f, e);
+    };
+    for (const auto &[prefix, line, key] :
+         std::vector<std::tuple<std::string, std::string, std::string>>{
+             {head, "opt no-such-opt 1", "no-such-opt"},
+             {head, "opt no-threaded-dispatch 1", "no-threaded-dispatch"},
+             {head, "opt sel-min-exposed garbage", "sel-min-exposed"},
+             {head, "opt sel-min-exposed 0.5x", "sel-min-exposed"},
+             {head, "opt dbb-entries -3", "dbb-entries"},
+             {head, "opt dbb-entries x", "dbb-entries"},
+             {head, "opt dbb-entries", "dbb-entries"},
+             {head, "opt width 4 4", "width"},
+             {head, "opt superblock 2", "superblock"},
+             {head, "opt sim-max-insts 12k", "sim-max-insts"},
              // Every other line is as strict as an `opt` line.
-             {"config other", "config"},
-             {"config exp exp", "config"},
-             {"seed 12", "seed"},
-             {"seed 0xzz", "seed"},
-             {"scope 0x1 2", "scope"},
-             {"slot -1", "slot"},
-             {"slot 3x", "slot"},
-             {"delivery x", "delivery"},
-             {"scope-start-draw 1.5", "scope-start-draw"},
-             {"collect-stalls 2", "collect-stalls"},
-             {"phase", "phase"},
-             {"blob notes 3", "blob"},
-             {"spec fp 7", "fp"},
-             {"spec hammocks 1 2", "hammocks"},
-             {"spec hammocks 1 2 3 4", "hammocks"},
-             {"spec noise-pu abc", "noise-pu"},
-             {"spec iterations -5", "iterations"},
-             {"spec name", "name"},
-             {"spec colour 3", "colour"}}) {
-        WorkerJob j;
+             {head, "config other", "config"},
+             {head, "config exp exp", "config"},
+             {head, "seed 12", "seed"},
+             {head, "seed 0xzz", "seed"},
+             {head, "scope 0x1 2", "scope"},
+             {head, "slot -1", "slot"},
+             {head, "slot 3x", "slot"},
+             {head, "delivery x", "delivery"},
+             {head, "scope-start-draw 1.5", "scope-start-draw"},
+             {head, "collect-stalls 2", "collect-stalls"},
+             {head, "phase", "phase"},
+             {head, "blob notes 3", "blob"},
+             {head, "spec fp 7", "fp"},
+             {head, "spec hammocks 1 2", "hammocks"},
+             {head, "spec hammocks 1 2 3 4", "hammocks"},
+             {head, "spec noise-pu abc", "noise-pu"},
+             {head, "spec iterations -5", "iterations"},
+             {head, "spec name", "name"},
+             {head, "spec colour 3", "colour"},
+             // Result bodies.
+             {result, "slot -1", "slot"},
+             {result, "slot 3x", "slot"},
+             {result, "slot 99999999999999999999999", "slot"},
+             {result, "status maybe", "status"},
+             {result, "status ok ok", "status"},
+             {result, "injected 1 2", "injected"},
+             {result, "injected 0 0 0 0 0 0 x", "injected"},
+             {result, "kind Bogus", "kind"},
+             {result, "kind", "kind"},
+             {result, "blob notes 3", "blob"},
+             {result, "colour 3", "colour"},
+             // Lease-protocol bodies: numbers are whole unsigned tokens
+             // (no wrapped "-1", no cut-short "12abc"), each key once,
+             // and v1's constant fields are unknown keys now.
+             {"vanguard-renew v2\n", "lease -1", "lease"},
+             {"vanguard-renew v2\n", "lease 12abc", "lease"},
+             {"vanguard-renew v2\n", "lease 99999999999999999999",
+              "lease"},
+             {"vanguard-renew v2\nlease 1\n", "lease 2", "lease"},
+             {"vanguard-renew v2\n", "colour 3", "colour"},
+             {"vanguard-workerconfig v2\n", "lease-ms abc", "lease-ms"},
+             {"vanguard-workerconfig v2\n", "heartbeat-ms 400",
+              "heartbeat-ms"},
+             {"vanguard-lease v2\n", "lease-ms 400", "lease-ms"},
+             {"vanguard-lease v2\n", "blob notes 3", "blob"},
+             {"vanguard-ack v2\n", "lease", "lease"},
+             {"vanguard-remote v2\n", "pid 12 13", "pid"}}) {
         err.clear();
-        EXPECT_FALSE(parseWorkerJob(head + line + "\n", &j, &err)) << line;
+        EXPECT_FALSE(parses(prefix + line + "\n", &err)) << line;
         EXPECT_NE(err.find("'" + key + "'"), std::string::npos)
             << line << ": " << err;
+    }
+    // A lease-protocol body must carry each of its keys and blobs, and
+    // speak this build's version: a v1 peer is refused by name.
+    for (const auto &[body, kind, named] :
+         std::vector<std::tuple<std::string, std::string, std::string>>{
+             {"vanguard-renew v2\n", "renew", "'lease'"},
+             {"vanguard-lease v2\nlease 3\n", "lease", "'job'"},
+             {"vanguard-lease v1\nlease 3\n", "lease", "'v1'"},
+             {"vanguard-lease v3\nlease 3\n", "lease", "v3"},
+             {"vanguard-claim v2\n", "lease", "vanguard-lease"}}) {
+        FabricBody f;
+        err.clear();
+        EXPECT_FALSE(parseFabricBody(body, kind, &f, &err)) << body;
+        EXPECT_NE(err.find(named), std::string::npos) << body << err;
+    }
+    {
+        FabricBody f;
+        ASSERT_TRUE(parseFabricBody("vanguard-workerconfig v2\n"
+                                    "lease-ms 400\n"
+                                    "blob fault-plan 0\n\n"
+                                    "blob net-fault-plan 3\nabc\n",
+                                    "workerconfig", &f, &err))
+            << err;
+        EXPECT_EQ(f.num("lease-ms"), 400u);
+        EXPECT_EQ(f.blobs["fault-plan"], "");
+        EXPECT_EQ(f.blobs["net-fault-plan"], "abc");
     }
     // The control: the same keys with well-formed values parse.
     WorkerJob j;
@@ -641,11 +712,11 @@ TEST(WorkerFaults, SiteFiresDoesNotPerturbJobDrawsOrGauges)
     faultinject::disarm();
 }
 
-TEST(WorkerPoolApi, RttHistogramBoundsAreSharedAndSorted)
+TEST(WorkerCodec, RttHistogramBoundsAreSharedAndSorted)
 {
     // The runner registers engine.worker.job_rtt unconditionally with
     // these bounds so both isolation modes dump identical histogram
-    // shapes; the pool observes into the same instrument.
+    // shapes; the coordinator observes into the same instrument.
     std::vector<uint64_t> bounds = workerRttBoundsMs();
     ASSERT_FALSE(bounds.empty());
     for (size_t i = 1; i < bounds.size(); ++i)

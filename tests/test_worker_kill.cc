@@ -26,8 +26,8 @@
 #include <unistd.h>
 
 #include "cli_sweep_drill.hh"
+#include "core/coordinator.hh"
 #include "core/journal.hh"
-#include "core/worker_pool.hh"
 #include "workloads/suites.hh"
 
 namespace vanguard {
@@ -182,13 +182,15 @@ TEST(WorkerQuarantine, PoisonJobIsQuarantinedAndSweepCompletes)
         << metrics;
 }
 
-/** Direct-pool drills below exec the CLI binary as the worker. */
-WorkerPool::Options
-poolOptions(unsigned workers)
+/** Direct-coordinator drills below exec the CLI binary as the worker
+ *  and read the supervision counters from `reg`. */
+Coordinator::Options
+spawnOptions(unsigned workers, MetricsRegistry *reg = nullptr)
 {
-    WorkerPool::Options o;
+    Coordinator::Options o;
     o.workers = workers;
     o.execPath = VANGUARD_CLI_BIN;
+    o.metrics = reg;
     return o;
 }
 
@@ -207,11 +209,12 @@ trainJob(size_t slot, uint64_t iterations)
 
 TEST(WorkerSupervision, HeartbeatWatchdogKillsStoppedWorker)
 {
-    WorkerPool::Options o = poolOptions(1);
-    o.heartbeatTimeoutMs = 400; // beats every 100 ms
-    WorkerPool pool(o);
+    MetricsRegistry reg;
+    Coordinator::Options o = spawnOptions(1, &reg);
+    o.leaseMs = 400; // beats every 100 ms
+    Coordinator fabric(o);
 
-    std::vector<int> pids = pool.workerPids();
+    std::vector<int> pids = fabric.workerPids();
     ASSERT_EQ(pids.size(), 1u);
 
     // Freeze the worker shortly after the job lands: beats stop, the
@@ -222,7 +225,7 @@ TEST(WorkerSupervision, HeartbeatWatchdogKillsStoppedWorker)
         ::kill(pids[0], SIGSTOP);
     });
     try {
-        pool.execute(trainJob(0, 5'000'000));
+        fabric.execute(trainJob(0, 5'000'000));
         stopper.join();
         FAIL() << "stopped worker's job did not hang";
     } catch (const SimError &e) {
@@ -230,10 +233,10 @@ TEST(WorkerSupervision, HeartbeatWatchdogKillsStoppedWorker)
         EXPECT_EQ(e.kind(), SimError::Kind::Hang);
         EXPECT_NE(e.detail().find("heartbeat"), std::string::npos);
     }
-    EXPECT_EQ(pool.stats().heartbeatMisses, 1u);
+    EXPECT_EQ(reg.counter("engine.worker.heartbeat_misses").value(), 1u);
 
-    // The pool recovered: the next job runs on a fresh worker.
-    WorkerResult ok = pool.execute(trainJob(1, 500));
+    // The fabric recovered: the next job runs on a fresh worker.
+    WorkerResult ok = fabric.execute(trainJob(1, 500));
     EXPECT_TRUE(ok.ok);
     EXPECT_FALSE(ok.profileText.empty());
 }
@@ -248,9 +251,9 @@ TEST(WorkerSupervision, RlimitTurnsRunawayAllocationIntoFailure)
     GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan shadow";
 #endif
 #endif
-    WorkerPool::Options o = poolOptions(1);
+    Coordinator::Options o = spawnOptions(1);
     o.rlimitMb = 512;
-    WorkerPool pool(o);
+    Coordinator fabric(o);
 
     // A 1 GiB working set cannot fit under the 512 MiB address-space
     // cap: whether the allocator reports bad_alloc (a structured
@@ -259,19 +262,20 @@ TEST(WorkerSupervision, RlimitTurnsRunawayAllocationIntoFailure)
     // wedged or crashed sweep.
     WorkerJob runaway = trainJob(0, 1000);
     runaway.spec.workingSetKB = 1u << 20;
-    EXPECT_THROW(pool.execute(std::move(runaway)), SimError);
+    EXPECT_THROW(fabric.execute(std::move(runaway)), SimError);
 
     // And an ordinary job still fits and succeeds.
-    WorkerResult ok = pool.execute(trainJob(1, 500));
+    WorkerResult ok = fabric.execute(trainJob(1, 500));
     EXPECT_TRUE(ok.ok);
 }
 
 TEST(WorkerSupervision, DirectQuarantineAfterConsecutiveDeaths)
 {
     ::setenv("VANGUARD_WORKER_SEGV_SLOT", "train:5", 1);
-    WorkerPool pool(poolOptions(2));
+    MetricsRegistry reg;
+    Coordinator fabric(spawnOptions(2, &reg));
     try {
-        pool.execute(trainJob(5, 500));
+        fabric.execute(trainJob(5, 500));
         FAIL() << "poison job completed";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Internal);
@@ -282,11 +286,11 @@ TEST(WorkerSupervision, DirectQuarantineAfterConsecutiveDeaths)
             << e.detail();
     }
     ::unsetenv("VANGUARD_WORKER_SEGV_SLOT");
-    EXPECT_EQ(pool.stats().quarantinedJobs, 1u);
+    EXPECT_EQ(reg.counter("engine.worker.quarantined_jobs").value(), 1u);
 
     // Three consecutive losses did not trip the storm breaker; the
-    // pool still serves other jobs.
-    WorkerResult ok = pool.execute(trainJob(0, 500));
+    // fabric still serves other jobs.
+    WorkerResult ok = fabric.execute(trainJob(0, 500));
     EXPECT_TRUE(ok.ok);
 }
 
@@ -294,12 +298,12 @@ TEST(WorkerSupervision, DrainLeavesNoWorkersAndNoZombies)
 {
     std::vector<int> pids;
     {
-        WorkerPool pool(poolOptions(3));
-        WorkerResult r = pool.execute(trainJob(0, 500));
+        Coordinator fabric(spawnOptions(3));
+        WorkerResult r = fabric.execute(trainJob(0, 500));
         EXPECT_TRUE(r.ok);
-        pids = pool.workerPids();
+        pids = fabric.workerPids();
         EXPECT_EQ(pids.size(), 3u);
-        pool.shutdown(); // destructor would do the same
+        fabric.shutdown(); // destructor would do the same
     }
     // Every worker is gone — not running, not a zombie waiting for a
     // reap that will never come.
@@ -310,7 +314,7 @@ TEST(WorkerSupervision, DrainLeavesNoWorkersAndNoZombies)
     }
     errno = 0;
     EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
-    EXPECT_EQ(errno, ECHILD) << "a child outlived the pool";
+    EXPECT_EQ(errno, ECHILD) << "a child outlived the fabric";
 }
 
 TEST(WorkerResume, SupervisorSigkillOrphansNothingAndResumes)
