@@ -797,27 +797,23 @@ runCli(int argc, char **argv)
 
         // Live telemetry plane: strictly observational (sweep output
         // is byte-identical with it on or off). Declared before the
-        // coordinator, which registers its lease table with the hub
-        // and clears it in shutdown() — so it must be destroyed
-        // first.
-        std::optional<TelemetryHub> hub;
-        std::optional<TelemetryServer> server;
+        // coordinator, which registers its fabric view with the
+        // server and clears it in shutdown() — so it must be
+        // destroyed first.
+        std::optional<TelemetryServer> telemetry;
         if (telemetry_serve) {
-            TelemetryHub::Options hopts;
-            hopts.registry = &registry;
-            hub.emplace(hopts);
             TelemetryServer::Options topts;
             topts.port = static_cast<uint16_t>(telemetry_port);
-            topts.hub = &*hub;
-            server.emplace(topts);
+            topts.registry = &registry;
+            telemetry.emplace(topts);
             // Tests and scripts parse this line for the resolved
             // port, so flush it before the sweep starts.
             std::fprintf(stderr,
                          "telemetry on port %u (GET /metrics, "
                          "/progress, /healthz)\n",
-                         server->port());
+                         telemetry->port());
             std::fflush(stderr);
-            ropts.telemetry = &*hub;
+            ropts.telemetry = &*telemetry;
         }
 
         // Distributed mode: lease train/simulate bodies to remote
@@ -830,8 +826,8 @@ runCli(int argc, char **argv)
             if (lease_ms != 0)
                 copts.leaseMs = lease_ms;
             copts.metrics = &registry;
-            if (hub.has_value())
-                copts.telemetry = &*hub;
+            if (telemetry.has_value())
+                copts.telemetry = &*telemetry;
             coord.emplace(copts);
             // Tests and scripts parse this line for the resolved
             // port, so flush it before blocking on workers.

@@ -39,9 +39,9 @@ namespace vanguard {
 
 namespace {
 
-/** Every lease-protocol body is "vanguard-<kind> v2"; a peer that
+/** Every lease-protocol body is "vanguard-<kind> v3"; a peer that
  *  speaks another version is refused by name. */
-constexpr unsigned kFabricVersion = 2;
+constexpr unsigned kFabricVersion = 3;
 
 // The supervision policy, one copy for spawned and remote peers.
 constexpr unsigned kQuarantineLosses = 3; ///< lost leases in a row = poison
@@ -82,6 +82,7 @@ const FabricKind kFabricKinds[] = {
     {"renew", {"lease"}, {}},
     {"remoteresult", {"lease"}, {"result"}},
     {"ack", {"lease"}, {}},
+    {"refused", {}, {"reason"}}, // a DRAIN answering a refused HELLO
 };
 
 bool
@@ -260,7 +261,9 @@ struct Coordinator::Impl
         std::string key;        ///< "phase:slot" (policy bookkeeping)
         unsigned grants = 0;    ///< deliveries so far
         uint64_t leaseId = 0;   ///< current lease (Leased only)
-        std::string leasedTo;   ///< identity of the leaseholder
+        /** Identity of the leaseholder; once Done with a result, of
+         *  the peer whose result settled it. */
+        std::string leasedTo;
         Clock::time_point leaseExpiry;
         Clock::time_point grantedAt; ///< owned peers' job_rtt start
         bool discarded = false; ///< drained before any lease
@@ -286,30 +289,10 @@ struct Coordinator::Impl
             opts_.execPath = selfExePath();
         }
         if (opts_.telemetry != nullptr) {
-            // The /progress lease table reads the offer map under
-            // mutex_; shutdown() clears the provider before this Impl
-            // can die, so the closure never outlives `this`.
-            opts_.telemetry->setLeaseTableProvider([this] {
-                std::vector<LeaseInfo> out;
-                Clock::time_point now = Clock::now();
-                std::lock_guard<std::mutex> lock(mutex_);
-                for (const auto &kv : offers_) {
-                    const Offer &o = kv.second;
-                    if (o.state != Offer::Leased)
-                        continue;
-                    LeaseInfo li;
-                    li.id = o.leaseId;
-                    li.key = o.key;
-                    li.peer = o.leasedTo;
-                    li.expiresInMs =
-                        std::chrono::duration_cast<
-                            std::chrono::milliseconds>(o.leaseExpiry -
-                                                       now)
-                            .count();
-                    out.push_back(std::move(li));
-                }
-                return out;
-            });
+            // shutdown() clears the provider before this Impl can die,
+            // so the closure never outlives `this`.
+            opts_.telemetry->setFabricViewProvider(
+                [this] { return fabricView(); });
         }
         slots_.resize(opts_.workers);
         for (unsigned s = 0; s < slots_.size(); ++s)
@@ -337,6 +320,39 @@ struct Coordinator::Impl
     {
         if (opts_.metrics != nullptr)
             opts_.metrics->counter(name).add(1);
+    }
+
+    /** The live leases plus one row per peer identity that holds a
+     *  lease or settled an offer: one pass over the offer table. */
+    FabricView
+    fabricView()
+    {
+        FabricView out;
+        std::map<std::string, PeerInfo> peers;
+        Clock::time_point now = Clock::now();
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &kv : offers_) {
+            const Offer &o = kv.second;
+            if (o.state == Offer::Leased) {
+                LeaseInfo li;
+                li.id = o.leaseId;
+                li.key = o.key;
+                li.peer = o.leasedTo;
+                li.expiresInMs =
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        o.leaseExpiry - now)
+                        .count();
+                out.leases.push_back(std::move(li));
+                peers[o.leasedTo].lease = o.leaseId;
+            } else if (o.state == Offer::Done && !o.failed) {
+                peers[o.leasedTo].jobsDone++;
+            }
+        }
+        for (auto &[identity, row] : peers) {
+            row.identity = identity;
+            out.peers.push_back(std::move(row));
+        }
+        return out;
     }
 
     // ---- execute() side (runner pool threads) ----
@@ -531,6 +547,24 @@ struct Coordinator::Impl
         return st;
     }
 
+    /**
+     * A DRAIN-typed goodbye (a shutdown drain or a refusal), sent
+     * injection-free: shutdown is a control path, not a chaos
+     * subject, and an injected drop here would strand a worker
+     * retrying a dead port forever. False if the peer is gone.
+     */
+    bool
+    sendGoodbye(Peer &p, const std::string &body)
+    {
+        try {
+            ipc::writeFrame(p.fd, ipc::kFrameDrain, body);
+        } catch (const SimError &) {
+            return false;
+        }
+        countFrame(p, ipc::kFrameDrain);
+        return true;
+    }
+
     /** Sleep until a peer or the listener has traffic — at most
      *  `timeout_ms`. Runs outside the turn: execute() never adds or
      *  removes peers. */
@@ -564,25 +598,17 @@ struct Coordinator::Impl
             waitForTraffic(kTickMs);
         }
         std::lock_guard<std::mutex> turn(turn_);
-        // Final drain: every connected peer gets its goodbye, sent
-        // injection-free — shutdown is a control path, not a chaos
-        // subject (an injected drop here would strand a worker
-        // retrying a dead port forever).
+        // Final drain: every connected peer gets its goodbye.
         discardQueued();
         std::set<std::string> drained;
         auto drainPeer = [&](Peer &p) {
             if (p.dead)
                 return;
-            try {
-                ipc::writeFrame(p.fd, ipc::kFrameDrain,
-                                fabricBody("drain", {}));
-                countFrame(p, ipc::kFrameDrain);
-                if (!p.identity.empty())
-                    drained.insert(p.identity);
-            } catch (const SimError &) {
-                // Peer gone mid-goodbye; if it reconnects it gets
-                // the lame-duck DRAIN below instead.
-            }
+            // A peer gone mid-goodbye gets the lame-duck DRAIN below
+            // if it reconnects.
+            if (sendGoodbye(p, fabricBody("drain", {})) &&
+                !p.identity.empty())
+                drained.insert(p.identity);
             p.dead = true;
         };
         for (auto &p : peers_)
@@ -913,19 +939,6 @@ struct Coordinator::Impl
             return handleResult(p, f.body);
         case ipc::kFrameHeartbeat:
             return true;
-        case ipc::kFrameStats: {
-            // Advisory live stats for the telemetry hub. Identity is
-            // receiver-assigned, and a malformed body is dropped,
-            // never a desync — telemetry cannot cost a peer its
-            // connection.
-            PeerStats ps;
-            if (opts_.telemetry != nullptr && p.helloed &&
-                parsePeerStats(f.body, &ps)) {
-                ps.identity = p.identity;
-                opts_.telemetry->notePeerStats(ps);
-            }
-            return true;
-        }
         default:
             losePeer(p,
                      detail::csprintf("protocol desync (frame '%c')",
@@ -962,6 +975,11 @@ struct Coordinator::Impl
             if (!p.owned())
                 vg_warn("fabric: refused peer %s: %s", p.addr.c_str(),
                         err.c_str());
+            // Say why before hanging up: a worker of another version
+            // stops on it instead of reconnecting forever.
+            std::string refusal = fabricBody("refused", {});
+            ipc::appendBlob(&refusal, "reason", err);
+            sendGoodbye(p, refusal);
             losePeer(p, "hello refused (" + err + ")", /*kill=*/true);
             return false;
         }
@@ -1091,6 +1109,7 @@ struct Coordinator::Impl
                 }
                 o.resultBytes = std::move(result_bytes);
                 o.result = std::move(parsed);
+                o.leasedTo = p.identity;
                 consecutiveDeaths_.erase(o.key);
                 losses_[p.lossKey()] = 0;
                 consecutiveLosses_ = 0;
@@ -1291,10 +1310,10 @@ struct Coordinator::Impl
             shutdownDone_ = true;
             draining_ = true;
         }
-        // Unhook the lease-table closure before any teardown: an HTTP
+        // Unhook the fabric-view closure before any teardown: an HTTP
         // scrape racing shutdown must not call into a dying Impl.
         if (opts_.telemetry != nullptr)
-            opts_.telemetry->setLeaseTableProvider(nullptr);
+            opts_.telemetry->setFabricViewProvider(nullptr);
         stop_.store(true, std::memory_order_release);
         if (service_.joinable())
             service_.join();
@@ -1368,6 +1387,7 @@ interruptibleSleep(unsigned ms)
 enum class ConnOutcome
 {
     Drained,    ///< coordinator sent a DRAIN: exit cleanly
+    Refused,    ///< coordinator refused the HELLO: exit with an error
     Lost,       ///< connection lost: reconnect (remote) or exit
     Shutdown,   ///< local SIGINT/SIGTERM latch: exit cleanly
     Acked,      ///< (serveLease only) result recorded: claim again
@@ -1385,6 +1405,7 @@ struct WorkerConn
     uint64_t drawCursor = 0;
     std::mutex writeMutex;
     unsigned leaseMs = 10000;
+    std::string refusal;    ///< the coordinator's reason (Refused)
 
     ipc::SendStatus
     send(char type, const std::string &body)
@@ -1392,36 +1413,6 @@ struct WorkerConn
         std::lock_guard<std::mutex> lock(writeMutex);
         return ipc::sendFrameNet(fd, type, body, connScope,
                                  &drawCursor);
-    }
-
-    /**
-     * Advisory STATS push, deliberately injection-free: telemetry is
-     * not a chaos subject, and routing it through sendFrameNet would
-     * shift every existing net-fault draw sequence (plans key on the
-     * frame ordinal). Failures are swallowed — the read side will
-     * notice a dead coordinator on its own.
-     */
-    void
-    sendStatsAdvisory(JobBodyRunner &runner, const char *phase,
-                      uint64_t lease)
-    {
-        PeerStats ps;
-        ps.pid = static_cast<uint64_t>(::getpid());
-        ps.phase = phase;
-        JobBodyRunner::BodyStats bs = runner.bodyStats();
-        ps.jobsDone = bs.jobsDone;
-        ps.instsRetired = bs.instsRetired;
-        ps.cacheHits = bs.cacheHits;
-        ps.cacheMisses = bs.cacheMisses;
-        if (lease != 0)
-            ps.lease = std::to_string(lease);
-        std::lock_guard<std::mutex> lock(writeMutex);
-        try {
-            ipc::writeFrame(fd, ipc::kFrameStats,
-                            serializePeerStats(ps));
-        } catch (const SimError &) {
-            // Coordinator gone; the main loop will see it.
-        }
     }
 
     /**
@@ -1487,15 +1478,14 @@ applyConfig(WorkerConn &conn, const std::string &body)
 
 /**
  * Renews the lease a connection is working on, every lease/4 from a
- * side thread, each renew followed by an advisory STATS. One per
- * connection rather than per job, so no thread start or join sits on
- * a job's critical path.
+ * side thread. One per connection rather than per job, so no thread
+ * start or join sits on a job's critical path.
  */
 class Renewer
 {
   public:
-    Renewer(WorkerConn &conn, JobBodyRunner &runner)
-        : conn_(conn), runner_(runner), thread_([this] { loop(); })
+    explicit Renewer(WorkerConn &conn)
+        : conn_(conn), thread_([this] { loop(); })
     {
     }
 
@@ -1512,15 +1502,14 @@ class Renewer
     Renewer(const Renewer &) = delete;
     Renewer &operator=(const Renewer &) = delete;
 
-    /** Renew `lease` (0: none) of a `phase` job every interval_ms,
-     *  the first time one interval from now. */
+    /** Renew `lease` (0: none) every interval_ms, the first time one
+     *  interval from now. */
     void
-    track(uint64_t lease, std::string phase, unsigned interval_ms)
+    track(uint64_t lease, unsigned interval_ms)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             lease_ = lease;
-            phase_ = std::move(phase);
             intervalMs_ = interval_ms;
             ++generation_;
         }
@@ -1548,25 +1537,20 @@ class Renewer
                 lease_ == 0)
                 continue;
             const uint64_t lease = lease_;
-            const std::string phase = phase_;
             lock.unlock();
             if (conn_.send(ipc::kFrameRenew,
                            fabricBody("renew", {{"lease", lease}})) ==
                 ipc::SendStatus::Disconnected)
                 lost_.store(true, std::memory_order_release);
-            else
-                conn_.sendStatsAdvisory(runner_, phase.c_str(), lease);
             lock.lock();
         }
     }
 
     WorkerConn &conn_;
-    JobBodyRunner &runner_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
     uint64_t lease_ = 0;
-    std::string phase_;
     unsigned intervalMs_ = 1000;
     uint64_t generation_ = 0; ///< bumped by every track()
     std::atomic<bool> lost_{false};
@@ -1589,10 +1573,9 @@ serveLease(WorkerConn &conn, JobBodyRunner &runner, Renewer &renewer,
         suppressed = faultinject::siteFires("worker.heartbeat",
                                             SimError::Kind::Hang);
     }
-    renewer.track(suppressed ? 0 : lease, job.phase,
-                  heartbeatIntervalMs(conn.leaseMs));
+    renewer.track(suppressed ? 0 : lease, heartbeatIntervalMs(conn.leaseMs));
     WorkerResult res = runner.run(job);
-    renewer.track(0, "", heartbeatIntervalMs(conn.leaseMs));
+    renewer.track(0, heartbeatIntervalMs(conn.leaseMs));
     if (renewer.lost())
         return ConnOutcome::Lost;
 
@@ -1667,19 +1650,24 @@ serveConnection(WorkerConn &conn, JobBodyRunner &runner)
                 return ConnOutcome::Lost;
             break;
         }
-        if (f.type == ipc::kFrameDrain)
-            return ConnOutcome::Drained;
+        if (f.type == ipc::kFrameDrain) {
+            FabricBody refused;
+            std::string err;
+            if (!parseFabricBody(f.body, "refused", &refused, &err))
+                return ConnOutcome::Drained;
+            conn.refusal = refused.blobs["reason"];
+            return ConnOutcome::Refused;
+        }
     }
 
     // Claim/execute/report until drained.
-    Renewer renewer(conn, runner);
+    Renewer renewer(conn);
     for (;;) {
         if (shutdownRequested())
             return ConnOutcome::Shutdown;
         if (conn.send(ipc::kFrameClaim, fabricBody("claim", {})) ==
             ipc::SendStatus::Disconnected)
             return ConnOutcome::Lost;
-        conn.sendStatsAdvisory(runner, "claim", 0);
 
         // Await the lease. Re-claim if the coordinator stays quiet
         // for a lease period (a dropped CLAIM or LEASE frame), and
@@ -1716,7 +1704,6 @@ serveConnection(WorkerConn &conn, JobBodyRunner &runner)
                 if (conn.send(ipc::kFrameClaim, fabricBody("claim", {})) ==
                     ipc::SendStatus::Disconnected)
                     return ConnOutcome::Lost;
-                conn.sendStatsAdvisory(runner, "claim", 0);
                 claim_sent = Clock::now();
             }
         }
@@ -1785,6 +1772,11 @@ runRemoteWorker(const std::string &host, uint16_t port)
             vg_inform("remote worker: drained by coordinator; exiting");
             return 0;
         }
+        if (out == ConnOutcome::Refused) {
+            vg_warn("remote worker: refused by coordinator: %s",
+                    conn.refusal.c_str());
+            return 1;
+        }
         if (out == ConnOutcome::Shutdown)
             return 0;
         consecutive_failures =
@@ -1810,7 +1802,7 @@ runWorkerProcess(int fd)
     }
     // No reconnect: the socketpair is the only way back, so EOF (a
     // dead supervisor) means exit, like a DRAIN.
-    return out == ConnOutcome::Lost ? 1 : 0;
+    return out == ConnOutcome::Lost || out == ConnOutcome::Refused ? 1 : 0;
 }
 
 Coordinator::Coordinator(const Options &opts) : impl_(new Impl(opts)) {}

@@ -21,13 +21,16 @@
  *     coordinator *owns* such a peer's pid: it respawns a lost slot,
  *     and shutdown() reaps every child.
  *
- * Lease protocol (bodies are "vanguard-<kind> v2" text, a HEARTBEAT's
+ * Lease protocol (bodies are "vanguard-<kind> v3" text, a HEARTBEAT's
  * empty; see ipc.hh for the frame types):
  *
  *   worker                    coordinator
  *   ------                    -----------
  *   HELLO "vanguard-remote"->
  *                          <- CONFIG (lease-ms, fault plans)
+ *                             [or: a DRAIN "vanguard-refused" naming
+ *                              the reason, then EOF — another
+ *                              version's HELLO, say]
  *   CLAIM                  ->
  *                          <- LEASE (lease id, job body)   [or: idle
  *                                                           HEARTBEATs
@@ -97,7 +100,7 @@
 
 namespace vanguard {
 
-class TelemetryHub;
+class TelemetryServer;
 
 /**
  * Raised by Coordinator::execute for offers discarded by a
@@ -135,10 +138,11 @@ class Coordinator
         /** Registry for the engine.net.* / engine.worker.* counters
          *  (optional). */
         MetricsRegistry *metrics = nullptr;
-        /** Live telemetry sink: peer STATS frames feed it, and the
-         *  coordinator registers its lease table as the hub's
-         *  /progress source. Advisory only (optional). */
-        TelemetryHub *telemetry = nullptr;
+        /** Live telemetry endpoint: the coordinator installs its
+         *  fabric view (leases plus one row per peer identity, read
+         *  from the offer table) as the /progress and /metrics peer
+         *  source. Observational only (optional). */
+        TelemetryServer *telemetry = nullptr;
     };
 
     /** Spawns every worker and returns once each has said hello
@@ -187,7 +191,7 @@ class Coordinator
 /**
  * A lease-protocol frame body, parsed: the one reader of every fabric
  * frame, on both ends of the connection. Strict, like parseWorkerJob:
- * the header must be "vanguard-<kind> v2", and each of the kind's keys
+ * the header must be "vanguard-<kind> v3", and each of the kind's keys
  * and blobs must appear exactly once, each value one whole unsigned
  * token. A missing, repeated or unknown key, a bad value, a torn blob
  * or another version fails with an `*error` naming it.
@@ -207,9 +211,10 @@ bool parseFabricBody(const std::string &body, const std::string &kind,
  * Remote-worker entry (`vanguard_cli --remote-worker host:port`):
  * claim/execute/report against a coordinator until a DRAIN frame or a
  * shutdown signal. Returns the process exit code (0 =
- * drained or signalled, 1 = unrecoverable local error). Connection
- * loss is not an error: the loop reconnects with jittered exponential
- * backoff indefinitely, surviving coordinator restarts.
+ * drained or signalled, 1 = refused by the coordinator, whose reason
+ * it prints, or an unrecoverable local error). Connection loss is not
+ * an error: the loop reconnects with jittered exponential backoff
+ * indefinitely, surviving coordinator restarts.
  */
 int runRemoteWorker(const std::string &host, uint16_t port);
 

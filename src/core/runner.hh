@@ -89,7 +89,7 @@
 namespace vanguard {
 
 class Coordinator;
-class TelemetryHub;
+class TelemetryServer;
 
 /** Which experiment job is (or was) running; attached to failures. */
 struct JobIdentity
@@ -219,12 +219,12 @@ struct RunnerOptions
     Tracer *tracer = nullptr;
 
     /**
-     * Live telemetry sink (support/telemetry.hh): forwarded to the
-     * process pool / coordinator so worker STATS frames reach the
-     * hub. Strictly advisory — null or not, registry dumps, journals,
-     * and stdout are byte-identical. Not owned.
+     * Live telemetry endpoint (support/telemetry.hh): forwarded to
+     * the spawned workers' coordinator, which installs its fabric
+     * view there. Strictly observational — null or not, registry
+     * dumps, journals, and stdout are byte-identical. Not owned.
      */
-    TelemetryHub *telemetry = nullptr;
+    TelemetryServer *telemetry = nullptr;
 };
 
 /** Everything a fault-tolerant sweep produced. */

@@ -499,8 +499,10 @@ maybeDeliberateCrash(const WorkerJob &job)
     if (env != nullptr && *env != '\0') {
         std::string want(env);
         if (want == job.phase + ":" + std::to_string(job.slot)) {
-            volatile int *p = nullptr;
-            *p = 1; // intentional SIGSEGV
+            // Default action first: a sanitizer's SIGSEGV handler
+            // would turn the crash into an exit code.
+            ::signal(SIGSEGV, SIG_DFL);
+            ::raise(SIGSEGV);
         }
     }
     if (faultinject::armed()) {
@@ -528,8 +530,6 @@ struct JobBodyRunner::Cache
         CompiledConfig config;
     };
     std::vector<Entry> entries;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
 
     static uint64_t
     keyOf(const WorkerJob &job)
@@ -550,11 +550,8 @@ struct JobBodyRunner::Cache
     {
         uint64_t key = keyOf(job);
         for (Entry &e : entries)
-            if (e.key == key) {
-                hits.fetch_add(1, std::memory_order_relaxed);
+            if (e.key == key)
                 return e.config;
-            }
-        misses.fetch_add(1, std::memory_order_relaxed);
         ProfileParseResult parsed =
             deserializeProfile(job.profileText);
         if (!parsed.ok)
@@ -573,17 +570,6 @@ struct JobBodyRunner::Cache
 
 JobBodyRunner::JobBodyRunner() : cache_(new Cache) {}
 JobBodyRunner::~JobBodyRunner() = default;
-
-JobBodyRunner::BodyStats
-JobBodyRunner::bodyStats() const
-{
-    BodyStats out;
-    out.jobsDone = jobsDone_.load(std::memory_order_relaxed);
-    out.instsRetired = instsRetired_.load(std::memory_order_relaxed);
-    out.cacheHits = cache_->hits.load(std::memory_order_relaxed);
-    out.cacheMisses = cache_->misses.load(std::memory_order_relaxed);
-    return out;
-}
 
 WorkerResult
 JobBodyRunner::run(const WorkerJob &job)
@@ -611,11 +597,8 @@ JobBodyRunner::run(const WorkerJob &job)
             res.lanes = simulateConfigWidths(job.spec, config,
                                              job.options, job.widths,
                                              job.seed, job.collectStalls);
-            instsRetired_.fetch_add(res.lanes[0].dynamicInsts,
-                                    std::memory_order_relaxed);
         }
         res.ok = true;
-        jobsDone_.fetch_add(1, std::memory_order_relaxed);
     } catch (const SimError &e) {
         res.ok = false;
         res.kind = e.kind();

@@ -34,7 +34,6 @@
 #ifndef VANGUARD_CORE_WORKER_POOL_HH
 #define VANGUARD_CORE_WORKER_POOL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -212,25 +211,9 @@ class JobBodyRunner
 
     WorkerResult run(const WorkerJob &job);
 
-    /**
-     * Advisory running totals across every run() so far — the payload
-     * of the live STATS frames. Readable from another thread (the
-     * worker's renew thread) while a job runs; never part of any authoritative result.
-     */
-    struct BodyStats
-    {
-        uint64_t jobsDone = 0;
-        uint64_t instsRetired = 0;  ///< dynamic insts of ok simulates
-        uint64_t cacheHits = 0;     ///< compile-artifact cache hits
-        uint64_t cacheMisses = 0;
-    };
-    BodyStats bodyStats() const;
-
   private:
     struct Cache;
     std::unique_ptr<Cache> cache_;
-    std::atomic<uint64_t> jobsDone_{0};
-    std::atomic<uint64_t> instsRetired_{0};
 };
 
 /**

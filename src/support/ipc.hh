@@ -56,14 +56,8 @@ enum : char
     kFrameResult = 'R',     ///< worker -> coordinator
     kFrameResultAck = 'A',  ///< coordinator -> worker: result recorded
     kFrameHeartbeat = 'B',  ///< coordinator -> idle worker: still here
-    kFrameDrain = 'D',      ///< coordinator -> worker: exit
-
-    // Live telemetry plane (support/telemetry.hh):
-    kFrameStats = 'S',      ///< worker -> coordinator: periodic
-                            ///< partial stats ("vanguard-stats v1"),
-                            ///< advisory only — feeds the live
-                            ///< TelemetryHub view, never the
-                            ///< authoritative end-of-job merge
+    kFrameDrain = 'D',      ///< coordinator -> worker: exit (or,
+                            ///< before CONFIG, "vanguard-refused")
 };
 
 /** Frames larger than this are protocol desync, not data. */

@@ -182,7 +182,7 @@ class Histogram
  * instrument — the contract the live telemetry plane
  * (support/telemetry.hh) builds on: sampling a registry observes it
  * without mutating it, so exported dumps stay byte-identical whether
- * or not a TelemetryHub was scraping mid-sweep. Histograms carry
+ * or not a TelemetryServer was scraping mid-sweep. Histograms carry
  * their derived percentiles (Histogram::percentile) so consumers need
  * no bucket math.
  */

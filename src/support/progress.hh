@@ -6,7 +6,7 @@
  * progressRate() is the one rule that turns a snapshot and an elapsed
  * time into throughput and ETA. Two renderings call it: the stderr
  * line below (formatProgressLine, emitted by ProgressReporter) and the
- * `/progress` JSON of the telemetry hub (support/telemetry.hh).
+ * `/progress` JSON of the telemetry endpoint (support/telemetry.hh).
  *
  * One sweep-wide reporter prints at most one line per kTickInterval
  * (plus the final one), through the same console mutex as

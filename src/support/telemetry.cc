@@ -1,9 +1,9 @@
 /**
  * @file
- * Telemetry-plane implementation: the STATS codec, the Prometheus
- * text exposition writer and its test-side parser, the
- * TelemetryHub, and the single-threaded HTTP endpoint. See
- * telemetry.hh for the live/authoritative split this enforces.
+ * Telemetry-plane implementation: the Prometheus text exposition
+ * writer and its test-side parser, the two live views, and the
+ * single-threaded HTTP endpoint. See telemetry.hh for the
+ * live/authoritative split this enforces.
  */
 
 #include "support/telemetry.hh"
@@ -17,7 +17,6 @@
 #include "support/error.hh"
 #include "support/ipc.hh"
 #include "support/progress.hh"
-#include "support/versioned_format.hh"
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -26,20 +25,6 @@
 namespace vanguard {
 
 namespace {
-
-/** Fold free-form text into one whitespace-free token so it can sit
- *  on a stats line without quoting. */
-std::string
-token(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s)
-        out += (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                   ? '-'
-                   : c;
-    return out;
-}
 
 std::string
 fmtDouble(double v)
@@ -50,67 +35,6 @@ fmtDouble(double v)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// STATS frame codec
-// ---------------------------------------------------------------------
-
-std::string
-serializePeerStats(const PeerStats &ps)
-{
-    std::ostringstream os;
-    os << kStatsMagic << " v" << kStatsVersion << "\n";
-    os << "pid " << ps.pid << "\n";
-    if (!ps.phase.empty())
-        os << "phase " << token(ps.phase) << "\n";
-    os << "jobs-done " << ps.jobsDone << "\n";
-    os << "insts " << ps.instsRetired << "\n";
-    os << "cache-hits " << ps.cacheHits << "\n";
-    os << "cache-misses " << ps.cacheMisses << "\n";
-    if (!ps.lease.empty())
-        os << "lease " << token(ps.lease) << "\n";
-    return os.str();
-}
-
-bool
-parsePeerStats(const std::string &body, PeerStats *out)
-{
-    *out = PeerStats{};
-    ipc::BodyCursor cur{body};
-    std::string line;
-    unsigned version = 0;
-    try {
-        if (!cur.line(&line) ||
-            !parseVersionedHeader(line, kStatsMagic, kStatsVersion,
-                                  &version)) {
-            return false;
-        }
-    } catch (const SimError &) {
-        // Advisory data from a version-skewed peer: drop, don't kill.
-        return false;
-    }
-    while (cur.line(&line)) {
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "pid")
-            ls >> out->pid;
-        else if (key == "phase")
-            ls >> out->phase;
-        else if (key == "jobs-done")
-            ls >> out->jobsDone;
-        else if (key == "insts")
-            ls >> out->instsRetired;
-        else if (key == "cache-hits")
-            ls >> out->cacheHits;
-        else if (key == "cache-misses")
-            ls >> out->cacheMisses;
-        else if (key == "lease")
-            ls >> out->lease;
-        // Unknown keys: a newer peer's extra fields. Skip.
-    }
-    return true;
-}
 
 // ---------------------------------------------------------------------
 // Prometheus text exposition
@@ -239,86 +163,20 @@ parsePrometheusText(const std::string &text)
 }
 
 // ---------------------------------------------------------------------
-// TelemetryHub
+// Live views
 // ---------------------------------------------------------------------
 
-TelemetryHub::TelemetryHub(const Options &opts)
-    : opts_(opts), epoch_(std::chrono::steady_clock::now())
-{
-    if (opts_.registry == nullptr) {
-        throw SimError(SimError::Kind::Invariant,
-                       "TelemetryHub requires a metrics registry");
-    }
-}
-
-void
-TelemetryHub::notePeerStats(const PeerStats &ps)
-{
-    if (ps.identity.empty())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    PeerSlot &slot = peers_[ps.identity];
-    slot.stats = ps;
-    slot.lastSeen = std::chrono::steady_clock::now();
-}
-
-void
-TelemetryHub::setLeaseTableProvider(LeaseTableProvider fn)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    leaseProvider_ = std::move(fn);
-}
-
-std::vector<TelemetryHub::PeerView>
-TelemetryHub::peers() const
-{
-    auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<PeerView> out;
-    out.reserve(peers_.size());
-    for (const auto &[identity, slot] : peers_) {
-        PeerView pv;
-        pv.stats = slot.stats;
-        pv.ageMs = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - slot.lastSeen)
-                .count());
-        out.push_back(std::move(pv));
-    }
-    return out;
-}
-
 std::string
-TelemetryHub::metricsText() const
+metricsText(const MetricsRegistry &registry, const FabricView &fabric)
 {
-    std::string out = metricsToPrometheus(opts_.registry->sample());
-    std::vector<PeerView> pv = peers();
-    if (!pv.empty()) {
+    std::string out = metricsToPrometheus(registry.sample());
+    if (!fabric.peers.empty()) {
         std::ostringstream os;
-        struct Series
-        {
-            const char *name;
-            uint64_t PeerStats::*field;
-        };
-        static const Series kSeries[] = {
-            {"vanguard_peer_jobs_done", &PeerStats::jobsDone},
-            {"vanguard_peer_insts_retired", &PeerStats::instsRetired},
-            {"vanguard_peer_cache_hits", &PeerStats::cacheHits},
-            {"vanguard_peer_cache_misses", &PeerStats::cacheMisses},
-        };
-        for (const Series &s : kSeries) {
-            os << "# TYPE " << s.name << " gauge\n";
-            for (const PeerView &p : pv) {
-                os << s.name << "{peer=\""
-                   << promEscapeLabelValue(p.stats.identity) << "\"} "
-                   << p.stats.*s.field << "\n";
-            }
-        }
-        os << "# TYPE vanguard_peer_age_ms gauge\n";
-        for (const PeerView &p : pv) {
-            os << "vanguard_peer_age_ms{peer=\""
-               << promEscapeLabelValue(p.stats.identity) << "\"} "
-               << p.ageMs << "\n";
+        os << "# TYPE vanguard_peer_jobs_done gauge\n";
+        for (const PeerInfo &p : fabric.peers) {
+            os << "vanguard_peer_jobs_done{peer=\""
+               << promEscapeLabelValue(p.identity) << "\"} "
+               << p.jobsDone << "\n";
         }
         out += os.str();
     }
@@ -326,31 +184,11 @@ TelemetryHub::metricsText() const
 }
 
 std::string
-TelemetryHub::progressJson() const
+progressJson(const MetricsRegistry &registry, const FabricView &fabric,
+             double uptimeSecs)
 {
-    return progressJson(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - epoch_)
-                            .count());
-}
-
-std::string
-TelemetryHub::progressJson(double uptimeSecs) const
-{
-    ProgressSnapshot snap = ProgressSnapshot::read(*opts_.registry);
+    ProgressSnapshot snap = ProgressSnapshot::read(registry);
     ProgressRate rate = progressRate(snap, uptimeSecs);
-    std::vector<PeerView> pv = peers();
-    LeaseTableProvider provider;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        provider = leaseProvider_;
-    }
-    // Invoked outside the hub mutex: the coordinator's provider takes
-    // the coordinator mutex, and the coordinator calls notePeerStats
-    // (hub mutex) from its service thread — holding both here would
-    // be a lock-order inversion.
-    std::vector<LeaseInfo> leases;
-    if (provider)
-        leases = provider();
 
     std::ostringstream os;
     os << "{\n";
@@ -374,31 +212,25 @@ TelemetryHub::progressJson(double uptimeSecs) const
     percentiles("sim_cycles", snap.simCycles);
 
     os << "  \"peers\": [";
-    for (size_t i = 0; i < pv.size(); ++i) {
-        const PeerView &p = pv[i];
+    for (size_t i = 0; i < fabric.peers.size(); ++i) {
+        const PeerInfo &p = fabric.peers[i];
         os << (i == 0 ? "\n" : ",\n");
-        os << "    {\"identity\": \"" << jsonEscape(p.stats.identity)
-           << "\", \"pid\": " << p.stats.pid << ", \"phase\": \""
-           << jsonEscape(p.stats.phase) << "\", \"jobs_done\": "
-           << p.stats.jobsDone << ", \"insts\": "
-           << p.stats.instsRetired << ", \"cache_hits\": "
-           << p.stats.cacheHits << ", \"cache_misses\": "
-           << p.stats.cacheMisses << ", \"lease\": \""
-           << jsonEscape(p.stats.lease) << "\", \"age_ms\": "
-           << p.ageMs << "}";
+        os << "    {\"identity\": \"" << jsonEscape(p.identity)
+           << "\", \"jobs_done\": " << p.jobsDone
+           << ", \"lease\": " << p.lease << "}";
     }
-    os << (pv.empty() ? "],\n" : "\n  ],\n");
+    os << (fabric.peers.empty() ? "],\n" : "\n  ],\n");
 
     os << "  \"leases\": [";
-    for (size_t i = 0; i < leases.size(); ++i) {
-        const LeaseInfo &l = leases[i];
+    for (size_t i = 0; i < fabric.leases.size(); ++i) {
+        const LeaseInfo &l = fabric.leases[i];
         os << (i == 0 ? "\n" : ",\n");
         os << "    {\"id\": " << l.id << ", \"key\": \""
            << jsonEscape(l.key) << "\", \"peer\": \""
            << jsonEscape(l.peer) << "\", \"expires_in_ms\": "
            << l.expiresInMs << "}";
     }
-    os << (leases.empty() ? "]\n" : "\n  ]\n");
+    os << (fabric.leases.empty() ? "]\n" : "\n  ]\n");
     os << "}\n";
     return os.str();
 }
@@ -469,11 +301,11 @@ writeAll(int fd, const std::string &data)
 } // namespace
 
 TelemetryServer::TelemetryServer(const Options &opts)
-    : hub_(opts.hub)
+    : registry_(opts.registry), epoch_(std::chrono::steady_clock::now())
 {
-    if (hub_ == nullptr) {
+    if (registry_ == nullptr) {
         throw SimError(SimError::Kind::Invariant,
-                       "TelemetryServer requires a TelemetryHub");
+                       "TelemetryServer requires a metrics registry");
     }
     listen_fd_ = ipc::listenTcp(opts.port);
     port_ = ipc::listenPort(listen_fd_);
@@ -483,6 +315,23 @@ TelemetryServer::TelemetryServer(const Options &opts)
 TelemetryServer::~TelemetryServer()
 {
     stop();
+}
+
+void
+TelemetryServer::setFabricViewProvider(FabricViewProvider fn)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    provider_ = std::move(fn);
+}
+
+FabricView
+TelemetryServer::fabricView() const
+{
+    // Held across the call: the provider takes the coordinator's
+    // mutex (never the other way round), and a concurrent
+    // setFabricViewProvider(nullptr) waits until it returns.
+    std::lock_guard<std::mutex> lock(mutex_);
+    return provider_ ? provider_() : FabricView{};
 }
 
 void
@@ -526,10 +375,14 @@ TelemetryServer::serveLoop()
             resp = httpResponse(
                 200, "OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                hub_->metricsText());
+                metricsText(*registry_, fabricView()));
         } else if (path == "/progress") {
+            double uptime = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - epoch_)
+                                .count();
             resp = httpResponse(200, "OK", "application/json",
-                                hub_->progressJson());
+                                progressJson(*registry_, fabricView(),
+                                             uptime));
         } else if (path == "/healthz") {
             resp = httpResponse(200, "OK", "text/plain", "ok\n");
         } else {

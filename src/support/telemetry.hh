@@ -1,31 +1,23 @@
 /**
  * @file
- * Live telemetry plane: a TelemetryHub that collects advisory
- * `vanguard-stats v1` pushes from isolated workers and remote peers
- * and renders two live views of the metrics registry — Prometheus
- * text exposition (`/metrics`) and a JSON progress report
- * (`/progress`) — served by a tiny single-threaded HTTP endpoint
- * (TelemetryServer, `--telemetry-port`). The hub runs no thread of
- * its own: each request reads the registry live, and `/progress`
- * derives throughput and ETA from that read and the hub's uptime by
- * the same rule as the stderr progress line (support/progress.hh).
+ * Live telemetry plane: two live views of a sweep — Prometheus text
+ * exposition (`/metrics`) and a JSON progress report (`/progress`) —
+ * served by a tiny single-threaded HTTP endpoint (TelemetryServer,
+ * `--telemetry-port`). Both views are pure renderings of two sources
+ * the engine already keeps: the metrics registry, read live on each
+ * request, and the coordinator's offer table (FabricView: the live
+ * leases plus one row per peer identity), read through the one
+ * provider the coordinator installs. `/progress` derives throughput
+ * and ETA from the registry read and the server's uptime by the same
+ * rule as the stderr progress line (support/progress.hh).
  *
  * The load-bearing design rule is the live/authoritative split:
- * everything in this file is *observational*. The hub reads the
+ * everything in this file is *observational*. The server reads the
  * registry through MetricsRegistry::sample() and find*() (never
- * registers or mutates), peer STATS frames feed only the hub's
- * in-memory peer table (never mergeJobSnapshot), and
- * throughput/ETA/percentile strings go only to HTTP and stderr.
- * Registry dumps, journals, and sweep stdout are therefore
- * byte-identical whether telemetry is on or off — asserted by the
- * tier2_obs drill.
- *
- * The STATS frame body ("vanguard-stats v1") is deliberately tolerant:
- * unknown lines are skipped and a malformed body is dropped, never a
- * protocol desync — a telemetry hiccup must not kill a worker that is
- * doing authoritative work. Peer identity is assigned by the
- * *receiver* (supervisor: worker slot; coordinator: pid@ip), so a
- * peer cannot impersonate another slot in the live view.
+ * registers or mutates), and throughput/ETA/percentile strings go
+ * only to HTTP and stderr. Registry dumps, journals, and sweep stdout
+ * are therefore byte-identical whether telemetry is on or off —
+ * asserted by the tier2_obs drill.
  *
  * TelemetryServer speaks just enough HTTP/1.0 for `curl`, Prometheus,
  * and a watch loop: GET /metrics, /progress, /healthz; anything else
@@ -50,38 +42,7 @@
 
 namespace vanguard {
 
-constexpr const char *kStatsMagic = "vanguard-stats";
-constexpr unsigned kStatsVersion = 1;
-
-constexpr const char *kProgressSchema = "vanguard-progress v2";
-
-// ---------------------------------------------------------------------
-// STATS frame codec (ipc::kFrameStats bodies)
-// ---------------------------------------------------------------------
-
-/** One peer's advisory live stats: a partial, monotonic summary of
- *  what that worker has done so far. Never authoritative. */
-struct PeerStats
-{
-    std::string identity;       ///< receiver-assigned, not serialized
-    uint64_t pid = 0;
-    std::string phase;          ///< "simulate", "claim", ... (one token)
-    uint64_t jobsDone = 0;
-    uint64_t instsRetired = 0;  ///< retired instructions across jobs
-    uint64_t cacheHits = 0;     ///< artifact-cache hits
-    uint64_t cacheMisses = 0;
-    std::string lease;          ///< current lease key or "" (one token)
-};
-
-/** Render a `vanguard-stats v1` frame body (identity excluded). */
-std::string serializePeerStats(const PeerStats &ps);
-
-/**
- * Parse a STATS body. Tolerant by contract: unknown lines are
- * ignored; only a missing/wrong header returns false. Telemetry must
- * degrade, not desync.
- */
-bool parsePeerStats(const std::string &body, PeerStats *out);
+constexpr const char *kProgressSchema = "vanguard-progress v3";
 
 // ---------------------------------------------------------------------
 // Prometheus text exposition writer
@@ -117,7 +78,7 @@ struct ParsedProm
 ParsedProm parsePrometheusText(const std::string &text);
 
 // ---------------------------------------------------------------------
-// TelemetryHub
+// Live views
 // ---------------------------------------------------------------------
 
 /** One row of the coordinator's live lease table. */
@@ -125,66 +86,35 @@ struct LeaseInfo
 {
     uint64_t id = 0;
     std::string key;            ///< "phase:slot"
-    std::string peer;           ///< holder identity ("pid@ip")
+    std::string peer;           ///< holder identity
     int64_t expiresInMs = 0;    ///< negative = already expired
 };
 
-class TelemetryHub
+/** One peer identity as the coordinator's offer table records it. */
+struct PeerInfo
 {
-  public:
-    struct Options
-    {
-        const MetricsRegistry *registry = nullptr;  ///< required
-    };
-
-    struct PeerView
-    {
-        PeerStats stats;
-        uint64_t ageMs = 0;             ///< since last STATS frame
-    };
-
-    using LeaseTableProvider = std::function<std::vector<LeaseInfo>()>;
-
-    explicit TelemetryHub(const Options &opts);
-
-    TelemetryHub(const TelemetryHub &) = delete;
-    TelemetryHub &operator=(const TelemetryHub &) = delete;
-
-    /** Fold one advisory STATS push into the live peer table
-     *  (keyed by ps.identity; latest wins). */
-    void notePeerStats(const PeerStats &ps);
-
-    /** Install (or clear, with nullptr) the live lease-table source —
-     *  the coordinator registers a closure over its offer table, and
-     *  MUST clear it before shutting down. The provider is invoked
-     *  outside the hub mutex. */
-    void setLeaseTableProvider(LeaseTableProvider fn);
-
-    /** Prometheus text: the registry sample plus labeled live peer
-     *  series (vanguard_peer_*{peer="..."}). */
-    std::string metricsText() const;
-
-    /** The `/progress` JSON document (kProgressSchema), with rate
-     *  and ETA taken over the hub's uptime. */
-    std::string progressJson() const;
-
-    /** The same document with the elapsed time given explicitly. */
-    std::string progressJson(double uptimeSecs) const;
-
-    std::vector<PeerView> peers() const;
-
-  private:
-    Options opts_;
-    std::chrono::steady_clock::time_point epoch_;
-    mutable std::mutex mutex_;
-    struct PeerSlot
-    {
-        PeerStats stats;
-        std::chrono::steady_clock::time_point lastSeen;
-    };
-    std::map<std::string, PeerSlot> peers_;
-    LeaseTableProvider leaseProvider_;
+    std::string identity;       ///< "pid@ip" (TCP) or "slotN:pidM"
+    uint64_t jobsDone = 0;      ///< offers this peer's result settled
+    uint64_t lease = 0;         ///< lease it holds now (0 = none)
 };
+
+/** What the coordinator reports of its fabric, read under its own
+ *  mutex in one pass over its offer table. */
+struct FabricView
+{
+    std::vector<LeaseInfo> leases;
+    std::vector<PeerInfo> peers;
+};
+
+/** The `/metrics` text: the registry sample plus one
+ *  `vanguard_peer_jobs_done{peer="..."}` series per peer row. */
+std::string metricsText(const MetricsRegistry &registry,
+                        const FabricView &fabric);
+
+/** The `/progress` JSON document (kProgressSchema), with rate and ETA
+ *  taken over `uptimeSecs`. */
+std::string progressJson(const MetricsRegistry &registry,
+                         const FabricView &fabric, double uptimeSecs);
 
 // ---------------------------------------------------------------------
 // TelemetryServer
@@ -196,16 +126,28 @@ class TelemetryServer
     struct Options
     {
         uint16_t port = 0;          ///< 0 = kernel-assigned
-        TelemetryHub *hub = nullptr;
+        const MetricsRegistry *registry = nullptr;  ///< required
     };
 
-    /** Binds and starts serving immediately. Throws SimError(Io) if
-     *  the port cannot be bound. */
+    using FabricViewProvider = std::function<FabricView()>;
+
+    /** Binds and starts serving immediately. Throws
+     *  SimError(Invariant) without a registry, SimError(Io) if the
+     *  port cannot be bound. */
     explicit TelemetryServer(const Options &opts);
     ~TelemetryServer();
 
     TelemetryServer(const TelemetryServer &) = delete;
     TelemetryServer &operator=(const TelemetryServer &) = delete;
+
+    /** Install (or clear, with nullptr) the fabric's view — the
+     *  coordinator registers a closure over its offer table and MUST
+     *  clear it before shutting down. The provider runs under the
+     *  server's mutex, so clearing it waits out a scrape in flight. */
+    void setFabricViewProvider(FabricViewProvider fn);
+
+    /** The provider's current view (empty without a provider). */
+    FabricView fabricView() const;
 
     /** The bound port (useful with port 0). */
     uint16_t port() const { return port_; }
@@ -216,7 +158,10 @@ class TelemetryServer
   private:
     void serveLoop();
 
-    TelemetryHub *hub_;
+    const MetricsRegistry *registry_;
+    std::chrono::steady_clock::time_point epoch_;
+    mutable std::mutex mutex_;  ///< guards provider_ and each call of it
+    FabricViewProvider provider_;
     int listen_fd_ = -1;
     uint16_t port_ = 0;
     std::atomic<bool> stopping_{false};

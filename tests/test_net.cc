@@ -6,8 +6,11 @@
  * mid-frame disconnects), the FrameChannel buffer-shrink policy, the
  * non-blocking drain read the coordinator's service loop uses, the
  * deterministic network-fault draw, the blob body codec the lease
- * protocol shares with the worker protocol, and the coordinator's
- * answer to a result for the wrong slot, against a hand-rolled worker.
+ * protocol shares with the worker protocol, and — against hand-rolled
+ * workers — the coordinator's answer to a result for the wrong slot,
+ * its refusal of another version's HELLO (and the remote worker's
+ * exit on one), and the telemetry peer rows it derives from its offer
+ * table.
  * Everything here is in-process; the end-to-end coordinator/worker
  * drills live in test_net_sweep.cc (tier2_net).
  */
@@ -16,13 +19,16 @@
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/coordinator.hh"
 #include "support/checksum.hh"
 #include "support/fault_inject.hh"
 #include "support/ipc.hh"
+#include "support/telemetry.hh"
 #include "workloads/suites.hh"
 
 #include <sys/socket.h>
@@ -293,6 +299,20 @@ TEST(NetCodec, BlobRoundTripsBinaryPayloads)
     EXPECT_FALSE(cur.line(&line)); // nothing after the blob
 }
 
+/** Connect to a coordinator on `port` and say hello as `pid` in
+ *  fabric protocol `version` ("v3"). Returns the connected fd. */
+int
+helloPeer(uint16_t port, int pid, const std::string &version)
+{
+    std::string err;
+    int fd = ipc::connectTcp("127.0.0.1", port, &err);
+    EXPECT_GE(fd, 0) << err;
+    ipc::writeFrame(fd, ipc::kFrameHello,
+                    "vanguard-remote " + version + "\npid " +
+                        std::to_string(pid) + "\n");
+    return fd;
+}
+
 /** A hand-rolled remote worker: connects, says hello as `pid`, reads
  *  its CONFIG, claims, and returns the leased job with its lease id. */
 struct FakeWorker
@@ -300,15 +320,9 @@ struct FakeWorker
     int fd = -1;
     ipc::FrameChannel chan;
 
-    FakeWorker(uint16_t port, int pid)
+    FakeWorker(uint16_t port, int pid) : fd(helloPeer(port, pid, "v3"))
     {
-        std::string err;
-        fd = ipc::connectTcp("127.0.0.1", port, &err);
-        EXPECT_GE(fd, 0) << err;
         chan.reset(fd);
-        ipc::writeFrame(fd, ipc::kFrameHello,
-                        "vanguard-remote v2\npid " + std::to_string(pid) +
-                            "\n");
         EXPECT_EQ(next(ipc::kFrameConfig).type, ipc::kFrameConfig);
     }
     ~FakeWorker() { ::close(fd); }
@@ -330,7 +344,7 @@ struct FakeWorker
     WorkerJob
     claim(uint64_t *lease)
     {
-        ipc::writeFrame(fd, ipc::kFrameClaim, "vanguard-claim v2\n");
+        ipc::writeFrame(fd, ipc::kFrameClaim, "vanguard-claim v3\n");
         ipc::Frame f = next(ipc::kFrameLease);
         FabricBody body;
         WorkerJob job;
@@ -351,23 +365,30 @@ struct FakeWorker
         r.slot = slot;
         r.profileText = profile;
         std::string body =
-            "vanguard-remoteresult v2\nlease " + std::to_string(lease) +
+            "vanguard-remoteresult v3\nlease " + std::to_string(lease) +
             "\n";
         ipc::appendBlob(&body, "result", serializeWorkerResult(r));
         ipc::writeFrame(fd, ipc::kFrameResult, body);
     }
 };
 
+/** A train job for `slot`, as the runner would offer it. */
+WorkerJob
+trainJob(size_t slot)
+{
+    WorkerJob job;
+    job.phase = "train";
+    job.slot = slot;
+    job.spec = findBenchmark("gcc-like");
+    job.specName = job.spec.name;
+    return job;
+}
+
 TEST(NetFabric, ResultForAnotherSlotIsADesyncAndTheLeaseRequeues)
 {
     Coordinator fabric(Coordinator::Options{});
-    WorkerJob job;
-    job.phase = "train";
-    job.slot = 4;
-    job.spec = findBenchmark("gcc-like");
-    job.specName = job.spec.name;
     WorkerResult got;
-    std::thread caller([&] { got = fabric.execute(job); });
+    std::thread caller([&] { got = fabric.execute(trainJob(4)); });
 
     // A result naming slot 5 on the lease of slot 4 drops the peer...
     uint64_t lease = 0;
@@ -387,6 +408,171 @@ TEST(NetFabric, ResultForAnotherSlotIsADesyncAndTheLeaseRequeues)
     EXPECT_EQ(got.profileText, "right");
     fabric.shutdown();
     EXPECT_EQ(good.next(ipc::kFrameDrain).type, ipc::kFrameDrain);
+}
+
+TEST(NetFabric, HelloOfAnotherVersionGetsARefusalThenEof)
+{
+    Coordinator fabric(Coordinator::Options{});
+    int fd = helloPeer(fabric.port(), 1, "v2");
+    ipc::FrameChannel chan(fd);
+    ipc::Frame f;
+    ASSERT_EQ(chan.read(&f, 5000), ipc::ReadStatus::Ok);
+    EXPECT_EQ(f.type, ipc::kFrameDrain);
+    FabricBody refused;
+    std::string err;
+    ASSERT_TRUE(parseFabricBody(f.body, "refused", &refused, &err)) << err;
+    // The reason names the version the peer spoke.
+    EXPECT_NE(refused.blobs["reason"].find("'v2'"), std::string::npos)
+        << refused.blobs["reason"];
+    EXPECT_EQ(chan.read(&f, 5000), ipc::ReadStatus::Eof);
+    ::close(fd);
+    fabric.shutdown();
+}
+
+TEST(NetFabric, RefusedRemoteWorkerExitsOneWithoutReconnecting)
+{
+    int listen_fd = ipc::listenTcp(0);
+    unsigned hellos = 0;
+    std::thread refuser([&] {
+        // Refuse the first connection; a worker that reconnected
+        // anyway would show up as a second HELLO.
+        auto end = std::chrono::steady_clock::now() +
+                   std::chrono::seconds(1);
+        while (std::chrono::steady_clock::now() < end) {
+            int fd = ipc::acceptPeer(listen_fd, 100, nullptr);
+            if (fd < 0)
+                continue;
+            ipc::FrameChannel chan(fd);
+            ipc::Frame f;
+            if (chan.read(&f, 5000) == ipc::ReadStatus::Ok &&
+                f.type == ipc::kFrameHello && hellos++ == 0) {
+                std::string body = "vanguard-refused v3\n";
+                ipc::appendBlob(&body, "reason", "wrong fabric");
+                ipc::writeFrame(fd, ipc::kFrameDrain, body);
+            }
+            ::close(fd);
+        }
+    });
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(runRemoteWorker("127.0.0.1", ipc::listenPort(listen_fd)),
+              1);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(3));
+    refuser.join();
+    ::close(listen_fd);
+    EXPECT_EQ(hellos, 1u);
+}
+
+TEST(NetFabric, PeerRowsReconcileWithDeliveredResults)
+{
+    MetricsRegistry reg;
+    TelemetryServer::Options topts;
+    topts.registry = &reg;
+    TelemetryServer telemetry(topts);
+    Coordinator::Options copts;
+    copts.telemetry = &telemetry;
+    Coordinator fabric(copts);
+
+    constexpr size_t kJobs = 6;
+    std::vector<std::thread> callers;
+    for (size_t i = 0; i < kJobs; ++i) {
+        callers.emplace_back([&fabric, i] {
+            EXPECT_EQ(fabric.execute(trainJob(i)).profileText,
+                      "p" + std::to_string(i));
+        });
+    }
+
+    FakeWorker a(fabric.port(), 11);
+    FakeWorker b(fabric.port(), 12);
+    const std::string id_a = "11@127.0.0.1";
+    const std::string id_b = "12@127.0.0.1";
+    // b settles four jobs, a two; a's last lease is checked while held.
+    std::map<std::string, uint64_t> delivered;
+    const std::pair<FakeWorker *, std::string> order[kJobs] = {
+        {&b, id_b}, {&a, id_a}, {&b, id_b},
+        {&b, id_b}, {&b, id_b}, {&a, id_a}};
+    for (size_t i = 0; i < kJobs; ++i) {
+        auto &[worker, identity] = order[i];
+        uint64_t lease = 0;
+        WorkerJob job = worker->claim(&lease);
+        if (i + 1 == kJobs) {
+            FabricView held = telemetry.fabricView();
+            ASSERT_EQ(held.leases.size(), 1u);
+            EXPECT_EQ(held.leases[0].id, lease);
+            EXPECT_EQ(held.leases[0].peer, identity);
+            for (const PeerInfo &row : held.peers)
+                EXPECT_EQ(row.lease, row.identity == identity ? lease : 0)
+                    << row.identity;
+        }
+        worker->report(lease, job.slot, "p" + std::to_string(job.slot));
+        // Settled before the next claim, so one lease is live at most.
+        EXPECT_EQ(worker->next(ipc::kFrameResultAck).type,
+                  ipc::kFrameResultAck);
+        delivered[identity]++;
+    }
+    for (std::thread &t : callers)
+        t.join();
+
+    FabricView view = telemetry.fabricView();
+    EXPECT_TRUE(view.leases.empty());
+    ASSERT_EQ(view.peers.size(), 2u);
+    uint64_t sum = 0;
+    for (const PeerInfo &row : view.peers) {
+        EXPECT_EQ(row.jobsDone, delivered[row.identity]) << row.identity;
+        EXPECT_EQ(row.lease, 0u) << row.identity;
+        sum += row.jobsDone;
+    }
+    EXPECT_EQ(sum, kJobs);
+    EXPECT_EQ(delivered[id_a], 2u);
+    EXPECT_EQ(delivered[id_b], 4u);
+
+    // Both renderings carry the same rows.
+    EXPECT_NE(progressJson(reg, view, 1.0)
+                  .find("{\"identity\": \"12@127.0.0.1\", "
+                        "\"jobs_done\": 4, \"lease\": 0}"),
+              std::string::npos);
+    ParsedProm prom = parsePrometheusText(metricsText(reg, view));
+    ASSERT_TRUE(prom.ok) << prom.error;
+    EXPECT_EQ(prom.samples.at(
+                  "vanguard_peer_jobs_done{peer=\"11@127.0.0.1\"}"),
+              2.0);
+    fabric.shutdown();
+}
+
+TEST(NetFabric, ALateResultCountsForThePeerThatSentIt)
+{
+    MetricsRegistry reg;
+    TelemetryServer::Options topts;
+    topts.registry = &reg;
+    TelemetryServer telemetry(topts);
+    Coordinator::Options copts;
+    copts.telemetry = &telemetry;
+    copts.leaseMs = 100;
+    Coordinator fabric(copts);
+    std::thread caller([&] { fabric.execute(trainJob(0)); });
+
+    // slow never renews, so its lease expires and the job is
+    // re-granted to fast...
+    FakeWorker slow(fabric.port(), 21);
+    FakeWorker fast(fabric.port(), 22);
+    uint64_t first = 0, second = 0;
+    WorkerJob job = slow.claim(&first);
+    fast.claim(&second);
+    EXPECT_NE(second, first);
+    // ...but slow's result lands first and settles the offer; fast's
+    // byte-equal duplicate settles nothing.
+    slow.report(first, job.slot, "same");
+    EXPECT_EQ(slow.next(ipc::kFrameResultAck).type, ipc::kFrameResultAck);
+    caller.join();
+    fast.report(second, job.slot, "same");
+    EXPECT_EQ(fast.next(ipc::kFrameResultAck).type, ipc::kFrameResultAck);
+
+    FabricView view = telemetry.fabricView();
+    EXPECT_TRUE(view.leases.empty());
+    ASSERT_EQ(view.peers.size(), 1u);
+    EXPECT_EQ(view.peers[0].identity, "21@127.0.0.1");
+    EXPECT_EQ(view.peers[0].jobsDone, 1u);
+    fabric.shutdown();
 }
 
 TEST(NetCodec, ConnScopeMixesBothOperands)

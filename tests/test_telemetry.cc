@@ -5,9 +5,6 @@
  *   - the Prometheus text writer (name sanitization, label escaping,
  *     TYPE lines, cumulative histogram buckets) round-trips through
  *     its own parser with the exact registry values,
- *   - the `vanguard-stats v1` peer codec round-trips and degrades
- *     tolerantly (unknown keys skipped, bad headers and future
- *     versions dropped, never a throw),
  *   - the flight recorder's ring overwrites oldest-first with an
  *     accurate dropped count, serializes to a parseable
  *     `vanguard-flightrec v1` dump, and honors the best-effort dump
@@ -17,8 +14,8 @@
  *     journal replay, ETA clamped, replayed>done saturates instead of
  *     wrapping, failed and skipped jobs count toward done, and the
  *     stderr line and `/progress` report the same jobs/s and ETA,
- *   - TelemetryHub folds peer STATS into the live views and exposes
- *     the lease table,
+ *   - the two live views render the coordinator's fabric view (peer
+ *     rows and the lease table) next to the registry,
  *   - TelemetryServer answers GET /metrics, /progress, /healthz (and
  *     404s the rest) over a real localhost socket.
  */
@@ -130,58 +127,6 @@ TEST(PrometheusWriter, ParserRejectsGarbage)
     EXPECT_FALSE(parsePrometheusText("metric not-a-number\n").ok);
     // Non-TYPE comments are legal and skipped.
     EXPECT_TRUE(parsePrometheusText("# HELP x something\nx 1\n").ok);
-}
-
-// ---------------------------------------------------------------------
-// STATS codec
-// ---------------------------------------------------------------------
-
-TEST(PeerStatsCodec, RoundTrips)
-{
-    PeerStats in;
-    in.pid = 4242;
-    in.phase = "simulate";
-    in.jobsDone = 17;
-    in.instsRetired = 123456789;
-    in.cacheHits = 3;
-    in.cacheMisses = 9;
-    in.lease = "simulate:5";
-
-    PeerStats out;
-    ASSERT_TRUE(parsePeerStats(serializePeerStats(in), &out));
-    EXPECT_EQ(out.pid, 4242u);
-    EXPECT_EQ(out.phase, "simulate");
-    EXPECT_EQ(out.jobsDone, 17u);
-    EXPECT_EQ(out.instsRetired, 123456789u);
-    EXPECT_EQ(out.cacheHits, 3u);
-    EXPECT_EQ(out.cacheMisses, 9u);
-    EXPECT_EQ(out.lease, "simulate:5");
-    // Identity is receiver-assigned, never serialized.
-    EXPECT_TRUE(out.identity.empty());
-}
-
-TEST(PeerStatsCodec, ToleratesUnknownKeys)
-{
-    std::string body = std::string(kStatsMagic) + " v1\n" +
-                       "pid 7\n" +
-                       "some-future-field 99\n" +
-                       "jobs-done 2\n";
-    PeerStats out;
-    ASSERT_TRUE(parsePeerStats(body, &out));
-    EXPECT_EQ(out.pid, 7u);
-    EXPECT_EQ(out.jobsDone, 2u);
-}
-
-TEST(PeerStatsCodec, DropsBadHeaderAndFutureVersion)
-{
-    PeerStats out;
-    EXPECT_FALSE(parsePeerStats("", &out));
-    EXPECT_FALSE(parsePeerStats("not-a-stats-frame v1\npid 1\n",
-                                &out));
-    // A version-skewed peer is advisory data to drop, not a SimError
-    // escaping into the supervisor's frame loop.
-    EXPECT_FALSE(parsePeerStats(
-        std::string(kStatsMagic) + " v999\npid 1\n", &out));
 }
 
 // ---------------------------------------------------------------------
@@ -413,9 +358,7 @@ finishedSweep(MetricsRegistry &reg)
 TEST(ProgressFormat, FailedAndSkippedJobsFinishBothRenderings)
 {
     MetricsRegistry reg;
-    TelemetryHub::Options opts;
-    opts.registry = &finishedSweep(reg);
-    TelemetryHub hub(opts);
+    finishedSweep(reg);
 
     // 8 done of 8 — failures and skips count — and 5 fresh jobs over
     // 2 s: replays are not throughput.
@@ -430,8 +373,8 @@ TEST(ProgressFormat, FailedAndSkippedJobsFinishBothRenderings)
               "[t] 8/8 jobs (2.5 jobs/s), 2 failed, 3 skipped, "
               "1 retried");
 
-    std::string json = hub.progressJson(2.0);
-    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v2\""),
+    std::string json = progressJson(reg, {}, 2.0);
+    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v3\""),
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"jobs\": {\"total\": 8, \"done\": 8, "
@@ -455,16 +398,13 @@ TEST(ProgressFormat, BothRenderingsShareOneRateMidSweep)
     reg.counter("engine.jobs.failed").add(1);
     reg.counter("engine.jobs.skipped").add(3);
     reg.counter("engine.jobs.replayed").add(10);
-    TelemetryHub::Options opts;
-    opts.registry = &reg;
-    TelemetryHub hub(opts);
 
     // 16 done, 6 fresh over 4 s = 1.5 jobs/s; 24 left = ETA 16 s.
     ProgressSnapshot snap = ProgressSnapshot::read(reg);
     EXPECT_EQ(formatProgressLine("t", snap, 4.0),
               "[t] 16/40 jobs (1.5 jobs/s, ETA 16s), 1 failed, "
               "3 skipped");
-    std::string json = hub.progressJson(4.0);
+    std::string json = progressJson(reg, {}, 4.0);
     EXPECT_NE(json.find("\"throughput_jobs_per_sec\": 1.5,"),
               std::string::npos)
         << json;
@@ -472,7 +412,7 @@ TEST(ProgressFormat, BothRenderingsShareOneRateMidSweep)
 
     // Before the first-tick guard neither rendering has a rate, and
     // the JSON reports the ETA as unknown.
-    json = hub.progressJson(kMinRateElapsedSecs / 2);
+    json = progressJson(reg, {}, kMinRateElapsedSecs / 2);
     EXPECT_NE(json.find("\"throughput_jobs_per_sec\": 0,"),
               std::string::npos)
         << json;
@@ -520,10 +460,10 @@ TEST(RegistrySampling, SampleIsCompleteAndSorted)
 }
 
 // ---------------------------------------------------------------------
-// TelemetryHub
+// Live views
 // ---------------------------------------------------------------------
 
-TEST(TelemetryHubTest, RendersPeersLeasesAndPrometheus)
+TEST(TelemetryViews, RendersPeersLeasesAndPrometheus)
 {
     MetricsRegistry reg;
     reg.counter("engine.jobs.total").add(8);
@@ -532,54 +472,55 @@ TEST(TelemetryHubTest, RendersPeersLeasesAndPrometheus)
     reg.counter("engine.jobs.retries");
     reg.counter("engine.jobs.replayed");
 
-    TelemetryHub::Options opts;
-    opts.registry = &reg;
-    TelemetryHub hub(opts);
+    FabricView fabric;
+    fabric.peers.push_back({"99@127.0.0.1", 2, 7});
+    fabric.peers.push_back({"slot0:pid98", 1, 0});
+    fabric.leases.push_back({7, "simulate:3", "99@127.0.0.1", 1234});
 
-    PeerStats ps;
-    ps.identity = "slot0:pid99";
-    ps.pid = 99;
-    ps.phase = "simulate";
-    ps.jobsDone = 2;
-    hub.notePeerStats(ps);
-    ASSERT_EQ(hub.peers().size(), 1u);
-    EXPECT_EQ(hub.peers()[0].stats.identity, "slot0:pid99");
-
-    hub.setLeaseTableProvider([] {
-        std::vector<LeaseInfo> t;
-        LeaseInfo l;
-        l.id = 7;
-        l.key = "simulate:3";
-        l.peer = "99@127.0.0.1";
-        l.expiresInMs = 1234;
-        t.push_back(l);
-        return t;
-    });
-
-    std::string prom = hub.metricsText();
-    ParsedProm p = parsePrometheusText(prom);
+    ParsedProm p = parsePrometheusText(metricsText(reg, fabric));
     ASSERT_TRUE(p.ok) << p.error;
     EXPECT_EQ(p.samples.at("vanguard_engine_jobs_total"), 8.0);
+    EXPECT_EQ(p.types.at("vanguard_peer_jobs_done"), "gauge");
     EXPECT_EQ(p.samples.at(
-                  "vanguard_peer_jobs_done{peer=\"slot0:pid99\"}"),
+                  "vanguard_peer_jobs_done{peer=\"99@127.0.0.1\"}"),
               2.0);
+    EXPECT_EQ(p.samples.at(
+                  "vanguard_peer_jobs_done{peer=\"slot0:pid98\"}"),
+              1.0);
+    // jobs_done is the only per-peer series.
+    for (const auto &[name, type] : p.types)
+        EXPECT_TRUE(name.rfind("vanguard_peer_", 0) != 0 ||
+                    name == "vanguard_peer_jobs_done")
+            << name;
 
-    std::string json = hub.progressJson();
-    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v2\""),
+    std::string json = progressJson(reg, fabric, 1.0);
+    EXPECT_NE(json.find("\"schema\": \"vanguard-progress v3\""),
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"completed\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"identity\": \"slot0:pid99\""),
+    EXPECT_NE(json.find("\"peers\": [\n"
+                        "    {\"identity\": \"99@127.0.0.1\", "
+                        "\"jobs_done\": 2, \"lease\": 7},\n"
+                        "    {\"identity\": \"slot0:pid98\", "
+                        "\"jobs_done\": 1, \"lease\": 0}\n"
+                        "  ],"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"leases\": [\n"
+                        "    {\"id\": 7, \"key\": \"simulate:3\", "
+                        "\"peer\": \"99@127.0.0.1\", "
+                        "\"expires_in_ms\": 1234}\n"
+                        "  ]"),
+              std::string::npos)
+        << json;
+
+    // Without a fabric (an in-process sweep) both tables are empty
+    // and /metrics carries no peer series.
+    json = progressJson(reg, {}, 1.0);
+    EXPECT_NE(json.find("\"peers\": [],"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"leases\": []"), std::string::npos) << json;
+    EXPECT_EQ(metricsText(reg, {}).find("vanguard_peer_"),
               std::string::npos);
-    EXPECT_NE(json.find("\"key\": \"simulate:3\""), std::string::npos);
-
-    hub.setLeaseTableProvider(nullptr);
-}
-
-TEST(TelemetryHubTest, RequiresRegistry)
-{
-    TelemetryHub::Options opts;
-    EXPECT_THROW(TelemetryHub hub(opts), SimError);
 }
 
 // ---------------------------------------------------------------------
@@ -611,26 +552,35 @@ TEST(TelemetryServerTest, ServesMetricsProgressAndHealthz)
     MetricsRegistry reg;
     reg.counter("engine.jobs.total").add(5);
     reg.counter("engine.jobs.completed").add(5);
-    TelemetryHub::Options hopts;
-    hopts.registry = &reg;
-    TelemetryHub hub(hopts);
 
     TelemetryServer::Options sopts;
     sopts.port = 0;     // ephemeral
-    sopts.hub = &hub;
+    sopts.registry = &reg;
     TelemetryServer server(sopts);
     ASSERT_NE(server.port(), 0u);
+    server.setFabricViewProvider([] {
+        FabricView v;
+        v.peers.push_back({"slot1:pid7", 5, 0});
+        return v;
+    });
 
     std::string metrics = httpGet(server.port(), "/metrics");
     EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos);
     EXPECT_NE(metrics.find("vanguard_engine_jobs_total 5"),
               std::string::npos)
         << metrics;
+    EXPECT_NE(
+        metrics.find("vanguard_peer_jobs_done{peer=\"slot1:pid7\"} 5"),
+        std::string::npos)
+        << metrics;
 
     std::string progress = httpGet(server.port(), "/progress");
     EXPECT_NE(progress.find("HTTP/1.0 200 OK"), std::string::npos);
-    EXPECT_NE(progress.find("vanguard-progress v2"),
+    EXPECT_NE(progress.find("vanguard-progress v3"),
               std::string::npos);
+    EXPECT_NE(progress.find("\"identity\": \"slot1:pid7\""),
+              std::string::npos)
+        << progress;
 
     std::string healthz = httpGet(server.port(), "/healthz");
     EXPECT_NE(healthz.find("HTTP/1.0 200 OK"), std::string::npos);
@@ -639,7 +589,15 @@ TEST(TelemetryServerTest, ServesMetricsProgressAndHealthz)
     std::string missing = httpGet(server.port(), "/nope");
     EXPECT_NE(missing.find("404"), std::string::npos);
 
+    server.setFabricViewProvider(nullptr);
+    EXPECT_TRUE(server.fabricView().peers.empty());
     server.stop();      // idempotent with the destructor
+}
+
+TEST(TelemetryServerTest, RequiresRegistry)
+{
+    TelemetryServer::Options opts;
+    EXPECT_THROW(TelemetryServer server(opts), SimError);
 }
 } // namespace
 } // namespace vanguard

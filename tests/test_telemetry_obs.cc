@@ -9,7 +9,7 @@
  *     execution modes (in-process, --isolate-jobs, --serve-sweep +
  *     remote workers),
  *   - /metrics and /progress answer mid-run with parseable content
- *     (Prometheus text exposition and the vanguard-progress v2 JSON),
+ *     (Prometheus text exposition and the vanguard-progress v3 JSON),
  *   - a poison job that SIGSEGVs its worker on every delivery leaves
  *     a parseable `vanguard-flightrec v1` dump next to the replay
  *     bundles, with the quarantine visible in the event ring.
@@ -138,7 +138,7 @@ TEST(TelemetryObs, EndpointsAnswerMidSweep)
     std::string progress = httpGet(static_cast<uint16_t>(port),
                                    "/progress");
     EXPECT_NE(progress.find("HTTP/1.0 200 OK"), std::string::npos);
-    EXPECT_NE(progress.find("\"schema\": \"vanguard-progress v2\""),
+    EXPECT_NE(progress.find("\"schema\": \"vanguard-progress v3\""),
               std::string::npos)
         << progress;
     EXPECT_NE(progress.find("\"jobs\""), std::string::npos);

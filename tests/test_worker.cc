@@ -361,33 +361,36 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
              // Lease-protocol bodies: numbers are whole unsigned tokens
              // (no wrapped "-1", no cut-short "12abc"), each key once,
              // and v1's constant fields are unknown keys now.
-             {"vanguard-renew v2\n", "lease -1", "lease"},
-             {"vanguard-renew v2\n", "lease 12abc", "lease"},
-             {"vanguard-renew v2\n", "lease 99999999999999999999",
+             {"vanguard-renew v3\n", "lease -1", "lease"},
+             {"vanguard-renew v3\n", "lease 12abc", "lease"},
+             {"vanguard-renew v3\n", "lease 99999999999999999999",
               "lease"},
-             {"vanguard-renew v2\nlease 1\n", "lease 2", "lease"},
-             {"vanguard-renew v2\n", "colour 3", "colour"},
-             {"vanguard-workerconfig v2\n", "lease-ms abc", "lease-ms"},
-             {"vanguard-workerconfig v2\n", "heartbeat-ms 400",
+             {"vanguard-renew v3\nlease 1\n", "lease 2", "lease"},
+             {"vanguard-renew v3\n", "colour 3", "colour"},
+             {"vanguard-workerconfig v3\n", "lease-ms abc", "lease-ms"},
+             {"vanguard-workerconfig v3\n", "heartbeat-ms 400",
               "heartbeat-ms"},
-             {"vanguard-lease v2\n", "lease-ms 400", "lease-ms"},
-             {"vanguard-lease v2\n", "blob notes 3", "blob"},
-             {"vanguard-ack v2\n", "lease", "lease"},
-             {"vanguard-remote v2\n", "pid 12 13", "pid"}}) {
+             {"vanguard-lease v3\n", "lease-ms 400", "lease-ms"},
+             {"vanguard-lease v3\n", "blob notes 3", "blob"},
+             {"vanguard-ack v3\n", "lease", "lease"},
+             {"vanguard-remote v3\n", "pid 12 13", "pid"}}) {
         err.clear();
         EXPECT_FALSE(parses(prefix + line + "\n", &err)) << line;
         EXPECT_NE(err.find("'" + key + "'"), std::string::npos)
             << line << ": " << err;
     }
     // A lease-protocol body must carry each of its keys and blobs, and
-    // speak this build's version: a v1 peer is refused by name.
+    // speak this build's version: an older or newer peer is refused
+    // by name.
     for (const auto &[body, kind, named] :
          std::vector<std::tuple<std::string, std::string, std::string>>{
-             {"vanguard-renew v2\n", "renew", "'lease'"},
-             {"vanguard-lease v2\nlease 3\n", "lease", "'job'"},
+             {"vanguard-renew v3\n", "renew", "'lease'"},
+             {"vanguard-lease v3\nlease 3\n", "lease", "'job'"},
+             {"vanguard-refused v3\n", "refused", "'reason'"},
              {"vanguard-lease v1\nlease 3\n", "lease", "'v1'"},
-             {"vanguard-lease v3\nlease 3\n", "lease", "v3"},
-             {"vanguard-claim v2\n", "lease", "vanguard-lease"}}) {
+             {"vanguard-lease v2\nlease 3\n", "lease", "'v2'"},
+             {"vanguard-lease v4\nlease 3\n", "lease", "v4"},
+             {"vanguard-claim v3\n", "lease", "vanguard-lease"}}) {
         FabricBody f;
         err.clear();
         EXPECT_FALSE(parseFabricBody(body, kind, &f, &err)) << body;
@@ -395,7 +398,7 @@ TEST(WorkerCodec, JobParseRejectsGarbage)
     }
     {
         FabricBody f;
-        ASSERT_TRUE(parseFabricBody("vanguard-workerconfig v2\n"
+        ASSERT_TRUE(parseFabricBody("vanguard-workerconfig v3\n"
                                     "lease-ms 400\n"
                                     "blob fault-plan 0\n\n"
                                     "blob net-fault-plan 3\nabc\n",
