@@ -24,9 +24,18 @@ namespace vanguard {
 inline constexpr unsigned kMaxCacheSizeKB = 64 * 1024;
 
 /**
+ * Largest front-end depth, cache latency or memory latency the
+ * simulator accepts, in cycles. It bounds how far one instruction can
+ * move a lane's clock, which keeps the fused lanes' 32-bit cycle
+ * columns in range (uarch/lanes.hh).
+ */
+inline constexpr unsigned kMaxLatency = 1u << 16;
+
+/**
  * One cache level's geometry. A usable one (checked before every
  * simulation) has sizeKB in 1..kMaxCacheSizeKB, a power-of-two
- * lineBytes, 1..64 ways, and a whole, non-zero number of sets.
+ * lineBytes, 1..64 ways, a whole, non-zero number of sets, and a
+ * latency of at most kMaxLatency.
  */
 struct CacheConfig
 {

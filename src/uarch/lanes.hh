@@ -10,16 +10,17 @@
  * retired instruction's lane work, a LaneEvent, to a lane policy:
  *
  *  - ScalarLanes<N> runs TimingLane's member functions lane by lane;
- *  - ColumnLanes<N> (x86-64 hosts with AVX2, N >= 2) holds the hot
- *    state of every lane as the columns of one 4 x 64-bit vector, so
- *    one vector expression advances fetch, scoreboard and issue for
- *    every lane at once. The rest (miss-buffer heap, DBB FIFO,
- *    per-branch stall arrays) stays in TimingLane and is reached per
- *    lane only on the events that touch it.
+ *  - ColumnLanes<N> (N >= 2) holds the hot state of every lane as the
+ *    columns of one 4 x 32-bit vector, each lane's cycles counted from
+ *    its own 64-bit base, so one vector expression advances fetch,
+ *    scoreboard and issue for every lane at once. The rest (miss-buffer
+ *    heap, DBB FIFO, per-branch stall arrays) stays in TimingLane, in
+ *    absolute cycles, and is reached per lane only on the events that
+ *    touch it.
  *
  * A run's LaneEvents can be recorded (recordLaneEvents) and replayed
- * through either policy, so the tests can hold them equal state for
- * state.
+ * through either policy (replayLaneEvents), so the tests can hold them
+ * equal state for state.
  */
 
 #ifndef VANGUARD_UARCH_LANES_HH
@@ -37,13 +38,6 @@
 #include "isa/reg.hh"
 #include "support/ring.hh"
 #include "uarch/config.hh"
-
-#if defined(__GNUC__) && defined(__x86_64__)
-#include <immintrin.h>
-#define VANGUARD_COLUMN_LANES 1
-#else
-#define VANGUARD_COLUMN_LANES 0
-#endif
 
 /*
  * The fused step functions are large enough (every handler plus the
@@ -406,12 +400,12 @@ struct LaneEvent
 
 /**
  * The lane policy interface: retire(ev, seq) times one instruction on
- * every lane (`seq` is its retirement index), syncMaxDone() makes
- * TimingLane::max_done current for the watchdogs, and finish() makes
- * every TimingLane field current. Lanes are independent, so a policy
- * may advance them in any order as long as each lane sees its events
- * in program order. This one runs TimingLane's member functions lane
- * by lane.
+ * every lane (`seq` is its retirement index); syncMaxDone(), called
+ * after every 16th retirement, makes TimingLane::max_done current for
+ * the watchdogs; finish() makes every TimingLane field current. Lanes
+ * are independent, so a policy may advance them in any order as long
+ * as each lane sees its events in program order. This one runs
+ * TimingLane's member functions lane by lane.
  */
 template <unsigned N>
 class ScalarLanes
@@ -429,15 +423,6 @@ class ScalarLanes
     VG_HOT_INLINE void syncMaxDone() {}
 
     void finish() {}
-
-    /** Retire a recorded stream, then finish. */
-    void
-    replay(std::span<const LaneEvent> events)
-    {
-        for (size_t seq = 0; seq < events.size(); ++seq)
-            retire(events[seq], seq);
-        finish();
-    }
 
   private:
     using Kind = LaneEvent::Kind;
@@ -520,28 +505,17 @@ class ScalarLanes
     TimingLane *lanes_;
 };
 
-#if VANGUARD_COLUMN_LANES
-
-/*
- * Column code is compiled for AVX2 whatever the build's -march, and
- * only runs after columnLanesAvailable() says the CPU has it. The
- * vector type is declared 8-byte aligned so the compiler never emits
- * aligned 32-byte moves: a stack slot of the loop function is not
- * guaranteed 32-byte alignment.
- */
-#define VG_AVX2 __attribute__((target("avx2")))
-#define VG_AVX2_INLINE inline __attribute__((always_inline, target("avx2")))
-
-/** Per-lane 64-bit columns; cycles stay far below 2^63, so signed. */
-typedef int64_t LaneVec __attribute__((vector_size(32), aligned(8)));
+/** One 32-bit column per lane (a GCC generic vector). */
+typedef int32_t LaneVec __attribute__((vector_size(16)));
 
 /**
  * The column policy: every lane's hot timing state as one column of a
- * 4 x 64-bit vector per field (columns >= N are padding, computed but
+ * 4 x 32-bit vector per field (columns >= N are padding, computed but
  * never read back). Per-lane state that only some events touch — the
  * miss-buffer heap, the DBB free-cycle FIFO, the per-branch stall
- * arrays and their counters — stays in TimingLane and is reached lane
- * by lane on those events only; finish() writes the columns back.
+ * arrays and the DBB and MSHR counters — stays in TimingLane, in
+ * absolute cycles, and is reached lane by lane on those events only;
+ * finish() writes the columns back.
  *
  * Invariants that turn every "new cycle?" and "full?" test into an
  * equality compare (each is restated where it is used):
@@ -550,20 +524,43 @@ typedef int64_t LaneVec __attribute__((vector_size(32), aligned(8)));
  *  - prev_issue_cycle == cur_issue_cycle after every issue (one
  *    column holds both);
  *  - slots_used <= width and ports_used[c] <= port_cap[c].
- * Ports are packed 16 bits per FuClass in one column, so a lane fits
- * only when every port cap is below 2^15 (fits()).
+ * Ports are packed 8 bits per FuClass in one column, so a lane fits
+ * only when every port cap, its width included, is below 2^7.
+ *
+ * A cycle column holds the lane's cycle minus the lane's 64-bit base.
+ * Every later fetch, issue-stage entry and earliest issue of a lane is
+ * at least its cur_fetch_cycle, so a cycle below cur_fetch_cycle - 1
+ * can only ever lose a compare or a max: rebase() lifts the base to
+ * that floor and clamps whatever lies under it to the floor without
+ * changing any later decision. It runs at the 16-retirement gate
+ * (syncMaxDone) once some lane's relative max_done passes kRebaseAt.
+ * Why no column reaches 2^31 in between: validateLaneConfig caps the
+ * front-end depth and every cache and memory latency at kMaxLatency
+ * (2^16), so one instruction moves max_done by little more than
+ * 3 x 2^16 cycles (I-cache penalty, front end, latency), and a gate
+ * finds max_done under 2^30 + 2^22. An instruction a whole fetch
+ * buffer older has left the fetch buffer by the current fetch cycle
+ * (issued, if it issues: the fetch ring holds that cycle), so with
+ * fits()'s 256-entry fetch-buffer cap max_done runs less than 2^26
+ * cycles ahead of cur_fetch_cycle: a rebase always brings it back
+ * under kRebaseAt. The fetch-buffer and branch-stall counters are
+ * deltas, drained into TimingLane at every gate: 16 branch stalls,
+ * each under 2^26, stay below 2^31.
  */
 template <unsigned N>
 class ColumnLanes
 {
-    static_assert(N >= 1 && N <= 4, "4 x 64-bit columns");
+    static_assert(N >= 1 && N <= 4, "4 x 32-bit columns");
 
   public:
-    /** True when every lane's port caps fit a packed port field. */
+    /** True when every lane's port caps fit a packed port field and
+     *  its fetch buffer is at most kMaxFetchBuffer entries. */
     static bool
     fits(const TimingLane *lanes)
     {
         for (unsigned l = 0; l < N; ++l) {
+            if (lanes[l].fetch_buffer_entries > kMaxFetchBuffer)
+                return false;
             for (unsigned cap : lanes[l].port_cap) {
                 if (cap > kPortField)
                     return false;
@@ -572,9 +569,12 @@ class ColumnLanes
         return true;
     }
 
-    /** Load every lane's state into the columns (padding copies lane
-     *  0, so it computes like a live lane and never stalls oddly). */
-    VG_AVX2 explicit ColumnLanes(TimingLane *lanes)
+    /** Load every lane's state into the columns, based at its floor
+     *  cur_fetch_cycle - 1 (padding copies lane 0, so it computes like
+     *  a live lane and never stalls oddly). Each lane's max_done must
+     *  lie within kRebaseAt of its floor, as in any state a run
+     *  reaches. */
+    explicit ColumnLanes(TimingLane *lanes)
         : lanes_(lanes), ring_(lanes[0].fetch_buffer_entries),
           fetch_slot_mask_(lanes[0].fetch_slot_mask),
           fetch_buffer_entries_(lanes[0].fetch_buffer_entries),
@@ -582,39 +582,43 @@ class ColumnLanes
     {
         for (unsigned l = 0; l < 4; ++l) {
             const TimingLane &ln = lanes[l < N ? l : 0];
-            next_fetch_[l] = ln.next_fetch_cycle;
-            cur_fetch_[l] = ln.cur_fetch_cycle;
-            fetched_[l] = ln.fetched_in_cycle;
-            issue_[l] = ln.cur_issue_cycle;
-            slots_[l] = ln.slots_used;
+            base_[l] = ln.cur_fetch_cycle > 0 ? ln.cur_fetch_cycle - 1 : 0;
+            next_fetch_[l] = column(l, ln.next_fetch_cycle);
+            cur_fetch_[l] = column(l, ln.cur_fetch_cycle);
+            fetched_[l] = static_cast<int32_t>(ln.fetched_in_cycle);
+            issue_[l] = column(l, ln.cur_issue_cycle);
+            slots_[l] = static_cast<int32_t>(ln.slots_used);
             ports_[l] = 0;
             for (unsigned c = 0; c < 4; ++c) {
-                ports_[l] |= int64_t{ln.ports_used[c]} << (16 * c);
-                port_cap_[c][l] = int64_t{ln.port_cap[c]} << (16 * c);
+                ports_[l] |=
+                    static_cast<int32_t>(ln.ports_used[c] << (8 * c));
+                port_cap_[c][l] =
+                    static_cast<int32_t>(ln.port_cap[c] << (8 * c));
             }
-            max_done_[l] = ln.max_done;
-            fetch_stalls_[l] = ln.fetch_buffer_stalls;
-            branch_stalls_[l] = ln.branch_stall_cycles;
-            width_[l] = ln.width;
+            max_done_[l] = column(l, ln.max_done);
+            width_[l] = static_cast<int32_t>(ln.width);
             for (unsigned r = 0; r < kNumRegs; ++r)
-                reg_ready_[r][l] = ln.reg_ready[r];
+                reg_ready_[r][l] = column(l, ln.reg_ready[r]);
             for (size_t s = 0; s < ring_.size(); ++s)
-                ring_[s].v[l] = ln.fetch_ring[s];
+                ring_[s].v[l] = column(l, ln.fetch_ring[s]);
             // Padding never holds a miss, so it never needs admission.
             miss_min_[l] = kNone;
             miss_count_[l] = 0;
-            mshr_cap_[l] = ln.mshr_entries;
+            mshr_cap_[l] = static_cast<int32_t>(ln.mshr_entries);
         }
         for (unsigned l = 0; l < N; ++l)
             refreshMisses(l);
-        enter_offset_ = splat(lanes[0].frontend_stages - int64_t{1});
+        fetch_stalls_ = splat(0);
+        branch_stalls_ = splat(0);
+        enter_offset_ =
+            splat(static_cast<int32_t>(lanes[0].frontend_stages) - 1);
         // Registers past kNumRegs (kNoReg) are never written: reading
         // one yields 0, which is what srcReady() skips it as.
         for (unsigned r = kNumRegs; r < 256; ++r)
             reg_ready_[r] = splat(0);
     }
 
-    VG_AVX2_INLINE void
+    VG_HOT_INLINE void
     retire(const LaneEvent &ev, uint64_t seq)
     {
         LaneVec &ring = ring_[slot(seq)].v;
@@ -636,8 +640,8 @@ class ColumnLanes
             max_done_ = vmax(max_done_, enter);
             LaneVec decode = f + 1;
             for (unsigned l = 0; l < N; ++l)
-                decode[l] = static_cast<int64_t>(lanes_[l].dbbDrain(
-                    static_cast<uint64_t>(decode[l])));
+                decode[l] =
+                    column(l, lanes_[l].dbbDrain(cycle(l, decode[l])));
             // TimingLane::dbbAdmit's front-end stall; a no-op for lanes
             // that did not stall (next_fetch >= f == decode - 1).
             next_fetch_ = vmax(next_fetch_, decode - 1);
@@ -661,8 +665,7 @@ class ColumnLanes
             }
             if (ev.kind == Kind::Resolve) {
                 for (unsigned l = 0; l < N; ++l)
-                    lanes_[l].dbb_free_cycles.push_back(
-                        static_cast<uint64_t>(done[l]));
+                    lanes_[l].dbb_free_cycles.push_back(cycle(l, done[l]));
             }
             steer(ev.steer, f, f + 1, done);
             return;
@@ -674,17 +677,16 @@ class ColumnLanes
             if (any((miss_min_ <= earliest) |
                     (miss_count_ == mshr_cap_))) {
                 for (unsigned l = 0; l < N; ++l) {
-                    earliest[l] = static_cast<int64_t>(lanes_[l].mshrAdmit(
-                        static_cast<uint64_t>(earliest[l])));
+                    earliest[l] = column(
+                        l, lanes_[l].mshrAdmit(cycle(l, earliest[l])));
                     refreshMisses(l);
                 }
             }
             LaneVec issue = computeIssue(earliest, FuClass::Mem);
-            LaneVec done = issue + static_cast<int64_t>(ev.latency);
+            LaneVec done = issue + static_cast<int32_t>(ev.latency);
             if (ev.miss) {
                 for (unsigned l = 0; l < N; ++l) {
-                    lanes_[l].outstanding_misses.push(
-                        static_cast<uint64_t>(done[l]));
+                    lanes_[l].outstanding_misses.push(cycle(l, done[l]));
                     refreshMisses(l);
                 }
             }
@@ -710,7 +712,7 @@ class ColumnLanes
                 : srcReady(ev);
             LaneVec issue = computeIssue(vmax(enter, ready),
                                          static_cast<FuClass>(ev.fu));
-            LaneVec done = issue + static_cast<int64_t>(ev.latency);
+            LaneVec done = issue + static_cast<int32_t>(ev.latency);
             if (ev.kind != Kind::NoDst)
                 reg_ready_[ev.dst] = done;
             ring = issue;
@@ -720,88 +722,101 @@ class ColumnLanes
         }
     }
 
-    /** Publish max_done to the TimingLanes for the watchdogs. */
-    VG_AVX2_INLINE void
+    /** The 16-retirement gate: rebase if a lane needs it, publish
+     *  max_done for the watchdogs and drain the counter columns. */
+    VG_HOT_INLINE void
     syncMaxDone()
     {
+        if (any(max_done_ > splat(kRebaseAt)))
+            rebase();
         for (unsigned l = 0; l < N; ++l)
-            lanes_[l].max_done = static_cast<uint64_t>(max_done_[l]);
+            lanes_[l].max_done = cycle(l, max_done_[l]);
+        drainCounters();
     }
 
-    /** Write every column back into its TimingLane. */
-    VG_AVX2 void
+    /** Write every column back into its TimingLane; a cycle clamped by
+     *  a rebase reads back as base(l). */
+    void
     finish()
     {
+        drainCounters();
         for (unsigned l = 0; l < N; ++l) {
             TimingLane &ln = lanes_[l];
-            ln.next_fetch_cycle = static_cast<uint64_t>(next_fetch_[l]);
-            ln.cur_fetch_cycle = static_cast<uint64_t>(cur_fetch_[l]);
+            ln.next_fetch_cycle = cycle(l, next_fetch_[l]);
+            ln.cur_fetch_cycle = cycle(l, cur_fetch_[l]);
             ln.fetched_in_cycle = static_cast<unsigned>(fetched_[l]);
-            ln.cur_issue_cycle = static_cast<uint64_t>(issue_[l]);
+            ln.cur_issue_cycle = cycle(l, issue_[l]);
             ln.prev_issue_cycle = ln.cur_issue_cycle;
             ln.slots_used = static_cast<unsigned>(slots_[l]);
             for (unsigned c = 0; c < 4; ++c)
-                ln.ports_used[c] = static_cast<unsigned>(
-                    (static_cast<uint64_t>(ports_[l]) >> (16 * c)) &
-                    kPortField);
-            ln.max_done = static_cast<uint64_t>(max_done_[l]);
-            ln.fetch_buffer_stalls =
-                static_cast<uint64_t>(fetch_stalls_[l]);
-            ln.branch_stall_cycles =
-                static_cast<uint64_t>(branch_stalls_[l]);
+                ln.ports_used[c] =
+                    (static_cast<uint32_t>(ports_[l]) >> (8 * c)) &
+                    kPortField;
+            ln.max_done = cycle(l, max_done_[l]);
             for (unsigned r = 0; r < kNumRegs; ++r)
-                ln.reg_ready[r] = static_cast<uint64_t>(reg_ready_[r][l]);
+                ln.reg_ready[r] = cycle(l, reg_ready_[r][l]);
             for (size_t s = 0; s < ring_.size(); ++s)
-                ln.fetch_ring[s] = static_cast<uint64_t>(ring_[s].v[l]);
+                ln.fetch_ring[s] = cycle(l, ring_[s].v[l]);
         }
     }
 
-    /** Retire a recorded stream, then finish; callable from code not
-     *  compiled for AVX2. */
-    VG_AVX2 void
-    replay(std::span<const LaneEvent> events)
-    {
-        for (size_t seq = 0; seq < events.size(); ++seq)
-            retire(events[seq], seq);
-        finish();
-    }
+    /** Lane l's base: its cycle columns count from here. */
+    uint64_t base(unsigned l) const { return base_[l]; }
 
   private:
     using Kind = LaneEvent::Kind;
 
-    static constexpr int64_t kNone = INT64_MAX;
-    // A port field is 16 bits wide but holds at most 2^15 - 1, so the
+    static constexpr int32_t kNone = INT32_MAX;
+    static constexpr int32_t kRebaseAt = int32_t{1} << 30;
+    static constexpr unsigned kMaxFetchBuffer = 256;
+    // A port field is 8 bits wide but holds at most 2^7 - 1, so the
     // packed column stays non-negative and never overflows.
-    static constexpr unsigned kPortField = 0x7fff;
+    static constexpr unsigned kPortField = 0x7f;
 
-    static VG_AVX2_INLINE LaneVec
-    splat(int64_t x)
+    /** Lane l's absolute cycle `x` as a column value (clamped at the
+     *  lane's base). */
+    VG_HOT_INLINE int32_t
+    column(unsigned l, uint64_t x) const
+    {
+        return x > base_[l] ? static_cast<int32_t>(x - base_[l]) : 0;
+    }
+
+    /** Lane l's column value `x` as an absolute cycle. */
+    VG_HOT_INLINE uint64_t
+    cycle(unsigned l, int32_t x) const
+    {
+        return base_[l] + static_cast<uint32_t>(x);
+    }
+
+    static VG_HOT_INLINE LaneVec
+    splat(int32_t x)
     {
         return LaneVec{x, x, x, x};
     }
 
-    static VG_AVX2_INLINE LaneVec
+    static VG_HOT_INLINE LaneVec
     vmax(LaneVec a, LaneVec b)
     {
         return a > b ? a : b;
     }
 
     /** True when any column of a compare mask is set. */
-    static VG_AVX2_INLINE bool
+    static VG_HOT_INLINE bool
     any(LaneVec mask)
     {
-        __m256i m = reinterpret_cast<__m256i>(mask);
-        return !_mm256_testz_si256(m, m);
+        uint64_t halves[2];
+        std::memcpy(halves, &mask, sizeof(halves));
+        return (halves[0] | halves[1]) != 0;
     }
 
-    VG_AVX2_INLINE size_t
+    VG_HOT_INLINE size_t
     slot(uint64_t seq) const
     {
         return fetch_slot_mask_ != 0 ? (seq & fetch_slot_mask_)
                                      : (seq % fetch_buffer_entries_);
     }
 
-    VG_AVX2_INLINE LaneVec
+    VG_HOT_INLINE LaneVec
     srcReady(const LaneEvent &ev) const
     {
         return vmax(vmax(reg_ready_[ev.src1], reg_ready_[ev.src2]),
@@ -809,7 +824,7 @@ class ColumnLanes
     }
 
     /** TimingLane::fetch for every column; `ring` is seq's slot. */
-    VG_AVX2_INLINE LaneVec
+    VG_HOT_INLINE LaneVec
     fetch(unsigned extra, uint64_t seq, const LaneVec &ring)
     {
         LaneVec f = next_fetch_;
@@ -819,7 +834,7 @@ class ColumnLanes
             f = stalled ? freed : f;
             fetch_stalls_ -= stalled; // masks are -1
         }
-        f += static_cast<int64_t>(extra);
+        f += static_cast<int32_t>(extra);
         // next_fetch >= cur_fetch, so f >= cur_fetch: a new fetch cycle
         // is f != cur_fetch, and cur_fetch becomes f either way.
         fetched_ &= f == cur_fetch_;
@@ -833,7 +848,7 @@ class ColumnLanes
     }
 
     /** TimingLane::computeIssue for every column. */
-    VG_AVX2_INLINE LaneVec
+    VG_HOT_INLINE LaneVec
     computeIssue(LaneVec earliest, FuClass fu)
     {
         unsigned cls = static_cast<unsigned>(fu);
@@ -845,19 +860,20 @@ class ColumnLanes
         LaneVec ports = ports_ & same;
         // slots <= width and ports[cls] <= cap[cls]: "no free slot or
         // port" is an equality; the next cycle always has both.
-        LaneVec field = splat(int64_t{kPortField} << (16 * cls));
+        LaneVec field =
+            splat(static_cast<int32_t>(kPortField << (8 * cls)));
         LaneVec full =
             (slots == width_) | ((ports & field) == port_cap_[cls]);
         c -= full;
         slots = (slots & ~full) + 1;
-        ports = (ports & ~full) + splat(int64_t{1} << (16 * cls));
+        ports = (ports & ~full) + splat(int32_t{1} << (8 * cls));
         slots_ = slots;
         ports_ = ports;
         issue_ = c;
         return c;
     }
 
-    VG_AVX2_INLINE void
+    VG_HOT_INLINE void
     steer(Steer s, LaneVec f, LaneVec decode, LaneVec done)
     {
         if (s == Steer::Squash)
@@ -868,17 +884,56 @@ class ColumnLanes
             next_fetch_ = vmax(next_fetch_, decode + 1);
     }
 
-    /** Reload lane l's miss-buffer gate from its heap. */
-    VG_AVX2_INLINE void
+    /** Reload lane l's miss-buffer gate from its heap (a miss done
+     *  before the base reads as the base: it still gates admission). */
+    VG_HOT_INLINE void
     refreshMisses(unsigned l)
     {
         const BoundedMinHeap &h = lanes_[l].outstanding_misses;
-        miss_min_[l] =
-            h.empty() ? kNone : static_cast<int64_t>(h.min());
-        miss_count_[l] = static_cast<int64_t>(h.size());
+        miss_min_[l] = h.empty() ? kNone : column(l, h.min());
+        miss_count_[l] = static_cast<int32_t>(h.size());
+    }
+
+    /** Lift every column's base to cur_fetch_cycle - 1, clamping what
+     *  lies below it (see the class comment). */
+    void
+    rebase()
+    {
+        LaneVec floor = vmax(cur_fetch_ - 1, splat(0));
+        auto lower = [&floor](LaneVec &x) {
+            x = vmax(x - floor, splat(0));
+        };
+        lower(next_fetch_);
+        lower(cur_fetch_);
+        lower(issue_);
+        lower(max_done_);
+        for (unsigned r = 0; r < kNumRegs; ++r)
+            lower(reg_ready_[r]);
+        for (Slot &s : ring_)
+            lower(s.v);
+        for (unsigned l = 0; l < 4; ++l)
+            base_[l] += static_cast<uint32_t>(floor[l]);
+        for (unsigned l = 0; l < N; ++l)
+            refreshMisses(l);
+    }
+
+    /** Add the counter columns to their TimingLane fields and zero
+     *  them. */
+    VG_HOT_INLINE void
+    drainCounters()
+    {
+        for (unsigned l = 0; l < N; ++l) {
+            lanes_[l].fetch_buffer_stalls +=
+                static_cast<uint32_t>(fetch_stalls_[l]);
+            lanes_[l].branch_stall_cycles +=
+                static_cast<uint32_t>(branch_stalls_[l]);
+        }
+        fetch_stalls_ = splat(0);
+        branch_stalls_ = splat(0);
     }
 
     TimingLane *lanes_;
+    uint64_t base_[4];
 
     // fetch
     LaneVec next_fetch_, cur_fetch_, fetched_, fetch_stalls_;
@@ -888,10 +943,9 @@ class ColumnLanes
     LaneVec miss_min_, miss_count_;
     // per-lane constants
     LaneVec width_, mshr_cap_, enter_offset_;
-    LaneVec port_cap_[4];  ///< cap[c] << 16c
+    LaneVec port_cap_[4];  ///< cap[c] << 8c
     LaneVec reg_ready_[256]; ///< by RegId; kNoReg and up read 0
-    // The fetch ring, one column per slot (wrapped: a vector-type
-    // template argument would drop the 8-byte alignment attribute).
+    // The fetch ring, one column per slot.
     struct Slot
     {
         LaneVec v;
@@ -903,16 +957,21 @@ class ColumnLanes
     const size_t stall_keys_;
 };
 
-#undef VG_AVX2_INLINE
-#undef VG_AVX2
-
-#endif // VANGUARD_COLUMN_LANES
-
 /**
- * True when ColumnLanes can run here: an x86-64 GCC/Clang build on a
- * CPU with AVX2. Checked once per process.
+ * Retire a recorded stream through any lane policy on the fast loop's
+ * schedule (syncMaxDone after every 16th retirement), then finish.
  */
-bool columnLanesAvailable();
+template <class Lanes>
+void
+replayLaneEvents(Lanes &lanes, std::span<const LaneEvent> events)
+{
+    for (size_t seq = 0; seq < events.size(); ++seq) {
+        lanes.retire(events[seq], seq);
+        if (((seq + 1) & 15) == 0)
+            lanes.syncMaxDone();
+    }
+    lanes.finish();
+}
 
 /**
  * Run the fast path once on `cfg` and return the LaneEvent of every

@@ -45,7 +45,9 @@ stallKeyBound(const Program &prog)
  * zero issue width or port count spins computeIssue forever, and a
  * zero-entry fetch buffer, DBB or miss buffer breaks the queue bounds
  * below. A cache level without sets would divide by zero in Cache, and
- * the fetch-line mask assumes power-of-two lines.
+ * the fetch-line mask assumes power-of-two lines. A zero-stage front
+ * end would enter issue a cycle before fetch, and latencies past
+ * kMaxLatency would let the clock outrun the column lanes' range.
  */
 void
 validateLaneConfig(const MachineConfig &cfg)
@@ -68,7 +70,16 @@ validateLaneConfig(const MachineConfig &cfg)
             vg_throw(Config, "machine config: %s %llu lines do not "
                      "form whole %u-way sets", name,
                      static_cast<unsigned long long>(lines), c->ways);
+        if (c->latency > kMaxLatency)
+            vg_throw(Config, "machine config: %s latency %u cycles "
+                     "above %u", name, c->latency, kMaxLatency);
     }
+    if (cfg.memLatency > kMaxLatency)
+        vg_throw(Config, "machine config: memLatency %u cycles above %u",
+                 cfg.memLatency, kMaxLatency);
+    if (cfg.frontendStages == 0 || cfg.frontendStages > kMaxLatency)
+        vg_throw(Config, "machine config: frontendStages %u outside "
+                 "1..%u", cfg.frontendStages, kMaxLatency);
     struct Field
     {
         const char *name;
@@ -616,8 +627,8 @@ ReferenceModel::run()
  * decision goes through the same TimingCommon helpers and the same
  * TimingLane rules as the reference path. Each instruction's semantic,
  * predictor and cache work runs once; its timing goes to a lane policy
- * (uarch/lanes.hh): AVX2 columns for two or more lanes when the CPU
- * has AVX2, TimingLane by TimingLane otherwise. Predictor calls go
+ * (uarch/lanes.hh): vector columns for two or more lanes that fit
+ * them, TimingLane by TimingLane otherwise. Predictor calls go
  * through the sealed PredictorDispatch (direct, inlineable calls for
  * every factory predictor) in the same per-instruction order the
  * reference path makes them, so predictions, history, and telemetry
@@ -654,17 +665,14 @@ class FastModel : public TimingCommon
     std::vector<SimStats>
     run()
     {
-#if VANGUARD_COLUMN_LANES
         if constexpr (N >= 2) {
-            if (columnLanesAvailable() &&
-                ColumnLanes<N>::fits(lanes_.data())) {
+            if (ColumnLanes<N>::fits(lanes_.data())) {
                 ColumnLanes<N> lanes(lanes_.data());
-                runColumns(lanes);
+                runLoop<ColumnLanes<N> &>(lanes);
                 lanes.finish();
                 return finalizeStats();
             }
         }
-#endif
         ScalarLanes<N> lanes(lanes_.data());
         runLoop(lanes);
         return finalizeStats();
@@ -674,18 +682,13 @@ class FastModel : public TimingCommon
      * One run of the loop with any lane policy (recordLaneEvents
      * drives it with a recorder). The pointer-sized policies are taken
      * by value, so the loop keeps their lane pointer in a register
-     * instead of reloading it through a reference every instruction.
+     * instead of reloading it through a reference every instruction;
+     * the column policy, which holds the lanes' state itself, is
+     * passed by reference (Lanes = ColumnLanes<N> &).
      */
     template <class Lanes> void runLoop(Lanes lanes);
 
   private:
-#if VANGUARD_COLUMN_LANES
-    // The column policy's loop: the same body, compiled for AVX2 so
-    // the column calls inline into it.
-    __attribute__((target("avx2"))) void
-    runColumns(ColumnLanes<N> &lanes);
-#endif
-
     VG_HOT_INLINE int64_t
     src2Value(const DecodedInst &d) const
     {
@@ -744,9 +747,7 @@ class FastModel : public TimingCommon
     const bool use_line_tags_;
 };
 
-// fast_loop.inc is the loop body of both entry points below; its
-// policy parameter is `lanes`.
-
+// fast_loop.inc is the loop body; its policy parameter is `lanes`.
 template <unsigned N>
 template <class Lanes>
 void
@@ -754,15 +755,6 @@ FastModel<N>::runLoop(Lanes lanes)
 {
 #include "uarch/fast_loop.inc"
 }
-
-#if VANGUARD_COLUMN_LANES
-template <unsigned N>
-void
-FastModel<N>::runColumns(ColumnLanes<N> &lanes)
-{
-#include "uarch/fast_loop.inc"
-}
-#endif
 
 template <unsigned N>
 std::vector<SimStats>
@@ -881,17 +873,6 @@ size_t
 maxFusedLanes(const SimOptions &opts)
 {
     return fastEligible(opts) ? kMaxFusedLanes : 1;
-}
-
-bool
-columnLanesAvailable()
-{
-#if VANGUARD_COLUMN_LANES
-    static const bool avx2 = __builtin_cpu_supports("avx2");
-    return avx2;
-#else
-    return false;
-#endif
 }
 
 std::vector<LaneEvent>

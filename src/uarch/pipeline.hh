@@ -220,9 +220,9 @@ SimStats simulateWithDecoded(const Program &prog,
                              const SimOptions &opts = {});
 
 /**
- * Most widths one fused simulateWidths() pass times at once: the lanes
- * of one 4 x 64-bit AVX2 column each (uarch/lanes.hh), which is how a
- * pass of two or more lanes runs on CPUs with AVX2.
+ * Most widths one fused simulateWidths() pass times at once: one
+ * column each of the 4 x 32-bit vectors (uarch/lanes.hh) that time a
+ * pass of two or more lanes.
  */
 inline constexpr unsigned kMaxFusedLanes = 4;
 

@@ -397,6 +397,66 @@ TEST(FusedLanes, TinyQueuesMatchPerWidthReference)
     EXPECT_GT(dbb_stalls, 0u);
 }
 
+/**
+ * Lane sets the vector columns cannot hold run lane by lane and still
+ * equal the per-width reference: a port cap past the columns' 7-bit
+ * port field, and a fetch buffer past their 256-entry bound.
+ */
+TEST(FusedLanes, SetsTooWideForColumnsMatchPerWidthReference)
+{
+    std::vector<MachineConfig> many_ports = {MachineConfig::widthVariant(2),
+                                             MachineConfig::widthVariant(8)};
+    many_ports[1].intPorts = 200;
+    std::vector<MachineConfig> long_buffer;
+    for (unsigned w : {2u, 4u, 8u}) {
+        long_buffer.push_back(MachineConfig::widthVariant(w));
+        long_buffer.back().fetchBufferEntries = 512;
+    }
+    std::vector<TimingLane> lanes;
+    for (const MachineConfig &cfg : many_ports)
+        lanes.emplace_back(cfg, kNoInst, false);
+    EXPECT_FALSE(ColumnLanes<2>::fits(lanes.data()));
+    lanes.clear();
+    for (const MachineConfig &cfg : long_buffer)
+        lanes.emplace_back(cfg, kNoInst, false);
+    EXPECT_FALSE(ColumnLanes<3>::fits(lanes.data()));
+
+    VanguardOptions vopts;
+    for (const char *name : {"mcf-like", "gobmk-like"}) {
+        BenchmarkSpec spec = smallSpec(name, 200);
+        BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
+        for (const CompiledConfig *config : {&art.base, &art.exp}) {
+            for (const std::vector<MachineConfig> *cfgs :
+                 {&many_ports, &long_buffer}) {
+                SimOptions sopts;
+                sopts.collectBranchStalls = true;
+                if (!config->hoistedMask.empty())
+                    sopts.hoistedMask = &config->hoistedMask;
+                Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
+                auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
+                std::vector<SimStats> fused = simulateWidths(
+                    config->prog, *config->decoded, mem, *pred, *cfgs,
+                    sopts);
+                ASSERT_EQ(fused.size(), cfgs->size());
+                sopts.forceReference = true;
+                for (size_t l = 0; l < cfgs->size(); ++l) {
+                    Memory solo_mem = buildKernelMemory(spec, kRefSeeds[0]);
+                    auto solo_pred =
+                        makePredictor(vopts.predictor, kRefSeeds[0]);
+                    SimStats ref = simulate(config->prog, solo_mem,
+                                            *solo_pred, (*cfgs)[l], sopts);
+                    expectSameStats(
+                        fused[l], ref,
+                        std::string(name) +
+                            (config->decomposed ? " [exp]" : " [base]") +
+                            " lane " + std::to_string(l) + " of " +
+                            std::to_string(cfgs->size()));
+                }
+            }
+        }
+    }
+}
+
 TEST(FusedLanes, LanesMayDifferOnlyInWidthAndPorts)
 {
     BenchmarkSpec spec = smallSpec("bzip2-like", 50);
@@ -514,7 +574,6 @@ TEST(FusedLanes, SharedBenchmarkCompileMatchesStandaloneConfigs)
     }
 }
 
-#if VANGUARD_COLUMN_LANES
 /** A heap's or FIFO's contents, in pop order. */
 std::vector<uint64_t>
 drained(BoundedMinHeap h)
@@ -534,22 +593,32 @@ drained(RingFifo<uint64_t> f)
     return out;
 }
 
-/** Every field of two lanes, state and counters. */
+/**
+ * Every field of two lanes, state and counters. `floor` is the column
+ * lanes' base: the issue cycle, the scoreboard and the fetch ring hold
+ * cycles that can fall below it, and a rebase reads those back as the
+ * floor itself.
+ */
 void
 expectSameLane(const TimingLane &got, const TimingLane &want,
-               const std::string &tag)
+               const std::string &tag, uint64_t floor = 0)
 {
+    auto lifted = [floor](uint64_t x) { return std::max(x, floor); };
     EXPECT_EQ(got.next_fetch_cycle, want.next_fetch_cycle) << tag;
     EXPECT_EQ(got.cur_fetch_cycle, want.cur_fetch_cycle) << tag;
     EXPECT_EQ(got.fetched_in_cycle, want.fetched_in_cycle) << tag;
-    EXPECT_EQ(got.fetch_ring, want.fetch_ring) << tag;
-    EXPECT_EQ(got.prev_issue_cycle, want.prev_issue_cycle) << tag;
-    EXPECT_EQ(got.cur_issue_cycle, want.cur_issue_cycle) << tag;
+    ASSERT_EQ(got.fetch_ring.size(), want.fetch_ring.size()) << tag;
+    for (size_t s = 0; s < got.fetch_ring.size(); ++s)
+        EXPECT_EQ(got.fetch_ring[s], lifted(want.fetch_ring[s]))
+            << tag << " slot " << s;
+    EXPECT_EQ(got.prev_issue_cycle, lifted(want.prev_issue_cycle)) << tag;
+    EXPECT_EQ(got.cur_issue_cycle, lifted(want.cur_issue_cycle)) << tag;
     EXPECT_EQ(got.slots_used, want.slots_used) << tag;
     for (unsigned c = 0; c < 4; ++c)
         EXPECT_EQ(got.ports_used[c], want.ports_used[c]) << tag;
     for (unsigned r = 0; r < kNumRegs; ++r)
-        EXPECT_EQ(got.reg_ready[r], want.reg_ready[r]) << tag << " r" << r;
+        EXPECT_EQ(got.reg_ready[r], lifted(want.reg_ready[r]))
+            << tag << " r" << r;
     EXPECT_EQ(drained(got.outstanding_misses),
               drained(want.outstanding_misses))
         << tag;
@@ -584,9 +653,9 @@ expectPoliciesAgree(std::span<const LaneEvent> events,
     std::vector<TimingLane> scalar = makeLanes(cfgs, stall_keys);
     std::vector<TimingLane> columns = makeLanes(cfgs, stall_keys);
     ScalarLanes<N> by_lane(scalar.data());
-    by_lane.replay(events);
+    replayLaneEvents(by_lane, events);
     ColumnLanes<N> by_column(columns.data());
-    by_column.replay(events);
+    replayLaneEvents(by_column, events);
     std::pair<uint64_t, uint64_t> stalls;
     for (unsigned l = 0; l < N; ++l) {
         expectSameLane(columns[l], scalar[l],
@@ -597,12 +666,11 @@ expectPoliciesAgree(std::span<const LaneEvent> events,
     }
     return stalls;
 }
-#endif
 
 /**
  * The two lane policies are interchangeable: one recorded event stream
  * per kernel, config and machine shape, replayed through ScalarLanes
- * and through the AVX2 ColumnLanes for several lane sets, leaves every
+ * and through ColumnLanes for several lane sets, leaves every
  * lane in the same state with the same counters. Two tiny shapes (a
  * 24-entry fetch buffer, the modulo slot path, with a 2-entry miss
  * buffer; and a 1-entry DBB) drive the per-lane escapes hard. This also
@@ -611,11 +679,6 @@ expectPoliciesAgree(std::span<const LaneEvent> events,
  */
 TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
 {
-#if !VANGUARD_COLUMN_LANES
-    GTEST_SKIP() << "column lanes are not built for this target";
-#else
-    if (!columnLanesAvailable())
-        GTEST_SKIP() << "this CPU has no AVX2";
     const std::vector<std::vector<unsigned>> lane_sets = {
         {2, 4, 8}, {8, 2}, {4, 2, 4}, {8, 4, 2, 2}};
     struct Shape
@@ -671,7 +734,7 @@ TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
                 ASSERT_EQ(events.size(), solo.dynamicInsts) << tag;
                 std::vector<TimingLane> one = makeLanes({machine(4)}, keys);
                 ScalarLanes<1> replay(one.data());
-                replay.replay(events);
+                replayLaneEvents(replay, events);
                 EXPECT_EQ(one[0].max_done + 1, solo.cycles) << tag;
 
                 for (const std::vector<unsigned> &widths : lane_sets) {
@@ -699,7 +762,150 @@ TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
     }
     EXPECT_GT(mshr_stalls, 0u);
     EXPECT_GT(dbb_stalls, 0u);
-#endif
+}
+
+/**
+ * A synthetic stream whose clock runs billions of cycles: a chain of
+ * dependent memory-latency loads under longer independent misses (so
+ * a 4-entry miss buffer fills), PREDICT/RESOLVE pairs on a 2-entry DBB
+ * in every other run of 32 blocks (dense pairs fill the DBB, the gaps
+ * let the fetch buffer fill), branches, jumps, folded MOVs and I-cache
+ * misses. Every latency is within kMaxLatency.
+ */
+std::vector<LaneEvent>
+farClockStream(size_t blocks)
+{
+    using Kind = LaneEvent::Kind;
+    auto event = [](Kind kind, RegId dst, RegId src1, RegId src2,
+                    RegId src3, uint32_t latency) {
+        LaneEvent ev;
+        ev.kind = kind;
+        ev.dst = dst;
+        ev.src1 = src1;
+        ev.src2 = src2;
+        ev.src3 = src3;
+        ev.latency = latency;
+        ev.fu = static_cast<uint8_t>(FuClass::IntAlu);
+        return ev;
+    };
+    std::vector<LaneEvent> events;
+    for (size_t b = 0; b < blocks; ++b) {
+        LaneEvent chase = event(Kind::Load, 1, 1, kNoReg, kNoReg, 40000);
+        chase.miss = true;
+        chase.extra = b % 7 == 0 ? 140 : 0;
+        events.push_back(chase);
+        for (RegId dst : {RegId{2}, RegId{7}}) {
+            LaneEvent far = event(Kind::Load, dst, 3, kNoReg, kNoReg,
+                                  kMaxLatency);
+            far.miss = dst == 2 || b % 2 == 1;
+            events.push_back(far);
+        }
+        bool decomposed = (b / 32) % 2 == 0;
+        if (decomposed) {
+            LaneEvent predict = event(Kind::Predict, kNoReg, kNoReg,
+                                      kNoReg, kNoReg, 0);
+            predict.steer = b % 3 == 0 ? Steer::BtbHit : Steer::None;
+            events.push_back(predict);
+        }
+        events.push_back(event(Kind::Alu, 4, 1, 2, kNoReg, 1));
+        if (decomposed) {
+            LaneEvent resolve = event(Kind::Resolve, kNoReg, 4, kNoReg,
+                                      kNoReg, 0);
+            resolve.key = 1;
+            resolve.steer = b % 5 == 0 ? Steer::Squash : Steer::None;
+            events.push_back(resolve);
+        }
+        LaneEvent branch = event(Kind::Branch, kNoReg, 2, kNoReg, kNoReg,
+                                 0);
+        branch.key = 2;
+        branch.steer = b % 4 == 0 ? Steer::BtbMiss : Steer::None;
+        events.push_back(branch);
+        LaneEvent jump = event(Kind::Jump, kNoReg, kNoReg, kNoReg, kNoReg,
+                               0);
+        jump.steer = Steer::BtbHit;
+        jump.extra = b % 11 == 0 ? 12 : 0;
+        events.push_back(jump);
+        LaneEvent store = event(Kind::Store, kNoReg, 3, 4, kNoReg, 0);
+        store.fu = static_cast<uint8_t>(FuClass::Mem);
+        events.push_back(store);
+        events.push_back(event(Kind::FoldMov, 5, 1, kNoReg, kNoReg, 0));
+        LaneEvent fp = event(Kind::Alu3, 6, 5, 4, 7, 4);
+        fp.fu = static_cast<uint8_t>(FuClass::Fp);
+        events.push_back(fp);
+        events.push_back(event(Kind::NoDst, kNoReg, 6, 1, 3, 1));
+    }
+    return events;
+}
+
+/** Replay farClockStream from lanes started at cycle `start` through
+ *  both policies; returns the column lanes' least base. */
+template <unsigned N>
+uint64_t
+expectRebasedColumnsAgree(std::span<const LaneEvent> events,
+                          const std::vector<unsigned> &widths,
+                          uint64_t start)
+{
+    std::vector<MachineConfig> cfgs;
+    for (unsigned w : widths) {
+        MachineConfig cfg = MachineConfig::widthVariant(w);
+        cfg.dbbEntries = 2;
+        cfg.mshrEntries = 4;
+        cfgs.push_back(cfg);
+    }
+    const InstId keys = 3;
+    std::vector<TimingLane> scalar = makeLanes(cfgs, keys);
+    std::vector<TimingLane> columns = makeLanes(cfgs, keys);
+    for (std::vector<TimingLane> *set : {&scalar, &columns}) {
+        for (TimingLane &ln : *set) {
+            // Mid-run state: some cycles already lie below the floor
+            // (start - 1) the columns will take as their base.
+            ln.next_fetch_cycle = ln.cur_fetch_cycle = start;
+            ln.prev_issue_cycle = ln.cur_issue_cycle = start - 3;
+            ln.max_done = ln.last_commit_cycle = start + 10;
+            for (unsigned r = 0; r < kNumRegs; ++r)
+                ln.reg_ready[r] = start - 20 + r % 16;
+            for (uint64_t &slot : ln.fetch_ring)
+                slot = start - 2;
+            ln.outstanding_misses.push(start + 5);
+            ln.dbb_free_cycles.push_back(start + 3);
+        }
+    }
+    ScalarLanes<N> by_lane(scalar.data());
+    replayLaneEvents(by_lane, events);
+    EXPECT_TRUE(ColumnLanes<N>::fits(columns.data()));
+    ColumnLanes<N> by_column(columns.data());
+    replayLaneEvents(by_column, events);
+    uint64_t least_base = UINT64_MAX;
+    for (unsigned l = 0; l < N; ++l) {
+        std::string tag = "lane " + std::to_string(l) + " w" +
+            std::to_string(widths[l]) + " of " + std::to_string(N);
+        expectSameLane(columns[l], scalar[l], tag, by_column.base(l));
+        EXPECT_GT(scalar[l].fetch_buffer_stalls, 0u) << tag;
+        EXPECT_GT(scalar[l].mshr_stalls, 0u) << tag;
+        EXPECT_GT(scalar[l].dbb_full_stalls, 0u) << tag;
+        least_base = std::min(least_base, by_column.base(l));
+    }
+    return least_base;
+}
+
+/**
+ * Column lanes count cycles in 32 bits from a per-lane base that moves
+ * up (a rebase) whenever a lane passes 2^30 cycles from it. Started
+ * near 2^33 cycles and run for over four billion more, the columns
+ * still match ScalarLanes in every counter and max_done, and in every
+ * other cycle once it is lifted to the columns' final base.
+ */
+TEST(LanePolicies, ColumnsStayExactAcrossRebases)
+{
+    const uint64_t start = (uint64_t{1} << 33) + 777;
+    std::vector<LaneEvent> events = farClockStream(120000);
+    uint64_t least_base = expectRebasedColumnsAgree<3>(events, {2, 4, 8},
+                                                       start);
+    // Each rebase lifts the base by at most 2^30 cycles and a little
+    // more, so a base above 3 x 2^30 past the start took at least 3.
+    EXPECT_GT(least_base - start, 3 * (uint64_t{1} << 30));
+    least_base = expectRebasedColumnsAgree<4>(events, {8, 4, 2, 2}, start);
+    EXPECT_GT(least_base - start, 3 * (uint64_t{1} << 30));
 }
 
 /**

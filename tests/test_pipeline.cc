@@ -418,6 +418,15 @@ TEST(Pipeline, UnusableMachineIsAConfigError)
              +[](MachineConfig &c) { c.l3.ways = 65; },
              +[](MachineConfig &c) { c.l1d.ways = 3; },
              +[](MachineConfig &c) { c.l1i.lineBytes = 1 << 16; },
+             // Front end and latencies: at least one stage, nothing
+             // past kMaxLatency.
+             +[](MachineConfig &c) { c.frontendStages = 0; },
+             +[](MachineConfig &c) { c.frontendStages = kMaxLatency + 1; },
+             +[](MachineConfig &c) { c.l1i.latency = kMaxLatency + 1; },
+             +[](MachineConfig &c) { c.l1d.latency = kMaxLatency + 1; },
+             +[](MachineConfig &c) { c.l2.latency = kMaxLatency + 1; },
+             +[](MachineConfig &c) { c.l3.latency = kMaxLatency + 1; },
+             +[](MachineConfig &c) { c.memLatency = kMaxLatency + 1; },
          }) {
         MachineConfig cfg;
         zero(cfg);

@@ -154,9 +154,11 @@ TEST(Superblock, SkipsWhenDestLiveOnOtherPath)
     BranchProfile prof = profileOf(bl.fn);
     hoistAboveBiasedBranches(bl.fn, prof);
     // r4's def must NOT have been hoisted into A.
-    for (const auto &inst : bl.fn.block(bl.a).insts)
-        if (inst.writesDst())
+    for (const auto &inst : bl.fn.block(bl.a).insts) {
+        if (inst.writesDst()) {
             EXPECT_NE(inst.dst, 4);
+        }
+    }
 }
 
 TEST(Superblock, SkipsMultiPredSuccessor)
