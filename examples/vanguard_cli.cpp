@@ -5,7 +5,7 @@
  *   vanguard_cli [options]
  *     --benchmark NAME     suite benchmark (default h264ref-like)
  *     --list               list all suite benchmarks and exit
- *     --width N            issue width, 1..1024 (the paper's are 2, 4
+ *     --width N            issue width, 1..127 (the paper's are 2, 4
  *                          and 8; default 4)
  *     --predictor NAME     bimodal|local|gshare|gshare3|gshare3-big|
  *                          perceptron|tage|isltage|ideal:<p>

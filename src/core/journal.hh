@@ -72,8 +72,9 @@ inline constexpr unsigned kJournalVersion = 3;
 /** Most widths one sweep (and so one simulate record) may carry. */
 inline constexpr size_t kMaxSweepWidths = 16;
 
-/** Largest machine width a journal or job frame accepts. */
-inline constexpr unsigned kMaxWidthValue = 1024;
+/** Largest machine width a journal or job frame accepts: the largest
+ *  the timing model accepts. */
+inline constexpr unsigned kMaxWidthValue = kMaxWidth;
 
 /** One journaled job completion (success or failure). */
 struct JournalRecord

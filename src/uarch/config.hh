@@ -32,6 +32,20 @@ inline constexpr unsigned kMaxCacheSizeKB = 64 * 1024;
 inline constexpr unsigned kMaxLatency = 1u << 16;
 
 /**
+ * Largest issue width or per-class port count the simulator accepts:
+ * the fused lanes pack a lane's port use 8 bits per class into one
+ * 32-bit column, and a field holds at most 2^7 - 1 (uarch/lanes.hh).
+ */
+inline constexpr unsigned kMaxWidth = 127;
+
+/**
+ * Largest fetch buffer the simulator accepts, in entries. It bounds how
+ * far a lane's last completion can run ahead of its fetch cycle, which
+ * keeps the lanes' cycle columns in range across a rebase.
+ */
+inline constexpr unsigned kMaxFetchBufferEntries = 256;
+
+/**
  * One cache level's geometry. A usable one (checked before every
  * simulation) has sizeKB in 1..kMaxCacheSizeKB, a power-of-two
  * lineBytes, 1..64 ways, a whole, non-zero number of sets, and a

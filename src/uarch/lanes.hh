@@ -1,16 +1,17 @@
 /**
  * @file
- * Per-width timing lanes and the two policies that advance them.
+ * Per-width timing lanes and the two ways they are timed.
  *
  * TimingLane is the per-width half of the timing model (fetch
  * bandwidth and the fetch-buffer ring, issue slots and ports, the
  * scoreboard, the miss buffer, the DBB free-cycle FIFO, stall counters
- * and watchdog state). The reference path times one lane through its
- * member functions; the fast loop (uarch/fast_loop.inc) hands each
- * retired instruction's lane work, a LaneEvent, to a lane policy:
+ * and watchdog state). Each retired instruction's lane work is one
+ * LaneEvent, timed one of two ways:
  *
- *  - ScalarLanes<N> runs TimingLane's member functions lane by lane;
- *  - ColumnLanes<N> (N >= 2) holds the hot state of every lane as the
+ *  - TimingLane::retire times it on one lane in 64-bit cycles: the
+ *    reference path's timing, and the tests' reference for the columns;
+ *  - ColumnLanes<N> (N = 1..4), the fast loop's (uarch/fast_loop.inc)
+ *    only lane policy, holds the hot state of every lane as the
  *    columns of one 4 x 32-bit vector, each lane's cycles counted from
  *    its own 64-bit base, so one vector expression advances fetch,
  *    scoreboard and issue for every lane at once. The rest (miss-buffer
@@ -19,8 +20,8 @@
  *    touch it.
  *
  * A run's LaneEvents can be recorded (recordLaneEvents) and replayed
- * through either policy (replayLaneEvents), so the tests can hold them
- * equal state for state.
+ * both ways (TimingLane::retire, replayLaneEvents), so the tests can
+ * hold the columns equal to the reference state for state.
  */
 
 #ifndef VANGUARD_UARCH_LANES_HH
@@ -66,6 +67,61 @@ enum class Steer : uint8_t
     BtbHit,   ///< taken, target from the BTB: fetch resumes next cycle
     BtbMiss,  ///< taken, BTB miss: re-steered after decode
     Squash,   ///< mispredicted: fetch resumes when the branch is done
+};
+
+/**
+ * One retired instruction's lane inputs: the whole argument of
+ * TimingLane::retire and of a lane policy's retire(), so a run's lane
+ * work can be recorded and replayed.
+ */
+struct LaneEvent
+{
+    enum class Kind : uint8_t
+    {
+        Halt,     ///< fetched, never issues
+        Jump,     ///< fetched, never issues; steers fetch
+        Predict,  ///< admitted to the DBB at decode; may steer fetch
+        Branch,   ///< BR: issues on IntAlu, may steer fetch
+        Resolve,  ///< RESOLVE: a Branch that also frees a DBB entry
+        FoldMov,  ///< shadow-commit MOV folded at decode: a rename
+        Alu,      ///< two sources (src3 unused), writes dst
+        Alu3,     ///< three sources, writes dst
+        NoDst,    ///< three sources, writes nothing
+        Load,     ///< issues on Mem; a miss holds an MSHR
+        Store,    ///< issues on Mem, done a cycle later
+    };
+
+    LaneEvent() = default;
+
+    /** The operands, FU class, latency and stall key of `d`. */
+    LaneEvent(Kind k, unsigned icache_extra, const DecodedInst &d,
+              Steer s = Steer::None)
+        : kind(k), steer(s), fu(d.fu), src1(d.src1), src2(d.src2),
+          src3(d.src3), dst(d.dst), extra(icache_extra),
+          latency(d.latency), key(d.stallKey)
+    {
+    }
+
+    Kind kind = Kind::Halt;
+    Steer steer = Steer::None;  ///< Jump/Predict/Branch/Resolve
+    uint8_t fu = 0;             ///< FuClass of Alu/Alu3/NoDst
+    bool miss = false;          ///< Load: missed L1D, holds an MSHR
+    RegId src1 = kNoReg;        ///< FoldMov: the register copied
+    RegId src2 = kNoReg;
+    RegId src3 = kNoReg;
+    RegId dst = kNoReg;
+    uint32_t extra = 0;         ///< shared I-cache miss penalty
+    uint32_t latency = 0;       ///< execute (Load: load-to-use) latency
+    InstId key = kNoInst;       ///< Branch/Resolve stall key
+};
+
+/** The cycles TimingLane::retire gave one instruction; one that never
+ *  issues reports its decode cycle as both issue and done. */
+struct LaneCycles
+{
+    uint64_t fetch;
+    uint64_t issue;
+    uint64_t done;
 };
 
 /**
@@ -172,33 +228,17 @@ struct TimingLane
         fetch_ring[fetchSlot(inst_seq)] = leave_cycle;
     }
 
-    /** Steer fetch for a taken (correctly-predicted) control transfer;
-     *  `btb_hit` comes from the shared BTB probe. */
-    VG_HOT_INLINE void
-    takenRedirect(bool btb_hit, uint64_t fetch_cycle,
-                  uint64_t decode_cycle)
-    {
-        next_fetch_cycle =
-            std::max(next_fetch_cycle,
-                     btb_hit ? fetch_cycle + 1 : decode_cycle + 1);
-    }
-
-    /** Squash-and-redirect after a mispredict resolves at `done`. */
-    VG_HOT_INLINE void
-    mispredictRedirect(uint64_t done)
-    {
-        next_fetch_cycle = std::max(next_fetch_cycle, done);
-    }
-
     /** Apply a control transfer's Steer (see the enum). */
     VG_HOT_INLINE void
     steer(Steer s, uint64_t fetch_cycle, uint64_t decode_cycle,
           uint64_t done)
     {
         if (s == Steer::Squash)
-            mispredictRedirect(done);
-        else if (s != Steer::None)
-            takenRedirect(s == Steer::BtbHit, fetch_cycle, decode_cycle);
+            next_fetch_cycle = std::max(next_fetch_cycle, done);
+        else if (s == Steer::BtbHit)
+            next_fetch_cycle = std::max(next_fetch_cycle, fetch_cycle + 1);
+        else if (s == Steer::BtbMiss)
+            next_fetch_cycle = std::max(next_fetch_cycle, decode_cycle + 1);
     }
 
     /**
@@ -241,7 +281,7 @@ struct TimingLane
     uint64_t
     computeIssue(uint64_t earliest, FuClass cls)
     {
-        uint64_t c = std::max(earliest, prev_issue_cycle);
+        uint64_t c = std::max(earliest, cur_issue_cycle);
         unsigned cls_idx = static_cast<unsigned>(cls);
         for (;;) {
             if (c > cur_issue_cycle) {
@@ -253,7 +293,6 @@ struct TimingLane
                 ports_used[cls_idx] < port_cap[cls_idx]) {
                 ++slots_used;
                 ++ports_used[cls_idx];
-                prev_issue_cycle = c;
                 return c;
             }
             ++c;
@@ -306,14 +345,89 @@ struct TimingLane
         return earliest;
     }
 
+    /** Time one retired instruction on this lane; `seq` is its
+     *  retirement index. */
+    VG_HOT_INLINE LaneCycles
+    retire(const LaneEvent &ev, uint64_t seq)
+    {
+        using Kind = LaneEvent::Kind;
+        uint64_t f = fetch(ev.extra, seq);
+        uint64_t enter_issue = enterIssue(f);
+        switch (ev.kind) {
+          case Kind::Halt:
+          case Kind::Jump:
+          case Kind::FoldMov:
+            if (ev.kind == Kind::FoldMov)
+                reg_ready[ev.dst] = reg_ready[ev.src1];
+            recordDrain(seq, f + 1);
+            steer(ev.steer, f, f + 1, 0);
+            return {f, f + 1, f + 1};
+          case Kind::Predict: {
+            uint64_t decode = dbbAdmit(f + 1);
+            recordDrain(seq, decode); // dropped after decode
+            steer(ev.steer, f, decode, 0);
+            return {f, decode, decode};
+          }
+          case Kind::Branch:
+          case Kind::Resolve: {
+            uint64_t issue = computeIssue(
+                std::max(enter_issue, srcReady(ev.src1, ev.src2, ev.src3)),
+                FuClass::IntAlu);
+            uint64_t done = issue + 1;
+            max_done = std::max(max_done, done);
+            recordDrain(seq, issue);
+            noteBranchStall(ev.key, issue, enter_issue);
+            if (ev.kind == Kind::Resolve)
+                dbb_free_cycles.push_back(done);
+            steer(ev.steer, f, f + 1, done);
+            return {f, issue, done};
+          }
+          case Kind::Load: {
+            uint64_t earliest = mshrAdmit(std::max(
+                enter_issue, srcReady(ev.src1, ev.src2, ev.src3)));
+            uint64_t issue = computeIssue(earliest, FuClass::Mem);
+            uint64_t done = issue + ev.latency;
+            if (ev.miss)
+                outstanding_misses.push(done);
+            reg_ready[ev.dst] = done;
+            recordDrain(seq, issue);
+            max_done = std::max(max_done, done);
+            return {f, issue, done};
+          }
+          case Kind::Store: {
+            uint64_t issue = computeIssue(
+                std::max(enter_issue, srcReady(ev.src1, ev.src2, ev.src3)),
+                FuClass::Mem);
+            // Stores retire through the store buffer; 1 cycle to the
+            // pipeline.
+            recordDrain(seq, issue);
+            max_done = std::max(max_done, issue + 1);
+            return {f, issue, issue + 1};
+          }
+          case Kind::Alu:
+          case Kind::Alu3:
+          case Kind::NoDst:
+            break;
+        }
+        RegId src3 = ev.kind == Kind::Alu ? kNoReg : ev.src3;
+        uint64_t issue = computeIssue(
+            std::max(enter_issue, srcReady(ev.src1, ev.src2, src3)),
+            static_cast<FuClass>(ev.fu));
+        uint64_t done = issue + ev.latency;
+        if (ev.kind != Kind::NoDst)
+            reg_ready[ev.dst] = done;
+        recordDrain(seq, issue);
+        max_done = std::max(max_done, done);
+        return {f, issue, done};
+    }
+
     // fetch state
     uint64_t next_fetch_cycle = 0;
     uint64_t cur_fetch_cycle = 0;
     unsigned fetched_in_cycle = 0;
     std::vector<uint64_t> fetch_ring;
 
-    // issue state
-    uint64_t prev_issue_cycle = 0;
+    // issue state (cur_issue_cycle is also the last issue's cycle)
     uint64_t cur_issue_cycle = 0;
     unsigned slots_used = 0;
     unsigned ports_used[4] = {};
@@ -353,179 +467,33 @@ struct TimingLane
     const unsigned mshr_entries;
 };
 
-/**
- * One retired instruction's lane inputs: the whole argument of a lane
- * policy's retire(), so a run's lane work can be recorded and replayed.
- */
-struct LaneEvent
-{
-    enum class Kind : uint8_t
-    {
-        Halt,     ///< fetched, never issues
-        Jump,     ///< fetched, never issues; steers fetch
-        Predict,  ///< admitted to the DBB at decode; may steer fetch
-        Branch,   ///< BR: issues on IntAlu, may steer fetch
-        Resolve,  ///< RESOLVE: a Branch that also frees a DBB entry
-        FoldMov,  ///< shadow-commit MOV folded at decode: a rename
-        Alu,      ///< two sources (src3 unused), writes dst
-        Alu3,     ///< three sources, writes dst
-        NoDst,    ///< three sources, writes nothing
-        Load,     ///< issues on Mem; a miss holds an MSHR
-        Store,    ///< issues on Mem, done a cycle later
-    };
-
-    LaneEvent() = default;
-
-    /** The operands, FU class, latency and stall key of `d`. */
-    LaneEvent(Kind k, unsigned icache_extra, const DecodedInst &d,
-              Steer s = Steer::None)
-        : kind(k), steer(s), fu(d.fu), src1(d.src1), src2(d.src2),
-          src3(d.src3), dst(d.dst), extra(icache_extra),
-          latency(d.latency), key(d.stallKey)
-    {
-    }
-
-    Kind kind = Kind::Halt;
-    Steer steer = Steer::None;  ///< Jump/Predict/Branch/Resolve
-    uint8_t fu = 0;             ///< FuClass of Alu/Alu3/NoDst
-    bool miss = false;          ///< Load: missed L1D, holds an MSHR
-    RegId src1 = kNoReg;        ///< FoldMov: the register copied
-    RegId src2 = kNoReg;
-    RegId src3 = kNoReg;
-    RegId dst = kNoReg;
-    uint32_t extra = 0;         ///< shared I-cache miss penalty
-    uint32_t latency = 0;       ///< execute (Load: load-to-use) latency
-    InstId key = kNoInst;       ///< Branch/Resolve stall key
-};
-
-/**
- * The lane policy interface: retire(ev, seq) times one instruction on
- * every lane (`seq` is its retirement index); syncMaxDone(), called
- * after every 16th retirement, makes TimingLane::max_done current for
- * the watchdogs; finish() makes every TimingLane field current. Lanes
- * are independent, so a policy may advance them in any order as long
- * as each lane sees its events in program order. This one runs
- * TimingLane's member functions lane by lane.
- */
-template <unsigned N>
-class ScalarLanes
-{
-  public:
-    explicit ScalarLanes(TimingLane *lanes) : lanes_(lanes) {}
-
-    VG_HOT_INLINE void
-    retire(const LaneEvent &ev, uint64_t seq)
-    {
-        for (unsigned l = 0; l < N; ++l)
-            retireLane(lanes_[l], ev, seq);
-    }
-
-    VG_HOT_INLINE void syncMaxDone() {}
-
-    void finish() {}
-
-  private:
-    using Kind = LaneEvent::Kind;
-
-    VG_HOT_INLINE static void
-    retireLane(TimingLane &ln, const LaneEvent &ev, uint64_t seq)
-    {
-        uint64_t f = ln.fetch(ev.extra, seq);
-        uint64_t enter_issue = ln.enterIssue(f);
-        switch (ev.kind) {
-          case Kind::Halt:
-          case Kind::Jump:
-          case Kind::FoldMov:
-            if (ev.kind == Kind::FoldMov)
-                ln.reg_ready[ev.dst] = ln.reg_ready[ev.src1];
-            ln.recordDrain(seq, f + 1);
-            ln.steer(ev.steer, f, f + 1, 0);
-            return;
-          case Kind::Predict: {
-            uint64_t decode = ln.dbbAdmit(f + 1);
-            ln.recordDrain(seq, decode); // dropped after decode
-            ln.steer(ev.steer, f, decode, 0);
-            return;
-          }
-          case Kind::Branch:
-          case Kind::Resolve: {
-            uint64_t issue = ln.computeIssue(
-                std::max(enter_issue,
-                         ln.srcReady(ev.src1, ev.src2, ev.src3)),
-                FuClass::IntAlu);
-            uint64_t done = issue + 1;
-            ln.max_done = std::max(ln.max_done, done);
-            ln.recordDrain(seq, issue);
-            ln.noteBranchStall(ev.key, issue, enter_issue);
-            if (ev.kind == Kind::Resolve)
-                ln.dbb_free_cycles.push_back(done);
-            ln.steer(ev.steer, f, f + 1, done);
-            return;
-          }
-          case Kind::Load: {
-            uint64_t earliest = ln.mshrAdmit(std::max(
-                enter_issue, ln.srcReady(ev.src1, ev.src2, ev.src3)));
-            uint64_t issue = ln.computeIssue(earliest, FuClass::Mem);
-            uint64_t done = issue + ev.latency;
-            if (ev.miss)
-                ln.outstanding_misses.push(done);
-            ln.reg_ready[ev.dst] = done;
-            ln.recordDrain(seq, issue);
-            ln.max_done = std::max(ln.max_done, done);
-            return;
-          }
-          case Kind::Store: {
-            uint64_t issue = ln.computeIssue(
-                std::max(enter_issue,
-                         ln.srcReady(ev.src1, ev.src2, ev.src3)),
-                FuClass::Mem);
-            // Stores retire through the store buffer; 1 cycle to the
-            // pipeline.
-            ln.recordDrain(seq, issue);
-            ln.max_done = std::max(ln.max_done, issue + 1);
-            return;
-          }
-          case Kind::Alu:
-          case Kind::Alu3:
-          case Kind::NoDst: {
-            RegId src3 = ev.kind == Kind::Alu ? kNoReg : ev.src3;
-            uint64_t issue = ln.computeIssue(
-                std::max(enter_issue, ln.srcReady(ev.src1, ev.src2, src3)),
-                static_cast<FuClass>(ev.fu));
-            uint64_t done = issue + ev.latency;
-            if (ev.kind != Kind::NoDst)
-                ln.reg_ready[ev.dst] = done;
-            ln.recordDrain(seq, issue);
-            ln.max_done = std::max(ln.max_done, done);
-            return;
-          }
-        }
-    }
-
-    TimingLane *lanes_;
-};
-
 /** One 32-bit column per lane (a GCC generic vector). */
 typedef int32_t LaneVec __attribute__((vector_size(16)));
 
 /**
- * The column policy: every lane's hot timing state as one column of a
- * 4 x 32-bit vector per field (columns >= N are padding, computed but
- * never read back). Per-lane state that only some events touch — the
- * miss-buffer heap, the DBB free-cycle FIFO, the per-branch stall
- * arrays and the DBB and MSHR counters — stays in TimingLane, in
- * absolute cycles, and is reached lane by lane on those events only;
- * finish() writes the columns back.
+ * The lane policy of the fast loop: retire(ev, seq) times one
+ * instruction on every lane (`seq` is its retirement index);
+ * syncMaxDone(), called after every 16th retirement, makes
+ * TimingLane::max_done current for the watchdogs; finish() makes every
+ * TimingLane field current. Each lane must equal TimingLane::retire
+ * run on it over the same events.
+ *
+ * Every lane's hot timing state is one column of a 4 x 32-bit vector
+ * per field (columns >= N are padding, computed but never read back).
+ * Per-lane state that only some events touch — the miss-buffer heap,
+ * the DBB free-cycle FIFO, the per-branch stall arrays and the DBB and
+ * MSHR counters — stays in TimingLane, in absolute cycles, and is
+ * reached lane by lane on those events only; finish() writes the
+ * columns back.
  *
  * Invariants that turn every "new cycle?" and "full?" test into an
  * equality compare (each is restated where it is used):
  *  - next_fetch_cycle >= cur_fetch_cycle (only redirects raise it);
  *  - fetched_in_cycle <= width;
- *  - prev_issue_cycle == cur_issue_cycle after every issue (one
- *    column holds both);
  *  - slots_used <= width and ports_used[c] <= port_cap[c].
- * Ports are packed 8 bits per FuClass in one column, so a lane fits
- * only when every port cap, its width included, is below 2^7.
+ * Ports are packed 8 bits per FuClass in one column, which
+ * validateLaneConfig's kMaxWidth (2^7 - 1) cap on the width and on
+ * every port count makes room for.
  *
  * A cycle column holds the lane's cycle minus the lane's 64-bit base.
  * Every later fetch, issue-stage entry and earliest issue of a lane is
@@ -541,9 +509,9 @@ typedef int32_t LaneVec __attribute__((vector_size(16)));
  * finds max_done under 2^30 + 2^22. An instruction a whole fetch
  * buffer older has left the fetch buffer by the current fetch cycle
  * (issued, if it issues: the fetch ring holds that cycle), so with
- * fits()'s 256-entry fetch-buffer cap max_done runs less than 2^26
- * cycles ahead of cur_fetch_cycle: a rebase always brings it back
- * under kRebaseAt. The fetch-buffer and branch-stall counters are
+ * validateLaneConfig's kMaxFetchBufferEntries (256) cap max_done runs
+ * less than 2^26 cycles ahead of cur_fetch_cycle: a rebase always
+ * brings it back under kRebaseAt. The fetch-buffer and branch-stall counters are
  * deltas, drained into TimingLane at every gate: 16 branch stalls,
  * each under 2^26, stay below 2^31.
  */
@@ -553,22 +521,6 @@ class ColumnLanes
     static_assert(N >= 1 && N <= 4, "4 x 32-bit columns");
 
   public:
-    /** True when every lane's port caps fit a packed port field and
-     *  its fetch buffer is at most kMaxFetchBuffer entries. */
-    static bool
-    fits(const TimingLane *lanes)
-    {
-        for (unsigned l = 0; l < N; ++l) {
-            if (lanes[l].fetch_buffer_entries > kMaxFetchBuffer)
-                return false;
-            for (unsigned cap : lanes[l].port_cap) {
-                if (cap > kPortField)
-                    return false;
-            }
-        }
-        return true;
-    }
-
     /** Load every lane's state into the columns, based at its floor
      *  cur_fetch_cycle - 1 (padding copies lane 0, so it computes like
      *  a live lane and never stalls oddly). Each lane's max_done must
@@ -746,7 +698,6 @@ class ColumnLanes
             ln.cur_fetch_cycle = cycle(l, cur_fetch_[l]);
             ln.fetched_in_cycle = static_cast<unsigned>(fetched_[l]);
             ln.cur_issue_cycle = cycle(l, issue_[l]);
-            ln.prev_issue_cycle = ln.cur_issue_cycle;
             ln.slots_used = static_cast<unsigned>(slots_[l]);
             for (unsigned c = 0; c < 4; ++c)
                 ln.ports_used[c] =
@@ -768,10 +719,11 @@ class ColumnLanes
 
     static constexpr int32_t kNone = INT32_MAX;
     static constexpr int32_t kRebaseAt = int32_t{1} << 30;
-    static constexpr unsigned kMaxFetchBuffer = 256;
     // A port field is 8 bits wide but holds at most 2^7 - 1, so the
     // packed column stays non-negative and never overflows.
     static constexpr unsigned kPortField = 0x7f;
+    static_assert(kMaxWidth <= kPortField, "a port cap fills its field");
+    static_assert(kMaxFetchBufferEntries <= 256, "see the class comment");
 
     /** Lane l's absolute cycle `x` as a column value (clamped at the
      *  lane's base). */
@@ -852,8 +804,7 @@ class ColumnLanes
     computeIssue(LaneVec earliest, FuClass fu)
     {
         unsigned cls = static_cast<unsigned>(fu);
-        // prev_issue == cur_issue after every issue, so c >= cur_issue
-        // and a new issue cycle is c != cur_issue.
+        // c >= cur_issue, so a new issue cycle is c != cur_issue.
         LaneVec c = vmax(earliest, issue_);
         LaneVec same = c == issue_;
         LaneVec slots = slots_ & same;
@@ -937,7 +888,7 @@ class ColumnLanes
 
     // fetch
     LaneVec next_fetch_, cur_fetch_, fetched_, fetch_stalls_;
-    // issue (cur_issue == prev_issue), packed ports, scoreboard
+    // issue, packed ports, scoreboard
     LaneVec issue_, slots_, ports_, max_done_, branch_stalls_;
     // miss-buffer gate: earliest completion (kNone if empty) and count
     LaneVec miss_min_, miss_count_;
@@ -958,12 +909,12 @@ class ColumnLanes
 };
 
 /**
- * Retire a recorded stream through any lane policy on the fast loop's
+ * Retire a recorded stream through column lanes on the fast loop's
  * schedule (syncMaxDone after every 16th retirement), then finish.
  */
-template <class Lanes>
+template <unsigned N>
 void
-replayLaneEvents(Lanes &lanes, std::span<const LaneEvent> events)
+replayLaneEvents(ColumnLanes<N> &lanes, std::span<const LaneEvent> events)
 {
     for (size_t seq = 0; seq < events.size(); ++seq) {
         lanes.retire(events[seq], seq);
@@ -975,8 +926,8 @@ replayLaneEvents(Lanes &lanes, std::span<const LaneEvent> events)
 
 /**
  * Run the fast path once on `cfg` and return the LaneEvent of every
- * retired instruction, in order: the inputs both lane policies consume
- * for this program, seed and shared machine.
+ * retired instruction, in order: the inputs the column lanes and
+ * TimingLane::retire consume for this program, seed and shared machine.
  */
 std::vector<LaneEvent> recordLaneEvents(const DecodedProgram &decoded,
                                         Memory &mem,

@@ -1,6 +1,7 @@
 #include "uarch/pipeline.hh"
 
 #include <bit>
+#include <climits>
 #include <cstdlib>
 #include <span>
 
@@ -47,7 +48,9 @@ stallKeyBound(const Program &prog)
  * below. A cache level without sets would divide by zero in Cache, and
  * the fetch-line mask assumes power-of-two lines. A zero-stage front
  * end would enter issue a cycle before fetch, and latencies past
- * kMaxLatency would let the clock outrun the column lanes' range.
+ * kMaxLatency would let the clock outrun the column lanes' range; so
+ * would a fetch buffer past kMaxFetchBufferEntries. A width or port
+ * count past kMaxWidth overflows a lane's packed port field.
  */
 void
 validateLaneConfig(const MachineConfig &cfg)
@@ -84,16 +87,23 @@ validateLaneConfig(const MachineConfig &cfg)
     {
         const char *name;
         unsigned value;
+        unsigned max;
     };
     for (const Field &f :
-         {Field{"width", cfg.width}, Field{"memPorts", cfg.memPorts},
-          Field{"intPorts", cfg.intPorts}, Field{"fpPorts", cfg.fpPorts},
-          Field{"fetchBufferEntries", cfg.fetchBufferEntries},
-          Field{"dbbEntries", cfg.dbbEntries},
-          Field{"mshrEntries", cfg.mshrEntries}}) {
+         {Field{"width", cfg.width, kMaxWidth},
+          Field{"memPorts", cfg.memPorts, kMaxWidth},
+          Field{"intPorts", cfg.intPorts, kMaxWidth},
+          Field{"fpPorts", cfg.fpPorts, kMaxWidth},
+          Field{"fetchBufferEntries", cfg.fetchBufferEntries,
+                kMaxFetchBufferEntries},
+          Field{"dbbEntries", cfg.dbbEntries, UINT_MAX},
+          Field{"mshrEntries", cfg.mshrEntries, UINT_MAX}}) {
         if (f.value == 0)
             vg_throw(Config, "machine config: %s must be at least 1",
                      f.name);
+        if (f.value > f.max)
+            vg_throw(Config, "machine config: %s %u above %u", f.name,
+                     f.value, f.max);
     }
 }
 
@@ -189,16 +199,16 @@ class TimingCommon
         return extra;
     }
 
-    /** BTB probe + fill for a taken control transfer; the line
-     *  changes. Returns whether the BTB held the right target. */
-    bool
-    btbRedirect(uint64_t pc, uint64_t target)
+    /** The Steer of a correctly predicted taken control transfer:
+     *  probes and fills the shared BTB; the line changes. */
+    Steer
+    takenSteer(uint64_t pc, uint64_t target)
     {
         uint64_t btb_target = 0;
         bool hit = btb_.lookup(pc, btb_target) && btb_target == target;
         btb_.insert(pc, target);
         cur_fetch_line_ = ~uint64_t{0};
-        return hit;
+        return hit ? Steer::BtbHit : Steer::BtbMiss;
     }
 
     /** Per-branch stall event count (width-invariant). */
@@ -415,43 +425,49 @@ class ReferenceModel : public TimingCommon
     ProgramExecutor exec_;
 };
 
+/**
+ * The shared work of one retired instruction (predictor, BTB, DBB,
+ * caches, counters), then its LaneEvent timed by TimingLane::retire.
+ * Every register-writing ALU op is an Alu3 event: the reference reads
+ * all three sources of every op.
+ */
 void
 ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
                          uint64_t inst_seq)
 {
+    using Kind = LaneEvent::Kind;
     const LaidInst &li = *info.inst;
     const Instruction &inst = li.inst;
-    TimingLane &ln = lanes_[0];
 
-    uint64_t f = ln.fetch(fetchLine(li.pc & line_mask_), inst_seq);
-    uint64_t decode = f + 1;
-    uint64_t enter_issue = ln.enterIssue(f);
+    LaneEvent ev;
+    ev.extra = fetchLine(li.pc & line_mask_);
+    ev.src1 = inst.src1;
+    ev.src2 = inst.src2;
+    ev.src3 = inst.src3;
+    ev.dst = inst.dst;
+    bool issued = false;
+    bool redirected = false;
 
     switch (inst.op) {
       case Opcode::HALT:
-        ln.recordDrain(inst_seq, decode);
-        traceRecord(li.pc, inst.op, f, decode, decode, false, false);
+        ev.kind = Kind::Halt;
         stats_.halted = true;
-        return;
+        break;
 
       case Opcode::JMP:
         // Direct jumps are handled in the front end; no issue slot.
-        ln.recordDrain(inst_seq, decode);
-        ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
-        traceRecord(li.pc, inst.op, f, decode, decode, false, false);
-        return;
+        ev.kind = Kind::Jump;
+        ev.steer = takenSteer(li.pc, li.takenPc);
+        break;
 
-      case Opcode::PREDICT: {
+      case Opcode::PREDICT:
         ++stats_.predictsExecuted;
-        decode = ln.dbbAdmit(decode);
         dbb_.insert(pending_predict_.predictPc, pending_predict_.meta,
                     pending_predict_.predictedTaken);
-        ln.recordDrain(inst_seq, decode); // dropped after decode
+        ev.kind = Kind::Predict;
         if (info.taken)
-            ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
-        traceRecord(li.pc, inst.op, f, decode, decode, false, false);
-        return;
-      }
+            ev.steer = takenSteer(li.pc, li.takenPc);
+        break;
 
       case Opcode::BR: {
         ++stats_.condBranches;
@@ -460,30 +476,22 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
             predictor_.predictWithOracle(li.pc, info.taken, meta);
         predictor_.updateHistory(info.taken);
         predictor_.update(li.pc, info.taken, meta);
-
-        uint64_t earliest =
-            std::max(enter_issue,
-                     ln.srcReady(inst.src1, inst.src2, inst.src3));
-        uint64_t issue = ln.computeIssue(earliest, FuClass::IntAlu);
-        uint64_t done = issue + 1;
-        ln.max_done = std::max(ln.max_done, done);
-        ++stats_.issued;
-        ln.recordDrain(inst_seq, issue);
-        ln.noteBranchStall(inst.id, issue, enter_issue);
         noteBranchStallEvent(inst.id);
 
-        bool mispredicted = pred != info.taken;
-        if (mispredicted) {
+        ev.kind = Kind::Branch;
+        ev.key = inst.id;
+        redirected = pred != info.taken;
+        if (redirected) {
             ++stats_.brMispredicts;
-            ln.mispredictRedirect(done);
+            ev.steer = Steer::Squash;
             cur_fetch_line_ = ~uint64_t{0};
             if (info.taken)
                 btb_.insert(li.pc, li.takenPc);
         } else if (info.taken) {
-            ln.takenRedirect(btbRedirect(li.pc, li.takenPc), f, decode);
+            ev.steer = takenSteer(li.pc, li.takenPc);
         }
-        traceRecord(li.pc, inst.op, f, issue, done, true, mispredicted);
-        return;
+        issued = true;
+        break;
       }
 
       case Opcode::RESOLVE: {
@@ -497,82 +505,56 @@ ReferenceModel::timeInst(const ProgramExecutor::StepInfo &info,
             predictor_.updateHistory(outcome);
             predictor_.update(entry.predictPc, outcome, entry.meta);
         }
-
-        uint64_t earliest =
-            std::max(enter_issue,
-                     ln.srcReady(inst.src1, inst.src2, inst.src3));
-        uint64_t issue = ln.computeIssue(earliest, FuClass::IntAlu);
-        uint64_t done = issue + 1;
-        ln.max_done = std::max(ln.max_done, done);
-        ++stats_.issued;
-        ln.recordDrain(inst_seq, issue);
-        ln.noteBranchStall(inst.origBranch, issue, enter_issue);
         noteBranchStallEvent(inst.origBranch);
-        ln.dbb_free_cycles.push_back(done);
 
+        ev.kind = Kind::Resolve;
+        ev.key = inst.origBranch;
         if (info.taken) {
             // The PREDICT was wrong: redirect to correction code.
             ++stats_.resolveRedirects;
-            ln.mispredictRedirect(done);
+            ev.steer = Steer::Squash;
             cur_fetch_line_ = ~uint64_t{0};
         }
-        traceRecord(li.pc, inst.op, f, issue, done, true, info.taken);
-        return;
+        redirected = info.taken;
+        issued = true;
+        break;
       }
 
       default:
+        // Shadow-commit folding: temp->arch MOVs become rename updates.
+        if (shadow_commit_ && inst.op == Opcode::MOV &&
+            isTempReg(inst.src1) && isArchReg(inst.dst)) {
+            ev.kind = Kind::FoldMov;
+            ++stats_.foldedCommitMovs;
+            break;
+        }
+        if (opts_.hoistedMask != nullptr && inst.id != kNoInst &&
+            inst.id < opts_.hoistedMask->size() &&
+            (*opts_.hoistedMask)[inst.id]) {
+            ++stats_.speculativeExecs;
+        }
+        if (inst.isLoad()) {
+            MemAccessResult res = dataAccess(info.memAddr);
+            ev.kind = Kind::Load;
+            ev.latency = res.latency;
+            ev.miss = res.level >= 2;
+        } else if (inst.isStore()) {
+            dataAccess(info.memAddr);
+            ev.kind = Kind::Store;
+        } else {
+            ev.kind = inst.writesDst() ? Kind::Alu3 : Kind::NoDst;
+            ev.fu = static_cast<uint8_t>(inst.fuClass());
+            ev.latency = inst.latency();
+        }
+        issued = true;
         break;
     }
 
-    // Shadow-commit folding: temp->arch MOVs become rename updates.
-    if (shadow_commit_ && inst.op == Opcode::MOV &&
-        isTempReg(inst.src1) && isArchReg(inst.dst)) {
-        ln.reg_ready[inst.dst] = ln.reg_ready[inst.src1];
-        ++stats_.foldedCommitMovs;
-        ln.recordDrain(inst_seq, decode);
-        traceRecord(li.pc, inst.op, f, decode, decode, false, false);
-        return;
-    }
-
-    if (opts_.hoistedMask != nullptr && inst.id != kNoInst &&
-        inst.id < opts_.hoistedMask->size() &&
-        (*opts_.hoistedMask)[inst.id]) {
-        ++stats_.speculativeExecs;
-    }
-
-    uint64_t earliest =
-        std::max(enter_issue,
-                 ln.srcReady(inst.src1, inst.src2, inst.src3));
-    FuClass cls = inst.fuClass();
-    uint64_t done;
-
-    if (inst.isLoad()) {
-        earliest = ln.mshrAdmit(earliest);
-        uint64_t issue = ln.computeIssue(earliest, cls);
-        MemAccessResult res = dataAccess(info.memAddr);
-        done = issue + res.latency;
-        if (res.level >= 2)
-            ln.outstanding_misses.push(done);
-        ln.reg_ready[inst.dst] = done;
-        ln.recordDrain(inst_seq, issue);
-    } else if (inst.isStore()) {
-        uint64_t issue = ln.computeIssue(earliest, cls);
-        dataAccess(info.memAddr);
-        // Stores retire through the store buffer; 1 cycle to the
-        // pipeline.
-        done = issue + 1;
-        ln.recordDrain(inst_seq, issue);
-    } else {
-        uint64_t issue = ln.computeIssue(earliest, cls);
-        done = issue + inst.latency();
-        if (inst.writesDst())
-            ln.reg_ready[inst.dst] = done;
-        ln.recordDrain(inst_seq, issue);
-    }
-    ++stats_.issued;
-    ln.max_done = std::max(ln.max_done, done);
-    traceRecord(li.pc, inst.op, f, ln.prev_issue_cycle, done, true,
-                false);
+    if (issued)
+        ++stats_.issued;
+    LaneCycles t = lanes_[0].retire(ev, inst_seq);
+    traceRecord(li.pc, inst.op, t.fetch, t.issue, t.done, issued,
+                redirected);
 }
 
 SimStats
@@ -626,9 +608,8 @@ ReferenceModel::run()
  * zero-fill, and shift-mask edge cases — and every cycle-accounting
  * decision goes through the same TimingCommon helpers and the same
  * TimingLane rules as the reference path. Each instruction's semantic,
- * predictor and cache work runs once; its timing goes to a lane policy
- * (uarch/lanes.hh): vector columns for two or more lanes that fit
- * them, TimingLane by TimingLane otherwise. Predictor calls go
+ * predictor and cache work runs once; its timing goes to the column
+ * lanes (uarch/lanes.hh), one vector column per lane. Predictor calls go
  * through the sealed PredictorDispatch (direct, inlineable calls for
  * every factory predictor) in the same per-instruction order the
  * reference path makes them, so predictions, history, and telemetry
@@ -665,28 +646,15 @@ class FastModel : public TimingCommon
     std::vector<SimStats>
     run()
     {
-        if constexpr (N >= 2) {
-            if (ColumnLanes<N>::fits(lanes_.data())) {
-                ColumnLanes<N> lanes(lanes_.data());
-                runLoop<ColumnLanes<N> &>(lanes);
-                lanes.finish();
-                return finalizeStats();
-            }
-        }
-        ScalarLanes<N> lanes(lanes_.data());
+        ColumnLanes<N> lanes(lanes_.data());
         runLoop(lanes);
+        lanes.finish();
         return finalizeStats();
     }
 
-    /**
-     * One run of the loop with any lane policy (recordLaneEvents
-     * drives it with a recorder). The pointer-sized policies are taken
-     * by value, so the loop keeps their lane pointer in a register
-     * instead of reloading it through a reference every instruction;
-     * the column policy, which holds the lanes' state itself, is
-     * passed by reference (Lanes = ColumnLanes<N> &).
-     */
-    template <class Lanes> void runLoop(Lanes lanes);
+    /** One run of the loop with a lane policy: the columns, or the
+     *  recorder recordLaneEvents drives it with. */
+    template <class Lanes> void runLoop(Lanes &lanes);
 
   private:
     VG_HOT_INLINE int64_t
@@ -729,15 +697,6 @@ class FastModel : public TimingCommon
         return dir;
     }
 
-    /** The Steer of a correctly predicted taken transfer: probes and
-     *  fills the shared BTB. */
-    Steer
-    takenSteer(const DecodedInst &d)
-    {
-        return btbRedirect(d.pc, d.takenPc) ? Steer::BtbHit
-                                            : Steer::BtbMiss;
-    }
-
     const DecodedInst *code_;
     size_t code_size_;
     Memory &mem_;
@@ -751,7 +710,7 @@ class FastModel : public TimingCommon
 template <unsigned N>
 template <class Lanes>
 void
-FastModel<N>::runLoop(Lanes lanes)
+FastModel<N>::runLoop(Lanes &lanes)
 {
 #include "uarch/fast_loop.inc"
 }
@@ -883,7 +842,8 @@ recordLaneEvents(const DecodedProgram &decoded, Memory &mem,
     validateLaneConfig(cfg);
     std::vector<LaneEvent> events;
     FastModel<1> model(decoded, mem, predictor, std::span(&cfg, 1), opts);
-    model.runLoop(RecordingLanes(events));
+    RecordingLanes recorder(events);
+    model.runLoop(recorder);
     return events;
 }
 

@@ -135,7 +135,8 @@ TEST(CrashKill, InterruptExitsWithResumableCode)
 /**
  * A machine the model cannot run is refused up front with the usage
  * exit code (2) — never a hang or an internal assert: a zero width
- * spins the issue stage, a zero-entry DBB breaks its ring, and a
+ * spins the issue stage, a width of 128 overflows the timing lanes'
+ * port fields, a zero-entry DBB breaks its ring, and a
  * non-numeric value must not be read as zero. Count flags are parsed
  * as strictly: a worker count past the ceiling (or a negative one,
  * which wraps to 4294967295), a non-numeric trip count, and a Gantt
@@ -152,6 +153,7 @@ TEST(CrashKill, UnusableMachineFlagsExitWithUsageError)
     std::string out = ::testing::TempDir() + "bad-flag.out";
     for (std::vector<std::string> flags :
          {std::vector<std::string>{"--width", "0"},
+          std::vector<std::string>{"--width", "128"},
           std::vector<std::string>{"--width", "x"},
           std::vector<std::string>{"--width", "4x"},
           std::vector<std::string>{"--dbb", "0"},

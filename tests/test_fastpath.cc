@@ -397,66 +397,6 @@ TEST(FusedLanes, TinyQueuesMatchPerWidthReference)
     EXPECT_GT(dbb_stalls, 0u);
 }
 
-/**
- * Lane sets the vector columns cannot hold run lane by lane and still
- * equal the per-width reference: a port cap past the columns' 7-bit
- * port field, and a fetch buffer past their 256-entry bound.
- */
-TEST(FusedLanes, SetsTooWideForColumnsMatchPerWidthReference)
-{
-    std::vector<MachineConfig> many_ports = {MachineConfig::widthVariant(2),
-                                             MachineConfig::widthVariant(8)};
-    many_ports[1].intPorts = 200;
-    std::vector<MachineConfig> long_buffer;
-    for (unsigned w : {2u, 4u, 8u}) {
-        long_buffer.push_back(MachineConfig::widthVariant(w));
-        long_buffer.back().fetchBufferEntries = 512;
-    }
-    std::vector<TimingLane> lanes;
-    for (const MachineConfig &cfg : many_ports)
-        lanes.emplace_back(cfg, kNoInst, false);
-    EXPECT_FALSE(ColumnLanes<2>::fits(lanes.data()));
-    lanes.clear();
-    for (const MachineConfig &cfg : long_buffer)
-        lanes.emplace_back(cfg, kNoInst, false);
-    EXPECT_FALSE(ColumnLanes<3>::fits(lanes.data()));
-
-    VanguardOptions vopts;
-    for (const char *name : {"mcf-like", "gobmk-like"}) {
-        BenchmarkSpec spec = smallSpec(name, 200);
-        BenchmarkArtifacts art = prepareBenchmark(spec, vopts);
-        for (const CompiledConfig *config : {&art.base, &art.exp}) {
-            for (const std::vector<MachineConfig> *cfgs :
-                 {&many_ports, &long_buffer}) {
-                SimOptions sopts;
-                sopts.collectBranchStalls = true;
-                if (!config->hoistedMask.empty())
-                    sopts.hoistedMask = &config->hoistedMask;
-                Memory mem = buildKernelMemory(spec, kRefSeeds[0]);
-                auto pred = makePredictor(vopts.predictor, kRefSeeds[0]);
-                std::vector<SimStats> fused = simulateWidths(
-                    config->prog, *config->decoded, mem, *pred, *cfgs,
-                    sopts);
-                ASSERT_EQ(fused.size(), cfgs->size());
-                sopts.forceReference = true;
-                for (size_t l = 0; l < cfgs->size(); ++l) {
-                    Memory solo_mem = buildKernelMemory(spec, kRefSeeds[0]);
-                    auto solo_pred =
-                        makePredictor(vopts.predictor, kRefSeeds[0]);
-                    SimStats ref = simulate(config->prog, solo_mem,
-                                            *solo_pred, (*cfgs)[l], sopts);
-                    expectSameStats(
-                        fused[l], ref,
-                        std::string(name) +
-                            (config->decomposed ? " [exp]" : " [base]") +
-                            " lane " + std::to_string(l) + " of " +
-                            std::to_string(cfgs->size()));
-                }
-            }
-        }
-    }
-}
-
 TEST(FusedLanes, LanesMayDifferOnlyInWidthAndPorts)
 {
     BenchmarkSpec spec = smallSpec("bzip2-like", 50);
@@ -611,7 +551,6 @@ expectSameLane(const TimingLane &got, const TimingLane &want,
     for (size_t s = 0; s < got.fetch_ring.size(); ++s)
         EXPECT_EQ(got.fetch_ring[s], lifted(want.fetch_ring[s]))
             << tag << " slot " << s;
-    EXPECT_EQ(got.prev_issue_cycle, lifted(want.prev_issue_cycle)) << tag;
     EXPECT_EQ(got.cur_issue_cycle, lifted(want.cur_issue_cycle)) << tag;
     EXPECT_EQ(got.slots_used, want.slots_used) << tag;
     for (unsigned c = 0; c < 4; ++c)
@@ -642,8 +581,21 @@ makeLanes(const std::vector<MachineConfig> &cfgs, InstId stall_keys)
     return lanes;
 }
 
-/** Replay `events` through both policies over `cfgs`; lanes must
- *  agree field for field. Returns the lanes' MSHR and DBB stalls. */
+/** The reference timing: every event through TimingLane::retire, on
+ *  each lane in turn. */
+void
+retireEachLane(std::vector<TimingLane> &lanes,
+               std::span<const LaneEvent> events)
+{
+    for (TimingLane &ln : lanes) {
+        for (size_t seq = 0; seq < events.size(); ++seq)
+            ln.retire(events[seq], seq);
+    }
+}
+
+/** Replay `events` through TimingLane::retire and through the columns
+ *  over `cfgs`; lanes must agree field for field. Returns the lanes'
+ *  MSHR and DBB stalls. */
 template <unsigned N>
 std::pair<uint64_t, uint64_t>
 expectPoliciesAgree(std::span<const LaneEvent> events,
@@ -652,8 +604,7 @@ expectPoliciesAgree(std::span<const LaneEvent> events,
 {
     std::vector<TimingLane> scalar = makeLanes(cfgs, stall_keys);
     std::vector<TimingLane> columns = makeLanes(cfgs, stall_keys);
-    ScalarLanes<N> by_lane(scalar.data());
-    replayLaneEvents(by_lane, events);
+    retireEachLane(scalar, events);
     ColumnLanes<N> by_column(columns.data());
     replayLaneEvents(by_column, events);
     std::pair<uint64_t, uint64_t> stalls;
@@ -668,19 +619,18 @@ expectPoliciesAgree(std::span<const LaneEvent> events,
 }
 
 /**
- * The two lane policies are interchangeable: one recorded event stream
- * per kernel, config and machine shape, replayed through ScalarLanes
- * and through ColumnLanes for several lane sets, leaves every
- * lane in the same state with the same counters. Two tiny shapes (a
- * 24-entry fetch buffer, the modulo slot path, with a 2-entry miss
- * buffer; and a 1-entry DBB) drive the per-lane escapes hard. This also
- * keeps the scalar multi-lane path covered on hosts where simulation
- * itself takes the columns.
+ * The columns time like the reference: one recorded event stream per
+ * kernel, config and machine shape, replayed through TimingLane::retire
+ * and through ColumnLanes for several lane sets (one-lane sets, padding
+ * columns and all, included), leaves every lane in the same state with
+ * the same counters. Two tiny shapes (a 24-entry fetch buffer, the
+ * modulo slot path, with a 2-entry miss buffer; and a 1-entry DBB)
+ * drive the per-lane escapes hard.
  */
 TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
 {
     const std::vector<std::vector<unsigned>> lane_sets = {
-        {2, 4, 8}, {8, 2}, {4, 2, 4}, {8, 4, 2, 2}};
+        {2}, {8}, {2, 4, 8}, {8, 2}, {4, 2, 4}, {8, 4, 2, 2}};
     struct Shape
     {
         const char *what;
@@ -723,8 +673,9 @@ TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
                     *config->decoded, mem, *pred, machine(4), sopts);
                 InstId keys = config->decoded->maxStallKey();
 
-                // The recording is the run: one scalar lane replayed
-                // at the recording's width times it like simulate().
+                // The recording is the run: one lane replayed through
+                // TimingLane::retire at the recording's width times it
+                // like simulate().
                 Memory solo_mem = buildKernelMemory(spec, kRefSeeds[0]);
                 auto solo_pred =
                     makePredictor(vopts.predictor, kRefSeeds[0]);
@@ -733,8 +684,7 @@ TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
                     machine(4), sopts);
                 ASSERT_EQ(events.size(), solo.dynamicInsts) << tag;
                 std::vector<TimingLane> one = makeLanes({machine(4)}, keys);
-                ScalarLanes<1> replay(one.data());
-                replayLaneEvents(replay, events);
+                retireEachLane(one, events);
                 EXPECT_EQ(one[0].max_done + 1, solo.cycles) << tag;
 
                 for (const std::vector<unsigned> &widths : lane_sets) {
@@ -744,6 +694,9 @@ TEST(LanePolicies, ColumnsMatchScalarOnRecordedStreams)
                     std::span<const LaneEvent> ev(events);
                     std::pair<uint64_t, uint64_t> stalls;
                     switch (widths.size()) {
+                      case 1:
+                        stalls = expectPoliciesAgree<1>(ev, cfgs, keys, tag);
+                        break;
                       case 2:
                         stalls = expectPoliciesAgree<2>(ev, cfgs, keys, tag);
                         break;
@@ -838,7 +791,8 @@ farClockStream(size_t blocks)
 }
 
 /** Replay farClockStream from lanes started at cycle `start` through
- *  both policies; returns the column lanes' least base. */
+ *  TimingLane::retire and the columns; returns the column lanes' least
+ *  base. */
 template <unsigned N>
 uint64_t
 expectRebasedColumnsAgree(std::span<const LaneEvent> events,
@@ -860,7 +814,7 @@ expectRebasedColumnsAgree(std::span<const LaneEvent> events,
             // Mid-run state: some cycles already lie below the floor
             // (start - 1) the columns will take as their base.
             ln.next_fetch_cycle = ln.cur_fetch_cycle = start;
-            ln.prev_issue_cycle = ln.cur_issue_cycle = start - 3;
+            ln.cur_issue_cycle = start - 3;
             ln.max_done = ln.last_commit_cycle = start + 10;
             for (unsigned r = 0; r < kNumRegs; ++r)
                 ln.reg_ready[r] = start - 20 + r % 16;
@@ -870,9 +824,7 @@ expectRebasedColumnsAgree(std::span<const LaneEvent> events,
             ln.dbb_free_cycles.push_back(start + 3);
         }
     }
-    ScalarLanes<N> by_lane(scalar.data());
-    replayLaneEvents(by_lane, events);
-    EXPECT_TRUE(ColumnLanes<N>::fits(columns.data()));
+    retireEachLane(scalar, events);
     ColumnLanes<N> by_column(columns.data());
     replayLaneEvents(by_column, events);
     uint64_t least_base = UINT64_MAX;
@@ -892,8 +844,8 @@ expectRebasedColumnsAgree(std::span<const LaneEvent> events,
  * Column lanes count cycles in 32 bits from a per-lane base that moves
  * up (a rebase) whenever a lane passes 2^30 cycles from it. Started
  * near 2^33 cycles and run for over four billion more, the columns
- * still match ScalarLanes in every counter and max_done, and in every
- * other cycle once it is lifted to the columns' final base.
+ * still match TimingLane::retire in every counter and max_done, and in
+ * every other cycle once it is lifted to the columns' final base.
  */
 TEST(LanePolicies, ColumnsStayExactAcrossRebases)
 {
@@ -905,6 +857,8 @@ TEST(LanePolicies, ColumnsStayExactAcrossRebases)
     // more, so a base above 3 x 2^30 past the start took at least 3.
     EXPECT_GT(least_base - start, 3 * (uint64_t{1} << 30));
     least_base = expectRebasedColumnsAgree<4>(events, {8, 4, 2, 2}, start);
+    EXPECT_GT(least_base - start, 3 * (uint64_t{1} << 30));
+    least_base = expectRebasedColumnsAgree<1>(events, {2}, start);
     EXPECT_GT(least_base - start, 3 * (uint64_t{1} << 30));
 }
 

@@ -395,12 +395,14 @@ TEST(Pipeline, MaxInstsBoundsRun)
  * A machine the timing model cannot make progress on is a config
  * error at construction, on both paths — never a hang (a zero width
  * or port count would spin computeIssue forever) or an internal
- * assert (a zero-entry DBB).
+ * assert (a zero-entry DBB). So is one the lane columns cannot hold:
+ * a width or port count past kMaxWidth, a fetch buffer past
+ * kMaxFetchBufferEntries.
  */
 TEST(Pipeline, UnusableMachineIsAConfigError)
 {
     Function fn = loop(100, [](IRBuilder &b) { b.addi(2, 0, 1); });
-    for (void (*zero)(MachineConfig &) : {
+    for (void (*spoil)(MachineConfig &) : {
              +[](MachineConfig &c) { c.width = 0; },
              +[](MachineConfig &c) { c.memPorts = 0; },
              +[](MachineConfig &c) { c.intPorts = 0; },
@@ -408,6 +410,14 @@ TEST(Pipeline, UnusableMachineIsAConfigError)
              +[](MachineConfig &c) { c.fetchBufferEntries = 0; },
              +[](MachineConfig &c) { c.dbbEntries = 0; },
              +[](MachineConfig &c) { c.mshrEntries = 0; },
+             // Past the lane columns' packed port fields and range.
+             +[](MachineConfig &c) { c.width = kMaxWidth + 1; },
+             +[](MachineConfig &c) { c.memPorts = kMaxWidth + 1; },
+             +[](MachineConfig &c) { c.intPorts = kMaxWidth + 1; },
+             +[](MachineConfig &c) { c.fpPorts = kMaxWidth + 1; },
+             +[](MachineConfig &c) {
+                 c.fetchBufferEntries = kMaxFetchBufferEntries + 1;
+             },
              // Cache geometry: no sets would divide by zero.
              +[](MachineConfig &c) { c.l1i.sizeKB = 0; },
              +[](MachineConfig &c) { c.l3.sizeKB = 4'000'000'000u; },
@@ -429,7 +439,7 @@ TEST(Pipeline, UnusableMachineIsAConfigError)
              +[](MachineConfig &c) { c.memLatency = kMaxLatency + 1; },
          }) {
         MachineConfig cfg;
-        zero(cfg);
+        spoil(cfg);
         for (bool reference : {false, true}) {
             SimOptions opts;
             opts.forceReference = reference;
